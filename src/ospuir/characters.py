@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ospuir.linalg import add_scaled
 from ospuir.root_system import (
     Weight,
     build_root_system,
@@ -37,12 +38,7 @@ Poly = Dict[Exp, Fraction]
 
 def p_add(f: Poly, g: Poly) -> Poly:
     out = dict(f)
-    for e, c in g.items():
-        v = out.get(e, Fraction(0)) + c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
+    add_scaled(out, g, 1)
     return out
 
 
@@ -71,10 +67,6 @@ def p_mul(f: Poly, g: Poly, maxdeg: Optional[int] = None) -> Poly:
             elif e in out:
                 del out[e]
     return out
-
-
-def p_shift(f: Poly, e0: Exp) -> Poly:
-    return {tuple(x + y for x, y in zip(e, e0)): c for e, c in f.items()}
 
 
 def p_truncate(f: Poly, maxdeg: int) -> Poly:
@@ -385,21 +377,9 @@ def sl3_character(m1: int, m2: int) -> CharacterSeries:
         raise ValueError("labels must be nonnegative integers")
     m12 = m1 + m2
     numerator: Poly = {}
-
-    def acc(e1: int, e2: int, c: int) -> None:
-        e = (e1, e2)
-        v = numerator.get(e, Fraction(0)) + c
-        if v:
-            numerator[e] = v
-        elif e in numerator:
-            del numerator[e]
-
-    acc(0, 0, 1)
-    acc(m1, 0, -1)
-    acc(0, m2, -1)
-    acc(m1, m12, 1)
-    acc(m12, m2, 1)
-    acc(m12, m12, -1)
+    for e, c in (((0, 0), 1), ((m1, 0), -1), ((0, m2), -1),
+                 ((m1, m12), 1), ((m12, m2), 1), ((m12, m12), -1)):
+        add_scaled(numerator, {e: c}, 1)
     quotient = numerator
     for v in ((1, 0), (0, 1), (1, 1)):
         quotient = exact_divide_one_minus(quotient, v, 2)

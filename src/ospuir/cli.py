@@ -14,7 +14,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -41,18 +40,6 @@ from ospuir.weights import Signature, reduction_points
 from ospuir.weyl import generate, multiplet_orbit, multiplet_to_dot
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-
-
-@dataclass
-class CliConfig:
-    command: str
-    n: int
-    a: Tuple[int, ...]
-    d: Optional[Fraction]
-    maxdeg: int
-    max_level: int
-    format: str
-    out: Optional[str]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -275,6 +262,8 @@ def cmd_character(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n != 3:
+        raise ValueError(f"the printed catalog is rank-three only, got --n {args.n}")
     if args.all:
         ids = list(PRINTED_IDS)
     elif args.id:

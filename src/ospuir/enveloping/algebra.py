@@ -13,18 +13,19 @@ spanned by anticommutators of odd generators.  The basis used here:
     mix(i, j)        {a_i^+, a_j^-}/2, i != j   weight delta_i - delta_j
     cartan(i)        {a_i^+, a_i^-}             weight 0
 
-The super-bracket table is built once per rank and validated against the
-graded Jacobi identity.
+The super-bracket table is built once per rank, together with each
+generator's weight, PBW key, class and omega-image.  The graded Jacobi
+identity is checked on it by tests/test_enveloping_algebra.py.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
+from ospuir.linalg import add_scaled
 from ospuir.root_system import delta_to_simple
 
 KIND_ODD = "odd"
@@ -132,28 +133,15 @@ def _even_to_pair(g: Generator) -> Tuple[Fraction, Pair]:
     raise ValueError("odd generator has no anticommutator form")
 
 
-def _combo_add(acc: Combo, combo: Combo, coeff: Fraction) -> None:
-    for g, c in combo.items():
-        v = acc.get(g, Fraction(0)) + c * coeff
-        if v:
-            acc[g] = v
-        elif g in acc:
-            del acc[g]
-
-
 def _trilinear(pair: Pair, k: int, e: int) -> Dict[Tuple[int, int], Fraction]:
     """[{a_p, a_q}, a_k^e] as a combination of odd raw generators."""
     (i, s), (j, t) = pair
     out: Dict[Tuple[int, int], Fraction] = {}
     if i == k:
-        c = Fraction(e - s)
-        if c:
-            out[(j, t)] = out.get((j, t), Fraction(0)) + c
+        add_scaled(out, {(j, t): 1}, e - s)
     if j == k:
-        c = Fraction(e - t)
-        if c:
-            out[(i, s)] = out.get((i, s), Fraction(0)) + c
-    return {g: c for g, c in out.items() if c}
+        add_scaled(out, {(i, s): 1}, e - t)
+    return out
 
 
 def _bracket(x: Generator, y: Generator) -> Combo:
@@ -164,7 +152,7 @@ def _bracket(x: Generator, y: Generator) -> Combo:
         cx, pair = _even_to_pair(x)
         out: Combo = {}
         for (idx, sgn), c in _trilinear(pair, y.i, y.sign).items():
-            _combo_add(out, {Generator(KIND_ODD, idx, sign=sgn): Fraction(1)}, c * cx)
+            add_scaled(out, {Generator(KIND_ODD, idx, sign=sgn): Fraction(1)}, c * cx)
         return out
     if x.is_odd and not y.is_odd:
         out = _bracket(y, x)
@@ -175,8 +163,23 @@ def _bracket(x: Generator, y: Generator) -> Combo:
     for first, second in ((pc, pd), (pd, pc)):
         br = _bracket(x, Generator(KIND_ODD, first[0], sign=first[1]))
         for g, c in br.items():
-            _combo_add(out, _pair_to_combo((g.i, g.sign), second), c * cy)
+            add_scaled(out, _pair_to_combo((g.i, g.sign), second), c * cy)
     return out
+
+
+RAISING = "raising"
+LOWERING = "lowering"
+CARTAN = "cartan"
+
+
+@dataclass(frozen=True, slots=True)
+class GeneratorFacts:
+    """Fixed data about one basis element at a given rank."""
+
+    weight_exp: Tuple[int, ...]   # weight in the simple-root basis
+    pbw_key: tuple                # (odd, root height, delta weight)
+    cls: str                      # RAISING, LOWERING or CARTAN
+    omega: Generator              # image under the anti-involution
 
 
 @dataclass(frozen=True)
@@ -187,32 +190,18 @@ class StructureTable:
     generators: Tuple[Generator, ...]
     brackets: Dict[Tuple[Generator, Generator], Combo]
     raising: Tuple[Generator, ...]
+    facts: Dict[Generator, GeneratorFacts]
 
     def bracket(self, x: Generator, y: Generator) -> Combo:
         return self.brackets[(x, y)]
 
-    def weight_exp(self, g: Generator) -> Tuple[int, ...]:
-        return _weight_exp(self.n, g)
 
-    def pbw_key(self, g: Generator):
-        return _pbw_key(self.n, g)
-
-    def classify(self, g: Generator) -> str:
-        w = g.delta_weight(self.n)
-        for c in w:
-            if c != 0:
-                return "raising" if c > 0 else "lowering"
-        return "cartan"
-
-
-def _weight_exp(n: int, g: Generator) -> Tuple[int, ...]:
-    exps = delta_to_simple(g.delta_weight(n))
-    return tuple(int(x) for x in exps)
-
-
-def _pbw_key(n: int, g: Generator):
-    height = sum(_weight_exp(n, g))
-    return (1 if g.is_odd else 0, height, g.delta_weight(n))
+def _generator_facts(n: int, g: Generator) -> GeneratorFacts:
+    delta = g.delta_weight(n)
+    exp = tuple(int(x) for x in delta_to_simple(delta))
+    lead = next((c for c in delta if c), 0)
+    cls = RAISING if lead > 0 else LOWERING if lead < 0 else CARTAN
+    return GeneratorFacts(exp, (1 if g.is_odd else 0, sum(exp), delta), cls, omega(g))
 
 
 def all_generators(n: int) -> List[Generator]:
@@ -236,64 +225,26 @@ def all_generators(n: int) -> List[Generator]:
     return gens
 
 
-def _bracket_combo(x: Generator, combo: Combo) -> Combo:
-    out: Combo = {}
-    for g, c in combo.items():
-        _combo_add(out, _bracket(x, g), c)
-    return out
-
-
-def _jacobi_holds(x: Generator, y: Generator, z: Generator) -> bool:
-    """Graded Leibniz form: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]."""
-    lhs = _bracket_combo(x, _bracket(y, z))
-    rhs: Combo = {}
-    for g, c in _bracket(x, y).items():
-        _combo_add(rhs, _bracket(g, z), c)
-    sign = Fraction(-1 if (x.is_odd and y.is_odd) else 1)
-    for g, c in _bracket(x, z).items():
-        _combo_add(rhs, _bracket(y, g), c * sign)
-    return lhs == rhs
-
-
 @lru_cache(maxsize=None)
 def structure_constants(n: int) -> StructureTable:
-    """Build and validate the bracket table for rank n (2 <= n <= 8)."""
+    """Build the bracket table and generator facts for rank n (2 <= n <= 8)."""
     if not 2 <= n <= 8:
         raise ValueError(f"rank must be in [2, 8], got {n}")
     gens = all_generators(n)
     expected = 2 * n + n * (2 * n + 1)
     if len(gens) != expected:
         raise AlgebraError(f"expected {expected} basis elements, got {len(gens)}")
-    brackets: Dict[Tuple[Generator, Generator], Combo] = {}
-    for x in gens:
-        for y in gens:
-            brackets[(x, y)] = _bracket(x, y)
-    # graded Jacobi: exhaustive at low rank, seeded random sample above
-    if n <= 4:
-        triples = [(x, y, z) for x in gens for y in gens for z in gens]
-    else:
-        rng = random.Random(20260818 + n)
-        triples = [
-            (rng.choice(gens), rng.choice(gens), rng.choice(gens))
-            for _ in range(3000)
-        ]
-    for x, y, z in triples:
-        if not _jacobi_holds(x, y, z):
-            raise AlgebraError(f"Jacobi identity fails on ({x}, {y}, {z})")
+    brackets = {(x, y): _bracket(x, y) for x in gens for y in gens}
+    facts = {g: _generator_facts(n, g) for g in gens}
     raising = tuple(
         sorted(
-            (g for g in gens if _is_raising(n, g)),
-            key=lambda g: _pbw_key(n, g),
+            (g for g in gens if facts[g].cls == RAISING),
+            key=lambda g: facts[g].pbw_key,
         )
     )
-    return StructureTable(n=n, generators=tuple(gens), brackets=brackets, raising=raising)
-
-
-def _is_raising(n: int, g: Generator) -> bool:
-    for c in g.delta_weight(n):
-        if c != 0:
-            return c > 0
-    return False
+    return StructureTable(
+        n=n, generators=tuple(gens), brackets=brackets, raising=raising, facts=facts,
+    )
 
 
 def omega(g: Generator) -> Generator:

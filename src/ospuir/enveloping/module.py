@@ -19,11 +19,12 @@ from ospuir.enveloping.algebra import (
     Generator,
     KIND_DOUBLE,
     KIND_ODD,
+    LOWERING,
+    RAISING,
     StructureTable,
-    omega,
     structure_constants,
 )
-from ospuir.linalg import psd_witness
+from ospuir.linalg import add_scaled, psd_witness
 from ospuir.weights import Signature, lowest_weight
 
 Word = Tuple[Generator, ...]
@@ -58,12 +59,7 @@ class ModuleVector:
                                      and other.offset != self.offset):
             raise ValueError("vectors live in different weight spaces")
         terms = dict(self.terms)
-        for w, c in other.terms.items():
-            v = terms.get(w, Fraction(0)) + c
-            if v:
-                terms[w] = v
-            elif w in terms:
-                del terms[w]
+        add_scaled(terms, other.terms, 1)
         offset = self.offset if self.terms else other.offset
         return ModuleVector(self.sig, offset, terms)
 
@@ -88,10 +84,10 @@ def module_vector_to_text(vec: ModuleVector) -> str:
     """Canonical one-line form: terms sorted by PBW word, 'p/q' coefficients."""
     if vec.is_zero:
         return "0"
-    table = structure_constants(vec.sig.n)
+    facts = structure_constants(vec.sig.n).facts
     items = sorted(
         vec.terms.items(),
-        key=lambda t: tuple(table.pbw_key(g) for g in t[0]),
+        key=lambda t: tuple(facts[g].pbw_key for g in t[0]),
     )
     return " + ".join(f"({c})*{word_name(w)}" for w, c in items)
 
@@ -103,6 +99,7 @@ class VermaEngine:
         self.sig = sig
         self.n = sig.n
         self.table: StructureTable = structure_constants(sig.n)
+        self.facts = self.table.facts
         self.lam = lowest_weight(sig)
         self._act_memo: Dict[Tuple[Generator, Word], VectorTerms] = {}
         self._pair_memo: Dict[Tuple[Word, Word], Fraction] = {}
@@ -116,19 +113,19 @@ class VermaEngine:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        table = self.table
+        facts = self.facts
+        g_facts = facts[g]
         if not word:
-            cls = table.classify(g)
-            if cls == "raising":
+            if g_facts.cls == RAISING:
                 out: VectorTerms = {(g,): Fraction(1)}
-            elif cls == "lowering":
+            elif g_facts.cls == LOWERING:
                 out = {}
             else:
                 eig = 2 * self.lam[g.i - 1]
                 out = {(): Fraction(eig)} if eig else {}
         else:
             head, rest = word[0], word[1:]
-            if table.classify(g) == "raising" and table.pbw_key(g) <= table.pbw_key(head):
+            if g_facts.cls == RAISING and g_facts.pbw_key <= facts[head].pbw_key:
                 if g == head and g.kind == KIND_ODD:
                     square = Generator(KIND_DOUBLE, g.i, sign=1)
                     out = self.act_word_terms(square, rest)
@@ -139,31 +136,20 @@ class VermaEngine:
                 out = {}
                 moved = self.act_word_terms(g, rest)
                 for w2, c2 in moved.items():
-                    self._accumulate(out, self.act_word_terms(head, w2), sign * c2)
-                for h, cb in table.bracket(g, head).items():
-                    self._accumulate(out, self.act_word_terms(h, rest), cb)
+                    add_scaled(out, self.act_word_terms(head, w2), sign * c2)
+                for h, cb in self.table.bracket(g, head).items():
+                    add_scaled(out, self.act_word_terms(h, rest), cb)
         memo[key] = out
         return out
-
-    @staticmethod
-    def _accumulate(acc: VectorTerms, terms: VectorTerms, coeff: Fraction) -> None:
-        if not coeff:
-            return
-        for w, c in terms.items():
-            v = acc.get(w, Fraction(0)) + c * coeff
-            if v:
-                acc[w] = v
-            elif w in acc:
-                del acc[w]
 
     def act(self, g: Generator, vec: ModuleVector) -> ModuleVector:
         """Left action of a basis generator; result in PBW form."""
         out: VectorTerms = {}
         for w, c in vec.terms.items():
-            self._accumulate(out, self.act_word_terms(g, w), c)
+            add_scaled(out, self.act_word_terms(g, w), c)
         if not out:
             return ModuleVector(self.sig, (0,) * self.n, {})
-        exp = self.table.weight_exp(g)
+        exp = self.facts[g].weight_exp
         offset = tuple(a + b for a, b in zip(vec.offset, exp))
         return ModuleVector(self.sig, offset, out)
 
@@ -207,7 +193,7 @@ class VermaEngine:
             return hit
         rest = u[1:]
         total = Fraction(0)
-        for w2, c in self.act_word_terms(omega(u[0]), w).items():
+        for w2, c in self.act_word_terms(self.facts[u[0]].omega, w).items():
             sub = self.pair_words(rest, w2)
             if sub:
                 total += c * sub
@@ -271,7 +257,7 @@ def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
         raise ValueError("offset must be nonnegative")
     table = structure_constants(n)
     raising = table.raising
-    exps = [table.weight_exp(g) for g in raising]
+    exps = [table.facts[g].weight_exp for g in raising]
 
     out: List[Word] = []
 

@@ -15,8 +15,9 @@ printed coefficients depend on normalization conventions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ospuir.enveloping.algebra import (
     Generator,
@@ -32,7 +33,7 @@ from ospuir.enveloping.module import (
     engine_for,
     weight_space_words,
 )
-from ospuir.linalg import in_span, nullspace, row_space
+from ospuir.linalg import in_span, nullspace, rref
 from ospuir.root_system import build_root_system, delta_to_simple, pairing
 from ospuir.weights import Signature, lowest_weight, reduction_points
 
@@ -73,7 +74,7 @@ def singular_space(engine: VermaEngine, offset: Sequence[int]) -> List[ModuleVec
     rows: List[List[Fraction]] = []
     for j in range(1, n + 1):
         low = simple_lowering(n, j)
-        drop = engine.table.weight_exp(low)
+        drop = engine.facts[low].weight_exp
         target = tuple(a + b for a, b in zip(offset, drop))
         if any(x < 0 for x in target):
             continue
@@ -81,12 +82,8 @@ def singular_space(engine: VermaEngine, offset: Sequence[int]) -> List[ModuleVec
         images = [engine.act(low, u) for u in unit]
         for t_word in tbasis:
             rows.append([img.terms.get(t_word, Fraction(0)) for img in images])
-    if rows:
-        sols = nullspace(rows, cols=len(basis))
-    else:
-        sols = nullspace([], cols=len(basis))
     out = []
-    for sol in sols:
+    for sol in nullspace(rows, cols=len(basis)):
         terms = {w: c for w, c in zip(basis, sol) if c}
         out.append(ModuleVector(engine.sig, offset, terms))
     return out
@@ -141,15 +138,6 @@ _SUM13 = Generator(KIND_SUM, 1, 3, sign=1)
 _SUM23 = Generator(KIND_SUM, 2, 3, sign=1)
 _DBL3 = Generator(KIND_DOUBLE, 3, sign=1)
 
-PRINTED_IDS = (
-    "sv_d1",
-    "sv_d12",
-    "sv_d2",
-    "sv_d13",
-    "subsing_d13",
-    "sv_d23",
-)
-
 
 def _anticommutator_scale(
     terms: List[Tuple[Word, Fraction]],
@@ -168,65 +156,120 @@ def _anticommutator_scale(
     return scaled
 
 
+def _sv_d1(a1: Fraction, a2: Fraction) -> List[Tuple[Word, Fraction]]:
+    return [
+        ((_od(1),), a1 * (a1 + a2 + 1)),
+        ((_od(3), _X13), -a1),
+        ((_od(2), _X1P), -(a1 + a2 + 1)),
+        ((_od(3), _X2P, _X1P), Fraction(1)),
+    ]
+
+
+def _sv_d12(a1: Fraction, a2: Fraction) -> List[Tuple[Word, Fraction]]:
+    return _anticommutator_scale([
+        ((_od(3), _od(2), _X2P, _X1P), Fraction(1)),
+        ((_od(3), _od(3), _X2P, _X2P, _X1P), Fraction(1, 2)),
+        ((_od(3), _od(3), _X2P, _X13), -a1),
+        ((_od(3), _od(2), _X13), 2 * (a2 + 1)),
+        ((_od(3), _od(1), _X2P), -2 * (a1 + a2 + 1)),
+        ((_SUM13, _X2P), (a1 + 1) * (a1 + a2 + 1)),
+        ((_od(2), _od(1)), 4 * a2 * (a1 + a2 + 1)),
+        ((_od(2), _od(2), _X1P), 2 * a2 * (a1 + a2 + 1)),
+        ((_SUM23, _X2P, _X1P), -Fraction(1, 2) * (a1 + 2 * a2 + 1)),
+        ((_SUM23, _X13), -(-a2 * a1 + a1 + a2 + 1)),
+        ((_SUM12,), -2 * (a1 + 1) * a2 * (a1 + a2 + 1)),
+    ])
+
+
+def _sv_d2(a1: Fraction, a2: Fraction) -> List[Tuple[Word, Fraction]]:
+    return [
+        ((_X2P, _od(3)), a2),
+        ((_od(3), _X2P), -(a2 + 1)),
+    ]
+
+
+def _sv_d13(a1: Fraction, a2: Fraction) -> List[Tuple[Word, Fraction]]:
+    h = 1 + (a1 + a2) / 2
+    return [
+        ((_X1P, _od(3), _od(3), _X2P), h * a1),
+        ((_X1P, _od(3), _X2P, _od(3)), a1),
+        ((_od(3), _od(3), _X2P, _X1P), -h * (a1 + 1)),
+        ((_X1P, _X2P, _od(3), _od(3)), -h * a1),
+        ((_od(3), _X2P, _od(3), _X1P), -(a1 + 1)),
+        ((_X2P, _od(3), _od(3), _X1P), h * (a1 + 1)),
+    ]
+
+
+def _subsing_d13(a1: Fraction, a2: Fraction) -> List[Tuple[Word, Fraction]]:
+    return [
+        ((_od(1), _od(2), _od(3)), Fraction(1)),
+        ((_od(3), _od(2), _od(1)), Fraction(-1)),
+    ]
+
+
+def _sv_d23(a1: Fraction, a2: Fraction) -> List[Tuple[Word, Fraction]]:
+    return _anticommutator_scale([
+        ((_SUM23,), Fraction(2)),
+        ((_od(2), _od(3)), Fraction(-4)),
+        ((_DBL3, _X2P), Fraction(1)),
+    ])
+
+
+class CatalogEntry(NamedTuple):
+    """One printed rank-three vector, written in the labels (a1, a2).
+
+    It is singular of weight offset order(a1, a2) * beta, beta in the delta
+    basis, or subsingular when beta is None.  It is validated at labels
+    regime_a and d at the reduction point regime_point (d = 1 when empty).
+    """
+
+    terms: Callable[[Fraction, Fraction], List[Tuple[Word, Fraction]]]
+    beta: Optional[Tuple[int, ...]]
+    regime_a: Tuple[int, ...]
+    regime_point: Tuple[int, ...] = ()
+    order: Callable[[Fraction, Fraction], int] = lambda a1, a2: 1
+
+
+CATALOG: Dict[str, CatalogEntry] = {
+    "sv_d1": CatalogEntry(_sv_d1, (1, 0, 0), (1, 1), (1,)),
+    "sv_d12": CatalogEntry(_sv_d12, (1, 1, 0), (0, 2), (1, 2)),
+    "sv_d2": CatalogEntry(_sv_d2, (0, 1, 0), (0, 2), (2,)),
+    "sv_d13": CatalogEntry(_sv_d13, (1, 0, 1), (0, 2), (1, 3)),
+    "subsing_d13": CatalogEntry(_subsing_d13, None, (0, 0)),
+    "sv_d23": CatalogEntry(_sv_d23, (0, 1, 1), (0, 0), (2, 3)),
+}
+
+PRINTED_IDS = tuple(CATALOG)
+
+
+def _compact_entry(i: int) -> CatalogEntry:
+    """(X_i^+)^(1+a_i) v0, singular at (1+a_i)(delta_i - delta_{i+1})."""
+    def order(a1: Fraction, a2: Fraction) -> int:
+        return 1 + int((a1, a2)[i - 1])
+
+    def terms(a1: Fraction, a2: Fraction) -> List[Tuple[Word, Fraction]]:
+        return [((_mix(i, i + 1),) * order(a1, a2), Fraction(1))]
+
+    beta = tuple(1 if k == i else -1 if k == i + 1 else 0 for k in (1, 2, 3))
+    return CatalogEntry(terms, beta, (0, 0), order=order)
+
+
+_COMPACT = {f"compact_{i}": _compact_entry(i) for i in (1, 2)}
+
+
+def _entry(vector_id: str) -> CatalogEntry:
+    entry = CATALOG.get(vector_id) or _COMPACT.get(vector_id)
+    if entry is not None:
+        return entry
+    if vector_id.startswith("compact_"):
+        raise ValueError("compact index must be in [1, 2]")
+    raise ValueError(f"unknown printed vector id {vector_id!r}")
+
+
 def _catalog_terms(vector_id: str, sig: Signature) -> List[Tuple[Word, Fraction]]:
     if sig.n != 3:
         raise ValueError("the printed catalog is rank-three only")
-    a1 = Fraction(sig.a[0])
-    a2 = Fraction(sig.a[1])
-    if vector_id == "sv_d1":
-        return [
-            ((_od(1),), a1 * (a1 + a2 + 1)),
-            ((_od(3), _X13), -a1),
-            ((_od(2), _X1P), -(a1 + a2 + 1)),
-            ((_od(3), _X2P, _X1P), Fraction(1)),
-        ]
-    if vector_id == "sv_d12":
-        return _anticommutator_scale([
-            ((_od(3), _od(2), _X2P, _X1P), Fraction(1)),
-            ((_od(3), _od(3), _X2P, _X2P, _X1P), Fraction(1, 2)),
-            ((_od(3), _od(3), _X2P, _X13), -a1),
-            ((_od(3), _od(2), _X13), 2 * (a2 + 1)),
-            ((_od(3), _od(1), _X2P), -2 * (a1 + a2 + 1)),
-            ((_SUM13, _X2P), (a1 + 1) * (a1 + a2 + 1)),
-            ((_od(2), _od(1)), 4 * a2 * (a1 + a2 + 1)),
-            ((_od(2), _od(2), _X1P), 2 * a2 * (a1 + a2 + 1)),
-            ((_SUM23, _X2P, _X1P), -Fraction(1, 2) * (a1 + 2 * a2 + 1)),
-            ((_SUM23, _X13), -(-a2 * a1 + a1 + a2 + 1)),
-            ((_SUM12,), -2 * (a1 + 1) * a2 * (a1 + a2 + 1)),
-        ])
-    if vector_id == "sv_d2":
-        return [
-            ((_X2P, _od(3)), a2),
-            ((_od(3), _X2P), -(a2 + 1)),
-        ]
-    if vector_id == "sv_d13":
-        h = 1 + (a1 + a2) / 2
-        return [
-            ((_X1P, _od(3), _od(3), _X2P), h * a1),
-            ((_X1P, _od(3), _X2P, _od(3)), a1),
-            ((_od(3), _od(3), _X2P, _X1P), -h * (a1 + 1)),
-            ((_X1P, _X2P, _od(3), _od(3)), -h * a1),
-            ((_od(3), _X2P, _od(3), _X1P), -(a1 + 1)),
-            ((_X2P, _od(3), _od(3), _X1P), h * (a1 + 1)),
-        ]
-    if vector_id == "subsing_d13":
-        return [
-            ((_od(1), _od(2), _od(3)), Fraction(1)),
-            ((_od(3), _od(2), _od(1)), Fraction(-1)),
-        ]
-    if vector_id == "sv_d23":
-        return _anticommutator_scale([
-            ((_SUM23,), Fraction(2)),
-            ((_od(2), _od(3)), Fraction(-4)),
-            ((_DBL3, _X2P), Fraction(1)),
-        ])
-    if vector_id.startswith("compact_"):
-        i = int(vector_id.split("_", 1)[1])
-        if not 1 <= i <= sig.n - 1:
-            raise ValueError(f"compact index must be in [1, {sig.n - 1}]")
-        power = 1 + sig.a[i - 1]
-        return [((_mix(i, i + 1),) * power, Fraction(1))]
-    raise ValueError(f"unknown printed vector id {vector_id!r}")
+    return _entry(vector_id).terms(*(Fraction(x) for x in sig.a))
 
 
 def printed_vector(vector_id: str, sig: Signature) -> ModuleVector:
@@ -235,52 +278,13 @@ def printed_vector(vector_id: str, sig: Signature) -> ModuleVector:
     return engine.from_words(_catalog_terms(vector_id, sig))
 
 
-def _target(vector_id: str, sig: Signature) -> Tuple[Tuple[Fraction, ...], int]:
-    """Root beta and order m such that the vector has weight offset m*beta."""
-    n = sig.n
-    def delta(*cs):
-        return tuple(Fraction(c) for c in cs)
-    if vector_id == "sv_d1":
-        return delta(1, 0, 0), 1
-    if vector_id == "sv_d12":
-        return delta(1, 1, 0), 1
-    if vector_id == "sv_d2":
-        return delta(0, 1, 0), 1
-    if vector_id == "sv_d13":
-        return delta(1, 0, 1), 1
-    if vector_id == "sv_d23":
-        return delta(0, 1, 1), 1
-    if vector_id.startswith("compact_"):
-        i = int(vector_id.split("_", 1)[1])
-        coords = [Fraction(0)] * n
-        coords[i - 1] = Fraction(1)
-        coords[i] = Fraction(-1)
-        return tuple(coords), 1 + sig.a[i - 1]
-    raise ValueError(f"no singular target for id {vector_id!r}")
-
-
 def printed_regime(vector_id: str) -> Signature:
     """Default signature at which the printed vector is validated."""
-    if vector_id == "sv_d1":
-        a = (1, 1)
-        return Signature(3, reduction_points(3, a).value(1), a)
-    if vector_id == "sv_d12":
-        a = (0, 2)
-        return Signature(3, reduction_points(3, a).value(1, 2), a)
-    if vector_id == "sv_d2":
-        a = (0, 2)
-        return Signature(3, reduction_points(3, a).value(2), a)
-    if vector_id == "sv_d13":
-        a = (0, 2)
-        return Signature(3, reduction_points(3, a).value(1, 3), a)
-    if vector_id == "subsing_d13":
-        return Signature(3, Fraction(1), (0, 0))
-    if vector_id == "sv_d23":
-        a = (0, 0)
-        return Signature(3, reduction_points(3, a).value(2, 3), a)
-    if vector_id.startswith("compact_"):
-        return Signature(3, Fraction(1), (0, 0))
-    raise ValueError(f"unknown printed vector id {vector_id!r}")
+    entry = _entry(vector_id)
+    a = entry.regime_a
+    if not entry.regime_point:
+        return Signature(3, Fraction(1), a)
+    return Signature(3, reduction_points(3, a).value(*entry.regime_point), a)
 
 
 def verify_singular(vector_id: str, sig: Signature) -> bool:
@@ -290,21 +294,22 @@ def verify_singular(vector_id: str, sig: Signature) -> bool:
     find_singular's solution basis.  subsing_d13 delegates to the
     subsingular test.
     """
-    if vector_id == "subsing_d13":
+    entry = _entry(vector_id)
+    if entry.beta is None:
         return verify_subsingular(vector_id, sig)
     vec = printed_vector(vector_id, sig)
     if vec.is_zero:
         return False
-    beta, m = _target(vector_id, sig)
+    beta = tuple(Fraction(c) for c in entry.beta)
     try:
-        sols = find_singular(sig, beta, m)
+        sols = find_singular(sig, beta, entry.order(*(Fraction(x) for x in sig.a)))
     except AnomalyError:
         return False
     if not sols:
         return False
     engine = engine_for(sig)
     basis = engine.basis(vec.offset)
-    span = row_space([_vector_coords(s, basis) for s in sols])
+    span, _ = rref([_vector_coords(s, basis) for s in sols])
     return in_span(span, _vector_coords(vec, basis))
 
 
@@ -319,18 +324,7 @@ def submodule_component(engine: VermaEngine, nu: Sequence[int]) -> List[List[Fra
     if not basis:
         return []
     rows: List[List[Fraction]] = []
-    ranges = [range(x + 1) for x in nu]
-
-    def offsets():
-        def rec(prefix, idx):
-            if idx == len(ranges):
-                yield tuple(prefix)
-                return
-            for v in ranges[idx]:
-                yield from rec(prefix + [v], idx + 1)
-        yield from rec([], 0)
-
-    for sigma in offsets():
+    for sigma in product(*(range(x + 1) for x in nu)):
         if not any(sigma):
             continue
         sings = singular_space(engine, sigma)
@@ -342,7 +336,7 @@ def submodule_component(engine: VermaEngine, nu: Sequence[int]) -> List[List[Fra
                 vec = engine.apply_word(u, s)
                 if not vec.is_zero:
                     rows.append(_vector_coords(vec, basis))
-    return row_space(rows) if rows else []
+    return rref(rows)[0] if rows else []
 
 
 def is_subsingular(engine: VermaEngine, vec: ModuleVector) -> bool:

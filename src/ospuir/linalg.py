@@ -1,15 +1,31 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Row-major lists of Fraction.  Everything here is deterministic: pivots are
+Dense matrices are row-major lists of Fraction; sparse vectors are dicts
+from keys to nonzero Fractions.  Everything here is deterministic: pivots are
 chosen left to right, rows top to bottom.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
+
+_ZERO = Fraction(0)
+
+
+def add_scaled(acc: Dict, terms: Mapping, coeff) -> None:
+    """acc += coeff * terms for sparse vectors (dicts of Fractions), in
+    place; keys whose coefficient cancels to zero are dropped."""
+    if not coeff:
+        return
+    for k, c in terms.items():
+        v = acc.get(k, _ZERO) + c * coeff
+        if v:
+            acc[k] = v
+        elif k in acc:
+            del acc[k]
 
 
 def _clone(m: Sequence[Sequence]) -> Matrix:
@@ -65,11 +81,6 @@ def nullspace(m: Sequence[Sequence], cols: Optional[int] = None) -> List[List[Fr
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def row_space(m: Sequence[Sequence]) -> Matrix:
-    red, _ = rref(m)
-    return red
 
 
 def in_span(span_rref: Sequence[Sequence], v: Sequence) -> bool:

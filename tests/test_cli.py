@@ -72,6 +72,7 @@ def test_usage_errors_exit_2():
     assert run(["character", "--case", "bogus", "--n", "3"])[0] == 2
     assert run(["character", "--case", "sl3", "--n", "3"])[0] == 2
     assert run(["classify", "--n", "3", "--a", "1,1,1", "--d", "2"])[0] == 2
+    assert run(["verify", "--all", "--n", "4"])[0] == 2
 
 
 def test_character_text_output():

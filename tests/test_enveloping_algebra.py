@@ -7,15 +7,20 @@ from fractions import Fraction
 
 from ospuir.characters import partition_count
 from ospuir.enveloping.algebra import (
+    CARTAN,
     Generator,
     KIND_CARTAN,
     KIND_MIX,
     KIND_ODD,
     KIND_SUM,
+    LOWERING,
+    RAISING,
     all_generators,
     omega,
     structure_constants,
 )
+from ospuir.linalg import add_scaled
+from ospuir.root_system import delta_to_simple
 from ospuir.enveloping.module import (
     VermaEngine,
     engine_for,
@@ -54,8 +59,63 @@ def test_bracket_examples():
     assert tab.brackets[(a1p, a1m)] == {h1: Fraction(1)}
 
 
-def test_omega_is_an_involution():
-    for g in all_generators(3):
+def _jacobi_holds(tab, x, y, z):
+    """Graded Leibniz form: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]."""
+    lhs = {}
+    for g, c in tab.brackets[(y, z)].items():
+        add_scaled(lhs, tab.brackets[(x, g)], c)
+    rhs = {}
+    for g, c in tab.brackets[(x, y)].items():
+        add_scaled(rhs, tab.brackets[(g, z)], c)
+    sign = Fraction(-1 if (x.is_odd and y.is_odd) else 1)
+    for g, c in tab.brackets[(x, z)].items():
+        add_scaled(rhs, tab.brackets[(y, g)], c * sign)
+    return lhs == rhs
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_graded_jacobi_identity(n):
+    # exhaustive at low rank, seeded random sample above
+    tab = structure_constants(n)
+    gens = all_generators(n)
+    if n <= 4:
+        triples = [(x, y, z) for x in gens for y in gens for z in gens]
+    else:
+        rng = random.Random(20260818 + n)
+        triples = [
+            (rng.choice(gens), rng.choice(gens), rng.choice(gens))
+            for _ in range(3000)
+        ]
+    bad = [t for t in triples if not _jacobi_holds(tab, *t)]
+    assert not bad, f"Jacobi identity fails on {len(bad)} triples, e.g. {bad[0]}"
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_generator_facts_match_reference(n):
+    tab = structure_constants(n)
+    by_weight = {g.delta_weight(n): g for g in tab.generators if g.kind != KIND_CARTAN}
+    assert set(tab.facts) == set(tab.generators)
+    raising = {}
+    for g in tab.generators:
+        delta = g.delta_weight(n)
+        exp = tuple(int(x) for x in delta_to_simple(delta))
+        key = (int(g.is_odd), sum(exp), delta)
+        nonzero = [c for c in delta if c]
+        cls = CARTAN if not nonzero else RAISING if nonzero[0] > 0 else LOWERING
+        image = g if g.kind == KIND_CARTAN else by_weight[tuple(-c for c in delta)]
+        facts = tab.facts[g]
+        assert facts.weight_exp == exp, g
+        assert facts.pbw_key == key, g
+        assert facts.cls == cls, g
+        assert facts.omega == image, g
+        if cls == RAISING:
+            raising[g] = key
+    assert tab.raising == tuple(sorted(raising, key=raising.get))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_omega_is_an_involution(n):
+    for g in all_generators(n):
         assert omega(omega(g)) == g
     a2p = Generator(KIND_ODD, 2, sign=1)
     assert omega(a2p).sign == -1
