@@ -28,6 +28,7 @@ from ospuir.characters import (
 )
 from ospuir.enveloping import (
     AnomalyError,
+    MAX_LEVEL_DEFAULT,
     PRINTED_IDS,
     gram_psd_check,
     module_vector_to_text,
@@ -473,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", default="")
     p.add_argument("--d", required=True)
-    p.add_argument("--max-level", type=int, default=4)
+    p.add_argument("--max-level", type=int, default=MAX_LEVEL_DEFAULT)
     add_common(p, ["json", "text"], "json")
     p.set_defaults(func=cmd_gram)
 

@@ -8,6 +8,7 @@ from ospuir.enveloping.algebra import (
 )
 from ospuir.enveloping.module import (
     GramMatrix,
+    MAX_LEVEL_DEFAULT,
     ModuleVector,
     VermaEngine,
     gram_psd_check,
@@ -32,6 +33,7 @@ __all__ = [
     "AnomalyError",
     "Generator",
     "GramMatrix",
+    "MAX_LEVEL_DEFAULT",
     "ModuleVector",
     "PRINTED_IDS",
     "StructureTable",

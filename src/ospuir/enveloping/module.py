@@ -358,8 +358,11 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
     exactly when every dominant Gram block up to max_level is positive
     semidefinite; otherwise the witness vector and its (negative) norm are
     reported.  Negativity first reaches the dominant sector on this grid;
-    the bound max_level = 4 for rank three is empirical.
+    the bound max_level = 4 for rank three is empirical.  A max_level below
+    1 would certify nothing and raises ValueError.
     """
+    if max_level < 1:
+        raise ValueError(f"max_level must be at least 1, got {max_level}")
     engine = engine_for(sig)
     levels = []
     for level in range(1, max_level + 1):
@@ -369,7 +372,7 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
             if not basis:
                 continue
             gram = engine.gram(offset)
-            coeffs = psd_witness([list(row) for row in gram.entries])
+            coeffs = psd_witness(gram.entries)
             if coeffs is None:
                 continue
             terms = {

@@ -276,6 +276,12 @@ def test_psd_check_cases():
     assert eng.norm(r.witness) == r.witness_norm
 
 
+@pytest.mark.parametrize("max_level", [0, -2])
+def test_psd_check_rejects_an_empty_scan(max_level):
+    with pytest.raises(ValueError, match="max_level"):
+        gram_psd_check(Signature(3, Fraction(1, 4), (0, 0)), max_level=max_level)
+
+
 def test_psd_check_above_first_reduction_point():
     r = gram_psd_check(Signature(3, Fraction(5), (0, 0)), max_level=2)
     assert r.psd
