@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -36,11 +37,19 @@ from ospuir.enveloping import (
     verify_singular,
     verify_subsingular,
 )
+from ospuir.root_system import MAX_RANK
 from ospuir.unitarity import classify, subsingular_points, unitarity_grid
 from ospuir.weights import Signature, reduction_points
-from ospuir.weyl import generate, multiplet_orbit, multiplet_to_dot
+from ospuir.weyl import MAX_GROUP_RANK, generate, multiplet_orbit, multiplet_to_dot
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+
+# Largest requests the command line accepts; larger ones exit 2 before any
+# allocation.  On a 2-vCPU x86-64 host with CPython 3.11, a rank-3 grid of
+# 10,100 cells takes 14 s and 30 MB, and weyl --n 6 (46,080 elements) 3.7 s
+# and 80 MB; W(B7) has 645,120 elements.
+MAX_GRID_CELLS = 50_000
+MAX_WEYL_ORDER = 100_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -154,6 +163,11 @@ def cmd_grid(args) -> int:
     d_step = parse_rational(args.d_step)
     if d_step <= 0 or d_max < 0:
         raise ValueError("d grid must have positive step and nonnegative max")
+    if not 1 <= n <= MAX_RANK:
+        raise ValueError(f"rank must be an integer in [1, {MAX_RANK}], got {n}")
+    cells = (d_max // d_step + 1) * max(a_max + 1, 0) ** (n - 1)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"grid of {cells} cells exceeds the limit of {MAX_GRID_CELLS}")
     d_values = []
     k = 0
     while k * d_step <= d_max:
@@ -387,7 +401,13 @@ def cmd_multiplet(args) -> int:
 
 
 def cmd_weyl(args) -> int:
-    group = generate(args.n)
+    n = args.n
+    if not 2 <= n <= MAX_GROUP_RANK:
+        raise ValueError(f"rank must be in [2, {MAX_GROUP_RANK}] for group generation")
+    order = 2 ** n * math.factorial(n)
+    if order > MAX_WEYL_ORDER:
+        raise ValueError(f"W(B{n}) has {order} elements, above the limit of {MAX_WEYL_ORDER}")
+    group = generate(n)
     if args.format == "json":
         obj = {
             "n": args.n,

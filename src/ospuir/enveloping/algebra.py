@@ -14,16 +14,21 @@ spanned by anticommutators of odd generators.  The basis used here:
     cartan(i)        {a_i^+, a_i^-}             weight 0
 
 The super-bracket table is built once per rank, together with each
-generator's weight, PBW key, class and omega-image.  The graded Jacobi
-identity is checked on it by tests/test_enveloping_algebra.py.
+generator's weight, PBW key, class, parity, omega-image and (for an odd
+raising generator) square.  All of it is indexed by int code, a generator's
+position in the rank's basis, so the Verma engine works on words of ints;
+Generator objects are the public names, decoded at the boundary.  The
+graded Jacobi identity is checked on the stored table by
+tests/test_enveloping_algebra.py.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ospuir.linalg import add_scaled
 from ospuir.root_system import delta_to_simple
@@ -172,6 +177,9 @@ LOWERING = "lowering"
 CARTAN = "cartan"
 
 
+Term = Tuple[int, Fraction]   # (generator code, coefficient)
+
+
 @dataclass(frozen=True, slots=True)
 class GeneratorFacts:
     """Fixed data about one basis element at a given rank."""
@@ -184,24 +192,61 @@ class GeneratorFacts:
 
 @dataclass(frozen=True)
 class StructureTable:
-    """Complete bracket table with weight and ordering data for rank n."""
+    """Bracket table and generator facts for rank n, indexed by int code.
+
+    A generator's code is its index in `generators`.  Every per-generator
+    tuple below is indexed by code, and `brackets[x][y]` lists the terms
+    of [x, y] as (code, coefficient) pairs.  `bracket` and `facts` decode
+    back to Generator keys for callers that work with generators.
+    """
 
     n: int
     generators: Tuple[Generator, ...]
-    brackets: Dict[Tuple[Generator, Generator], Combo]
+    code: Dict[Generator, int]
+    brackets: Tuple[Tuple[Tuple[Term, ...], ...], ...]
+    cls: Tuple[str, ...]
+    pbw_key: Tuple[tuple, ...]
+    omega: Tuple[int, ...]
+    odd: Tuple[bool, ...]
+    weight_exp: Tuple[Tuple[int, ...], ...]
+    square: Tuple[int, ...]       # code of (a_i^+)^2 for odd raising a_i^+, else -1
     raising: Tuple[Generator, ...]
-    facts: Dict[Generator, GeneratorFacts]
 
     def bracket(self, x: Generator, y: Generator) -> Combo:
-        return self.brackets[(x, y)]
+        gens = self.generators
+        return {gens[h]: c for h, c in self.brackets[self.code[x]][self.code[y]]}
+
+    @property
+    def facts(self) -> "_FactsView":
+        return _FactsView(self)
+
+    def encode(self, word: Sequence[Generator]) -> Tuple[int, ...]:
+        code = self.code
+        return tuple(code[g] for g in word)
+
+    def decode(self, word: Sequence[int]) -> Tuple[Generator, ...]:
+        gens = self.generators
+        return tuple(gens[x] for x in word)
 
 
-def _generator_facts(n: int, g: Generator) -> GeneratorFacts:
-    delta = g.delta_weight(n)
-    exp = tuple(int(x) for x in delta_to_simple(delta))
-    lead = next((c for c in delta if c), 0)
-    cls = RAISING if lead > 0 else LOWERING if lead < 0 else CARTAN
-    return GeneratorFacts(exp, (1 if g.is_odd else 0, sum(exp), delta), cls, omega(g))
+class _FactsView(Mapping):
+    """GeneratorFacts by Generator, read from the code-indexed table."""
+
+    def __init__(self, table: StructureTable):
+        self._table = table
+
+    def __getitem__(self, g: Generator) -> GeneratorFacts:
+        t = self._table
+        x = t.code[g]
+        return GeneratorFacts(
+            t.weight_exp[x], t.pbw_key[x], t.cls[x], t.generators[t.omega[x]],
+        )
+
+    def __iter__(self) -> Iterator[Generator]:
+        return iter(self._table.generators)
+
+    def __len__(self) -> int:
+        return len(self._table.generators)
 
 
 def all_generators(n: int) -> List[Generator]:
@@ -234,16 +279,30 @@ def structure_constants(n: int) -> StructureTable:
     expected = 2 * n + n * (2 * n + 1)
     if len(gens) != expected:
         raise AlgebraError(f"expected {expected} basis elements, got {len(gens)}")
-    brackets = {(x, y): _bracket(x, y) for x in gens for y in gens}
-    facts = {g: _generator_facts(n, g) for g in gens}
+    code = {g: x for x, g in enumerate(gens)}
+    brackets = tuple(
+        tuple(tuple((code[h], c) for h, c in _bracket(x, y).items()) for y in gens)
+        for x in gens
+    )
+    deltas = [g.delta_weight(n) for g in gens]
+    weight_exp = tuple(tuple(int(v) for v in delta_to_simple(d)) for d in deltas)
+    pbw_key = tuple(
+        (1 if g.is_odd else 0, sum(e), d) for g, e, d in zip(gens, weight_exp, deltas)
+    )
+    leads = [next((v for v in d if v), 0) for d in deltas]
+    cls = tuple(RAISING if v > 0 else LOWERING if v < 0 else CARTAN for v in leads)
+    square = tuple(
+        code[Generator(KIND_DOUBLE, g.i, sign=1)] if g.is_odd and g.sign > 0 else -1
+        for g in gens
+    )
     raising = tuple(
-        sorted(
-            (g for g in gens if facts[g].cls == RAISING),
-            key=lambda g: facts[g].pbw_key,
-        )
+        sorted((g for g, c in zip(gens, cls) if c == RAISING), key=lambda g: pbw_key[code[g]])
     )
     return StructureTable(
-        n=n, generators=tuple(gens), brackets=brackets, raising=raising, facts=facts,
+        n=n, generators=tuple(gens), code=code, brackets=brackets, cls=cls,
+        pbw_key=pbw_key, omega=tuple(code[omega(g)] for g in gens),
+        odd=tuple(g.is_odd for g in gens), weight_exp=weight_exp, square=square,
+        raising=raising,
     )
 
 

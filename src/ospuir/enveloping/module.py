@@ -6,6 +6,12 @@ appearing at most once since the square of an odd raising generator is the
 corresponding double-root generator.  The lowest-weight vector v0 is the
 empty word; lowering generators annihilate it and Cartan generators act by
 the eigenvalue (Lambda, delta_i-vee) = 2 lambda_i.
+
+Inside the engine a generator is its int code in the rank's StructureTable
+and a word is a tuple of codes, so the memoized recursions hash and compare
+only ints.  Generator words stay the public form: ModuleVector terms, PBW
+bases and Gram bases use them, and act/apply_word/pair/norm/gram encode on
+the way in and decode on the way out.
 """
 
 from __future__ import annotations
@@ -17,8 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ospuir.enveloping.algebra import (
     Generator,
-    KIND_DOUBLE,
-    KIND_ODD,
+    KIND_CARTAN,
     LOWERING,
     RAISING,
     StructureTable,
@@ -28,7 +33,11 @@ from ospuir.linalg import add_scaled, psd_witness
 from ospuir.weights import Signature, lowest_weight
 
 Word = Tuple[Generator, ...]
-VectorTerms = Dict[Word, Fraction]
+CodeWord = Tuple[int, ...]            # a Word as generator codes
+CodeTerms = Dict[CodeWord, Fraction]
+
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 MAX_LEVEL_DEFAULT = 4
 
@@ -93,7 +102,12 @@ def module_vector_to_text(vec: ModuleVector) -> str:
 
 
 class VermaEngine:
-    """Normal-ordering engine for one signature."""
+    """Normal-ordering engine for one signature.
+
+    `act_word_terms` and `pair_words` work on generator codes and words of
+    codes (see StructureTable); the other methods take and return
+    Generator words.
+    """
 
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -101,63 +115,68 @@ class VermaEngine:
         self.table: StructureTable = structure_constants(sig.n)
         self.facts = self.table.facts
         self.lam = lowest_weight(sig)
-        self._act_memo: Dict[Tuple[Generator, Word], VectorTerms] = {}
-        self._pair_memo: Dict[Tuple[Word, Word], Fraction] = {}
+        code = self.table.code
+        self._eigenvalue = {
+            code[Generator(KIND_CARTAN, i)]: Fraction(2 * lam)
+            for i, lam in enumerate(self.lam, 1)
+        }
+        self._act_memo: Dict[Tuple[int, CodeWord], CodeTerms] = {}
+        self._pair_memo: Dict[Tuple[CodeWord, CodeWord], Fraction] = {}
 
     # ---------------------------------------------------------- core action
 
-    def act_word_terms(self, g: Generator, word: Word) -> VectorTerms:
-        """g applied to the PBW monomial word * v0, as PBW terms."""
+    def act_word_terms(self, g: int, word: CodeWord) -> CodeTerms:
+        """Generator g applied to the PBW monomial word * v0, as PBW terms."""
         memo = self._act_memo
         key = (g, word)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        facts = self.facts
-        g_facts = facts[g]
+        t = self.table
+        cls = t.cls[g]
         if not word:
-            if g_facts.cls == RAISING:
-                out: VectorTerms = {(g,): Fraction(1)}
-            elif g_facts.cls == LOWERING:
+            if cls == RAISING:
+                out: CodeTerms = {(g,): _ONE}
+            elif cls == LOWERING:
                 out = {}
             else:
-                eig = 2 * self.lam[g.i - 1]
-                out = {(): Fraction(eig)} if eig else {}
+                eig = self._eigenvalue[g]
+                out = {(): eig} if eig else {}
         else:
             head, rest = word[0], word[1:]
-            if g_facts.cls == RAISING and g_facts.pbw_key <= facts[head].pbw_key:
-                if g == head and g.kind == KIND_ODD:
-                    square = Generator(KIND_DOUBLE, g.i, sign=1)
-                    out = self.act_word_terms(square, rest)
+            if cls == RAISING and t.pbw_key[g] <= t.pbw_key[head]:
+                if g == head and t.odd[g]:
+                    out = self.act_word_terms(t.square[g], rest)
                 else:
-                    out = {(g,) + word: Fraction(1)}
+                    out = {(g,) + word: _ONE}
             else:
-                sign = Fraction(-1 if (g.is_odd and head.is_odd) else 1)
+                flip = t.odd[g] and t.odd[head]
                 out = {}
-                moved = self.act_word_terms(g, rest)
-                for w2, c2 in moved.items():
-                    add_scaled(out, self.act_word_terms(head, w2), sign * c2)
-                for h, cb in self.table.bracket(g, head).items():
+                for w2, c2 in self.act_word_terms(g, rest).items():
+                    add_scaled(out, self.act_word_terms(head, w2), -c2 if flip else c2)
+                for h, cb in t.brackets[g][head]:
                     add_scaled(out, self.act_word_terms(h, rest), cb)
         memo[key] = out
         return out
 
     def act(self, g: Generator, vec: ModuleVector) -> ModuleVector:
         """Left action of a basis generator; result in PBW form."""
-        out: VectorTerms = {}
-        for w, c in vec.terms.items():
-            add_scaled(out, self.act_word_terms(g, w), c)
-        if not out:
-            return ModuleVector(self.sig, (0,) * self.n, {})
-        exp = self.facts[g].weight_exp
-        offset = tuple(a + b for a, b in zip(vec.offset, exp))
-        return ModuleVector(self.sig, offset, out)
+        return self.apply_word((g,), vec)
 
     def apply_word(self, word: Word, vec: ModuleVector) -> ModuleVector:
         """Product of generators applied to vec; rightmost factor acts first."""
-        for g in reversed(word):
-            vec = self.act(g, vec)
-        return vec
+        t = self.table
+        terms = {t.encode(w): c for w, c in vec.terms.items()}
+        offset = vec.offset
+        for g in reversed(t.encode(word)):
+            acted: CodeTerms = {}
+            for w, c in terms.items():
+                add_scaled(acted, self.act_word_terms(g, w), c)
+            terms = acted
+            offset = tuple(a + b for a, b in zip(offset, t.weight_exp[g]))
+        if not terms:
+            return ModuleVector(self.sig, (0,) * self.n, {})
+        return ModuleVector(self.sig, offset, {t.decode(w): c for w, c in terms.items()})
 
     def vacuum(self) -> ModuleVector:
         return ModuleVector(self.sig, (0,) * self.n, {(): Fraction(1)})
@@ -179,40 +198,37 @@ class VermaEngine:
 
     # ------------------------------------------------------ Shapovalov form
 
-    def pair_words(self, u: Word, w: Word) -> Fraction:
-        """<u v0, w v0>, memoized on suffix pairs.
+    def pair_words(self, u: CodeWord, w: CodeWord) -> Fraction:
+        """<u v0, w v0> for words of codes, memoized on suffix pairs.
 
         Peels the leftmost factor of u: <g rest v0, w v0> equals the sum of
         <rest v0, w' v0> over the expansion of omega(g) w v0.
         """
         if not u:
-            return Fraction(1) if not w else Fraction(0)
+            return _ONE if not w else _ZERO
         key = (u, w)
         hit = self._pair_memo.get(key)
         if hit is not None:
             return hit
         rest = u[1:]
-        total = Fraction(0)
-        for w2, c in self.act_word_terms(self.facts[u[0]].omega, w).items():
+        total = _ZERO
+        for w2, c in self.act_word_terms(self.table.omega[u[0]], w).items():
             sub = self.pair_words(rest, w2)
             if sub:
                 total += c * sub
         self._pair_memo[key] = total
         return total
 
-    def pair_with_word(self, u: Word, vec: ModuleVector) -> Fraction:
-        """<u v0, vec> = coefficient of v0 in omega(u) acting on vec."""
-        total = Fraction(0)
-        for w, c in vec.terms.items():
-            sub = self.pair_words(u, w)
-            if sub:
-                total += c * sub
-        return total
-
     def pair(self, left: ModuleVector, right: ModuleVector) -> Fraction:
-        total = Fraction(0)
-        for w, c in left.terms.items():
-            total += c * self.pair_with_word(w, right)
+        encode = self.table.encode
+        rights = [(encode(w), c) for w, c in right.terms.items()]
+        total = _ZERO
+        for word, cu in left.terms.items():
+            u = encode(word)
+            for w, cw in rights:
+                sub = self.pair_words(u, w)
+                if sub:
+                    total += cu * cw * sub
         return total
 
     def norm(self, vec: ModuleVector) -> Fraction:
@@ -221,11 +237,12 @@ class VermaEngine:
     def gram(self, offset: Sequence[int]) -> "GramMatrix":
         offset = tuple(int(x) for x in offset)
         basis = self.basis(offset)
+        words = [self.table.encode(w) for w in basis]
         size = len(basis)
-        entries = [[Fraction(0)] * size for _ in range(size)]
+        entries = [[_ZERO] * size for _ in range(size)]
         for i in range(size):
             for j in range(i, size):
-                val = self.pair_words(basis[i], basis[j])
+                val = self.pair_words(words[i], words[j])
                 entries[i][j] = val
                 entries[j][i] = val
         return GramMatrix(

@@ -78,6 +78,18 @@ def test_usage_errors_exit_2():
                     "--max-level", level]) == (2, "")
 
 
+def test_oversized_requests_exit_2():
+    # each is refused from its size alone, before any cell or element exists
+    for argv in (
+        ["grid", "--n", "3", "--d-step", "1/1000000000"],
+        ["grid", "--n", "16", "--a-max", "1000000", "--d-max", "0"],
+        ["grid", "--n", "17"],
+        ["weyl", "--n", "8"],
+        ["weyl", "--n", "7"],
+    ):
+        assert run(argv) == (2, ""), argv
+
+
 def test_character_text_output():
     code, out = run(["character", "--case", "d23", "--n", "3", "--maxdeg", "6"])
     assert code == 0

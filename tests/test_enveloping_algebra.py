@@ -9,12 +9,15 @@ from ospuir.characters import partition_count
 from ospuir.enveloping.algebra import (
     CARTAN,
     Generator,
+    GeneratorFacts,
     KIND_CARTAN,
+    KIND_DOUBLE,
     KIND_MIX,
     KIND_ODD,
     KIND_SUM,
     LOWERING,
     RAISING,
+    _bracket,
     all_generators,
     omega,
     structure_constants,
@@ -55,21 +58,24 @@ def test_bracket_examples():
     h1 = Generator(KIND_CARTAN, 1)
     a1p = Generator(KIND_ODD, 1, sign=1)
     a1m = Generator(KIND_ODD, 1, sign=-1)
-    assert tab.brackets[(h1, a1p)] == {a1p: Fraction(2)}
-    assert tab.brackets[(a1p, a1m)] == {h1: Fraction(1)}
+    assert tab.bracket(h1, a1p) == {a1p: Fraction(2)}
+    assert tab.bracket(a1p, a1m) == {h1: Fraction(1)}
+    assert tab.brackets[tab.code[h1]][tab.code[a1p]] == ((tab.code[a1p], Fraction(2)),)
 
 
 def _jacobi_holds(tab, x, y, z):
-    """Graded Leibniz form: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]."""
+    """Graded Leibniz form: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]],
+    on the stored table entries, with x, y, z generator codes."""
+    br = tab.brackets
     lhs = {}
-    for g, c in tab.brackets[(y, z)].items():
-        add_scaled(lhs, tab.brackets[(x, g)], c)
+    for g, c in br[y][z]:
+        add_scaled(lhs, dict(br[x][g]), c)
     rhs = {}
-    for g, c in tab.brackets[(x, y)].items():
-        add_scaled(rhs, tab.brackets[(g, z)], c)
-    sign = Fraction(-1 if (x.is_odd and y.is_odd) else 1)
-    for g, c in tab.brackets[(x, z)].items():
-        add_scaled(rhs, tab.brackets[(y, g)], c * sign)
+    for g, c in br[x][y]:
+        add_scaled(rhs, dict(br[g][z]), c)
+    sign = Fraction(-1 if (tab.odd[x] and tab.odd[y]) else 1)
+    for g, c in br[x][z]:
+        add_scaled(rhs, dict(br[y][g]), c * sign)
     return lhs == rhs
 
 
@@ -77,7 +83,7 @@ def _jacobi_holds(tab, x, y, z):
 def test_graded_jacobi_identity(n):
     # exhaustive at low rank, seeded random sample above
     tab = structure_constants(n)
-    gens = all_generators(n)
+    gens = range(len(tab.generators))
     if n <= 4:
         triples = [(x, y, z) for x in gens for y in gens for z in gens]
     else:
@@ -86,31 +92,66 @@ def test_graded_jacobi_identity(n):
             (rng.choice(gens), rng.choice(gens), rng.choice(gens))
             for _ in range(3000)
         ]
-    bad = [t for t in triples if not _jacobi_holds(tab, *t)]
+    bad = [tab.decode(t) for t in triples if not _jacobi_holds(tab, *t)]
     assert not bad, f"Jacobi identity fails on {len(bad)} triples, e.g. {bad[0]}"
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_generator_facts_match_reference(n):
-    tab = structure_constants(n)
-    by_weight = {g.delta_weight(n): g for g in tab.generators if g.kind != KIND_CARTAN}
-    assert set(tab.facts) == set(tab.generators)
-    raising = {}
-    for g in tab.generators:
+def reference_facts(n):
+    """GeneratorFacts of every rank-n generator, derived from scratch from
+    Generator.delta_weight and delta_to_simple."""
+    gens = all_generators(n)
+    by_weight = {g.delta_weight(n): g for g in gens if g.kind != KIND_CARTAN}
+    out = {}
+    for g in gens:
         delta = g.delta_weight(n)
         exp = tuple(int(x) for x in delta_to_simple(delta))
         key = (int(g.is_odd), sum(exp), delta)
         nonzero = [c for c in delta if c]
         cls = CARTAN if not nonzero else RAISING if nonzero[0] > 0 else LOWERING
         image = g if g.kind == KIND_CARTAN else by_weight[tuple(-c for c in delta)]
+        out[g] = GeneratorFacts(exp, key, cls, image)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_generator_facts_match_reference(n):
+    tab = structure_constants(n)
+    assert set(tab.facts) == set(tab.generators)
+    raising = {}
+    for g, ref in reference_facts(n).items():
         facts = tab.facts[g]
-        assert facts.weight_exp == exp, g
-        assert facts.pbw_key == key, g
-        assert facts.cls == cls, g
-        assert facts.omega == image, g
-        if cls == RAISING:
-            raising[g] = key
+        assert facts.weight_exp == ref.weight_exp, g
+        assert facts.pbw_key == ref.pbw_key, g
+        assert facts.cls == ref.cls, g
+        assert facts.omega == ref.omega, g
+        if ref.cls == RAISING:
+            raising[g] = ref.pbw_key
     assert tab.raising == tuple(sorted(raising, key=raising.get))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_int_table_matches_generators(n):
+    tab = structure_constants(n)
+    gens = tab.generators
+    assert gens == tuple(all_generators(n))
+    assert [tab.code[g] for g in gens] == list(range(len(gens)))
+    assert tab.decode(tab.encode(gens)) == gens
+    for x, g in enumerate(gens):
+        for y, h in enumerate(gens):
+            expected = tuple((tab.code[k], c) for k, c in _bracket(g, h).items())
+            assert tab.brackets[x][y] == expected, (g, h)
+    for x, (g, ref) in enumerate(reference_facts(n).items()):
+        assert gens[x] == g
+        assert tab.cls[x] == ref.cls, g
+        assert tab.pbw_key[x] == ref.pbw_key, g
+        assert tab.weight_exp[x] == ref.weight_exp, g
+        assert tab.odd[x] == g.is_odd, g
+        assert gens[tab.omega[x]] == ref.omega, g
+        assert tab.omega[tab.omega[x]] == x, g
+        if g.is_odd and ref.cls == RAISING:
+            assert gens[tab.square[x]] == Generator(KIND_DOUBLE, g.i, sign=1), g
+        else:
+            assert tab.square[x] == -1, g
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -223,7 +264,9 @@ def test_normal_ordering_matches_brackets():
     rng = random.Random(73)
     tab = structure_constants(3)
     eng = engine_for(SIG)
-    pairs = [k for k in tab.brackets if rng.random() < 0.08]
+    pairs = [
+        (g, h) for g in tab.generators for h in tab.generators if rng.random() < 0.08
+    ]
     offsets = level_offsets(3, 1) + level_offsets(3, 2)
     for g, h in pairs[:30]:
         off = rng.choice(offsets)
@@ -234,7 +277,7 @@ def test_normal_ordering_matches_brackets():
             eng.act(h, eng.act(g, u)).scaled(Fraction(-sign))
         )
         rhs_terms = {}
-        for c, coeff in tab.brackets[(g, h)].items():
+        for c, coeff in tab.bracket(g, h).items():
             out = eng.act(c, u).scaled(coeff)
             for w, x in out.terms.items():
                 rhs_terms[w] = rhs_terms.get(w, Fraction(0)) + x
