@@ -5,17 +5,20 @@ e(Lambda) times a power series in t_k = e(alpha_k) with nonnegative integer
 exponents.  Series are truncated by total degree; all coefficients are
 exact rationals (integers for every character handled here).
 
-The Verma character is the product over restricted positive roots alpha of
-1 / (1 - t^alpha).  Finite-dimensional characters of the restricted B_n
-system come from the alternating Weyl numerator times the Verma series, and
-the unitary lowest-weight characters of the rank-three algebra are finite
-alternating combinations of compact sl(3) characters over the six-factor
-noncompact denominator.
+Every series here is a numerator over a product of factors (1 - t^v), and
+one routine, p_divide_one_minus, divides by them: the recurrence
+g[e] = f[e] + g[e - v], truncated at the requested degree.  The Verma
+character is 1 over the restricted positive roots; finite-dimensional
+characters of the restricted B_n system are the alternating Weyl numerator
+over the same roots; the unitary lowest-weight characters of the
+rank-three algebra are finite alternating combinations of compact sl(3)
+characters over the six noncompact roots; and the compact sl(3) character
+itself is its numerator over three roots, divided at the numerator's top
+degree and checked by multiplying back.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -69,10 +72,6 @@ def p_mul(f: Poly, g: Poly, maxdeg: Optional[int] = None) -> Poly:
     return out
 
 
-def p_truncate(f: Poly, maxdeg: int) -> Poly:
-    return {e: c for e, c in f.items() if sum(e) <= maxdeg}
-
-
 def grlex_key(e: Exp) -> Tuple[int, Exp]:
     return (sum(e), e)
 
@@ -82,41 +81,34 @@ def one_minus(nvars: int, v: Exp) -> Poly:
     return {zero: Fraction(1), tuple(v): Fraction(-1)}
 
 
-def exact_divide_one_minus(f: Poly, v: Exp, nvars: int) -> Poly:
-    """Exact quotient f / (1 - t^v); raises when the division is not exact.
+def p_divide_one_minus(f: Poly, exps: Sequence[Exp], maxdeg: int) -> Poly:
+    """Series of f / prod(1 - t^v) over v in exps, truncated at maxdeg.
 
-    Uses g[e] = f[e] + g[e - v] in graded-lex order, then multiplies back.
+    One factor at a time, by the recurrence g[e] = f[e] + g[e - v]: every
+    term of the quotient is visited once, in order of degree, and carried
+    to e + v while that stays within maxdeg.  Zero terms are dropped.  Each
+    v must be a nonnegative exponent vector with a positive total degree.
     """
-    if not f:
-        return {}
-    maxd = max(sum(e) for e in f)
-    step = sum(v)
-    if step == 0:
-        raise ValueError("divisor exponent must be nonzero")
-    g: Poly = {}
-    heap: List[Tuple[int, Exp]] = []
-    seen = set()
-
-    def push(e: Exp) -> None:
-        if e not in seen:
-            seen.add(e)
-            heapq.heappush(heap, (sum(e), e))
-
-    for e in f:
-        push(e)
-    while heap:
-        _, e = heapq.heappop(heap)
-        prev = tuple(x - y for x, y in zip(e, v))
-        val = f.get(e, Fraction(0))
-        if all(x >= 0 for x in prev):
-            val += g.get(prev, Fraction(0))
-        if val:
-            if sum(e) + step > maxd:
-                raise ValueError("polynomial is not divisible by the given factor")
-            g[e] = val
-            push(tuple(x + y for x, y in zip(e, v)))
-    if p_sub(p_mul(one_minus(nvars, v), g), f):
-        raise ValueError("division check failed")
+    g = {e: c for e, c in f.items() if sum(e) <= maxdeg}
+    for v in exps:
+        v = tuple(v)
+        step = sum(v)
+        if step <= 0 or any(x < 0 for x in v):
+            raise ValueError(f"need a nonzero nonnegative exponent vector, got {v}")
+        layers: Dict[int, Poly] = {}
+        for e, c in g.items():
+            layers.setdefault(sum(e), {})[e] = c
+        g = {}
+        while layers:
+            deg = min(layers)
+            for e, c in layers.pop(deg).items():
+                if not c:
+                    continue
+                g[e] = c
+                if deg + step <= maxdeg:
+                    nxt = layers.setdefault(deg + step, {})
+                    e2 = tuple(x + y for x, y in zip(e, v))
+                    nxt[e2] = nxt.get(e2, 0) + c
     return g
 
 
@@ -141,10 +133,6 @@ class CharacterSeries:
             if c and sum(e) <= self.maxdeg
         }
         object.__setattr__(self, "coeffs", clean)
-
-    @classmethod
-    def zero(cls, n: int, maxdeg: int) -> "CharacterSeries":
-        return cls(n=n, maxdeg=maxdeg, coeffs={})
 
     @classmethod
     def one(cls, n: int, maxdeg: int) -> "CharacterSeries":
@@ -188,9 +176,6 @@ class CharacterSeries:
     def mul(self, other: "CharacterSeries") -> "CharacterSeries":
         m = self._check(other)
         return CharacterSeries(self.n, m, p_mul(self.coeffs, other.coeffs, maxdeg=m))
-
-    def scale(self, c) -> "CharacterSeries":
-        return CharacterSeries(self.n, self.maxdeg, p_scale(self.coeffs, c))
 
     def truncate(self, maxdeg: int) -> "CharacterSeries":
         return CharacterSeries(self.n, min(self.maxdeg, maxdeg), self.coeffs)
@@ -261,10 +246,8 @@ def _noncompact_exps(n: int) -> Tuple[Exp, ...]:
 
 def verma_character(n: int, maxdeg: int) -> CharacterSeries:
     """Product of 1/(1 - t^alpha) over the restricted positive roots."""
-    series = CharacterSeries.one(n, maxdeg)
-    for e in _restricted_exps(n):
-        series = series.mul(CharacterSeries.geometric_inverse(n, e, maxdeg))
-    return series
+    one = {(0,) * n: Fraction(1)}
+    return CharacterSeries(n, maxdeg, p_divide_one_minus(one, _restricted_exps(n), maxdeg))
 
 
 _PARTITION_MEMO: Dict[Tuple[int, Exp, int], int] = {}
@@ -338,7 +321,8 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
 
     Requires every label (rho - lam0, alpha_k-vee) to be a positive
     integer.  The series is the alternating numerator over the Weyl group
-    times the Verma series, truncated at maxdeg.
+    divided by (1 - t^alpha) for each restricted positive root, truncated
+    at maxdeg.
     """
     n = len(lam0)
     labels = labels_of_weight(lam0)
@@ -355,9 +339,9 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
         e = tuple(int(x) for x in exp)
         sign = Fraction(-1 if w.length % 2 else 1)
         numerator[e] = numerator.get(e, Fraction(0)) + sign
-    numerator = {e: c for e, c in numerator.items() if c}
-    series = CharacterSeries.from_poly(n, p_truncate(numerator, maxdeg), maxdeg)
-    series = series.mul(verma_character(n, maxdeg))
+    series = CharacterSeries(
+        n, maxdeg, p_divide_one_minus(numerator, _restricted_exps(n), maxdeg)
+    )
     return NormalizedCharacter(prefix=lam0, series=series)
 
 
@@ -370,8 +354,9 @@ def sl3_character(m1: int, m2: int) -> CharacterSeries:
 
       (1 - t1^m1)(... six-term numerator ...) / ((1-t1)(1-t2)(1-t1 t2)),
 
-    computed by exact division with a multiply-back check.  Total
-    dimension is m1*m2*(m1+m2)/2.
+    computed as the series quotient truncated at the numerator's top
+    degree and multiplied back; a quotient that does not reproduce the
+    numerator raises ValueError.  Total dimension is m1*m2*(m1+m2)/2.
     """
     if not (isinstance(m1, int) and isinstance(m2, int)) or m1 < 0 or m2 < 0:
         raise ValueError("labels must be nonnegative integers")
@@ -380,9 +365,14 @@ def sl3_character(m1: int, m2: int) -> CharacterSeries:
     for e, c in (((0, 0), 1), ((m1, 0), -1), ((0, m2), -1),
                  ((m1, m12), 1), ((m12, m2), 1), ((m12, m12), -1)):
         add_scaled(numerator, {e: c}, 1)
-    quotient = numerator
-    for v in ((1, 0), (0, 1), (1, 1)):
-        quotient = exact_divide_one_minus(quotient, v, 2)
+    denominator = ((1, 0), (0, 1), (1, 1))
+    top = max((sum(e) for e in numerator), default=0)
+    quotient = p_divide_one_minus(numerator, denominator, top)
+    check = quotient
+    for v in denominator:
+        check = p_mul(one_minus(2, v), check)
+    if p_sub(check, numerator):
+        raise ValueError("division check failed")
     maxdeg = max((sum(e) for e in quotient), default=0)
     return CharacterSeries.from_poly(2, quotient, maxdeg)
 
@@ -401,13 +391,6 @@ _CASE_ALIASES = {
     "d2_eq_d13": CASE_D2_EQ_D13,
     "d2=d13": CASE_D2_EQ_D13,
 }
-
-
-def _six_factor_inverse(maxdeg: int) -> CharacterSeries:
-    series = CharacterSeries.one(3, maxdeg)
-    for e in _noncompact_exps(3):
-        series = series.mul(CharacterSeries.geometric_inverse(3, e, maxdeg))
-    return series
 
 
 def _sl3_lift(m1: int, m2: int, maxdeg: int) -> CharacterSeries:
@@ -482,6 +465,8 @@ def unitary_character(
         a = (0, 0)
         d = reduction_points(3, a).value(2, 3)
 
-    series = bracket.mul(_six_factor_inverse(maxdeg))
+    series = CharacterSeries(
+        3, maxdeg, p_divide_one_minus(bracket.coeffs, _noncompact_exps(3), maxdeg)
+    )
     sig = Signature(n=3, d=d, a=a)
     return NormalizedCharacter(prefix=lowest_weight(sig), series=series)

@@ -151,8 +151,6 @@ def cmd_classify(args) -> int:
             point,
         ]
         _emit(_csv([head, row]), args.out)
-    else:
-        raise ValueError(f"classify does not support format {args.format!r}")
     return 0
 
 
@@ -189,8 +187,6 @@ def cmd_grid(args) -> int:
     elif args.format == "json":
         obj = [_verdict_obj(row.verdict) for row in rows]
         _emit(_json(obj), args.out)
-    else:
-        raise ValueError(f"grid does not support format {args.format!r}")
     return 0
 
 
@@ -231,8 +227,6 @@ def cmd_reduction_points(args) -> int:
         lines = [f"{name} = {_fr(val)}" for name, _f, _i, _j, val in entries]
         lines += [f"subsingular {chain} at d = {_fr(val)}" for val, chain in subs]
         _emit("\n".join(lines) + "\n", args.out)
-    else:
-        raise ValueError(f"reduction-points does not support format {args.format!r}")
     return 0
 
 
@@ -271,8 +265,6 @@ def cmd_character(args) -> int:
             obj["lowest_weight"] = [_fr(x) for x in prefix]
         obj["case"] = case
         _emit(_json(obj), args.out)
-    else:
-        raise ValueError(f"character does not support format {args.format!r}")
     return 0
 
 
@@ -332,8 +324,6 @@ def cmd_verify(args) -> int:
             for r in rows
         ]
         _emit("\n".join(lines) + "\n", args.out)
-    else:
-        raise ValueError(f"verify does not support format {args.format!r}")
     return 0
 
 
@@ -363,8 +353,6 @@ def cmd_gram(args) -> int:
             lines.append(f"witness {obj['witness']['vector']}")
             lines.append(f"norm {obj['witness']['norm']}")
         _emit("\n".join(lines) + "\n", args.out)
-    else:
-        raise ValueError(f"gram does not support format {args.format!r}")
     return 0
 
 
@@ -393,10 +381,7 @@ def cmd_multiplet(args) -> int:
             {"src": u, "dst": v, "k": k} for (u, v, k) in orbit.edges
         ],
     }
-    if args.format == "json":
-        _emit(_json(obj), args.out)
-    else:
-        raise ValueError(f"multiplet does not support format {args.format!r}")
+    _emit(_json(obj), args.out)
     return 0
 
 
@@ -433,8 +418,6 @@ def cmd_weyl(args) -> int:
             for w in group
         ]
         _emit("\n".join(lines) + "\n", args.out)
-    else:
-        raise ValueError(f"weyl does not support format {args.format!r}")
     return 0
 
 

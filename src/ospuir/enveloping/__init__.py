@@ -14,7 +14,6 @@ from ospuir.enveloping.module import (
     gram_psd_check,
     module_vector_to_text,
     shapovalov_gram,
-    weight_space,
 )
 from ospuir.enveloping.singular import (
     AnomalyError,
@@ -49,5 +48,4 @@ __all__ = [
     "structure_constants",
     "verify_singular",
     "verify_subsingular",
-    "weight_space",
 ]

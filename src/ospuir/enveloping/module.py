@@ -322,10 +322,6 @@ def shapovalov_gram(sig: Signature, offset: Sequence[int]) -> GramMatrix:
     return engine_for(sig).gram(offset)
 
 
-def weight_space(sig: Signature, offset: Sequence[int]) -> Tuple[Word, ...]:
-    return weight_space_words(sig.n, tuple(int(x) for x in offset))
-
-
 def level_offsets(n: int, level: int) -> List[Tuple[int, ...]]:
     """Dominant weight offsets at a given level, in the simple basis.
 

@@ -402,36 +402,31 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def norm_polynomial_in_d(
-    vector_id: str,
-    a: Sequence[int],
-    degree_bound: int = 8,
-) -> List[Fraction]:
+def norm_polynomial_in_d(vector_id: str, a: Sequence[int]) -> List[Fraction]:
     """Shapovalov norm of the printed vector as a polynomial in d.
 
-    Exact interpolation through degree_bound + 1 integer sample values of
-    d, verified on one extra sample; raises when the bound is too small.
-    The overall scale depends on normalization conventions; the zero set
-    does not.
+    The degree is at most the length L of the longest PBW word of the
+    printed vector: its coefficients depend on the labels a, not on d;
+    pairing two words, each letter contributes at most one Cartan
+    eigenvalue; and each eigenvalue is linear in d.  So the polynomial is
+    the exact interpolation through L + 1 integer sample values of d,
+    verified on one extra sample.  The overall scale depends on
+    normalization conventions; the zero set does not.
     """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
     a = tuple(a)
     base = 17
-    points = []
-    for s in range(degree_bound + 1):
-        d = Fraction(base + s)
+
+    def norm_at(d: Fraction) -> Fraction:
         sig = Signature(3, d, a)
-        engine = engine_for(sig)
-        vec = printed_vector(vector_id, sig)
-        points.append((d, engine.norm(vec)))
-    coeffs = _lagrange(points)
-    d_extra = Fraction(base + degree_bound + 1)
-    sig = Signature(3, d_extra, a)
-    extra = engine_for(sig).norm(printed_vector(vector_id, sig))
-    if poly_eval(coeffs, d_extra) != extra:
+        return engine_for(sig).norm(printed_vector(vector_id, sig))
+
+    words = printed_vector(vector_id, Signature(3, Fraction(base), a)).terms
+    degree = max((len(w) for w in words), default=0)
+    samples = [Fraction(base + s) for s in range(degree + 2)]
+    coeffs = _lagrange([(d, norm_at(d)) for d in samples[:-1]])
+    if poly_eval(coeffs, samples[-1]) != norm_at(samples[-1]):
         raise ValueError(
-            "interpolation inconsistent: degree bound too small for the norm"
+            "interpolation inconsistent: the norm's degree exceeds the longest word"
         )
     return coeffs
 

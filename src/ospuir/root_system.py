@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 Weight = Tuple[Fraction, ...]
@@ -55,8 +56,9 @@ def weight(coords: Sequence) -> Weight:
     return tuple(Fraction(c) for c in coords)
 
 
+@lru_cache(maxsize=None, typed=True)
 def build_root_system(n: int) -> RootSystemData:
-    """Construct the full root data for rank n (1 <= n <= 16)."""
+    """Construct the full root data for rank n (1 <= n <= 16), once per rank."""
     if not isinstance(n, int) or not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank must be an integer in [1, {MAX_RANK}], got {n!r}")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ospuir.weights import Signature, reduction_points
+from ospuir.weights import Signature, point_name, reduction_points
 
 BRANCH_CONTINUOUS = "continuous"
 BRANCH_BOUNDARY = "boundary"
@@ -125,9 +125,6 @@ def subsingular_points(n: int, a: Sequence[int]) -> List[Tuple[Fraction, str]]:
     def run_of_zeros(upto: int) -> bool:
         return all(ext(k) == 0 for k in range(1, upto + 1))
 
-    def sep(i: int, j: int) -> str:
-        return f"d{i}{j}" if n < 10 else f"d{i},{j}"
-
     out: List[Tuple[Fraction, str]] = []
     for j in range(2, n):
         if not run_of_zeros(2 * j - 2):
@@ -135,16 +132,16 @@ def subsingular_points(n: int, a: Sequence[int]) -> List[Tuple[Fraction, str]]:
         value = Fraction(n - j) + Fraction(sum(ext(k) for k in range(2 * j - 1, n)), 2)
         names = [f"d{j}"]
         for i in range(max(1, 2 * j - n), j):
-            names.append(sep(i, 2 * j - i))
+            names.append(point_name(n, i, 2 * j - i))
         out.append((value, "=".join(names)))
     for j in range(2, n - 1):
         if not run_of_zeros(2 * j - 1):
             continue
         value = (Fraction(n - j) - Fraction(1, 2)
                  + Fraction(sum(ext(k) for k in range(2 * j, n)), 2))
-        names = [sep(j, j + 1)]
+        names = [point_name(n, j, j + 1)]
         for i in range(max(1, 2 * j + 1 - n), j):
-            names.append(sep(i, 2 * j + 1 - i))
+            names.append(point_name(n, i, 2 * j + 1 - i))
         out.append((value, "=".join(names)))
     out.sort(key=lambda t: (-t[0], t[1]))
     return out

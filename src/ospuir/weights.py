@@ -16,6 +16,7 @@ and 2 delta_i; the compact family delta_i - delta_j does not move with d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -24,6 +25,7 @@ from ospuir.root_system import (
     RootVector,
     Weight,
     build_root_system,
+    coroot,
     pairing,
 )
 
@@ -107,51 +109,47 @@ def _is_positive_integer(x: Fraction) -> bool:
     return x.denominator == 1 and x > 0
 
 
+@lru_cache(maxsize=None)
+def _root_rows(n: int) -> Tuple[Tuple[str, int, Optional[int], RootVector, Weight], ...]:
+    """(family, i, j, root, coroot) for every positive root of rank n, in
+    report order: compact, sum, odd, double families; by index inside each."""
+    rs = build_root_system(n)
+    by_coords = {r.coords: r for r in rs.positive_even + rs.positive_odd}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    specs = (
+        [(FAMILY_COMPACT, i, j, {i: 1, j: -1}) for i, j in pairs]
+        + [(FAMILY_SUM, i, j, {i: 1, j: 1}) for i, j in pairs]
+        + [(FAMILY_ODD, i, None, {i: 1}) for i in range(1, n + 1)]
+        + [(FAMILY_DOUBLE, i, None, {i: 2}) for i in range(1, n + 1)]
+    )
+    rows = []
+    for family, i, j, coords in specs:
+        root = by_coords[tuple(Fraction(coords.get(k, 0)) for k in range(1, n + 1))]
+        rows.append((family, i, j, root, coroot(root.coords)))
+    return tuple(rows)
+
+
 def reducibility_report(sig: Signature) -> ReducibilityReport:
     """m_beta for every positive root family, with the integrality flag."""
-    n = sig.n
-    rs = build_root_system(n)
-    lam = lowest_weight(sig)
-    mu = tuple(r - x for r, x in zip(rs.rho, lam))
-
-    def entry(coords, family, i, j):
-        root = _find_root(rs, coords)
-        m = pairing(mu, coords)
-        return ReducibilityEntry(
+    rs = build_root_system(sig.n)
+    mu = tuple(r - x for r, x in zip(rs.rho, lowest_weight(sig)))
+    entries = []
+    for family, i, j, root, cv in _root_rows(sig.n):
+        m = sum((x * c for x, c in zip(mu, cv) if c), Fraction(0))
+        entries.append(ReducibilityEntry(
             root=root, family=family, i=i, j=j, m_value=m,
             satisfied=_is_positive_integer(m),
-        )
-
-    entries = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            coords = _delta_pair(n, i, j, -1)
-            entries.append(entry(coords, FAMILY_COMPACT, i, j))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            coords = _delta_pair(n, i, j, +1)
-            entries.append(entry(coords, FAMILY_SUM, i, j))
-    for i in range(1, n + 1):
-        coords = tuple(Fraction(1 if k == i else 0) for k in range(1, n + 1))
-        entries.append(entry(coords, FAMILY_ODD, i, None))
-    for i in range(1, n + 1):
-        coords = tuple(Fraction(2 if k == i else 0) for k in range(1, n + 1))
-        entries.append(entry(coords, FAMILY_DOUBLE, i, None))
+        ))
     return ReducibilityReport(sig=sig, entries=tuple(entries))
 
 
-def _delta_pair(n: int, i: int, j: int, sign: int) -> Weight:
-    v = [Fraction(0)] * n
-    v[i - 1] = Fraction(1)
-    v[j - 1] = Fraction(sign)
-    return tuple(v)
-
-
-def _find_root(rs, coords: Weight) -> RootVector:
-    for r in rs.positive_even + rs.positive_odd:
-        if r.coords == coords:
-            return r
-    raise ValueError(f"not a positive root: {coords}")
+def point_name(n: int, i: int, j: Optional[int] = None) -> str:
+    """Conventional name of a rank-n point: d1 for delta_1, d11 for
+    2 delta_1, d13 for delta_1 + delta_3; indices get comma-separated from
+    rank 10 up."""
+    if j is None:
+        return f"d{i}"
+    return f"d{i}{j}" if n < 10 else f"d{i},{j}"
 
 
 @dataclass(frozen=True)
@@ -168,11 +166,6 @@ class ReductionPoints:
     d_odd: Dict[int, Fraction]
     d_double: Dict[int, Fraction]
 
-    @property
-    def first(self) -> Fraction:
-        """The largest reduction point, always d_odd[1]."""
-        return self.d_odd[1]
-
     def value(self, i: int, j: Optional[int] = None) -> Fraction:
         """Point for the pair (i, j), for delta_i (j None) or 2 delta_i (j == i)."""
         if j is None:
@@ -182,11 +175,7 @@ class ReductionPoints:
         return self.d_sum[(i, j)]
 
     def point_name(self, i: int, j: Optional[int] = None) -> str:
-        """Conventional name: d1 for delta_1, d11 for 2 delta_1, d13 for
-        delta_1 + delta_3; indices get comma-separated from rank 10 up."""
-        if j is None:
-            return f"d{i}"
-        return f"d{i}{j}" if self.n < 10 else f"d{i},{j}"
+        return point_name(self.n, i, j)
 
     def labels_at(self, value: Fraction) -> str:
         """All point names equal to the given value, joined with '='.
@@ -208,30 +197,21 @@ class ReductionPoints:
 
 
 def reduction_points(n: int, a: Sequence[int]) -> ReductionPoints:
-    """Solve m_beta(d) = 1 for every noncompact positive root."""
+    """Solve m_beta(d) = 1 for every noncompact positive root.
+
+    Lambda(d) = Lambda(0) + d (1, ..., 1), so m_beta(d) = m_beta(0) - slope*d
+    with slope the coordinate sum of beta-vee; compact roots have slope 0.
+    """
     a = tuple(a)
-    probe = Signature(n=n, d=Fraction(0), a=a)
-    rep = reducibility_report(probe)
+    rep = reducibility_report(Signature(n=n, d=Fraction(0), a=a))
     d_sum: Dict[Tuple[int, int], Fraction] = {}
     d_odd: Dict[int, Fraction] = {}
     d_double: Dict[int, Fraction] = {}
-    for e in rep.entries:
-        # m_beta(d) = m_beta(0) - slope*d with slope = (Lambda-part of beta-vee)
-        if e.family == FAMILY_COMPACT:
-            continue
-        if e.family == FAMILY_SUM:
-            slope = Fraction(2)
-        elif e.family == FAMILY_ODD:
-            slope = Fraction(2)
-        else:
-            slope = Fraction(1)
-        point = (e.m_value - 1) / slope
-        if e.family == FAMILY_SUM:
-            d_sum[(e.i, e.j)] = point
-        elif e.family == FAMILY_ODD:
-            d_odd[e.i] = point
-        else:
-            d_double[e.i] = point
+    points = {FAMILY_SUM: d_sum, FAMILY_ODD: d_odd, FAMILY_DOUBLE: d_double}
+    for (family, i, j, _root, cv), e in zip(_root_rows(n), rep.entries):
+        slope = sum(cv)
+        if slope:
+            points[family][i if j is None else (i, j)] = (e.m_value - 1) / slope
     return ReductionPoints(n=n, a=a, d_sum=d_sum, d_odd=d_odd, d_double=d_double)
 
 

@@ -7,6 +7,10 @@ from fractions import Fraction
 
 from ospuir.characters import (
     CharacterSeries,
+    one_minus,
+    p_add,
+    p_divide_one_minus,
+    p_mul,
     partition_count,
     series_to_json_obj,
     series_to_text,
@@ -41,6 +45,50 @@ def test_series_arithmetic_and_truncation():
     assert all(sum(e) <= 6 for e in prod.coeffs)
     with pytest.raises(ValueError):
         one.add(CharacterSeries.one(2, 6))
+
+
+def _random_poly(rng, n, terms, top):
+    f = {}
+    for _ in range(terms):
+        e = tuple(rng.randint(0, top) for _ in range(n))
+        f[e] = f.get(e, Fraction(0)) + Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return {e: c for e, c in f.items() if c}
+
+
+def test_divide_one_minus_matches_geometric_product():
+    rng = random.Random(20261018)
+    below_top = 0
+    for trial in range(120):
+        n = rng.randint(2, 4)
+        vs = []
+        for _ in range(rng.randint(1, 2)):
+            v = tuple(rng.randint(0, 2) for _ in range(n))
+            vs.append(v if any(v) else (1,) + v[1:])
+        f = _random_poly(rng, n, rng.randint(0, 8), 4)
+        if trial % 2:
+            # a multiple of the first factor plus a few terms, so that most
+            # sums g[e] = f[e] + g[e - v] cancel to zero
+            f = p_add(p_mul(f, one_minus(n, vs[0])), _random_poly(rng, n, 2, 2))
+        top = max((sum(e) for e in f), default=0)
+        maxdeg = rng.randint(max(0, top - 3), top + 6)
+        below_top += maxdeg < top
+        want = f
+        for v in vs:
+            want = p_mul(want, CharacterSeries.geometric_inverse(n, v, maxdeg).coeffs, maxdeg)
+        assert p_divide_one_minus(f, vs, maxdeg) == want, (f, vs, maxdeg)
+    assert below_top > 10
+    # an exact multiple comes back exactly, with nothing past the quotient
+    h = {(0, 1): Fraction(2), (2, 1): Fraction(-1)}
+    f = p_mul(h, one_minus(2, (1, 1)))
+    assert p_divide_one_minus(f, [(1, 1)], 12) == h
+
+
+def test_divide_one_minus_rejects_bad_exponents():
+    for v in ((0, 0), (2, -1), (-1, 0)):
+        with pytest.raises(ValueError):
+            p_divide_one_minus({(0, 0): Fraction(1)}, [v], 5)
+        with pytest.raises(ValueError):
+            p_divide_one_minus({}, [v], 5)
 
 
 def test_partition_count_examples():

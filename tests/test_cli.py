@@ -73,6 +73,8 @@ def test_usage_errors_exit_2():
     assert run(["character", "--case", "sl3", "--n", "3"])[0] == 2
     assert run(["classify", "--n", "3", "--a", "1,1,1", "--d", "2"])[0] == 2
     assert run(["verify", "--all", "--n", "4"])[0] == 2
+    assert run(["classify", "--n", "3", "--a", "1,1", "--d", "3",
+                "--format", "dot"]) == (2, "")
     for level in ("0", "-2"):
         assert run(["gram", "--n", "3", "--a", "0,0", "--d", "1/4",
                     "--max-level", level]) == (2, "")

@@ -6,6 +6,7 @@ from fractions import Fraction
 from ospuir.enveloping.module import engine_for, word_name
 from ospuir.enveloping.singular import (
     AnomalyError,
+    CATALOG,
     PRINTED_IDS,
     find_singular,
     is_subsingular,
@@ -148,9 +149,18 @@ def test_norm_polynomial_sv_d12():
 
 
 def test_norms_vanish_at_reduction_points():
-    for vid, a in (("sv_d12", (0, 2)), ("subsing_d13", (0, 0))):
+    # every catalog norm at its regime labels: degree at most the longest
+    # PBW word, the polynomial matches norms taken away from its samples,
+    # and it vanishes at the regime point
+    for vid in CATALOG:
         sig = printed_regime(vid)
-        coeffs = norm_polynomial_in_d(vid, a)
+        coeffs = norm_polynomial_in_d(vid, sig.a)
+        longest = max(len(w) for w in printed_vector(vid, sig).terms)
+        assert len(coeffs) - 1 <= longest, vid
+        for d in (Fraction(1, 3), Fraction(5, 2), Fraction(-3)):
+            other = Signature(3, d, sig.a)
+            assert poly_eval(coeffs, d) == engine_for(other).norm(
+                printed_vector(vid, other)), (vid, d)
         assert poly_eval(coeffs, sig.d) == 0
 
 

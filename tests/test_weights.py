@@ -16,6 +16,7 @@ from ospuir.weights import (
     reduction_points,
     signature,
 )
+from ospuir.unitarity import subsingular_points
 
 
 def test_signature_validation():
@@ -105,6 +106,23 @@ def test_m_equals_twice_double_m():
             assert odd[i] == 2 * dbl[i]
 
 
+def test_each_reduction_point_fires_its_root():
+    # at d = pts.value(i, j) the root named by (i, j) has m_beta = 1
+    rng = random.Random(31)
+    for n in range(2, 7):
+        for _ in range(6):
+            a = tuple(rng.randint(0, 5) for _ in range(n - 1))
+            pts = reduction_points(n, a)
+            for e0 in reducibility_report(Signature(n, Fraction(0), a)).entries:
+                if e0.family == "delta_i-delta_j":
+                    continue
+                j = e0.i if e0.family == "2delta_i" else e0.j
+                rep = reducibility_report(Signature(n, pts.value(e0.i, j), a))
+                match = [e for e in rep.entries
+                         if (e.family, e.i, e.j) == (e0.family, e0.i, e0.j)]
+                assert [e.m_value for e in match] == [1], (n, a, e0.family, e0.i, j)
+
+
 def test_reduction_points_table_n3():
     pts = reduction_points(3, (0, 0))
     assert pts.value(1) == 2
@@ -136,6 +154,11 @@ def test_point_names_and_coincidence_labels():
     assert pts.labels_at(Fraction(1)) == "d2=d13"
     assert pts.labels_at(Fraction(3, 2)) == "d11=d12"
     assert pts.labels_at(Fraction(7)) == ""
+    # from rank 10 up the two indices are comma-separated, here and in the
+    # subsingular chains
+    pts = reduction_points(10, (0,) * 9)
+    assert pts.point_name(1, 3) == "d1,3" and pts.point_name(2) == "d2"
+    assert subsingular_points(10, (0,) * 9)[0][1] == "d2=d1,3"
 
 
 def test_first_reduction_point_closed_form():
