@@ -19,9 +19,10 @@ degree and checked by multiplying back.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ospuir.linalg import add_scaled
 from ospuir.root_system import (
@@ -30,7 +31,9 @@ from ospuir.root_system import (
     delta_to_simple,
     inner,
 )
-from ospuir.weights import Signature, labels_of_weight, lowest_weight, reduction_points
+from ospuir.weights import (
+    Signature, labels_of_weight, lowest_weight, point_name, reduction_points,
+)
 from ospuir.weyl import apply, generate
 
 Exp = Tuple[int, ...]
@@ -379,22 +382,46 @@ def sl3_character(m1: int, m2: int) -> CharacterSeries:
 
 # ------------------------------------------------------- unitary characters
 
-CASE_D1 = "d1"
-CASE_D12 = "d12"
-CASE_D2_EQ_D13 = "d2eq13"
-CASE_D2 = "d2"
-CASE_D23 = "d23"
+class UnitaryCase(NamedTuple):
+    """One unitary character formula: the least m1 and m2 (None for a label
+    the case does not use) and that rule in words; the labels a(m1, m2);
+    the reduction point, as indices for ReductionPoints.value; and the
+    alternating numerator over the six noncompact factors (1 - t^v), as
+    terms (sign, t-shift, sl(3) labels or None for 1)."""
 
-UNITARY_CASES = (CASE_D1, CASE_D12, CASE_D2_EQ_D13, CASE_D2, CASE_D23)
+    least: Tuple[Optional[int], Optional[int]]
+    needs: str
+    labels: Callable[..., Tuple[int, int]]
+    point: Tuple[int, ...]
+    bracket: Callable[..., Sequence[Tuple[int, Exp, Optional[Tuple[int, int]]]]]
 
-_CASE_ALIASES = {
-    "d2_eq_d13": CASE_D2_EQ_D13,
-    "d2=d13": CASE_D2_EQ_D13,
+
+UNITARY: Dict[str, UnitaryCase] = {
+    "d1": UnitaryCase((1, 1), "integer labels m1 >= 1, m2 >= 1",
+                      lambda m1, m2: (m1 - 1, m2 - 1), (1,),
+                      lambda m1, m2: [(1, (0, 0, 0), (m1, m2)),
+                                      (-1, (1, 1, 1), (m1 - 1, m2))]),
+    "d12": UnitaryCase((None, 2), "an integer label m2 > 1",
+                       lambda m1, m2: (0, m2 - 1), (1, 2),
+                       lambda m1, m2: [(1, (0, 0, 0), (1, m2)),
+                                       (-1, (m2, 2 * m2, 2 * m2), (1, m2 - 1))]),
+    "d2eq13": UnitaryCase((None, None), "no labels",
+                          lambda m1, m2: (0, 0), (2,),
+                          lambda m1, m2: [(1, (0, 0, 0), None), (-1, (1, 2, 3), None)]),
+    "d2": UnitaryCase((None, 2), "an integer label m2 >= 2",
+                      lambda m1, m2: (0, m2 - 1), (2,),
+                      lambda m1, m2: [(1, (0, 0, 0), (1, m2)), (-1, (0, 1, 1), (2, m2 - 1)),
+                                      (1, (1, 3, 3), (2, m2 - 2)),
+                                      (-1, (2, 4, 4), (1, m2 - 2))]),
+    "d23": UnitaryCase((None, None), "no labels",
+                       lambda m1, m2: (0, 0), (2, 3),
+                       lambda m1, m2: [(1, (0, 0, 0), None), (-1, (0, 1, 2), (2, 1)),
+                                       (1, (1, 2, 4), (1, 2)), (-1, (2, 4, 6), None)]),
 }
 
+UNITARY_CASES = tuple(UNITARY)
 
-def _sl3_lift(m1: int, m2: int, maxdeg: int) -> CharacterSeries:
-    return sl3_character(m1, m2).lift(3, maxdeg)
+_CASE_ALIASES = {"d2_eq_d13": "d2eq13", "d2=d13": "d2eq13"}
 
 
 def unitary_character(
@@ -405,68 +432,35 @@ def unitary_character(
 ) -> NormalizedCharacter:
     """Character of a unitary rank-three module at a reduction point.
 
-    Cases and parameters:
-      d1      m1 >= 1, m2 >= 1   boundary point d = d_1
-      d12     m2 > 1             point d = d_12, first label zero
-      d2eq13  none               d = 1 at zero labels (subsingular point)
-      d2      m2 >= 2            point d = d_2, first label zero
-      d23     none               d = 1/2 at zero labels
-
-    Every case is an alternating, finitely many-term combination of
-    compact sl(3) characters over the six noncompact factors.
+    The case is a key of UNITARY or an alias of one.  Its row fixes the
+    labels a, the alternating sum of compact sl(3) characters that is
+    divided by the six noncompact factors, and the point d, named as in
+    the paper's character formulae:
     """
     name = _CASE_ALIASES.get(case, case)
-    if name not in UNITARY_CASES:
+    if name not in UNITARY:
         raise ValueError(f"unknown case {case!r}; expected one of {UNITARY_CASES}")
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
-
-    def mono(e: Exp) -> CharacterSeries:
-        return CharacterSeries.monomial(3, e, maxdeg)
-
-    if name == CASE_D1:
-        if m1 is None or m2 is None or m1 < 1 or m2 < 1:
-            raise ValueError("case d1 needs integer labels m1 >= 1, m2 >= 1")
-        bracket = _sl3_lift(m1, m2, maxdeg).sub(
-            mono((1, 1, 1)).mul(_sl3_lift(m1 - 1, m2, maxdeg))
-        )
-        a = (m1 - 1, m2 - 1)
-        d = reduction_points(3, a).value(1)
-    elif name == CASE_D12:
-        if m2 is None or m2 <= 1:
-            raise ValueError("case d12 needs an integer label m2 > 1")
-        bracket = _sl3_lift(1, m2, maxdeg).sub(
-            mono((m2, 2 * m2, 2 * m2)).mul(_sl3_lift(1, m2 - 1, maxdeg))
-        )
-        a = (0, m2 - 1)
-        d = reduction_points(3, a).value(1, 2)
-    elif name == CASE_D2_EQ_D13:
-        bracket = CharacterSeries.one(3, maxdeg).sub(mono((1, 2, 3)))
-        a = (0, 0)
-        d = reduction_points(3, a).value(2)
-    elif name == CASE_D2:
-        if m2 is None or m2 < 2:
-            raise ValueError("case d2 needs an integer label m2 >= 2")
-        bracket = (
-            _sl3_lift(1, m2, maxdeg)
-            .sub(mono((0, 1, 1)).mul(_sl3_lift(2, m2 - 1, maxdeg)))
-            .add(mono((1, 3, 3)).mul(_sl3_lift(2, m2 - 2, maxdeg)))
-            .sub(mono((2, 4, 4)).mul(_sl3_lift(1, m2 - 2, maxdeg)))
-        )
-        a = (0, m2 - 1)
-        d = reduction_points(3, a).value(2)
-    else:  # CASE_D23
-        bracket = (
-            CharacterSeries.one(3, maxdeg)
-            .sub(mono((0, 1, 2)).mul(_sl3_lift(2, 1, maxdeg)))
-            .add(mono((1, 2, 4)).mul(_sl3_lift(1, 2, maxdeg)))
-            .sub(mono((2, 4, 6)))
-        )
-        a = (0, 0)
-        d = reduction_points(3, a).value(2, 3)
-
+    row = UNITARY[name]
+    if any(lo is not None and (m is None or m < lo) for m, lo in zip((m1, m2), row.least)):
+        raise ValueError(f"case {name} needs {row.needs}")
+    bracket: Poly = {}
+    for sign, shift, sl3 in row.bracket(m1, m2):
+        factor = {(0, 0): 1} if sl3 is None else sl3_character(*sl3).coeffs
+        add_scaled(bracket, {(x + shift[0], y + shift[1], shift[2]): c
+                             for (x, y), c in factor.items()}, sign)
     series = CharacterSeries(
-        3, maxdeg, p_divide_one_minus(bracket.coeffs, _noncompact_exps(3), maxdeg)
+        3, maxdeg, p_divide_one_minus(bracket, _noncompact_exps(3), maxdeg)
     )
-    sig = Signature(n=3, d=d, a=a)
+    a = row.labels(m1, m2)
+    sig = Signature(n=3, d=reduction_points(3, a).value(*row.point), a=a)
     return NormalizedCharacter(prefix=lowest_weight(sig), series=series)
+
+
+if unitary_character.__doc__:  # None under python -OO
+    unitary_character.__doc__ = "\n".join(
+        [inspect.cleandoc(unitary_character.__doc__), ""]
+        + [f"  {name:<7} d = {point_name(3, *row.point):<4} {row.needs}"
+           for name, row in UNITARY.items()]
+    )

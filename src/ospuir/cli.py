@@ -39,7 +39,7 @@ from ospuir.enveloping import (
 )
 from ospuir.root_system import MAX_RANK
 from ospuir.unitarity import classify, subsingular_points, unitarity_grid
-from ospuir.weights import Signature, reduction_points
+from ospuir.weights import Signature, point_family, reduction_points
 from ospuir.weyl import MAX_GROUP_RANK, generate, multiplet_orbit, multiplet_to_dot
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
@@ -47,9 +47,12 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 # Largest requests the command line accepts; larger ones exit 2 before any
 # allocation.  On a 2-vCPU x86-64 host with CPython 3.11, a rank-3 grid of
 # 10,100 cells takes 14 s and 30 MB, and weyl --n 6 (46,080 elements) 3.7 s
-# and 80 MB; W(B7) has 645,120 elements.
+# and 80 MB; W(B7) has 645,120 elements.  A multiplet with every label
+# positive is the whole dot orbit of W(B_n): with all labels 1, n = 4 (384
+# elements) takes 2.1 s and 19 MB, and n = 5 (3,840) 35 s and 43 MB.
 MAX_GRID_CELLS = 50_000
 MAX_WEYL_ORDER = 100_000
+MAX_MULTIPLET_ORDER = 1_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -90,6 +93,14 @@ def _csv(rows: Sequence[Sequence[str]]) -> str:
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
+
+
+def _check_group_order(n: int, limit: int) -> None:
+    """Refuse a request that may walk all of W(B_n) when its order 2^n n!
+    is above limit; n must already be bounded by the caller."""
+    order = 2 ** n * math.factorial(n)
+    if order > limit:
+        raise ValueError(f"W(B{n}) has {order} elements, above the limit of {limit}")
 
 
 def _sig_from(args) -> Signature:
@@ -194,16 +205,11 @@ def cmd_reduction_points(args) -> int:
     n = args.n
     a = parse_int_list(args.a)
     pts = reduction_points(n, a)
-    entries = []
-    for i in sorted(pts.d_odd):
-        entries.append((pts.point_name(i), "delta_i", i, None, pts.d_odd[i]))
-    for i in sorted(pts.d_double):
-        entries.append((pts.point_name(i, i), "2delta_i", i, i, pts.d_double[i]))
-    for (i, j) in sorted(pts.d_sum):
-        entries.append(
-            (pts.point_name(i, j), "delta_i+delta_j", i, j, pts.d_sum[(i, j)])
-        )
-    entries.sort(key=lambda e: (-e[4], e[0]))
+    entries = sorted(
+        ((pts.point_name(i, j), point_family(i, j), i, j, val)
+         for (i, j), val in pts.points.items()),
+        key=lambda e: (-e[4], e[0]),
+    )
     subs = subsingular_points(n, a)
     obj = {
         "n": n,
@@ -249,8 +255,8 @@ def cmd_character(args) -> int:
         labels = parse_int_list(args.labels)
         if len(labels) != args.n:
             raise ValueError(f"need {args.n} labels")
-        lam0 = weight_from_labels(labels)
-        norm = weyl_character(lam0, maxdeg)
+        _check_group_order(args.n, MAX_WEYL_ORDER)
+        norm = weyl_character(weight_from_labels(labels), maxdeg)
         prefix = norm.prefix
         series = norm.series
     else:
@@ -360,8 +366,8 @@ def cmd_multiplet(args) -> int:
     labels = parse_int_list(args.labels)
     if len(labels) != args.n:
         raise ValueError(f"need {args.n} labels")
-    lam0 = weight_from_labels(labels)
-    orbit = multiplet_orbit(lam0)
+    _check_group_order(args.n, MAX_MULTIPLET_ORDER)
+    orbit = multiplet_orbit(weight_from_labels(labels))
     if args.format == "dot":
         _emit(multiplet_to_dot(orbit), args.out)
         return 0
@@ -389,9 +395,7 @@ def cmd_weyl(args) -> int:
     n = args.n
     if not 2 <= n <= MAX_GROUP_RANK:
         raise ValueError(f"rank must be in [2, {MAX_GROUP_RANK}] for group generation")
-    order = 2 ** n * math.factorial(n)
-    if order > MAX_WEYL_ORDER:
-        raise ValueError(f"W(B{n}) has {order} elements, above the limit of {MAX_WEYL_ORDER}")
+    _check_group_order(n, MAX_WEYL_ORDER)
     group = generate(n)
     if args.format == "json":
         obj = {

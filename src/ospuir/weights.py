@@ -152,48 +152,52 @@ def point_name(n: int, i: int, j: Optional[int] = None) -> str:
     return f"d{i}{j}" if n < 10 else f"d{i},{j}"
 
 
+def point_family(i: int, j: Optional[int] = None) -> str:
+    """Family of the root behind the point (i, j): delta_i when j is None,
+    2 delta_i when j == i, delta_i + delta_j otherwise."""
+    if j is None:
+        return FAMILY_ODD
+    return FAMILY_DOUBLE if j == i else FAMILY_SUM
+
+
+@lru_cache(maxsize=None)
+def _point_rows(n: int) -> Tuple[Tuple[Tuple[int, Optional[int]], int, int], ...]:
+    """(key (i, j), index in the report, slope) for every noncompact root
+    of rank n, in the key order of ReductionPoints.points."""
+    return tuple(
+        ((i, i) if fam == FAMILY_DOUBLE else (i, j), k, sum(cv))
+        for family in (FAMILY_ODD, FAMILY_DOUBLE, FAMILY_SUM)
+        for k, (fam, i, j, _root, cv) in enumerate(_root_rows(n)) if fam == family
+    )
+
+
 @dataclass(frozen=True)
 class ReductionPoints:
-    """Values of d where m_beta = 1, per noncompact family.
+    """Values of d where m_beta = 1, one per noncompact positive root.
 
-    d_sum[(i, j)] covers delta_i + delta_j, d_odd[i] covers delta_i and
-    d_double[i] covers 2 delta_i.  The labels a_k are held fixed.
+    points maps (i, j) to its value: j None stands for delta_i, j == i for
+    2 delta_i and i < j for delta_i + delta_j.  Keys run in name order: the
+    delta_i, the 2 delta_i, then the delta_i + delta_j, by index inside
+    each.  The labels a_k are held fixed.
     """
 
     n: int
     a: Tuple[int, ...]
-    d_sum: Dict[Tuple[int, int], Fraction]
-    d_odd: Dict[int, Fraction]
-    d_double: Dict[int, Fraction]
+    points: Dict[Tuple[int, Optional[int]], Fraction]
 
     def value(self, i: int, j: Optional[int] = None) -> Fraction:
         """Point for the pair (i, j), for delta_i (j None) or 2 delta_i (j == i)."""
-        if j is None:
-            return self.d_odd[i]
-        if j == i:
-            return self.d_double[i]
-        return self.d_sum[(i, j)]
+        return self.points[(i, j)]
 
     def point_name(self, i: int, j: Optional[int] = None) -> str:
         return point_name(self.n, i, j)
 
     def labels_at(self, value: Fraction) -> str:
-        """All point names equal to the given value, joined with '='.
-
-        Single-index names come first; ties inside a group are ordered by
-        index.  Returns '' when no point matches.
-        """
-        names = []
-        for i in sorted(self.d_odd):
-            if self.d_odd[i] == value:
-                names.append(self.point_name(i))
-        for i in sorted(self.d_double):
-            if self.d_double[i] == value:
-                names.append(self.point_name(i, i))
-        for (i, j) in sorted(self.d_sum):
-            if self.d_sum[(i, j)] == value:
-                names.append(self.point_name(i, j))
-        return "=".join(names)
+        """All point names equal to the given value, joined with '=', in
+        name order.  Returns '' when no point matches."""
+        return "=".join(
+            self.point_name(i, j) for (i, j), d in self.points.items() if d == value
+        )
 
 
 def reduction_points(n: int, a: Sequence[int]) -> ReductionPoints:
@@ -203,23 +207,18 @@ def reduction_points(n: int, a: Sequence[int]) -> ReductionPoints:
     with slope the coordinate sum of beta-vee; compact roots have slope 0.
     """
     a = tuple(a)
-    rep = reducibility_report(Signature(n=n, d=Fraction(0), a=a))
-    d_sum: Dict[Tuple[int, int], Fraction] = {}
-    d_odd: Dict[int, Fraction] = {}
-    d_double: Dict[int, Fraction] = {}
-    points = {FAMILY_SUM: d_sum, FAMILY_ODD: d_odd, FAMILY_DOUBLE: d_double}
-    for (family, i, j, _root, cv), e in zip(_root_rows(n), rep.entries):
-        slope = sum(cv)
-        if slope:
-            points[family][i if j is None else (i, j)] = (e.m_value - 1) / slope
-    return ReductionPoints(n=n, a=a, d_sum=d_sum, d_odd=d_odd, d_double=d_double)
+    entries = reducibility_report(Signature(n=n, d=Fraction(0), a=a)).entries
+    points = {
+        key: (entries[k].m_value - 1) / slope for key, k, slope in _point_rows(n)
+    }
+    return ReductionPoints(n=n, a=a, points=points)
 
 
 def mn_at_reduction(m: Sequence[int], i: int, j: Optional[int] = None) -> Fraction:
     """Last Dynkin label m_n evaluated at a reduction point.
 
-    m holds the first n-1 labels (m_k = 1 + a_k).  The point is d_odd[i]
-    when j is None, d_double[i] when j == i, and d_sum[(i, j)] otherwise.
+    m holds the first n-1 labels (m_k = 1 + a_k); the point is
+    ReductionPoints.value(i, j).
     """
     if any((not isinstance(x, int)) or x < 1 for x in m):
         raise ValueError("labels m_k must be positive integers")

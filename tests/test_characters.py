@@ -6,7 +6,9 @@ import pytest
 from fractions import Fraction
 
 from ospuir.characters import (
+    UNITARY_CASES,
     CharacterSeries,
+    NormalizedCharacter,
     one_minus,
     p_add,
     p_divide_one_minus,
@@ -22,7 +24,7 @@ from ospuir.characters import (
     weyl_dimension,
 )
 from ospuir.root_system import delta_to_simple
-from ospuir.weights import Signature, labels_of_weight, lowest_weight
+from ospuir.weights import Signature, labels_of_weight, lowest_weight, reduction_points
 
 # simple-root exponents of the six noncompact restricted roots of rank 3
 NONCOMPACT_EXPS = ((1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 2, 2), (1, 1, 2), (0, 1, 2))
@@ -214,6 +216,91 @@ def test_unitary_cases_have_nonnegative_integer_coefficients():
             c.denominator == 1 and c >= 0 for c in nc.series.coeffs.values()
         ), case
         assert nc.series.coefficient((0, 0, 0)) == 1
+
+
+# ------------------------------------------- five-branch unitary reference
+
+def reference_unitary_character(case, maxdeg=10, m1=None, m2=None):
+    """The unitary characters written as one branch per case: the form the
+    UNITARY table replaced, kept to check the table against."""
+    name = {"d2_eq_d13": "d2eq13", "d2=d13": "d2eq13"}.get(case, case)
+    if name not in ("d1", "d12", "d2eq13", "d2", "d23"):
+        raise ValueError(f"unknown case {case!r}")
+    if maxdeg < 0:
+        raise ValueError("maxdeg must be nonnegative")
+
+    def mono(e):
+        return CharacterSeries.monomial(3, e, maxdeg)
+
+    def lift(x, y):
+        return sl3_character(x, y).lift(3, maxdeg)
+
+    if name == "d1":
+        if m1 is None or m2 is None or m1 < 1 or m2 < 1:
+            raise ValueError("case d1 needs integer labels m1 >= 1, m2 >= 1")
+        bracket = lift(m1, m2).sub(mono((1, 1, 1)).mul(lift(m1 - 1, m2)))
+        a = (m1 - 1, m2 - 1)
+        d = reduction_points(3, a).value(1)
+    elif name == "d12":
+        if m2 is None or m2 <= 1:
+            raise ValueError("case d12 needs an integer label m2 > 1")
+        bracket = lift(1, m2).sub(mono((m2, 2 * m2, 2 * m2)).mul(lift(1, m2 - 1)))
+        a = (0, m2 - 1)
+        d = reduction_points(3, a).value(1, 2)
+    elif name == "d2eq13":
+        bracket = CharacterSeries.one(3, maxdeg).sub(mono((1, 2, 3)))
+        a = (0, 0)
+        d = reduction_points(3, a).value(2)
+    elif name == "d2":
+        if m2 is None or m2 < 2:
+            raise ValueError("case d2 needs an integer label m2 >= 2")
+        bracket = (
+            lift(1, m2)
+            .sub(mono((0, 1, 1)).mul(lift(2, m2 - 1)))
+            .add(mono((1, 3, 3)).mul(lift(2, m2 - 2)))
+            .sub(mono((2, 4, 4)).mul(lift(1, m2 - 2)))
+        )
+        a = (0, m2 - 1)
+        d = reduction_points(3, a).value(2)
+    else:
+        bracket = (
+            CharacterSeries.one(3, maxdeg)
+            .sub(mono((0, 1, 2)).mul(lift(2, 1)))
+            .add(mono((1, 2, 4)).mul(lift(1, 2)))
+            .sub(mono((2, 4, 6)))
+        )
+        a = (0, 0)
+        d = reduction_points(3, a).value(2, 3)
+    series = CharacterSeries(
+        3, maxdeg, p_divide_one_minus(bracket.coeffs, NONCOMPACT_EXPS, maxdeg)
+    )
+    return NormalizedCharacter(lowest_weight(Signature(3, d, a)), series)
+
+
+def test_unitary_table_matches_five_branch_reference():
+    assert UNITARY_CASES == ("d1", "d12", "d2eq13", "d2", "d23")
+    requests = [("d1", m1, m2) for m1 in range(1, 5) for m2 in range(1, 7)]
+    requests += [(case, None, m2) for case in ("d12", "d2") for m2 in range(2, 7)]
+    requests += [(case, None, None) for case in ("d2eq13", "d2_eq_d13", "d2=d13", "d23")]
+    ref = reference_unitary_character
+    for case, m1, m2 in requests:
+        want = ref(case, 24, m1, m2)
+        got = unitary_character(case, 24, m1, m2)
+        assert got.prefix == want.prefix, (case, m1, m2)
+        assert got.series.coeffs == want.series.coeffs, (case, m1, m2)
+        for maxdeg in range(24):
+            assert unitary_character(case, maxdeg, m1, m2).series.coeffs == \
+                want.series.truncate(maxdeg).coeffs, (case, m1, m2, maxdeg)
+    # the same refusals, with the same messages
+    for case, m1, m2 in (("d1", 0, 1), ("d1", 1, None), ("d1", None, 2),
+                         ("d12", 3, 1), ("d12", None, None), ("d2", 1, 1),
+                         ("d2", None, None), ("bogus", 1, 2)):
+        with pytest.raises(ValueError) as want_err:
+            ref(case, 4, m1, m2)
+        with pytest.raises(ValueError) as got_err:
+            unitary_character(case, 4, m1, m2)
+        if case != "bogus":
+            assert str(got_err.value) == str(want_err.value), (case, m1, m2)
 
 
 def test_unitary_case_parameter_validation():

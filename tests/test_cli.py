@@ -4,9 +4,11 @@ import io
 import contextlib
 import json
 import pathlib
+from fractions import Fraction
 
 from ospuir.characters import series_to_text, unitary_character
 from ospuir.cli import main
+from ospuir.weights import reduction_points
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -88,6 +90,9 @@ def test_oversized_requests_exit_2():
         ["grid", "--n", "17"],
         ["weyl", "--n", "8"],
         ["weyl", "--n", "7"],
+        ["character", "--case", "weyl", "--n", "7", "--labels", "1,1,1,1,1,1,1"],
+        ["character", "--case", "weyl", "--n", "8", "--labels", "1,1,1,1,1,1,1,1"],
+        ["multiplet", "--n", "5", "--labels", "1,1,1,1,1"],
     ):
         assert run(argv) == (2, ""), argv
 
@@ -193,6 +198,25 @@ def test_reduction_points_command():
     assert obj["points"][0] == {
         "d": "2", "family": "delta_i", "i": 1, "j": None, "name": "d1",
     }
+    for n in range(2, 7):
+        for a in ((0,) * (n - 1), tuple(range(n - 1)), (2,) + (0,) * (n - 2)):
+            code, out = run(["reduction-points", "--n", str(n),
+                             "--a", ",".join(map(str, a))])
+            assert code == 0
+            pts = reduction_points(n, a)
+            rows = json.loads(out)["points"]
+            assert len(rows) == 2 * n + n * (n - 1) // 2
+            for row in rows:
+                i, j = row["i"], row["j"]
+                assert Fraction(row["d"]) == pts.value(i, j)
+                if j is None:
+                    assert row["family"] == "delta_i"
+                elif j == i:
+                    assert row["family"] == "2delta_i"
+                else:
+                    assert i < j and row["family"] == "delta_i+delta_j"
+            keys = [(-Fraction(row["d"]), row["name"]) for row in rows]
+            assert keys == sorted(keys)
 
 
 def test_out_flag_writes_file(tmp_path):
