@@ -138,47 +138,8 @@ class CharacterSeries:
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
-    def one(cls, n: int, maxdeg: int) -> "CharacterSeries":
-        return cls(n=n, maxdeg=maxdeg, coeffs={(0,) * n: Fraction(1)})
-
-    @classmethod
-    def monomial(cls, n: int, exp: Sequence[int], maxdeg: int, coeff=1) -> "CharacterSeries":
-        return cls(n=n, maxdeg=maxdeg, coeffs={tuple(exp): Fraction(coeff)})
-
-    @classmethod
-    def geometric_inverse(cls, n: int, v: Sequence[int], maxdeg: int) -> "CharacterSeries":
-        """The series of 1 / (1 - t^v), v a nonzero nonnegative vector."""
-        v = tuple(int(x) for x in v)
-        step = sum(v)
-        if step <= 0 or any(x < 0 for x in v):
-            raise ValueError(f"need a nonzero nonnegative exponent vector, got {v}")
-        coeffs: Poly = {}
-        k = 0
-        while k * step <= maxdeg:
-            coeffs[tuple(k * x for x in v)] = Fraction(1)
-            k += 1
-        return cls(n=n, maxdeg=maxdeg, coeffs=coeffs)
-
-    @classmethod
     def from_poly(cls, n: int, poly: Poly, maxdeg: int) -> "CharacterSeries":
         return cls(n=n, maxdeg=maxdeg, coeffs=dict(poly))
-
-    def _check(self, other: "CharacterSeries") -> int:
-        if self.n != other.n:
-            raise ValueError("variable-count mismatch")
-        return min(self.maxdeg, other.maxdeg)
-
-    def add(self, other: "CharacterSeries") -> "CharacterSeries":
-        m = self._check(other)
-        return CharacterSeries(self.n, m, p_add(self.coeffs, other.coeffs))
-
-    def sub(self, other: "CharacterSeries") -> "CharacterSeries":
-        m = self._check(other)
-        return CharacterSeries(self.n, m, p_sub(self.coeffs, other.coeffs))
-
-    def mul(self, other: "CharacterSeries") -> "CharacterSeries":
-        m = self._check(other)
-        return CharacterSeries(self.n, m, p_mul(self.coeffs, other.coeffs, maxdeg=m))
 
     def truncate(self, maxdeg: int) -> "CharacterSeries":
         return CharacterSeries(self.n, min(self.maxdeg, maxdeg), self.coeffs)
@@ -188,14 +149,6 @@ class CharacterSeries:
 
     def terms_sorted(self) -> List[Tuple[Exp, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda t: grlex_key(t[0]))
-
-    def lift(self, n: int, maxdeg: Optional[int] = None) -> "CharacterSeries":
-        """Pad exponent tuples with trailing zeros up to n variables."""
-        if n < self.n:
-            raise ValueError("cannot drop variables")
-        m = self.maxdeg if maxdeg is None else maxdeg
-        pad = (0,) * (n - self.n)
-        return CharacterSeries(n, m, {e + pad: c for e, c in self.coeffs.items()})
 
 
 def series_to_text(series: CharacterSeries) -> str:

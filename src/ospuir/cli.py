@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from ospuir.characters import (
+    partition_count,
     series_to_json_obj,
     series_to_text,
     sl3_character,
@@ -37,6 +38,8 @@ from ospuir.enveloping import (
     verify_singular,
     verify_subsingular,
 )
+from ospuir.enveloping.algebra import check_rank
+from ospuir.enveloping.module import level_offsets
 from ospuir.root_system import MAX_RANK
 from ospuir.unitarity import classify, subsingular_points, unitarity_grid
 from ospuir.weights import Signature, point_family, reduction_points
@@ -49,10 +52,15 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 # 10,100 cells takes 14 s and 30 MB, and weyl --n 6 (46,080 elements) 3.7 s
 # and 80 MB; W(B7) has 645,120 elements.  A multiplet with every label
 # positive is the whole dot orbit of W(B_n): with all labels 1, n = 4 (384
-# elements) takes 2.1 s and 19 MB, and n = 5 (3,840) 35 s and 43 MB.
+# elements) takes 2.1 s and 19 MB, and n = 5 (3,840) 35 s and 43 MB.  A
+# gram scan costs about the sum of dim^2 over its dominant blocks up to
+# --max-level (dim = partition_count): rank 4 to level 4 (3,087,225) takes
+# 22 s and 390 MB at one unitary cell, rank 3 to level 6 (773,920) 6.4 s
+# and 125 MB, and rank 5 to level 3 (5,792,062) 41 s and 770 MB.
 MAX_GRID_CELLS = 50_000
 MAX_WEYL_ORDER = 100_000
 MAX_MULTIPLET_ORDER = 1_000
+MAX_GRAM_WORK = 4_000_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -101,6 +109,21 @@ def _check_group_order(n: int, limit: int) -> None:
     order = 2 ** n * math.factorial(n)
     if order > limit:
         raise ValueError(f"W(B{n}) has {order} elements, above the limit of {limit}")
+
+
+def _check_gram_size(n: int, max_level: int) -> None:
+    """Refuse a Gram scan whose dominant blocks up to max_level have a sum
+    of dim^2 above MAX_GRAM_WORK; the sum is taken level by level, so the
+    count stops at the first level past the limit."""
+    check_rank(n)
+    work = 0
+    for level in range(1, max_level + 1):
+        work += sum(partition_count(n, off) ** 2 for off in level_offsets(n, level))
+        if work > MAX_GRAM_WORK:
+            raise ValueError(
+                f"gram blocks to level {level} at rank {n} have a sum of dim^2 of "
+                f"{work}, above the limit of {MAX_GRAM_WORK}"
+            )
 
 
 def _sig_from(args) -> Signature:
@@ -335,6 +358,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gram(args) -> int:
     sig = _sig_from(args)
+    _check_gram_size(sig.n, args.max_level)
     report = gram_psd_check(sig, max_level=args.max_level)
     obj = {
         "n": sig.n,

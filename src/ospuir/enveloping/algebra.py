@@ -270,11 +270,16 @@ def all_generators(n: int) -> List[Generator]:
     return gens
 
 
+def check_rank(n: int) -> None:
+    """Raise ValueError unless the table (and the Verma engine) supports n."""
+    if not 2 <= n <= 8:
+        raise ValueError(f"rank must be in [2, 8], got {n}")
+
+
 @lru_cache(maxsize=None)
 def structure_constants(n: int) -> StructureTable:
     """Build the bracket table and generator facts for rank n (2 <= n <= 8)."""
-    if not 2 <= n <= 8:
-        raise ValueError(f"rank must be in [2, 8], got {n}")
+    check_rank(n)
     gens = all_generators(n)
     expected = 2 * n + n * (2 * n + 1)
     if len(gens) != expected:

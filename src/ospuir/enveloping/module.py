@@ -5,7 +5,22 @@ States are stored in the PBW basis: words of raising generators sorted by
 appearing at most once since the square of an odd raising generator is the
 corresponding double-root generator.  The lowest-weight vector v0 is the
 empty word; lowering generators annihilate it and Cartan generators act by
-the eigenvalue (Lambda, delta_i-vee) = 2 lambda_i.
+the eigenvalue (Lambda, delta_i-vee) = 2 lambda_i = 2d + m_i, where
+m_i = 2(a_1 + ... + a_{i-1}) - (a_1 + ... + a_{n-1}).
+
+One engine serves a label set (n, a) for every d.  Lambda enters normal
+ordering only through those eigenvalues, so every memoized coefficient is
+a polynomial in d, stored as a tuple of ints in ascending degree.  The
+coefficients are integers: the only non-integer bracket coefficients are
+the halves in [X(d_i - d_j), X(d_j - d_i)] = (H_i - H_j)/2, and a bracket
+of Cartan terms only is applied as one scalar on the remaining word,
+sum_h c_h (2d + m_h + kappa_h(word)), where [H_h, g] = kappa_h(g) g.  Every
+kappa value is even (+-2 or +-4), and for (H_i - H_j)/2 the d parts cancel
+and m_i - m_j = 2(a_i + ... + a_{j-1}) is even, so the scalar is an integer
+polynomial; the engine checks this for every such bracket when it is built.
+Per-signature results (vectors, pairings, Gram matrices) are exact
+evaluations of those polynomials at the signature's d: q^deg P(p/q) by an
+integer Horner loop, then one Fraction.
 
 Inside the engine a generator is its int code in the rank's StructureTable
 and a word is a tuple of codes, so the memoized recursions hash and compare
@@ -16,30 +31,99 @@ the way in and decode on the way out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ospuir.enveloping.algebra import (
+    CARTAN,
     Generator,
-    KIND_CARTAN,
     LOWERING,
     RAISING,
     StructureTable,
     structure_constants,
 )
-from ospuir.linalg import add_scaled, psd_witness
+from ospuir.linalg import psd_witness
 from ospuir.weights import Signature, lowest_weight
 
 Word = Tuple[Generator, ...]
 CodeWord = Tuple[int, ...]            # a Word as generator codes
-CodeTerms = Dict[CodeWord, Fraction]
+Poly = Tuple[int, ...]                # integer polynomial in d, ascending; () is 0
+CodeTerms = Dict[CodeWord, Poly]
+# A Cartan combination acting on a PBW word, as (slope, constant, shift):
+# the word's eigenvalue is slope*d + constant + the sum of shift[x] over
+# its letters x.
+ScalarForm = Tuple[int, int, Tuple[int, ...]]
 
-_ONE = Fraction(1)
+_ONE: Poly = (1,)
 _ZERO = Fraction(0)
 
 MAX_LEVEL_DEFAULT = 4
+
+
+def _add_product(acc: List[int], p: Poly, q: Poly) -> None:
+    """acc += p * q for a polynomial held as a growable list."""
+    if len(acc) < len(p) + len(q) - 1:
+        acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            acc[i + j] += x * y
+
+
+def _trim(acc: List[int]) -> Poly:
+    while acc and not acc[-1]:
+        acc.pop()
+    return tuple(acc)
+
+
+def _padd(p: Poly, q: Poly) -> Poly:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for k, c in enumerate(q):
+        out[k] += c
+    return _trim(out)
+
+
+def _pmul(p: Poly, q: Poly) -> Poly:
+    """Product of two nonzero polynomials (nonzero again: no trimming)."""
+    if len(p) == 1:
+        c = p[0]
+        return tuple(c * x for x in q)
+    if len(q) == 1:
+        c = q[0]
+        return tuple(c * x for x in p)
+    acc: List[int] = []
+    _add_product(acc, p, q)
+    return tuple(acc)
+
+
+def _add_mul(acc: CodeTerms, terms: Mapping[CodeWord, Poly], coeff: Poly) -> None:
+    """acc += coeff * terms, in place; keys that cancel to zero are dropped."""
+    for k, p in terms.items():
+        prod = _pmul(p, coeff)
+        old = acc.get(k)
+        if old is not None:
+            prod = _padd(old, prod)
+            if not prod:
+                del acc[k]
+                continue
+        acc[k] = prod
+
+
+def _evaluate(p: Poly, d: Fraction, scale: int = 1) -> Fraction:
+    """p(d) / scale, exactly: den^deg p(num/den) by an integer Horner loop."""
+    if not p:
+        return _ZERO
+    num, den = d.numerator, d.denominator
+    acc = 0
+    power = 1
+    for c in reversed(p):
+        acc = acc * num + c * power
+        power *= den
+    return Fraction(acc, scale * (power // den))
 
 
 @dataclass(frozen=True)
@@ -57,20 +141,6 @@ class ModuleVector:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def scaled(self, c) -> "ModuleVector":
-        c = Fraction(c)
-        return ModuleVector(self.sig, self.offset,
-                            {w: v * c for w, v in self.terms.items()})
-
-    def plus(self, other: "ModuleVector") -> "ModuleVector":
-        if other.sig != self.sig or (other.terms and self.terms
-                                     and other.offset != self.offset):
-            raise ValueError("vectors live in different weight spaces")
-        terms = dict(self.terms)
-        add_scaled(terms, other.terms, 1)
-        offset = self.offset if self.terms else other.offset
-        return ModuleVector(self.sig, offset, terms)
 
 
 def word_name(word: Word) -> str:
@@ -102,26 +172,50 @@ def module_vector_to_text(vec: ModuleVector) -> str:
 
 
 class VermaEngine:
-    """Normal-ordering engine for one signature.
+    """Normal-ordering engine for one label set (n, a), valid for every d.
 
     `act_word_terms` and `pair_words` work on generator codes and words of
-    codes (see StructureTable); the other methods take and return
-    Generator words.
+    codes (see StructureTable) and return integer polynomials in d.  The
+    other methods take and return Generator words and vectors of one
+    signature in this label set, evaluated at that signature's d.
     """
 
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.n = sig.n
-        self.table: StructureTable = structure_constants(sig.n)
+    def __init__(self, n: int, a: Sequence[int]):
+        self.n = n
+        self.a = tuple(a)
+        self.table: StructureTable = structure_constants(n)
         self.facts = self.table.facts
-        self.lam = lowest_weight(sig)
-        code = self.table.code
-        self._eigenvalue = {
-            code[Generator(KIND_CARTAN, i)]: Fraction(2 * lam)
-            for i, lam in enumerate(self.lam, 1)
+        t = self.table
+        size = len(t.generators)
+        cartan = [x for x, c in enumerate(t.cls) if c == CARTAN]
+        lam0 = lowest_weight(Signature(n, Fraction(0), self.a))
+        m = {h: 2 * lam0[i] for i, h in enumerate(cartan)}
+        kappa = {h: [dict(t.brackets[h][x]).get(x, 0) for x in range(size)] for h in cartan}
+
+        def form(combo: Iterable[Tuple[int, Fraction]]) -> ScalarForm:
+            """sum_h c_h H_h on PBW words, checked to be an integer polynomial."""
+            combo = tuple(combo)
+            slope = sum(2 * c for _, c in combo)
+            constant = sum(c * m[h] for h, c in combo)
+            shift = [sum(c * kappa[h][x] for h, c in combo) for x in range(size)]
+            if any(Fraction(v).denominator != 1 for v in [slope, constant] + shift):
+                raise AssertionError(f"Cartan combination {combo} is not integral")
+            return int(slope), int(constant), tuple(int(v) for v in shift)
+
+        self._eigen = {h: form(((h, Fraction(1)),)) for h in cartan}
+        self._bracket_forms: Dict[Tuple[int, int], ScalarForm] = {
+            (x, y): form(t.brackets[x][y])
+            for x, cx in enumerate(t.cls) if cx == LOWERING
+            for y, cy in enumerate(t.cls) if cy == RAISING
+            if t.brackets[x][y] and all(t.cls[h] == CARTAN for h, _ in t.brackets[x][y])
         }
         self._act_memo: Dict[Tuple[int, CodeWord], CodeTerms] = {}
-        self._pair_memo: Dict[Tuple[CodeWord, CodeWord], Fraction] = {}
+        self._pair_memo: Dict[Tuple[CodeWord, CodeWord], Poly] = {}
+
+    def _check_signature(self, sig: Signature) -> None:
+        if (sig.n, sig.a) != (self.n, self.a):
+            raise ValueError(f"signature {sig} is not in the label set "
+                             f"n = {self.n}, a = {self.a} of this engine")
 
     # ---------------------------------------------------------- core action
 
@@ -134,14 +228,11 @@ class VermaEngine:
             return hit
         t = self.table
         cls = t.cls[g]
-        if not word:
-            if cls == RAISING:
-                out: CodeTerms = {(g,): _ONE}
-            elif cls == LOWERING:
-                out = {}
-            else:
-                eig = self._eigenvalue[g]
-                out = {(): eig} if eig else {}
+        if cls == CARTAN:
+            s = _scalar(self._eigen[g], word)
+            out: CodeTerms = {word: s} if s else {}
+        elif not word:
+            out = {(g,): _ONE} if cls == RAISING else {}
         else:
             head, rest = word[0], word[1:]
             if cls == RAISING and t.pbw_key[g] <= t.pbw_key[head]:
@@ -153,11 +244,49 @@ class VermaEngine:
                 flip = t.odd[g] and t.odd[head]
                 out = {}
                 for w2, c2 in self.act_word_terms(g, rest).items():
-                    add_scaled(out, self.act_word_terms(head, w2), -c2 if flip else c2)
-                for h, cb in t.brackets[g][head]:
-                    add_scaled(out, self.act_word_terms(h, rest), cb)
+                    if flip:
+                        c2 = tuple(-x for x in c2)
+                    _add_mul(out, self.act_word_terms(head, w2), c2)
+                form = self._bracket_forms.get((g, head))
+                if form is not None:
+                    s = _scalar(form, rest)
+                    if s:
+                        _add_mul(out, {rest: s}, _ONE)
+                else:
+                    for h, cb in t.brackets[g][head]:
+                        _add_mul(out, self.act_word_terms(h, rest), (cb.numerator,))
         memo[key] = out
         return out
+
+    def _apply(self, word: CodeWord, terms: CodeTerms) -> CodeTerms:
+        for g in reversed(word):
+            acted: CodeTerms = {}
+            for w, c in terms.items():
+                _add_mul(acted, self.act_word_terms(g, w), c)
+            terms = acted
+        return terms
+
+    def _offset(self, word: CodeWord) -> Tuple[int, ...]:
+        exps = self.table.weight_exp
+        return tuple(sum(exps[g][k] for g in word) for k in range(self.n))
+
+    def _scaled(self, vec: ModuleVector) -> Tuple[int, CodeTerms]:
+        """(s, terms) with terms the vector's coefficients times s, as ints."""
+        self._check_signature(vec.sig)
+        scale = math.lcm(*(c.denominator for c in vec.terms.values()))
+        encode = self.table.encode
+        return scale, {
+            encode(w): (c.numerator * (scale // c.denominator),)
+            for w, c in vec.terms.items()
+        }
+
+    def _vector(self, sig: Signature, offset: Tuple[int, ...], terms: CodeTerms,
+                scale: int) -> ModuleVector:
+        """terms / scale evaluated at sig.d; a zero vector sits at offset 0."""
+        decode = self.table.decode
+        values = {decode(w): _evaluate(p, sig.d, scale) for w, p in terms.items()}
+        values = {w: c for w, c in values.items() if c}
+        return ModuleVector(sig, offset if values else (0,) * self.n, values)
 
     def act(self, g: Generator, vec: ModuleVector) -> ModuleVector:
         """Left action of a basis generator; result in PBW form."""
@@ -165,31 +294,43 @@ class VermaEngine:
 
     def apply_word(self, word: Word, vec: ModuleVector) -> ModuleVector:
         """Product of generators applied to vec; rightmost factor acts first."""
-        t = self.table
-        terms = {t.encode(w): c for w, c in vec.terms.items()}
-        offset = vec.offset
-        for g in reversed(t.encode(word)):
-            acted: CodeTerms = {}
-            for w, c in terms.items():
-                add_scaled(acted, self.act_word_terms(g, w), c)
-            terms = acted
-            offset = tuple(a + b for a, b in zip(offset, t.weight_exp[g]))
-        if not terms:
-            return ModuleVector(self.sig, (0,) * self.n, {})
-        return ModuleVector(self.sig, offset, {t.decode(w): c for w, c in terms.items()})
+        scale, terms = self._scaled(vec)
+        code = self.table.encode(word)
+        offset = tuple(a + b for a, b in zip(vec.offset, self._offset(code)))
+        return self._vector(vec.sig, offset, self._apply(code, terms), scale)
 
-    def vacuum(self) -> ModuleVector:
-        return ModuleVector(self.sig, (0,) * self.n, {(): Fraction(1)})
+    def vacuum(self, sig: Signature) -> ModuleVector:
+        self._check_signature(sig)
+        return ModuleVector(sig, (0,) * self.n, {(): Fraction(1)})
 
-    def from_words(self, entries: Iterable[Tuple[Word, Fraction]]) -> ModuleVector:
-        """Vector from (product word, coefficient) pairs applied to v0."""
-        total: Optional[ModuleVector] = None
-        for word, coeff in entries:
-            term = self.apply_word(word, self.vacuum()).scaled(coeff)
-            total = term if total is None else total.plus(term)
-        if total is None:
+    def _word_terms(
+        self, entries: Iterable[Tuple[Word, Fraction]],
+    ) -> Tuple[int, Tuple[int, ...], CodeTerms]:
+        """(s, offset, terms): s times the sum of coeff * word v0, PBW-ordered."""
+        encode = self.table.encode
+        entries = [(encode(w), Fraction(c)) for w, c in entries]
+        if not entries:
             raise ValueError("no terms given")
-        return total
+        scale = math.lcm(*(c.denominator for _, c in entries))
+        total: CodeTerms = {}
+        offset: Optional[Tuple[int, ...]] = None
+        for word, c in entries:
+            terms = self._apply(word, {(): _ONE}) if c else {}
+            if not terms:
+                continue
+            if offset is None:
+                offset = self._offset(word)
+            elif self._offset(word) != offset:
+                raise ValueError("vectors live in different weight spaces")
+            _add_mul(total, terms, (c.numerator * (scale // c.denominator),))
+        return scale, offset or (0,) * self.n, total
+
+    def from_words(self, sig: Signature,
+                   entries: Iterable[Tuple[Word, Fraction]]) -> ModuleVector:
+        """Vector from (product word, coefficient) pairs applied to v0."""
+        self._check_signature(sig)
+        scale, offset, terms = self._word_terms(entries)
+        return self._vector(sig, offset, terms, scale)
 
     # -------------------------------------------------------- weight spaces
 
@@ -198,51 +339,68 @@ class VermaEngine:
 
     # ------------------------------------------------------ Shapovalov form
 
-    def pair_words(self, u: CodeWord, w: CodeWord) -> Fraction:
+    def pair_words(self, u: CodeWord, w: CodeWord) -> Poly:
         """<u v0, w v0> for words of codes, memoized on suffix pairs.
 
         Peels the leftmost factor of u: <g rest v0, w v0> equals the sum of
         <rest v0, w' v0> over the expansion of omega(g) w v0.
         """
         if not u:
-            return _ONE if not w else _ZERO
+            return _ONE if not w else ()
         key = (u, w)
         hit = self._pair_memo.get(key)
         if hit is not None:
             return hit
         rest = u[1:]
-        total = _ZERO
+        acc: List[int] = []
         for w2, c in self.act_word_terms(self.table.omega[u[0]], w).items():
             sub = self.pair_words(rest, w2)
             if sub:
-                total += c * sub
+                _add_product(acc, c, sub)
+        total = _trim(acc)
         self._pair_memo[key] = total
         return total
 
-    def pair(self, left: ModuleVector, right: ModuleVector) -> Fraction:
-        encode = self.table.encode
-        rights = [(encode(w), c) for w, c in right.terms.items()]
-        total = _ZERO
-        for word, cu in left.terms.items():
-            u = encode(word)
-            for w, cw in rights:
+    def _pair_terms(self, left: CodeTerms, right: CodeTerms) -> Poly:
+        acc: List[int] = []
+        for u, cu in left.items():
+            for w, cw in right.items():
                 sub = self.pair_words(u, w)
                 if sub:
-                    total += cu * cw * sub
-        return total
+                    _add_product(acc, _pmul(cu, cw), sub)
+        return _trim(acc)
+
+    def pair(self, left: ModuleVector, right: ModuleVector) -> Fraction:
+        if left.sig != right.sig:
+            raise ValueError("vectors of different signatures")
+        ls, lterms = self._scaled(left)
+        rs, rterms = self._scaled(right)
+        return _evaluate(self._pair_terms(lterms, rterms), left.sig.d, ls * rs)
 
     def norm(self, vec: ModuleVector) -> Fraction:
         return self.pair(vec, vec)
 
-    def gram(self, offset: Sequence[int]) -> "GramMatrix":
+    def norm_polynomial(self, entries: Iterable[Tuple[Word, Fraction]]) -> List[Fraction]:
+        """Norm of the sum of coeff * word v0 as a polynomial in d, ascending.
+
+        The sum of c_u c_w P_uw(d) over the PBW expansion, with c_u and the
+        pairing P_uw both integer polynomials in d; [0] for the zero norm.
+        """
+        scale, _offset, terms = self._word_terms(entries)
+        poly = self._pair_terms(terms, terms)
+        return [Fraction(c, scale * scale) for c in poly] or [_ZERO]
+
+    def gram(self, sig: Signature, offset: Sequence[int]) -> "GramMatrix":
+        self._check_signature(sig)
         offset = tuple(int(x) for x in offset)
         basis = self.basis(offset)
         words = [self.table.encode(w) for w in basis]
         size = len(basis)
+        d = sig.d
         entries = [[_ZERO] * size for _ in range(size)]
         for i in range(size):
             for j in range(i, size):
-                val = self.pair_words(words[i], words[j])
+                val = _evaluate(self.pair_words(words[i], words[j]), d)
                 entries[i][j] = val
                 entries[j][i] = val
         return GramMatrix(
@@ -252,13 +410,20 @@ class VermaEngine:
         )
 
 
+def _scalar(form: ScalarForm, word: CodeWord) -> Poly:
+    slope, constant, shift = form
+    c = constant + sum(shift[x] for x in word)
+    return (c, slope) if slope else (c,) if c else ()
+
+
 @lru_cache(maxsize=None)
-def _engine_cache(sig: Signature) -> VermaEngine:
-    return VermaEngine(sig)
+def _engine_cache(n: int, a: Tuple[int, ...]) -> VermaEngine:
+    return VermaEngine(n, a)
 
 
 def engine_for(sig: Signature) -> VermaEngine:
-    return _engine_cache(sig)
+    """The shared engine of the signature's label set (n, a)."""
+    return _engine_cache(sig.n, sig.a)
 
 
 @lru_cache(maxsize=None)
@@ -319,7 +484,7 @@ class GramMatrix:
 
 
 def shapovalov_gram(sig: Signature, offset: Sequence[int]) -> GramMatrix:
-    return engine_for(sig).gram(offset)
+    return engine_for(sig).gram(sig, offset)
 
 
 def level_offsets(n: int, level: int) -> List[Tuple[int, ...]]:
@@ -384,7 +549,7 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
             basis = engine.basis(offset)
             if not basis:
                 continue
-            gram = engine.gram(offset)
+            gram = engine.gram(sig, offset)
             coeffs = psd_witness(gram.entries)
             if coeffs is None:
                 continue

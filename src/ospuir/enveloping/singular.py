@@ -28,7 +28,6 @@ from ospuir.enveloping.algebra import (
 )
 from ospuir.enveloping.module import (
     ModuleVector,
-    VermaEngine,
     Word,
     engine_for,
     weight_space_words,
@@ -61,16 +60,15 @@ def _vector_coords(vec: ModuleVector, basis: Sequence[Word]) -> List[Fraction]:
     return coords
 
 
-def singular_space(engine: VermaEngine, offset: Sequence[int]) -> List[ModuleVector]:
+def singular_space(sig: Signature, offset: Sequence[int]) -> List[ModuleVector]:
     """Basis of the joint kernel of all simple lowerings at this offset."""
-    n = engine.n
+    engine = engine_for(sig)
+    n = sig.n
     offset = tuple(int(x) for x in offset)
     basis = engine.basis(offset)
     if not basis:
         return []
-    unit = [
-        ModuleVector(engine.sig, offset, {w: Fraction(1)}) for w in basis
-    ]
+    unit = [ModuleVector(sig, offset, {w: Fraction(1)}) for w in basis]
     rows: List[List[Fraction]] = []
     for j in range(1, n + 1):
         low = simple_lowering(n, j)
@@ -85,7 +83,7 @@ def singular_space(engine: VermaEngine, offset: Sequence[int]) -> List[ModuleVec
     out = []
     for sol in nullspace(rows, cols=len(basis)):
         terms = {w: c for w, c in zip(basis, sol) if c}
-        out.append(ModuleVector(engine.sig, offset, terms))
+        out.append(ModuleVector(sig, offset, terms))
     return out
 
 
@@ -106,8 +104,7 @@ def find_singular(sig: Signature, beta: Sequence, m: int) -> List[ModuleVector]:
         x < 0 for x in offset
     ):
         raise ValueError(f"{beta_coords} is not a positive root multiple")
-    engine = engine_for(sig)
-    sols = singular_space(engine, offset)
+    sols = singular_space(sig, offset)
     rs = build_root_system(n)
     mu = tuple(r - x for r, x in zip(rs.rho, lowest_weight(sig)))
     m_val = pairing(mu, beta_coords)
@@ -274,8 +271,7 @@ def _catalog_terms(vector_id: str, sig: Signature) -> List[Tuple[Word, Fraction]
 
 def printed_vector(vector_id: str, sig: Signature) -> ModuleVector:
     """The published linear combination, normal-ordered into PBW form."""
-    engine = engine_for(sig)
-    return engine.from_words(_catalog_terms(vector_id, sig))
+    return engine_for(sig).from_words(sig, _catalog_terms(vector_id, sig))
 
 
 def printed_regime(vector_id: str) -> Signature:
@@ -315,10 +311,11 @@ def verify_singular(vector_id: str, sig: Signature) -> bool:
 
 # ------------------------------------------------------------- subsingular
 
-def submodule_component(engine: VermaEngine, nu: Sequence[int]) -> List[List[Fraction]]:
+def submodule_component(sig: Signature, nu: Sequence[int]) -> List[List[Fraction]]:
     """Row space (rref) of the weight-nu slice of the singular-generated
     submodule: sums of U+ words applied to singular vectors of lower or
     equal weight."""
+    engine = engine_for(sig)
     nu = tuple(int(x) for x in nu)
     basis = engine.basis(nu)
     if not basis:
@@ -327,7 +324,7 @@ def submodule_component(engine: VermaEngine, nu: Sequence[int]) -> List[List[Fra
     for sigma in product(*(range(x + 1) for x in nu)):
         if not any(sigma):
             continue
-        sings = singular_space(engine, sigma)
+        sings = singular_space(sig, sigma)
         if not sings:
             continue
         diff = tuple(a - b for a, b in zip(nu, sigma))
@@ -339,13 +336,15 @@ def submodule_component(engine: VermaEngine, nu: Sequence[int]) -> List[List[Fra
     return rref(rows)[0] if rows else []
 
 
-def is_subsingular(engine: VermaEngine, vec: ModuleVector) -> bool:
+def is_subsingular(vec: ModuleVector) -> bool:
     """Outside the singular-generated submodule, lowered into it."""
     if vec.is_zero:
         return False
+    sig = vec.sig
+    engine = engine_for(sig)
     nu = vec.offset
     basis = engine.basis(nu)
-    span = submodule_component(engine, nu)
+    span = submodule_component(sig, nu)
     if in_span(span, _vector_coords(vec, basis)):
         return False
     for j in range(1, engine.n + 1):
@@ -356,7 +355,7 @@ def is_subsingular(engine: VermaEngine, vec: ModuleVector) -> bool:
         target = img.offset
         if any(x < 0 for x in target):
             raise AssertionError("lowering image escaped the module")
-        tspan = submodule_component(engine, target)
+        tspan = submodule_component(sig, target)
         tbasis = engine.basis(target)
         if not in_span(tspan, _vector_coords(img, tbasis)):
             return False
@@ -366,34 +365,10 @@ def is_subsingular(engine: VermaEngine, vec: ModuleVector) -> bool:
 def verify_subsingular(vector_id: str, sig: Signature) -> bool:
     if vector_id != "subsing_d13":
         raise ValueError("only subsing_d13 carries a subsingular claim")
-    engine = engine_for(sig)
-    return is_subsingular(engine, printed_vector(vector_id, sig))
+    return is_subsingular(printed_vector(vector_id, sig))
 
 
 # ---------------------------------------------------------- norm polynomials
-
-def _lagrange(points: Sequence[Tuple[Fraction, Fraction]]) -> List[Fraction]:
-    """Interpolating polynomial coefficients, ascending degree."""
-    size = len(points)
-    coeffs = [Fraction(0)] * size
-    for i, (xi, yi) in enumerate(points):
-        # numerator poly prod_{j != i} (x - x_j), built incrementally
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = [Fraction(0)] + num
-            for k in range(len(num) - 1):
-                num[k] -= xj * num[k + 1]
-            denom *= xi - xj
-        scale = yi / denom
-        for k, c in enumerate(num):
-            coeffs[k] += scale * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
 
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
@@ -403,32 +378,16 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
 
 
 def norm_polynomial_in_d(vector_id: str, a: Sequence[int]) -> List[Fraction]:
-    """Shapovalov norm of the printed vector as a polynomial in d.
+    """Shapovalov norm of the printed vector as a polynomial in d, ascending.
 
-    The degree is at most the length L of the longest PBW word of the
-    printed vector: its coefficients depend on the labels a, not on d;
-    pairing two words, each letter contributes at most one Cartan
-    eigenvalue; and each eigenvalue is linear in d.  So the polynomial is
-    the exact interpolation through L + 1 integer sample values of d,
-    verified on one extra sample.  The overall scale depends on
-    normalization conventions; the zero set does not.
+    The printed coefficients depend on the labels a only, so the label
+    set's engine expands the vector over PBW words with coefficients that
+    are integer polynomials in d, and the norm is the direct sum of
+    c_u c_w P_uw(d) over pairs of those words.  The overall scale depends
+    on normalization conventions; the zero set does not.
     """
-    a = tuple(a)
-    base = 17
-
-    def norm_at(d: Fraction) -> Fraction:
-        sig = Signature(3, d, a)
-        return engine_for(sig).norm(printed_vector(vector_id, sig))
-
-    words = printed_vector(vector_id, Signature(3, Fraction(base), a)).terms
-    degree = max((len(w) for w in words), default=0)
-    samples = [Fraction(base + s) for s in range(degree + 2)]
-    coeffs = _lagrange([(d, norm_at(d)) for d in samples[:-1]])
-    if poly_eval(coeffs, samples[-1]) != norm_at(samples[-1]):
-        raise ValueError(
-            "interpolation inconsistent: the norm's degree exceeds the longest word"
-        )
-    return coeffs
+    sig = Signature(3, Fraction(0), tuple(a))
+    return engine_for(sig).norm_polynomial(_catalog_terms(vector_id, sig))
 
 
 def rational_zero_set(coeffs: Sequence[Fraction]) -> Tuple[Dict[Fraction, int], List[Fraction]]:

@@ -84,6 +84,10 @@ FAMILY_DOUBLE = "2delta_i"
 
 @dataclass(frozen=True)
 class ReducibilityEntry:
+    """m_beta for one positive root beta.  (i, j) names beta as the
+    reduction points do: j None for delta_i, j == i for 2 delta_i, and
+    i < j for delta_i + delta_j and delta_i - delta_j."""
+
     root: RootVector
     family: str
     i: int
@@ -120,7 +124,7 @@ def _root_rows(n: int) -> Tuple[Tuple[str, int, Optional[int], RootVector, Weigh
         [(FAMILY_COMPACT, i, j, {i: 1, j: -1}) for i, j in pairs]
         + [(FAMILY_SUM, i, j, {i: 1, j: 1}) for i, j in pairs]
         + [(FAMILY_ODD, i, None, {i: 1}) for i in range(1, n + 1)]
-        + [(FAMILY_DOUBLE, i, None, {i: 2}) for i in range(1, n + 1)]
+        + [(FAMILY_DOUBLE, i, i, {i: 2}) for i in range(1, n + 1)]
     )
     rows = []
     for family, i, j, coords in specs:
@@ -165,7 +169,7 @@ def _point_rows(n: int) -> Tuple[Tuple[Tuple[int, Optional[int]], int, int], ...
     """(key (i, j), index in the report, slope) for every noncompact root
     of rank n, in the key order of ReductionPoints.points."""
     return tuple(
-        ((i, i) if fam == FAMILY_DOUBLE else (i, j), k, sum(cv))
+        ((i, j), k, sum(cv))
         for family in (FAMILY_ODD, FAMILY_DOUBLE, FAMILY_SUM)
         for k, (fam, i, j, _root, cv) in enumerate(_root_rows(n)) if fam == family
     )

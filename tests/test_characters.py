@@ -13,6 +13,7 @@ from ospuir.characters import (
     p_add,
     p_divide_one_minus,
     p_mul,
+    p_sub,
     partition_count,
     series_to_json_obj,
     series_to_text,
@@ -30,23 +31,46 @@ from ospuir.weights import Signature, labels_of_weight, lowest_weight, reduction
 NONCOMPACT_EXPS = ((1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 2, 2), (1, 1, 2), (0, 1, 2))
 
 
+# Plain series helpers over raw dicts, written term by term so that they
+# do not go through p_divide_one_minus.
+
+def one(n):
+    return {(0,) * n: Fraction(1)}
+
+
+def geometric(v, maxdeg):
+    """The series of 1 / (1 - t^v) to maxdeg: the sum of the t^(k v)."""
+    out = {}
+    k = 0
+    while k * sum(v) <= maxdeg:
+        out[tuple(k * x for x in v)] = Fraction(1)
+        k += 1
+    return out
+
+
+def lifted(f, n, maxdeg):
+    """f in n variables (trailing zero exponents), truncated at maxdeg."""
+    return {e + (0,) * (n - len(e)): c for e, c in f.items() if sum(e) <= maxdeg}
+
+
 def six_factor_inverse(maxdeg):
-    inv = CharacterSeries.one(3, maxdeg)
+    inv = one(3)
     for e in NONCOMPACT_EXPS:
-        inv = inv.mul(CharacterSeries.geometric_inverse(3, e, maxdeg))
+        inv = p_mul(inv, geometric(e, maxdeg), maxdeg)
     return inv
 
 
 def test_series_arithmetic_and_truncation():
-    one = CharacterSeries.one(3, 6)
     v = (1, 0, 1)
-    geo = CharacterSeries.geometric_inverse(3, v, 6)
-    check = one.sub(CharacterSeries.monomial(3, v, 6)).mul(geo)
-    assert check.coeffs == one.coeffs
-    prod = geo.mul(geo)
-    assert all(sum(e) <= 6 for e in prod.coeffs)
+    geo = geometric(v, 6)
+    assert p_mul(one_minus(3, v), geo, 6) == one(3)
+    prod = p_mul(geo, geo, 6)
+    assert all(sum(e) <= 6 for e in prod)
+    series = CharacterSeries(3, 4, prod)
+    assert series.coeffs == {e: c for e, c in prod.items() if sum(e) <= 4}
+    assert series.truncate(2).coeffs == {(0, 0, 0): 1, (1, 0, 1): 2}
     with pytest.raises(ValueError):
-        one.add(CharacterSeries.one(2, 6))
+        partition_count(2, (0, 0, 1))
 
 
 def _random_poly(rng, n, terms, top):
@@ -76,7 +100,7 @@ def test_divide_one_minus_matches_geometric_product():
         below_top += maxdeg < top
         want = f
         for v in vs:
-            want = p_mul(want, CharacterSeries.geometric_inverse(n, v, maxdeg).coeffs, maxdeg)
+            want = p_mul(want, geometric(v, maxdeg), maxdeg)
         assert p_divide_one_minus(f, vs, maxdeg) == want, (f, vs, maxdeg)
     assert below_top > 10
     # an exact multiple comes back exactly, with nothing past the quotient
@@ -158,22 +182,20 @@ def test_weyl_character_trivial_and_dimensions():
 
 def test_unitary_case_d23_closed_form():
     nc = unitary_character("d23", maxdeg=12)
-    closed = CharacterSeries.one(3, 12)
+    closed = one(3)
     for e in ((0, 0, 1), (0, 1, 1), (1, 1, 1)):
-        closed = closed.mul(CharacterSeries.geometric_inverse(3, e, 12))
-    assert nc.series.coeffs == closed.coeffs
+        closed = p_mul(closed, geometric(e, 12), 12)
+    assert nc.series.coeffs == closed
     assert nc.prefix == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
 
 def test_unitary_case_d2eq13_numerator():
     maxdeg = 8
     nc = unitary_character("d2eq13", maxdeg=maxdeg)
-    numerator = nc.series
+    numerator = nc.series.coeffs
     for e in NONCOMPACT_EXPS:
-        numerator = numerator.mul(
-            CharacterSeries.one(3, maxdeg).sub(CharacterSeries.monomial(3, e, maxdeg))
-        )
-    assert numerator.coeffs == {(0, 0, 0): Fraction(1), (1, 2, 3): Fraction(-1)}
+        numerator = p_mul(numerator, one_minus(3, e), maxdeg)
+    assert numerator == {(0, 0, 0): Fraction(1), (1, 2, 3): Fraction(-1)}
     # the subtracted exponent is the weight delta_1+delta_2+delta_3
     assert tuple(int(x) for x in delta_to_simple((1, 1, 1))) == (1, 2, 3)
     assert unitary_character("d2_eq_d13", maxdeg=4).series.coeffs == \
@@ -183,21 +205,22 @@ def test_unitary_case_d2eq13_numerator():
 def test_unitary_case_d1_single_term_at_m1_one():
     maxdeg = 6
     nc = unitary_character("d1", maxdeg=maxdeg, m1=1, m2=3)
-    expected = sl3_character(1, 3).lift(3, maxdeg).mul(six_factor_inverse(maxdeg))
-    assert nc.series.coeffs == expected.coeffs
+    expected = p_mul(lifted(sl3_character(1, 3).coeffs, 3, maxdeg),
+                     six_factor_inverse(maxdeg), maxdeg)
+    assert nc.series.coeffs == expected
     assert nc.prefix == lowest_weight(Signature(3, Fraction(3), (0, 2)))
 
 
 def test_unitary_case_d2_collapses_at_m2_two():
     maxdeg = 6
     nc = unitary_character("d2", maxdeg=maxdeg, m2=2)
-    bracket = sl3_character(1, 2).lift(3, maxdeg).sub(
-        CharacterSeries.monomial(3, (0, 1, 1), maxdeg).mul(
-            sl3_character(2, 1).lift(3, maxdeg)
-        )
+    bracket = p_sub(
+        lifted(sl3_character(1, 2).coeffs, 3, maxdeg),
+        p_mul({(0, 1, 1): Fraction(1)}, lifted(sl3_character(2, 1).coeffs, 3, maxdeg),
+              maxdeg),
     )
-    expected = bracket.mul(six_factor_inverse(maxdeg))
-    assert nc.series.coeffs == expected.coeffs
+    expected = p_mul(bracket, six_factor_inverse(maxdeg), maxdeg)
+    assert nc.series.coeffs == expected
     # the d_2 point of a=(0,1) sits at d = 1 + a_2/2 = 3/2
     assert nc.prefix == lowest_weight(Signature(3, Fraction(3, 2), (0, 1)))
 
@@ -230,49 +253,56 @@ def reference_unitary_character(case, maxdeg=10, m1=None, m2=None):
         raise ValueError("maxdeg must be nonnegative")
 
     def mono(e):
-        return CharacterSeries.monomial(3, e, maxdeg)
+        return {e: Fraction(1)}
 
     def lift(x, y):
-        return sl3_character(x, y).lift(3, maxdeg)
+        return lifted(sl3_character(x, y).coeffs, 3, maxdeg)
+
+    def sub(f, g):
+        return p_sub(f, g)
+
+    def add(f, g):
+        return p_add(f, g)
+
+    def mul(f, g):
+        return p_mul(f, g, maxdeg)
 
     if name == "d1":
         if m1 is None or m2 is None or m1 < 1 or m2 < 1:
             raise ValueError("case d1 needs integer labels m1 >= 1, m2 >= 1")
-        bracket = lift(m1, m2).sub(mono((1, 1, 1)).mul(lift(m1 - 1, m2)))
+        bracket = sub(lift(m1, m2), mul(mono((1, 1, 1)), lift(m1 - 1, m2)))
         a = (m1 - 1, m2 - 1)
         d = reduction_points(3, a).value(1)
     elif name == "d12":
         if m2 is None or m2 <= 1:
             raise ValueError("case d12 needs an integer label m2 > 1")
-        bracket = lift(1, m2).sub(mono((m2, 2 * m2, 2 * m2)).mul(lift(1, m2 - 1)))
+        bracket = sub(lift(1, m2), mul(mono((m2, 2 * m2, 2 * m2)), lift(1, m2 - 1)))
         a = (0, m2 - 1)
         d = reduction_points(3, a).value(1, 2)
     elif name == "d2eq13":
-        bracket = CharacterSeries.one(3, maxdeg).sub(mono((1, 2, 3)))
+        bracket = sub(one(3), mono((1, 2, 3)))
         a = (0, 0)
         d = reduction_points(3, a).value(2)
     elif name == "d2":
         if m2 is None or m2 < 2:
             raise ValueError("case d2 needs an integer label m2 >= 2")
-        bracket = (
-            lift(1, m2)
-            .sub(mono((0, 1, 1)).mul(lift(2, m2 - 1)))
-            .add(mono((1, 3, 3)).mul(lift(2, m2 - 2)))
-            .sub(mono((2, 4, 4)).mul(lift(1, m2 - 2)))
+        bracket = sub(
+            add(sub(lift(1, m2), mul(mono((0, 1, 1)), lift(2, m2 - 1))),
+                mul(mono((1, 3, 3)), lift(2, m2 - 2))),
+            mul(mono((2, 4, 4)), lift(1, m2 - 2)),
         )
         a = (0, m2 - 1)
         d = reduction_points(3, a).value(2)
     else:
-        bracket = (
-            CharacterSeries.one(3, maxdeg)
-            .sub(mono((0, 1, 2)).mul(lift(2, 1)))
-            .add(mono((1, 2, 4)).mul(lift(1, 2)))
-            .sub(mono((2, 4, 6)))
+        bracket = sub(
+            add(sub(one(3), mul(mono((0, 1, 2)), lift(2, 1))),
+                mul(mono((1, 2, 4)), lift(1, 2))),
+            mono((2, 4, 6)),
         )
         a = (0, 0)
         d = reduction_points(3, a).value(2, 3)
     series = CharacterSeries(
-        3, maxdeg, p_divide_one_minus(bracket.coeffs, NONCOMPACT_EXPS, maxdeg)
+        3, maxdeg, p_divide_one_minus(bracket, NONCOMPACT_EXPS, maxdeg)
     )
     return NormalizedCharacter(lowest_weight(Signature(3, d, a)), series)
 

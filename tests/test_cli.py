@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from ospuir.characters import series_to_text, unitary_character
 from ospuir.cli import main
+from ospuir.enveloping import module
 from ospuir.weights import reduction_points
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -93,8 +94,28 @@ def test_oversized_requests_exit_2():
         ["character", "--case", "weyl", "--n", "7", "--labels", "1,1,1,1,1,1,1"],
         ["character", "--case", "weyl", "--n", "8", "--labels", "1,1,1,1,1,1,1,1"],
         ["multiplet", "--n", "5", "--labels", "1,1,1,1,1"],
+        ["gram", "--n", "8", "--a", "0,0,0,0,0,0,0", "--d", "5/2", "--max-level", "12"],
     ):
+        engines = module._engine_cache.cache_info().currsize
         assert run(argv) == (2, ""), argv
+        assert module._engine_cache.cache_info().currsize == engines, argv
+
+
+def test_exit_code_contract(monkeypatch, capsys):
+    # 0: a normal request
+    assert main(["classify", "--n", "3", "--a", "0,0", "--d", "1/2"]) == 0
+    assert capsys.readouterr().err == ""
+    # 2: a usage error, reported on stderr
+    assert main(["classify", "--n", "3", "--a", "0,0", "--d", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # 3: an internal anomaly; a witness that does not have negative norm
+    # trips the Gram scan's own check
+    monkeypatch.setattr(module, "psd_witness",
+                        lambda gram: [Fraction(1)] + [Fraction(0)] * (len(gram) - 1))
+    assert main(["gram", "--n", "3", "--a", "0,0", "--d", "5/2", "--max-level", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "anomaly: claimed witness does not have negative norm\n"
 
 
 def test_character_text_output():

@@ -31,6 +31,7 @@ from ospuir.enveloping.module import (
     level_offsets,
     module_vector_to_text,
     shapovalov_gram,
+    weight_space_words,
     word_name,
 )
 from ospuir.weights import Signature
@@ -164,7 +165,7 @@ def test_omega_is_an_involution(n):
 
 def test_lowering_annihilates_vacuum():
     eng = engine_for(SIG)
-    v0 = eng.vacuum()
+    v0 = eng.vacuum(SIG)
     for i in (1, 2, 3):
         low = Generator(KIND_ODD, i, sign=-1)
         assert _vec_terms(eng.act(low, v0)) == {}
@@ -172,7 +173,7 @@ def test_lowering_annihilates_vacuum():
 
 def test_cartan_eigenvalues_on_vacuum():
     eng = engine_for(SIG)
-    v0 = eng.vacuum()
+    v0 = eng.vacuum(SIG)
     lam = (
         SIG.d + Fraction(-2, 2),
         SIG.d + Fraction(-2, 2),
@@ -185,7 +186,7 @@ def test_cartan_eigenvalues_on_vacuum():
 
 def test_raising_creates_pbw_monomial():
     eng = engine_for(SIG)
-    out = eng.act(Generator(KIND_ODD, 1, sign=1), eng.vacuum())
+    out = eng.act(Generator(KIND_ODD, 1, sign=1), eng.vacuum(SIG))
     assert len(out.terms) == 1
     ((word, coeff),) = out.terms.items()
     assert coeff == 1
@@ -195,7 +196,7 @@ def test_raising_creates_pbw_monomial():
 
 def test_sum_generator_weight_additivity():
     eng = engine_for(SIG)
-    out = eng.act(Generator(KIND_SUM, 1, 2), eng.vacuum())
+    out = eng.act(Generator(KIND_SUM, 1, 2), eng.vacuum(SIG))
     # delta_1 + delta_2 in the simple-root basis
     assert out.offset == (1, 2, 2)
 
@@ -210,24 +211,32 @@ def test_weight_space_dimensions_match_partition_count():
             assert len(eng.basis(off)) == partition_count(3, off), off
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_partition_count_sizes_every_dominant_block(n):
+    # the gram size guard counts block dimensions with partition_count
+    for level in range(4 if n < 5 else 3):
+        for off in level_offsets(n, level):
+            assert len(weight_space_words(n, off)) == partition_count(n, off), off
+
+
 def test_gram_examples():
     eng = engine_for(SIG)
-    assert eng.gram((0, 0, 0)).entries == ((Fraction(1),),)
-    val = eng.gram((0, 0, 1)).entries[0][0]
+    assert eng.gram(SIG, (0, 0, 0)).entries == ((Fraction(1),),)
+    val = eng.gram(SIG, (0, 0, 1)).entries[0][0]
     assert val == 2 * SIG.d + 0 + 2
 
 
 def test_gram_symmetry_and_block_orthogonality():
     eng = engine_for(SIG)
     for off in ((0, 1, 1), (1, 2, 2), (0, 1, 2)):
-        g = eng.gram(off)
+        g = eng.gram(SIG, off)
         m = g.entries
         size = len(m)
         assert all(len(row) == size for row in m)
         assert all(m[i][j] == m[j][i] for i in range(size) for j in range(size))
     # vectors in different weight spaces pair to zero
-    u = eng.from_words([(eng.basis((0, 1, 1))[0], Fraction(1))])
-    w = eng.from_words([(eng.basis((0, 0, 1))[0], Fraction(2))])
+    u = eng.from_words(SIG, [(eng.basis((0, 1, 1))[0], Fraction(1))])
+    w = eng.from_words(SIG, [(eng.basis((0, 0, 1))[0], Fraction(2))])
     assert eng.pair(u, w) == 0
 
 
@@ -241,7 +250,7 @@ def test_adjointness_of_omega():
         Generator(KIND_MIX, 1, 2),
     ]
     for g in raises:
-        base = eng.act(g, eng.vacuum())
+        base = eng.act(g, eng.vacuum(SIG))
         if not base.terms:
             continue
         target = base.offset
@@ -251,10 +260,10 @@ def test_adjointness_of_omega():
         )
         for _ in range(5):
             u = eng.from_words(
-                [(w, Fraction(rng.randint(-3, 3))) for w in src_words]
+                SIG, [(w, Fraction(rng.randint(-3, 3))) for w in src_words]
             )
             v = eng.from_words(
-                [(w, Fraction(rng.randint(-3, 3))) for w in dst_words]
+                SIG, [(w, Fraction(rng.randint(-3, 3))) for w in dst_words]
             )
             assert eng.pair(eng.act(g, u), v) == eng.pair(u, eng.act(omega(g), v))
 
@@ -271,17 +280,16 @@ def test_normal_ordering_matches_brackets():
     for g, h in pairs[:30]:
         off = rng.choice(offsets)
         words = eng.basis(off)
-        u = eng.from_words([(w, Fraction(rng.randint(-2, 2))) for w in words])
+        u = eng.from_words(SIG, [(w, Fraction(rng.randint(-2, 2))) for w in words])
         sign = -1 if (g.kind == KIND_ODD and h.kind == KIND_ODD) else 1
-        lhs = eng.act(g, eng.act(h, u)).plus(
-            eng.act(h, eng.act(g, u)).scaled(Fraction(-sign))
-        )
-        rhs_terms = {}
+        gh, hg = eng.act(g, eng.act(h, u)), eng.act(h, eng.act(g, u))
+        assert gh.is_zero or hg.is_zero or gh.offset == hg.offset
+        lhs = dict(gh.terms)
+        add_scaled(lhs, hg.terms, -sign)
+        rhs = {}
         for c, coeff in tab.bracket(g, h).items():
-            out = eng.act(c, u).scaled(coeff)
-            for w, x in out.terms.items():
-                rhs_terms[w] = rhs_terms.get(w, Fraction(0)) + x
-        assert _vec_terms(lhs) == {w: c for w, c in rhs_terms.items() if c}
+            add_scaled(rhs, eng.act(c, u).terms, coeff)
+        assert lhs == rhs
 
 
 def test_engine_memoization_and_gram_csv():
@@ -290,7 +298,7 @@ def test_engine_memoization_and_gram_csv():
     csv_text = g.to_csv()
     assert csv_text.splitlines()[0] == "monomial,X[d3]"
     assert csv_text.splitlines()[1] == "X[d3],6"
-    u = engine_for(SIG).from_words([(engine_for(SIG).basis((0, 1, 1))[0], Fraction(1))])
+    u = engine_for(SIG).from_words(SIG, [(engine_for(SIG).basis((0, 1, 1))[0], Fraction(1))])
     assert module_vector_to_text(u) == "(1)*X[d2]"
 
 

@@ -1,8 +1,10 @@
-"""The int-coded Verma engine against a Generator-keyed reference recursion.
+"""The label-set Verma engine against a Generator-keyed reference recursion.
 
 ReferenceEngine is the normal-ordering and pairing recursion over words of
-Generator objects that the engine ran before generators were coded as ints.
-It takes its brackets straight from algebra._bracket and its facts from
+Generator objects with Fraction coefficients for one signature, as the
+engine ran before generators were coded as ints and before one engine
+served every d of a label set with integer-polynomial coefficients.  It
+takes its brackets straight from algebra._bracket and its facts from
 Generator.delta_weight, so it shares no table with the engine under test.
 """
 
@@ -12,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from ospuir.enveloping.algebra import (
+    CARTAN,
     Generator,
     KIND_DOUBLE,
     KIND_ODD,
@@ -20,10 +23,13 @@ from ospuir.enveloping.algebra import (
     _bracket,
     all_generators,
     omega,
+    structure_constants,
 )
 from ospuir.enveloping.module import (
     ModuleVector,
     VermaEngine,
+    _scalar,
+    engine_for,
     level_offsets,
     weight_space_words,
 )
@@ -98,15 +104,18 @@ class ReferenceEngine:
 
 
 def _assert_grams_match(sig, max_level):
-    eng = VermaEngine(sig)
+    eng = engine_for(sig)
     ref = ReferenceEngine(sig)
     for level in range(1, max_level + 1):
         for offset in level_offsets(sig.n, level):
-            assert eng.gram(offset).entries == ref.gram(sig.n, offset), (sig, offset)
+            assert eng.gram(sig, offset).entries == ref.gram(sig.n, offset), (sig, offset)
 
 
+# The dyadic grid of the Gram scan, then values of d off it; the shared
+# engine of each label set serves every d.
 @pytest.mark.parametrize("a", [(0, 0), (1, 2)])
-@pytest.mark.parametrize("d", [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(2)])
+@pytest.mark.parametrize("d", [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(2),
+                               Fraction(-3, 2), Fraction(1, 3), Fraction(7, 5)])
 def test_rank3_grams_match_reference(a, d):
     _assert_grams_match(Signature(3, d, a), max_level=3)
 
@@ -123,7 +132,7 @@ def test_act_matches_reference(n):
     rng = random.Random(20261019 + n)
     a = tuple(rng.randint(0, 2) for _ in range(n - 1))
     sig = Signature(n, Fraction(rng.randint(0, 16), 4), a)
-    eng = VermaEngine(sig)
+    eng = VermaEngine(n, a)
     ref = ReferenceEngine(sig)
     offsets = [off for level in (0, 1, 2, 3) for off in level_offsets(n, level)]
     words = [rng.choice(weight_space_words(n, off)) for off in rng.sample(offsets, 8)]
@@ -137,3 +146,55 @@ def test_act_matches_reference(n):
                 assert out.offset == tuple(
                     a + b for a, b in zip(offset, ref.facts[g].weight_exp)
                 ), (g, word)
+
+
+def test_one_engine_serves_every_d_of_a_label_set():
+    sig = Signature(3, Fraction(1, 3), (1, 2))
+    other = Signature(3, Fraction(7, 5), (1, 2))
+    assert engine_for(sig) is engine_for(other)
+    assert engine_for(sig) is not engine_for(Signature(3, Fraction(1, 3), (2, 1)))
+    with pytest.raises(ValueError, match="label set"):
+        engine_for(sig).gram(Signature(3, Fraction(1, 3), (2, 1)), (0, 0, 1))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cartan_bracket_scalars_are_integer_polynomials(n):
+    # Every bracket of a lowering and a raising generator that is a
+    # combination of Cartan generators acts on a PBW word w v0 as
+    # sum_h c_h (2 lambda_h + 2 delta_h(w)); the engine holds it as an
+    # integer polynomial in d.  Every other bracket has integer
+    # coefficients.  Checked against lowest_weight and
+    # Generator.delta_weight, for label sets of both parities of sum(a).
+    rng = random.Random(20261020 + n)
+    table = structure_constants(n)
+    gens = table.generators
+    raising = [g for g in gens if table.facts[g].cls == RAISING]
+    for a in ((0,) * (n - 1), tuple(rng.randint(0, 3) for _ in range(n - 1)),
+              (1,) + (0,) * (n - 2)):
+        eng = VermaEngine(n, a)
+        lam = [lowest_weight(Signature(n, Fraction(d), a)) for d in (0, 1)]
+        words = [()] + [(g,) for g in raising] + [tuple(rng.sample(raising, 3))]
+        forms = 0
+        for x, gx in enumerate(gens):
+            for y, gy in enumerate(gens):
+                combo = _bracket(gx, gy)
+                if not combo or any(table.facts[h].cls != CARTAN for h in combo):
+                    assert all(c.denominator == 1 for c in combo.values()), (gx, gy)
+                    continue
+                if table.facts[gx].cls != LOWERING or table.facts[gy].cls != RAISING:
+                    continue
+                form = eng._bracket_forms[(x, y)]
+                forms += 1
+                for word in words:
+                    weight = [sum(g.delta_weight(n)[k] for g in word) for k in range(n)]
+                    at_0, at_1 = (sum(c * (2 * lam_d[h.i - 1] + 2 * weight[h.i - 1])
+                                      for h, c in combo.items()) for lam_d in lam)
+                    assert at_0.denominator == 1 and at_1.denominator == 1, (gx, gy)
+                    want = [int(at_0), int(at_1 - at_0)]
+                    while want and not want[-1]:
+                        want.pop()
+                    poly = _scalar(form, table.encode(word))
+                    assert all(type(c) is int for c in poly), (gx, gy, word)
+                    assert poly == tuple(want), (gx, gy, word)
+        # one Cartan-only bracket per positive root and its negative
+        assert forms == len(raising) == n * (n + 1)

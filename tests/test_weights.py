@@ -116,11 +116,23 @@ def test_each_reduction_point_fires_its_root():
             for e0 in reducibility_report(Signature(n, Fraction(0), a)).entries:
                 if e0.family == "delta_i-delta_j":
                     continue
-                j = e0.i if e0.family == "2delta_i" else e0.j
-                rep = reducibility_report(Signature(n, pts.value(e0.i, j), a))
+                rep = reducibility_report(Signature(n, pts.value(e0.i, e0.j), a))
                 match = [e for e in rep.entries
                          if (e.family, e.i, e.j) == (e0.family, e0.i, e0.j)]
-                assert [e.m_value for e in match] == [1], (n, a, e0.family, e0.i, j)
+                assert [e.m_value for e in match] == [1], (n, a, e0.family, e0.i, e0.j)
+
+
+def test_double_root_entry_names_its_own_point():
+    # The 2 delta_i entry carries j == i, the key of its reduction point:
+    # at a = (0, 2) the 2 delta_1 point is 5/2, not the delta_1 point 3.
+    pts = reduction_points(3, (0, 2))
+    entries = reducibility_report(Signature(3, Fraction(0), (0, 2))).entries
+    (e,) = [e for e in entries if e.family == "2delta_i" and e.i == 1]
+    assert (e.i, e.j) == (1, 1)
+    assert pts.value(e.i, e.j) == Fraction(5, 2)
+    assert pts.value(1) == 3
+    assert {(e.i, e.j) for e in entries if e.family == "delta_i"} == {
+        (1, None), (2, None), (3, None)}
 
 
 def test_reduction_points_table_n3():
