@@ -55,12 +55,16 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 # elements) takes 2.1 s and 19 MB, and n = 5 (3,840) 35 s and 43 MB.  A
 # gram scan costs about the sum of dim^2 over its dominant blocks up to
 # --max-level (dim = partition_count): rank 4 to level 4 (3,087,225) takes
-# 22 s and 390 MB at one unitary cell, rank 3 to level 6 (773,920) 6.4 s
-# and 125 MB, and rank 5 to level 3 (5,792,062) 41 s and 770 MB.
+# 21 s and 423 MB at one unitary cell, rank 3 to level 6 (773,920) 6.2 s
+# and 138 MB, and rank 5 to level 3 (5,792,062) 38 s and 790 MB.  A
+# character series in n variables to total degree maxdeg has at most
+# C(maxdeg + n, n) terms: verma --n 3 --maxdeg 141 (487,344) takes 14 s and
+# 200 MB, and weyl --n 6 --maxdeg 23 (475,020) 9.2 s and 51 MB.
 MAX_GRID_CELLS = 50_000
 MAX_WEYL_ORDER = 100_000
 MAX_MULTIPLET_ORDER = 1_000
 MAX_GRAM_WORK = 4_000_000
+MAX_CHARACTER_TERMS = 500_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -109,6 +113,21 @@ def _check_group_order(n: int, limit: int) -> None:
     order = 2 ** n * math.factorial(n)
     if order > limit:
         raise ValueError(f"W(B{n}) has {order} elements, above the limit of {limit}")
+
+
+def _check_series_terms(nvars: int, maxdeg: int) -> None:
+    """Refuse a series in nvars variables to total degree maxdeg when it may
+    have more than MAX_CHARACTER_TERMS terms, C(maxdeg + nvars, nvars); the
+    binomial is built one factor at a time and stops past the limit."""
+    small, large = sorted((nvars, maxdeg))
+    terms = 1
+    for k in range(1, small + 1):
+        terms = terms * (large + k) // k
+        if terms > MAX_CHARACTER_TERMS:
+            raise ValueError(
+                f"a series in {nvars} variables to degree {maxdeg} has more than "
+                f"{MAX_CHARACTER_TERMS} terms"
+            )
 
 
 def _check_gram_size(n: int, max_level: int) -> None:
@@ -264,6 +283,12 @@ def cmd_character(args) -> int:
     maxdeg = args.maxdeg
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
+    # the sl3 series is finite, of a size set by its labels; the unitary
+    # cases are rank three
+    if case in ("verma", "weyl"):
+        _check_series_terms(args.n, maxdeg)
+    elif case != "sl3":
+        _check_series_terms(3, maxdeg)
     prefix = None
     if case == "verma":
         series = verma_character(args.n, maxdeg)

@@ -18,9 +18,13 @@ sum_h c_h (2d + m_h + kappa_h(word)), where [H_h, g] = kappa_h(g) g.  Every
 kappa value is even (+-2 or +-4), and for (H_i - H_j)/2 the d parts cancel
 and m_i - m_j = 2(a_i + ... + a_{j-1}) is even, so the scalar is an integer
 polynomial; the engine checks this for every such bracket when it is built.
-Per-signature results (vectors, pairings, Gram matrices) are exact
-evaluations of those polynomials at the signature's d: q^deg P(p/q) by an
-integer Horner loop, then one Fraction.
+Per-signature vectors and pairings are exact evaluations of those
+polynomials at the signature's d: q^deg P(p/q) by an integer Horner loop,
+then one Fraction.  A Gram block is built as polynomials once per engine
+and weight offset, held as its upper triangle in integer coefficient
+columns, one per power of d; at d = p/q it becomes one integer matrix
+q^D G(p/q), D the block's top degree, with the one positive scale q^D, and
+goes to psd_witness as that integer matrix.
 
 Inside the engine a generator is its int code in the rank's StructureTable
 and a word is a tuple of codes, so the memoized recursions hash and compare
@@ -56,6 +60,9 @@ CodeTerms = Dict[CodeWord, Poly]
 # the word's eigenvalue is slope*d + constant + the sum of shift[x] over
 # its letters x.
 ScalarForm = Tuple[int, int, Tuple[int, ...]]
+# A Gram block's upper triangle, row by row, as one tuple of coefficients
+# per power of d, ascending.
+Columns = Tuple[Tuple[int, ...], ...]
 
 _ONE: Poly = (1,)
 _ZERO = Fraction(0)
@@ -211,6 +218,7 @@ class VermaEngine:
         }
         self._act_memo: Dict[Tuple[int, CodeWord], CodeTerms] = {}
         self._pair_memo: Dict[Tuple[CodeWord, CodeWord], Poly] = {}
+        self._blocks: Dict[Tuple[int, ...], Tuple[Tuple[Word, ...], Columns]] = {}
 
     def _check_signature(self, sig: Signature) -> None:
         if (sig.n, sig.a) != (self.n, self.a):
@@ -390,24 +398,42 @@ class VermaEngine:
         poly = self._pair_terms(terms, terms)
         return [Fraction(c, scale * scale) for c in poly] or [_ZERO]
 
+    def _block(self, offset: Tuple[int, ...]) -> Tuple[Tuple[Word, ...], Columns]:
+        """(basis, columns) of the Gram block at offset, built once."""
+        block = self._blocks.get(offset)
+        if block is None:
+            basis = self.basis(offset)
+            words = [self.table.encode(w) for w in basis]
+            upper = [self.pair_words(u, w) for i, u in enumerate(words) for w in words[i:]]
+            depth = max(map(len, upper), default=0) or 1
+            columns = tuple(
+                tuple(p[k] if k < len(p) else 0 for p in upper) for k in range(depth)
+            )
+            block = self._blocks[offset] = (basis, columns)
+        return block
+
     def gram(self, sig: Signature, offset: Sequence[int]) -> "GramMatrix":
+        """The block at offset for d = p/q: q^D G(p/q) as int rows, scale q^D."""
         self._check_signature(sig)
         offset = tuple(int(x) for x in offset)
-        basis = self.basis(offset)
-        words = [self.table.encode(w) for w in basis]
+        basis, columns = self._block(offset)
+        top = len(columns) - 1
+        num, den = sig.d.numerator, sig.d.denominator
+        weights = [num ** k * den ** (top - k) for k in range(top + 1)]
+        vals = [c * weights[0] for c in columns[0]]
+        for col, weight in zip(columns[1:], weights[1:]):
+            if weight:
+                vals = [v + c * weight for v, c in zip(vals, col)]
+        # row i: column i of the rows above it, then its part of the triangle
+        rows: List[Tuple[int, ...]] = []
+        start = 0
         size = len(basis)
-        d = sig.d
-        entries = [[_ZERO] * size for _ in range(size)]
         for i in range(size):
-            for j in range(i, size):
-                val = _evaluate(self.pair_words(words[i], words[j]), d)
-                entries[i][j] = val
-                entries[j][i] = val
-        return GramMatrix(
-            weight_offset=offset,
-            basis=basis,
-            entries=tuple(tuple(row) for row in entries),
-        )
+            stop = start + size - i
+            rows.append(tuple([row[i] for row in rows] + vals[start:stop]))
+            start = stop
+        return GramMatrix(weight_offset=offset, basis=basis, scaled=tuple(rows),
+                          scale=den ** top)
 
 
 def _scalar(form: ScalarForm, word: CodeWord) -> Poly:
@@ -469,11 +495,18 @@ def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Shapovalov form restricted to one weight space."""
+    """Shapovalov form restricted to one weight space: its entries are the
+    integers `scaled` divided by the one positive integer `scale`."""
 
     weight_offset: Tuple[int, ...]
     basis: Tuple[Word, ...]
-    entries: Tuple[Tuple[Fraction, ...], ...]
+    scaled: Tuple[Tuple[int, ...], ...]
+    scale: int
+
+    @property
+    def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        s = self.scale
+        return tuple(tuple(Fraction(x, s) for x in row) for row in self.scaled)
 
     def to_csv(self) -> str:
         header = ["monomial"] + [word_name(w) for w in self.basis]
@@ -550,7 +583,7 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
             if not basis:
                 continue
             gram = engine.gram(sig, offset)
-            coeffs = psd_witness(gram.entries)
+            coeffs = psd_witness(gram.scaled)
             if coeffs is None:
                 continue
             terms = {

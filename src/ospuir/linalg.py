@@ -4,7 +4,8 @@ Dense matrices are row-major sequences of exact rationals (ints or
 Fractions) and results are lists of Fraction; sparse vectors are dicts from
 keys to nonzero Fractions.  Elimination runs over Python ints after clearing
 denominators, once per matrix in psd_witness and once per row in rref, and
-turns back into Fractions only at the end.  Pivot choice is that of
+turns back into Fractions only at the end.  psd_witness takes a matrix of
+ints (not bools) as it is, with no clearing.  Pivot choice is that of
 elimination over Q and deterministic: pivots are chosen left to right, rows
 top to bottom.
 """
@@ -130,32 +131,40 @@ def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:
     a negative diagonal entry gives a witness at once, and an all-zero
     diagonal with a nonzero off-diagonal entry gives a two-term witness.
 
-    The matrix is scaled once by the lcm of its denominators and eliminated
-    with Bareiss exact division.  After pivots P, entry (i, j) is the
-    Schur complement entry times det G[P, P] > 0, so every sign and zero
-    test, and with it every choice, is that of elimination over Q.  The
-    witness is rebuilt afterwards from the pivots (see _congruence_basis).
+    A matrix of ints is eliminated as it is; any other matrix is scaled
+    once by the lcm of its denominators.  Scaling by a positive constant
+    changes no sign, pivot or witness.  Elimination uses Bareiss exact
+    division: after pivots P, entry (i, j) is the Schur complement entry
+    times det G[P, P] > 0, so every sign and zero test, and with it every
+    choice, is that of elimination over Q.  The witness is rebuilt
+    afterwards from the pivots (see _congruence_basis) and checked on the
+    integer matrix.
     """
     m = len(gram)
-    q = [[_as_rational(x) for x in row] for row in gram]
-    if any(len(row) != m for row in q):
+    if any(len(row) != m for row in gram):
         raise ValueError("matrix must be square")
-    den = math.lcm(*(x.denominator for row in q for x in row))
-    g = [[x.numerator * (den // x.denominator) for x in row] for row in q]
-    if any(g[i][j] != g[j][i] for i in range(m) for j in range(i)):
+    types = set()
+    for row in gram:
+        types.update(map(type, row))
+    if types <= {int}:
+        g = gram
+    else:
+        q = [[_as_rational(x) for x in row] for row in gram]
+        den = math.lcm(*(x.denominator for row in q for x in row))
+        g = [[x.numerator * (den // x.denominator) for x in row] for row in q]
+    if list(zip(*g)) != [tuple(row) for row in g]:
         raise ValueError("matrix must be symmetric")
 
     def check(v: List[Fraction]) -> List[Fraction]:
-        val = sum(
-            v[i] * Fraction(gram[i][j]) * v[j] for i in range(m) for j in range(m)
-        )
-        if val >= 0:
+        den = math.lcm(*(x.denominator for x in v))
+        w = [(i, x.numerator * (den // x.denominator)) for i, x in enumerate(v) if x]
+        if sum(x * y * g[i][j] for i, x in w for j, y in w) >= 0:
             raise AssertionError("witness construction failed")
         return v
 
     # a holds the rows and columns still active, in index order; active[k]
     # is the index in gram of row/column k of a.
-    a = [row[:] for row in g]
+    a = [list(row) for row in g]
     active = list(range(m))
     pivots: List[int] = []
     prev = 1

@@ -7,7 +7,7 @@ import pathlib
 from fractions import Fraction
 
 from ospuir.characters import series_to_text, unitary_character
-from ospuir.cli import main
+from ospuir.cli import _check_series_terms, main
 from ospuir.enveloping import module
 from ospuir.weights import reduction_points
 
@@ -95,10 +95,17 @@ def test_oversized_requests_exit_2():
         ["character", "--case", "weyl", "--n", "8", "--labels", "1,1,1,1,1,1,1,1"],
         ["multiplet", "--n", "5", "--labels", "1,1,1,1,1"],
         ["gram", "--n", "8", "--a", "0,0,0,0,0,0,0", "--d", "5/2", "--max-level", "12"],
+        ["character", "--case", "verma", "--n", "3", "--maxdeg", "143"],
+        ["character", "--case", "verma", "--n", "1000000000", "--maxdeg", "1000000000"],
+        ["character", "--case", "d23", "--maxdeg", "1000"],
+        ["character", "--case", "weyl", "--n", "6", "--labels", "1,1,1,1,1,1",
+         "--maxdeg", "24"],
     ):
         engines = module._engine_cache.cache_info().currsize
         assert run(argv) == (2, ""), argv
         assert module._engine_cache.cache_info().currsize == engines, argv
+    # C(142 + 3, 3) = 497,640 series terms are accepted, C(143 + 3, 3) = 508,080 are not
+    _check_series_terms(3, 142)
 
 
 def test_exit_code_contract(monkeypatch, capsys):

@@ -4,11 +4,13 @@ The integer kernels must return exactly what Gauss elimination over Q
 returns.  The Fraction implementations below are the references.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from ospuir import linalg
 from ospuir.linalg import in_span, nullspace, psd_witness, rref
 
 
@@ -234,6 +236,53 @@ def test_psd_witness_matches_fraction_reference():
             outcomes["witness"] += 1
     # both verdicts, and full eliminations, are exercised
     assert outcomes["psd"] >= 80 and outcomes["witness"] >= 80
+
+
+def test_int_scaled_matrices_match_fraction_matrices():
+    # each seeded matrix times a positive integer that clears its
+    # denominators: psd_witness takes it as it is, with the same witness
+    rng = random.Random(20261017)
+    for g in _symmetric_cases(rng):
+        gf = [[Fraction(x) for x in row] for row in g]
+        den = math.lcm(*(x.denominator for row in gf for x in row)) * rng.randint(1, 9)
+        gi = [[int(x * den) for x in row] for row in gf]
+        assert psd_witness(gi) == psd_witness(gf), g
+
+
+def test_int_path_rejects_bad_shapes():
+    for bad in ([[1, 2], [2]], [[1, 2, 3], [2, 1, 3]], [[1], [1]]):
+        with pytest.raises(ValueError, match="square"):
+            psd_witness(bad)
+    for bad in ([[0, 1, 2], [1, 0, 3], [2, 4, 0]], ((1, -1), (1, 1))):
+        with pytest.raises(ValueError, match="symmetric"):
+            psd_witness(bad)
+
+
+def test_bool_matrices_match_int_matrices():
+    rng = random.Random(20261022)
+    witnesses = 0
+    for _ in range(60):
+        size = rng.randint(1, 5)
+        b = [[False] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                b[i][j] = b[j][i] = rng.random() < 0.5
+        got = psd_witness(b)
+        assert got == psd_witness([[int(x) for x in row] for row in b]), b
+        witnesses += got is not None
+    assert witnesses >= 10
+    assert psd_witness([[False, True], [True, False]]) == [Fraction(1), Fraction(-1)]
+
+
+def test_witness_check_is_strict(monkeypatch):
+    # a rebuilt witness of zero or positive norm is an internal fault
+    g = [[1, 0, 0], [0, 0, 0], [0, 0, -1]]
+    for bad in ([Fraction(0), Fraction(1, 3), Fraction(0)],
+                [Fraction(1, 2), Fraction(0), Fraction(0)]):
+        monkeypatch.setattr(linalg, "_congruence_basis", lambda *args, v=bad: [v])
+        for matrix in (g, [[Fraction(x) for x in row] for row in g]):
+            with pytest.raises(AssertionError, match="witness construction failed"):
+                psd_witness(matrix)
 
 
 def test_rref_and_nullspace_match_fraction_reference():

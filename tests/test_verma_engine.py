@@ -27,13 +27,16 @@ from ospuir.enveloping.algebra import (
 )
 from ospuir.enveloping.module import (
     ModuleVector,
+    PsdReport,
     VermaEngine,
+    _evaluate,
     _scalar,
     engine_for,
+    gram_psd_check,
     level_offsets,
     weight_space_words,
 )
-from ospuir.linalg import add_scaled
+from ospuir.linalg import add_scaled, psd_witness
 from ospuir.weights import Signature, lowest_weight
 
 from test_enveloping_algebra import reference_facts
@@ -113,18 +116,90 @@ def _assert_grams_match(sig, max_level):
 
 # The dyadic grid of the Gram scan, then values of d off it; the shared
 # engine of each label set serves every d.
-@pytest.mark.parametrize("a", [(0, 0), (1, 2)])
-@pytest.mark.parametrize("d", [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(2),
-                               Fraction(-3, 2), Fraction(1, 3), Fraction(7, 5)])
+RANK3_A = [(0, 0), (1, 2)]
+RANK3_D = [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(2),
+           Fraction(-3, 2), Fraction(1, 3), Fraction(7, 5)]
+
+
+def _rank4_sig():
+    rng = random.Random(20261018)
+    a = tuple(rng.randint(0, 2) for _ in range(3))
+    return Signature(4, Fraction(rng.randint(0, 16), 4), a)
+
+
+@pytest.mark.parametrize("a", RANK3_A)
+@pytest.mark.parametrize("d", RANK3_D)
 def test_rank3_grams_match_reference(a, d):
     _assert_grams_match(Signature(3, d, a), max_level=3)
 
 
 def test_rank4_grams_match_reference():
-    rng = random.Random(20261018)
-    a = tuple(rng.randint(0, 2) for _ in range(3))
-    sig = Signature(4, Fraction(rng.randint(0, 16), 4), a)
-    _assert_grams_match(sig, max_level=2)
+    _assert_grams_match(_rank4_sig(), max_level=2)
+
+
+def _assert_scaled_blocks(sig, max_level):
+    eng = engine_for(sig)
+    for level in range(1, max_level + 1):
+        for offset in level_offsets(sig.n, level):
+            gram = eng.gram(sig, offset)
+            entries = gram.entries
+            assert type(gram.scale) is int and gram.scale > 0, (sig, offset)
+            assert all(type(x) is int for row in gram.scaled for x in row)
+            assert [[x * gram.scale for x in row] for row in entries] == [
+                list(row) for row in gram.scaled], (sig, offset)
+            assert psd_witness(gram.scaled) == psd_witness(entries), (sig, offset)
+
+
+# Each block is one integer matrix with one positive scale: its entries are
+# the scaled integers over the scale, and the elimination finds the same
+# witness on either.
+@pytest.mark.parametrize("a", RANK3_A)
+@pytest.mark.parametrize("d", RANK3_D)
+def test_rank3_scaled_blocks_match_entries(a, d):
+    _assert_scaled_blocks(Signature(3, d, a), max_level=3)
+
+
+def test_rank4_scaled_blocks_match_entries():
+    _assert_scaled_blocks(_rank4_sig(), max_level=2)
+
+
+def _reference_psd_check(sig, max_level):
+    """The Gram scan as it ran on Fraction entries: each entry is its
+    pairing polynomial evaluated at d on its own."""
+    eng = engine_for(sig)
+    levels = []
+    for level in range(1, max_level + 1):
+        levels.append(level)
+        for offset in level_offsets(sig.n, level):
+            basis = weight_space_words(sig.n, offset)
+            if not basis:
+                continue
+            words = [eng.table.encode(w) for w in basis]
+            entries = [[_evaluate(eng.pair_words(u, w), sig.d) for w in words]
+                       for u in words]
+            coeffs = psd_witness(entries)
+            if coeffs is None:
+                continue
+            witness = ModuleVector(sig, offset, dict(zip(basis, coeffs)))
+            return PsdReport(sig, max_level, False, witness, eng.norm(witness),
+                             offset, tuple(levels))
+    return PsdReport(sig, max_level, True, None, None, None, tuple(levels))
+
+
+def test_psd_scan_matches_fraction_reference():
+    # a seeded sample of the criterion-2 cells (a in {0,1,2}^2, d = k/4),
+    # with the nonunitary (0,0) cells d = 1/4 and 3/4 always in it
+    rng = random.Random(20261021)
+    cells = [((0, 0), Fraction(1, 4)), ((0, 0), Fraction(3, 4))]
+    cells += [((rng.randint(0, 2), rng.randint(0, 2)), Fraction(rng.randint(0, 16), 4))
+              for _ in range(6)]
+    verdicts = set()
+    for a, d in cells:
+        sig = Signature(3, d, a)
+        report = gram_psd_check(sig, max_level=4)
+        assert report == _reference_psd_check(sig, max_level=4), sig
+        verdicts.add(report.psd)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("n", [3, 4])
