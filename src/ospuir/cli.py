@@ -55,8 +55,8 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 # elements) takes 2.1 s and 19 MB, and n = 5 (3,840) 35 s and 43 MB.  A
 # gram scan costs about the sum of dim^2 over its dominant blocks up to
 # --max-level (dim = partition_count): rank 4 to level 4 (3,087,225) takes
-# 21 s and 423 MB at one unitary cell, rank 3 to level 6 (773,920) 6.2 s
-# and 138 MB, and rank 5 to level 3 (5,792,062) 38 s and 790 MB.  A
+# 20 s and 389 MB at one unitary cell, rank 3 to level 6 (773,920) 5.8 s
+# and 127 MB, and rank 5 to level 3 (5,792,062) 38 s and 744 MB.  A
 # character series in n variables to total degree maxdeg has at most
 # C(maxdeg + n, n) terms: verma --n 3 --maxdeg 141 (487,344) takes 14 s and
 # 200 MB, and weyl --n 6 --maxdeg 23 (475,020) 9.2 s and 51 MB.

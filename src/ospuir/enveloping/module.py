@@ -20,11 +20,11 @@ and m_i - m_j = 2(a_i + ... + a_{j-1}) is even, so the scalar is an integer
 polynomial; the engine checks this for every such bracket when it is built.
 Per-signature vectors and pairings are exact evaluations of those
 polynomials at the signature's d: q^deg P(p/q) by an integer Horner loop,
-then one Fraction.  A Gram block is built as polynomials once per engine
-and weight offset, held as its upper triangle in integer coefficient
-columns, one per power of d; at d = p/q it becomes one integer matrix
-q^D G(p/q), D the block's top degree, with the one positive scale q^D, and
-goes to psd_witness as that integer matrix.
+then one Fraction.  A Gram block's upper triangle is gathered once per
+engine and weight offset, as references to the memoized polynomials; at
+d = p/q it becomes one integer matrix q^D G(p/q), D the block's top
+degree, with the one positive scale q^D, and goes to psd_witness as that
+integer matrix.
 
 Inside the engine a generator is its int code in the rank's StructureTable
 and a word is a tuple of codes, so the memoized recursions hash and compare
@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ospuir.enveloping.algebra import (
@@ -60,9 +61,8 @@ CodeTerms = Dict[CodeWord, Poly]
 # the word's eigenvalue is slope*d + constant + the sum of shift[x] over
 # its letters x.
 ScalarForm = Tuple[int, int, Tuple[int, ...]]
-# A Gram block's upper triangle, row by row, as one tuple of coefficients
-# per power of d, ascending.
-Columns = Tuple[Tuple[int, ...], ...]
+# A Gram block: its basis, its upper triangle row by row, and its top degree.
+Block = Tuple[Tuple[Word, ...], Tuple[Poly, ...], int]
 
 _ONE: Poly = (1,)
 _ZERO = Fraction(0)
@@ -218,7 +218,7 @@ class VermaEngine:
         }
         self._act_memo: Dict[Tuple[int, CodeWord], CodeTerms] = {}
         self._pair_memo: Dict[Tuple[CodeWord, CodeWord], Poly] = {}
-        self._blocks: Dict[Tuple[int, ...], Tuple[Tuple[Word, ...], Columns]] = {}
+        self._blocks: Dict[Tuple[int, ...], Block] = {}
 
     def _check_signature(self, sig: Signature) -> None:
         if (sig.n, sig.a) != (self.n, self.a):
@@ -398,32 +398,26 @@ class VermaEngine:
         poly = self._pair_terms(terms, terms)
         return [Fraction(c, scale * scale) for c in poly] or [_ZERO]
 
-    def _block(self, offset: Tuple[int, ...]) -> Tuple[Tuple[Word, ...], Columns]:
-        """(basis, columns) of the Gram block at offset, built once."""
+    def _block(self, offset: Tuple[int, ...]) -> Block:
+        """The Gram block at offset, gathered once; its polynomials are the
+        objects held in the pairing memo, not copies."""
         block = self._blocks.get(offset)
         if block is None:
             basis = self.basis(offset)
             words = [self.table.encode(w) for w in basis]
-            upper = [self.pair_words(u, w) for i, u in enumerate(words) for w in words[i:]]
-            depth = max(map(len, upper), default=0) or 1
-            columns = tuple(
-                tuple(p[k] if k < len(p) else 0 for p in upper) for k in range(depth)
-            )
-            block = self._blocks[offset] = (basis, columns)
+            upper = tuple(self.pair_words(u, w) for i, u in enumerate(words) for w in words[i:])
+            top = max([1, *map(len, upper)]) - 1
+            block = self._blocks[offset] = (basis, upper, top)
         return block
 
     def gram(self, sig: Signature, offset: Sequence[int]) -> "GramMatrix":
         """The block at offset for d = p/q: q^D G(p/q) as int rows, scale q^D."""
         self._check_signature(sig)
         offset = tuple(int(x) for x in offset)
-        basis, columns = self._block(offset)
-        top = len(columns) - 1
+        basis, upper, top = self._block(offset)
         num, den = sig.d.numerator, sig.d.denominator
         weights = [num ** k * den ** (top - k) for k in range(top + 1)]
-        vals = [c * weights[0] for c in columns[0]]
-        for col, weight in zip(columns[1:], weights[1:]):
-            if weight:
-                vals = [v + c * weight for v, c in zip(vals, col)]
+        vals = [sum(map(mul, p, weights)) for p in upper]
         # row i: column i of the rows above it, then its part of the triangle
         rows: List[Tuple[int, ...]] = []
         start = 0
@@ -493,15 +487,30 @@ def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Shapovalov form restricted to one weight space: its entries are the
-    integers `scaled` divided by the one positive integer `scale`."""
+    integers `scaled` divided by the one positive integer `scale`.
+
+    Blocks compare by their entries, so the same block at two scales is
+    equal.
+    """
 
     weight_offset: Tuple[int, ...]
     basis: Tuple[Word, ...]
     scaled: Tuple[Tuple[int, ...], ...]
     scale: int
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GramMatrix):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.weight_offset, self.basis, self.entries
 
     @property
     def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:

@@ -4,21 +4,24 @@ Dense matrices are row-major sequences of exact rationals (ints or
 Fractions) and results are lists of Fraction; sparse vectors are dicts from
 keys to nonzero Fractions.  Elimination runs over Python ints after clearing
 denominators, once per matrix in psd_witness and once per row in rref, and
-turns back into Fractions only at the end.  psd_witness takes a matrix of
-ints (not bools) as it is, with no clearing.  Pivot choice is that of
-elimination over Q and deterministic: pivots are chosen left to right, rows
-top to bottom.
+turns back into Fractions only at the end; psd_witness takes a matrix
+whose denominators are all 1, such as a matrix of ints, as it is.  Pivot
+choice is that of elimination over Q and deterministic: pivots are chosen
+left to right, rows top to bottom.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 
 _ZERO = Fraction(0)
+_denominator = attrgetter("denominator")
 
 
 def add_scaled(acc: Dict, terms: Mapping, coeff) -> None:
@@ -131,27 +134,22 @@ def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:
     a negative diagonal entry gives a witness at once, and an all-zero
     diagonal with a nonzero off-diagonal entry gives a two-term witness.
 
-    A matrix of ints is eliminated as it is; any other matrix is scaled
-    once by the lcm of its denominators.  Scaling by a positive constant
-    changes no sign, pivot or witness.  Elimination uses Bareiss exact
-    division: after pivots P, entry (i, j) is the Schur complement entry
-    times det G[P, P] > 0, so every sign and zero test, and with it every
-    choice, is that of elimination over Q.  The witness is rebuilt
-    afterwards from the pivots (see _congruence_basis) and checked on the
-    integer matrix.
+    Entries are ints or Fractions (a bool counts as an int).  The matrix is
+    scaled once by the lcm of its denominators, which leaves a matrix of
+    ints as it is; scaling by a positive constant changes no sign, pivot or
+    witness.  Elimination uses Bareiss exact division: after pivots P,
+    entry (i, j) is the Schur complement entry times det G[P, P] > 0, so
+    every sign and zero test, and with it every choice, is that of
+    elimination over Q.  The witness is rebuilt afterwards from the pivots
+    (see _congruence_basis) and checked on the scaled matrix.
     """
     m = len(gram)
     if any(len(row) != m for row in gram):
         raise ValueError("matrix must be square")
-    types = set()
-    for row in gram:
-        types.update(map(type, row))
-    if types <= {int}:
-        g = gram
-    else:
-        q = [[_as_rational(x) for x in row] for row in gram]
-        den = math.lcm(*(x.denominator for row in q for x in row))
-        g = [[x.numerator * (den // x.denominator) for x in row] for row in q]
+    den = math.lcm(*set(map(_denominator, chain.from_iterable(gram))))
+    g = gram if den == 1 else [
+        [x.numerator * (den // x.denominator) for x in row] for row in gram
+    ]
     if list(zip(*g)) != [tuple(row) for row in g]:
         raise ValueError("matrix must be symmetric")
 

@@ -26,6 +26,7 @@ from ospuir.enveloping.algebra import (
     structure_constants,
 )
 from ospuir.enveloping.module import (
+    GramMatrix,
     ModuleVector,
     PsdReport,
     VermaEngine,
@@ -161,6 +162,25 @@ def test_rank3_scaled_blocks_match_entries(a, d):
 
 def test_rank4_scaled_blocks_match_entries():
     _assert_scaled_blocks(_rank4_sig(), max_level=2)
+
+
+def test_gram_blocks_compare_by_entries():
+    # the same block held at two scales is one block, equal and with one hash
+    sig = Signature(3, Fraction(3, 4), (0, 1))
+    eng = engine_for(sig)
+    offset = next(off for off in level_offsets(3, 2) if len(eng.basis(off)) > 1)
+    gram = eng.gram(sig, offset)
+
+    def rescaled(k, bump=0):
+        rows = [[k * x for x in row] for row in gram.scaled]
+        rows[0][0] += bump
+        return GramMatrix(offset, gram.basis, tuple(map(tuple, rows)), k * gram.scale)
+
+    assert rescaled(6) == gram and hash(rescaled(6)) == hash(gram)
+    assert rescaled(6).scale != gram.scale and rescaled(6).entries == gram.entries
+    assert rescaled(6, bump=1) != gram
+    assert eng.gram(sig, level_offsets(3, 1)[0]) != gram
+    assert eng.gram(Signature(3, Fraction(1, 2), (0, 1)), offset) != gram
 
 
 def _reference_psd_check(sig, max_level):
