@@ -3,7 +3,9 @@
 Subcommands: classify, grid, reduction-points, character, verify, gram,
 multiplet, weyl.  Formats: json (default for most), csv, text, dot.  All
 rationals cross the boundary as exact "p/q" strings; decimals are rejected.
-Exit codes: 0 success, 2 usage error, 3 internal anomaly.
+Exit codes: 0 success, 2 usage error, 3 internal anomaly.  Each cmd_*
+function imports the library names it uses in its own body, so a process
+loads only the modules its subcommand runs.
 """
 
 from __future__ import annotations
@@ -18,32 +20,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from ospuir.characters import (
-    partition_count,
-    series_to_json_obj,
-    series_to_text,
-    sl3_character,
-    unitary_character,
-    verma_character,
-    weight_from_labels,
-    weyl_character,
-)
-from ospuir.enveloping import (
-    AnomalyError,
-    MAX_LEVEL_DEFAULT,
-    PRINTED_IDS,
-    gram_psd_check,
-    module_vector_to_text,
-    printed_regime,
-    verify_singular,
-    verify_subsingular,
-)
-from ospuir.enveloping.algebra import check_rank
-from ospuir.enveloping.module import level_offsets
-from ospuir.root_system import MAX_RANK
-from ospuir.unitarity import classify, subsingular_points, unitarity_grid
-from ospuir.weights import Signature, point_family, reduction_points
-from ospuir.weyl import MAX_GROUP_RANK, generate, multiplet_orbit, multiplet_to_dot
+from ospuir.weights import Signature
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -59,7 +36,8 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 # and 127 MB, and rank 5 to level 3 (5,792,062) 38 s and 744 MB.  A
 # character series in n variables to total degree maxdeg has at most
 # C(maxdeg + n, n) terms: verma --n 3 --maxdeg 141 (487,344) takes 14 s and
-# 200 MB, and weyl --n 6 --maxdeg 23 (475,020) 9.2 s and 51 MB.
+# 200 MB, weyl --n 6 --maxdeg 23 (475,020) 9.2 s and 51 MB, and sl3 --m1 250
+# --m2 249 (2 variables to degree 998, 499,500) 6.4 s and 110 MB.
 MAX_GRID_CELLS = 50_000
 MAX_WEYL_ORDER = 100_000
 MAX_MULTIPLET_ORDER = 1_000
@@ -134,6 +112,10 @@ def _check_gram_size(n: int, max_level: int) -> None:
     """Refuse a Gram scan whose dominant blocks up to max_level have a sum
     of dim^2 above MAX_GRAM_WORK; the sum is taken level by level, so the
     count stops at the first level past the limit."""
+    from ospuir.characters import partition_count
+    from ospuir.enveloping.algebra import check_rank
+    from ospuir.enveloping.module import level_offsets
+
     check_rank(n)
     work = 0
     for level in range(1, max_level + 1):
@@ -175,6 +157,8 @@ def _verdict_obj(verdict) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from ospuir.unitarity import classify
+
     sig = _sig_from(args)
     verdict = classify(sig)
     obj = _verdict_obj(verdict)
@@ -208,6 +192,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    from ospuir.root_system import MAX_RANK
+    from ospuir.unitarity import unitarity_grid
+
     n = args.n
     a_max = args.a_max
     d_max = parse_rational(args.d_max)
@@ -244,6 +231,9 @@ def cmd_grid(args) -> int:
 
 
 def cmd_reduction_points(args) -> int:
+    from ospuir.unitarity import subsingular_points
+    from ospuir.weights import point_family, reduction_points
+
     n = args.n
     a = parse_int_list(args.a)
     pts = reduction_points(n, a)
@@ -279,12 +269,23 @@ def cmd_reduction_points(args) -> int:
 
 
 def cmd_character(args) -> int:
+    from ospuir.characters import (
+        series_to_json_obj,
+        series_to_text,
+        sl3_character,
+        unitary_character,
+        verma_character,
+        weight_from_labels,
+        weyl_character,
+    )
+
     case = args.case
     maxdeg = args.maxdeg
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
-    # the sl3 series is finite, of a size set by its labels; the unitary
-    # cases are rank three
+    # the sl3 series is divided to its numerator's top degree 2(m1 + m2)
+    # whatever maxdeg is, so it is sized once its labels are known; the
+    # unitary cases are rank three
     if case in ("verma", "weyl"):
         _check_series_terms(args.n, maxdeg)
     elif case != "sl3":
@@ -295,6 +296,7 @@ def cmd_character(args) -> int:
     elif case == "sl3":
         if args.m1 is None or args.m2 is None:
             raise ValueError("case sl3 needs --m1 and --m2")
+        _check_series_terms(2, 2 * (args.m1 + args.m2))
         series = sl3_character(args.m1, args.m2)
         series = series.truncate(min(maxdeg, series.maxdeg))
     elif case == "weyl":
@@ -323,6 +325,13 @@ def cmd_character(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from ospuir.enveloping.singular import (
+        PRINTED_IDS,
+        printed_regime,
+        verify_singular,
+        verify_subsingular,
+    )
+
     if args.n != 3:
         raise ValueError(f"the printed catalog is rank-three only, got --n {args.n}")
     if args.all:
@@ -382,9 +391,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    from ospuir.enveloping.module import (
+        MAX_LEVEL_DEFAULT,
+        gram_psd_check,
+        module_vector_to_text,
+    )
+
     sig = _sig_from(args)
-    _check_gram_size(sig.n, args.max_level)
-    report = gram_psd_check(sig, max_level=args.max_level)
+    max_level = MAX_LEVEL_DEFAULT if args.max_level is None else args.max_level
+    _check_gram_size(sig.n, max_level)
+    report = gram_psd_check(sig, max_level=max_level)
     obj = {
         "n": sig.n,
         "a": list(sig.a),
@@ -412,6 +428,9 @@ def cmd_gram(args) -> int:
 
 
 def cmd_multiplet(args) -> int:
+    from ospuir.characters import weight_from_labels
+    from ospuir.weyl import multiplet_orbit, multiplet_to_dot
+
     labels = parse_int_list(args.labels)
     if len(labels) != args.n:
         raise ValueError(f"need {args.n} labels")
@@ -441,6 +460,8 @@ def cmd_multiplet(args) -> int:
 
 
 def cmd_weyl(args) -> int:
+    from ospuir.weyl import MAX_GROUP_RANK, generate
+
     n = args.n
     if not 2 <= n <= MAX_GROUP_RANK:
         raise ValueError(f"rank must be in [2, {MAX_GROUP_RANK}] for group generation")
@@ -530,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", default="")
     p.add_argument("--d", required=True)
-    p.add_argument("--max-level", type=int, default=MAX_LEVEL_DEFAULT)
+    p.add_argument("--max-level", type=int, default=None)
     add_common(p, ["json", "text"], "json")
     p.set_defaults(func=cmd_gram)
 
@@ -556,10 +577,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except AnomalyError as exc:
-        print(f"anomaly: {exc}", file=sys.stderr)
-        return 3
-    except AssertionError as exc:
+    except AssertionError as exc:  # AnomalyError is one too
         print(f"anomaly: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:

@@ -37,8 +37,11 @@ from ospuir.root_system import build_root_system, delta_to_simple, pairing
 from ospuir.weights import Signature, lowest_weight, reduction_points
 
 
-class AnomalyError(Exception):
-    """A predicted singular vector is missing: internal inconsistency."""
+class AnomalyError(AssertionError):
+    """A predicted singular vector is missing: internal inconsistency.
+
+    It is an AssertionError, like the library's other failed internal
+    checks, so the command line reports both as one anomaly (exit 3)."""
 
 
 def simple_lowering(n: int, j: int) -> Generator:

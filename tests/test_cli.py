@@ -3,15 +3,19 @@
 import io
 import contextlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 from ospuir.characters import series_to_text, unitary_character
 from ospuir.cli import _check_series_terms, main
-from ospuir.enveloping import module
+from ospuir.enveloping import module, singular
 from ospuir.weights import reduction_points
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN_CASES = {
     "character_d1_m1_2_m2_1_maxdeg8.txt": (
@@ -100,6 +104,7 @@ def test_oversized_requests_exit_2():
         ["character", "--case", "d23", "--maxdeg", "1000"],
         ["character", "--case", "weyl", "--n", "6", "--labels", "1,1,1,1,1,1",
          "--maxdeg", "24"],
+        ["character", "--case", "sl3", "--m1", "250", "--m2", "250", "--maxdeg", "10"],
     ):
         engines = module._engine_cache.cache_info().currsize
         assert run(argv) == (2, ""), argv
@@ -123,6 +128,54 @@ def test_exit_code_contract(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "anomaly: claimed witness does not have negative norm\n"
+
+
+def test_anomaly_error_exits_3(monkeypatch, capsys):
+    # a predicted singular vector that is missing is an anomaly too
+    def missing(vector_id, sig):
+        raise singular.AnomalyError(f"no singular vector for {vector_id}")
+
+    monkeypatch.setattr(singular, "verify_singular", missing)
+    assert run(["verify", "--id", "sv_d2"]) == (3, "")
+    assert capsys.readouterr().err == "anomaly: no singular vector for sv_d2\n"
+
+
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+from ospuir.cli import main
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("ospuir"))))
+"""
+
+
+def loaded_after(argv):
+    """ospuir modules in a fresh process after importing the CLI and, when
+    argv is not empty, running it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        capture_output=True, text=True, check=True,
+    )
+    return set(json.loads(proc.stdout))
+
+
+def test_each_command_imports_only_what_it_runs():
+    heavy = {"ospuir.characters", "ospuir.weyl", "ospuir.unitarity"}
+    modules = loaded_after([])
+    assert not modules & heavy
+    assert not any(m.startswith("ospuir.enveloping") for m in modules)
+
+    modules = loaded_after(["classify", "--n", "3", "--a", "0,0", "--d", "1/2"])
+    assert "ospuir.unitarity" in modules
+    assert not any(m.startswith("ospuir.enveloping") for m in modules)
+
+    modules = loaded_after(["gram", "--n", "3", "--a", "0,0", "--d", "5/2",
+                            "--max-level", "1"])
+    assert "ospuir.enveloping.module" in modules
+    assert not modules & {"ospuir.enveloping.singular", "ospuir.unitarity"}
 
 
 def test_character_text_output():
