@@ -30,6 +30,8 @@ from ospuir.root_system import (
     build_root_system,
     delta_to_simple,
     inner,
+    partition_count,  # kept importable as ospuir.characters.partition_count
+    restricted_exps,
 )
 from ospuir.weights import (
     Signature, labels_of_weight, lowest_weight, point_name, reduction_points,
@@ -183,14 +185,6 @@ class NormalizedCharacter:
 
 # ------------------------------------------------------------ Verma series
 
-def _restricted_exps(n: int) -> Tuple[Exp, ...]:
-    rs = build_root_system(n)
-    return tuple(
-        tuple(int(x) for x in delta_to_simple(r.coords))
-        for r in rs.restricted_positive
-    )
-
-
 def _noncompact_exps(n: int) -> Tuple[Exp, ...]:
     rs = build_root_system(n)
     out = []
@@ -203,46 +197,7 @@ def _noncompact_exps(n: int) -> Tuple[Exp, ...]:
 def verma_character(n: int, maxdeg: int) -> CharacterSeries:
     """Product of 1/(1 - t^alpha) over the restricted positive roots."""
     one = {(0,) * n: Fraction(1)}
-    return CharacterSeries(n, maxdeg, p_divide_one_minus(one, _restricted_exps(n), maxdeg))
-
-
-_PARTITION_MEMO: Dict[Tuple[int, Exp, int], int] = {}
-
-
-def partition_count(n: int, mu: Sequence[int]) -> int:
-    """Number of multisets of restricted positive roots summing to mu.
-
-    mu is given in the simple-root basis.  This is the coefficient of t^mu
-    in the Verma series.
-    """
-    mu = tuple(int(x) for x in mu)
-    if len(mu) != n:
-        raise ValueError("length mismatch")
-    if any(x < 0 for x in mu):
-        return 0
-    roots = _restricted_exps(n)
-
-    def rec(rem: Exp, idx: int) -> int:
-        if not any(rem):
-            return 1
-        if idx == len(roots):
-            return 0
-        key = (n, rem, idx)
-        if key in _PARTITION_MEMO:
-            return _PARTITION_MEMO[key]
-        total = 0
-        r = roots[idx]
-        cur = rem
-        while True:
-            total += rec(cur, idx + 1)
-            nxt = tuple(x - y for x, y in zip(cur, r))
-            if any(x < 0 for x in nxt):
-                break
-            cur = nxt
-        _PARTITION_MEMO[key] = total
-        return total
-
-    return rec(mu, 0)
+    return CharacterSeries(n, maxdeg, p_divide_one_minus(one, restricted_exps(n), maxdeg))
 
 
 # ------------------------------------------------------- finite characters
@@ -296,7 +251,7 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
         sign = Fraction(-1 if w.length % 2 else 1)
         numerator[e] = numerator.get(e, Fraction(0)) + sign
     series = CharacterSeries(
-        n, maxdeg, p_divide_one_minus(numerator, _restricted_exps(n), maxdeg)
+        n, maxdeg, p_divide_one_minus(numerator, restricted_exps(n), maxdeg)
     )
     return NormalizedCharacter(prefix=lam0, series=series)
 

@@ -29,7 +29,7 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 # 10,100 cells takes 14 s and 30 MB, and weyl --n 6 (46,080 elements) 3.7 s
 # and 80 MB; W(B7) has 645,120 elements.  A multiplet with every label
 # positive is the whole dot orbit of W(B_n): with all labels 1, n = 4 (384
-# elements) takes 2.1 s and 19 MB, and n = 5 (3,840) 35 s and 43 MB.  A
+# elements) takes 0.4 s and 19 MB, and n = 5 (3,840) 4.5 s and 24 MB.  A
 # gram scan costs about the sum of dim^2 over its dominant blocks up to
 # --max-level (dim = partition_count): rank 4 to level 4 (3,087,225) takes
 # 20 s and 389 MB at one unitary cell, rank 3 to level 6 (773,920) 5.8 s
@@ -112,9 +112,9 @@ def _check_gram_size(n: int, max_level: int) -> None:
     """Refuse a Gram scan whose dominant blocks up to max_level have a sum
     of dim^2 above MAX_GRAM_WORK; the sum is taken level by level, so the
     count stops at the first level past the limit."""
-    from ospuir.characters import partition_count
     from ospuir.enveloping.algebra import check_rank
     from ospuir.enveloping.module import level_offsets
+    from ospuir.root_system import partition_count
 
     check_rank(n)
     work = 0

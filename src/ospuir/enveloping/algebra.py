@@ -24,11 +24,10 @@ tests/test_enveloping_algebra.py.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ospuir.linalg import add_scaled
 from ospuir.root_system import delta_to_simple
@@ -180,24 +179,14 @@ CARTAN = "cartan"
 Term = Tuple[int, Fraction]   # (generator code, coefficient)
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorFacts:
-    """Fixed data about one basis element at a given rank."""
-
-    weight_exp: Tuple[int, ...]   # weight in the simple-root basis
-    pbw_key: tuple                # (odd, root height, delta weight)
-    cls: str                      # RAISING, LOWERING or CARTAN
-    omega: Generator              # image under the anti-involution
-
-
 @dataclass(frozen=True)
 class StructureTable:
     """Bracket table and generator facts for rank n, indexed by int code.
 
     A generator's code is its index in `generators`.  Every per-generator
     tuple below is indexed by code, and `brackets[x][y]` lists the terms
-    of [x, y] as (code, coefficient) pairs.  `bracket` and `facts` decode
-    back to Generator keys for callers that work with generators.
+    of [x, y] as (code, coefficient) pairs; `encode` and `decode` translate
+    words between Generator objects and codes.
     """
 
     n: int
@@ -212,14 +201,6 @@ class StructureTable:
     square: Tuple[int, ...]       # code of (a_i^+)^2 for odd raising a_i^+, else -1
     raising: Tuple[Generator, ...]
 
-    def bracket(self, x: Generator, y: Generator) -> Combo:
-        gens = self.generators
-        return {gens[h]: c for h, c in self.brackets[self.code[x]][self.code[y]]}
-
-    @property
-    def facts(self) -> "_FactsView":
-        return _FactsView(self)
-
     def encode(self, word: Sequence[Generator]) -> Tuple[int, ...]:
         code = self.code
         return tuple(code[g] for g in word)
@@ -227,26 +208,6 @@ class StructureTable:
     def decode(self, word: Sequence[int]) -> Tuple[Generator, ...]:
         gens = self.generators
         return tuple(gens[x] for x in word)
-
-
-class _FactsView(Mapping):
-    """GeneratorFacts by Generator, read from the code-indexed table."""
-
-    def __init__(self, table: StructureTable):
-        self._table = table
-
-    def __getitem__(self, g: Generator) -> GeneratorFacts:
-        t = self._table
-        x = t.code[g]
-        return GeneratorFacts(
-            t.weight_exp[x], t.pbw_key[x], t.cls[x], t.generators[t.omega[x]],
-        )
-
-    def __iter__(self) -> Iterator[Generator]:
-        return iter(self._table.generators)
-
-    def __len__(self) -> int:
-        return len(self._table.generators)
 
 
 def all_generators(n: int) -> List[Generator]:

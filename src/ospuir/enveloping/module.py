@@ -170,10 +170,11 @@ def module_vector_to_text(vec: ModuleVector) -> str:
     """Canonical one-line form: terms sorted by PBW word, 'p/q' coefficients."""
     if vec.is_zero:
         return "0"
-    facts = structure_constants(vec.sig.n).facts
+    table = structure_constants(vec.sig.n)
+    code, pbw_key = table.code, table.pbw_key
     items = sorted(
         vec.terms.items(),
-        key=lambda t: tuple(facts[g].pbw_key for g in t[0]),
+        key=lambda t: tuple(pbw_key[code[g]] for g in t[0]),
     )
     return " + ".join(f"({c})*{word_name(w)}" for w, c in items)
 
@@ -191,7 +192,6 @@ class VermaEngine:
         self.n = n
         self.a = tuple(a)
         self.table: StructureTable = structure_constants(n)
-        self.facts = self.table.facts
         t = self.table
         size = len(t.generators)
         cartan = [x for x, c in enumerate(t.cls) if c == CARTAN]
@@ -459,7 +459,7 @@ def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
         raise ValueError("offset must be nonnegative")
     table = structure_constants(n)
     raising = table.raising
-    exps = [table.facts[g].weight_exp for g in raising]
+    exps = [table.weight_exp[table.code[g]] for g in raising]
 
     out: List[Word] = []
 
@@ -588,16 +588,11 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
     for level in range(1, max_level + 1):
         levels.append(level)
         for offset in level_offsets(sig.n, level):
-            basis = engine.basis(offset)
-            if not basis:
-                continue
             gram = engine.gram(sig, offset)
             coeffs = psd_witness(gram.scaled)
             if coeffs is None:
                 continue
-            terms = {
-                w: c for w, c in zip(basis, coeffs) if c
-            }
+            terms = {w: c for w, c in zip(gram.basis, coeffs) if c}
             witness = ModuleVector(sig, offset, terms)
             norm = engine.norm(witness)
             if norm >= 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ospuir.enveloping.algebra import (
@@ -75,7 +75,7 @@ def singular_space(sig: Signature, offset: Sequence[int]) -> List[ModuleVector]:
     rows: List[List[Fraction]] = []
     for j in range(1, n + 1):
         low = simple_lowering(n, j)
-        drop = engine.facts[low].weight_exp
+        drop = engine.table.weight_exp[engine.table.code[low]]
         target = tuple(a + b for a, b in zip(offset, drop))
         if any(x < 0 for x in target):
             continue
@@ -393,12 +393,35 @@ def norm_polynomial_in_d(vector_id: str, a: Sequence[int]) -> List[Fraction]:
     return engine_for(sig).norm_polynomial(_catalog_terms(vector_id, sig))
 
 
+def _divisors(x: int) -> List[int]:
+    """The positive divisors of x >= 1, in pairs (d, x // d)."""
+    out = []
+    for d in range(1, isqrt(x) + 1):
+        if x % d == 0:
+            out.append(d)
+            out.append(x // d)
+    return out
+
+
+def _divide_out(p: List[Fraction], r: Fraction) -> Optional[List[Fraction]]:
+    """p / (x - r) by synthetic division; None when r is not a root."""
+    out = [Fraction(0)] * (len(p) - 1)
+    acc = Fraction(0)
+    for i in range(len(p) - 1, 0, -1):
+        acc = p[i] + acc
+        out[i - 1] = acc
+        acc *= r
+    return out if p[0] + acc == 0 else None
+
+
 def rational_zero_set(coeffs: Sequence[Fraction]) -> Tuple[Dict[Fraction, int], List[Fraction]]:
     """Rational roots with multiplicity, plus the root-free residual factor.
 
-    Roots come from the rational root theorem on the primitive integer
-    form; each is divided out to full multiplicity.  The residual has no
-    rational roots left.
+    Every rational root of a quotient is a root of the input, so one
+    ascending pass over the input's rational-root-theorem candidates p/q
+    (p | a_0, q | a_l of its primitive integer form) divides each root out
+    to full multiplicity.  Roots are keyed 0 first, then increasing; the
+    residual has no rational roots left.
     """
     poly = [Fraction(c) for c in coeffs]
     while len(poly) > 1 and poly[-1] == 0:
@@ -406,60 +429,22 @@ def rational_zero_set(coeffs: Sequence[Fraction]) -> Tuple[Dict[Fraction, int], 
     if all(c == 0 for c in poly):
         raise ValueError("zero polynomial has no meaningful zero set")
     roots: Dict[Fraction, int] = {}
-    # powers of x
     k = 0
     while poly[0] == 0:
         poly = poly[1:]
         k += 1
     if k:
         roots[Fraction(0)] = k
-
-    def divide_out(p: List[Fraction], r: Fraction) -> Optional[List[Fraction]]:
-        # synthetic division by (x - r); None when r is not a root
-        out = [Fraction(0)] * (len(p) - 1)
-        acc = Fraction(0)
-        for i in range(len(p) - 1, 0, -1):
-            acc = p[i] + acc
-            out[i - 1] = acc
-            acc *= r
-        return out if p[0] + acc == 0 else None
-
-    changed = True
-    while changed and len(poly) > 1:
-        changed = False
-        den = 1
-        for c in poly:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in poly]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        a0, al = abs(ints[0]), abs(ints[-1])
-
-        def divisors(x: int) -> List[int]:
-            out = []
-            d = 1
-            while d * d <= x:
-                if x % d == 0:
-                    out.append(d)
-                    out.append(x // d)
-                d += 1
-            return sorted(set(out))
-
-        candidates = set()
-        for p in divisors(a0):
-            for q in divisors(al):
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
-        for r in sorted(candidates):
-            if poly_eval(poly, r) == 0:
-                while True:
-                    nxt = divide_out(poly, r)
-                    if nxt is None:
-                        break
-                    poly = nxt
-                    roots[r] = roots.get(r, 0) + 1
-                changed = True
-                break
+    den = lcm(*(c.denominator for c in poly))
+    ints = [int(c * den) for c in poly]
+    g = gcd(*ints)
+    candidates = set()
+    for p in _divisors(abs(ints[0]) // g):
+        for q in _divisors(abs(ints[-1]) // g):
+            candidates.add(Fraction(p, q))
+            candidates.add(Fraction(-p, q))
+    for r in sorted(candidates):
+        while (quotient := _divide_out(poly, r)) is not None:
+            poly = quotient
+            roots[r] = roots.get(r, 0) + 1
     return roots, poly

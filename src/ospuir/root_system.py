@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 Weight = Tuple[Fraction, ...]
 
@@ -158,3 +158,52 @@ def is_positive(v: Sequence) -> bool:
         if c != 0:
             return c > 0
     return False
+
+
+@lru_cache(maxsize=None)
+def restricted_exps(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The restricted positive roots of rank n in the simple-root basis."""
+    return tuple(
+        tuple(int(x) for x in delta_to_simple(r.coords))
+        for r in build_root_system(n).restricted_positive
+    )
+
+
+_PARTITION_MEMO: Dict[Tuple[int, Tuple[int, ...], int], int] = {}
+
+
+def partition_count(n: int, mu: Sequence[int]) -> int:
+    """Number of multisets of restricted positive roots summing to mu.
+
+    mu is given in the simple-root basis.  This is the Kostant partition
+    function of the restricted system, the coefficient of t^mu in the Verma
+    character series.
+    """
+    mu = tuple(int(x) for x in mu)
+    if len(mu) != n:
+        raise ValueError("length mismatch")
+    if any(x < 0 for x in mu):
+        return 0
+    roots = restricted_exps(n)
+
+    def rec(rem: Tuple[int, ...], idx: int) -> int:
+        if not any(rem):
+            return 1
+        if idx == len(roots):
+            return 0
+        key = (n, rem, idx)
+        if key in _PARTITION_MEMO:
+            return _PARTITION_MEMO[key]
+        total = 0
+        r = roots[idx]
+        cur = rem
+        while True:
+            total += rec(cur, idx + 1)
+            nxt = tuple(x - y for x, y in zip(cur, r))
+            if any(x < 0 for x in nxt):
+                break
+            cur = nxt
+        _PARTITION_MEMO[key] = total
+        return total
+
+    return rec(mu, 0)

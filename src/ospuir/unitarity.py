@@ -57,11 +57,7 @@ def classify(sig: Signature) -> UnitarityVerdict:
     total = sum(a)
     threshold = Fraction(n - 1) - kappa + Fraction(total, 2)
     isolated = [threshold - Fraction(s, 2) for s in range(1, z + 1)]
-    first_nonzero = None
-    for idx, x in enumerate(a, start=1):
-        if x != 0:
-            first_nonzero = idx
-            break
+    first_nonzero = z + 1 if z < len(a) else None
 
     pts = reduction_points(n, a)
 

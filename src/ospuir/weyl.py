@@ -190,27 +190,37 @@ class Multiplet:
 def multiplet_orbit(lam0: Weight) -> Multiplet:
     """Breadth-first dot orbit of lam0 under the simple reflections.
 
-    Nodes are sorted by (length of minimal w, its word); an edge (u, v, k)
-    records s_k . weight_u = weight_v with length going up by one.
+    The search reaches each weight first at the length of its minimal w and
+    keeps the least word (k,) + word(parent) over the parents reaching it:
+    its smallest left descent k, then the least word of s_k . weight, which
+    is the reduced word find_w_lambda's greedy descent yields.  Nodes are
+    sorted by (length of minimal w, its word); an edge (u, v, k) records
+    s_k . weight_u = weight_v with length going up by one.
     """
     n = len(lam0)
     gens = [simple_reflection(n, k) for k in range(1, n + 1)]
     _, canon = find_w_lambda(lam0)
     if canon != lam0:
         raise ValueError("orbit start weight must be dominant-canonical")
-    seen = {lam0}
+    reps: Dict[Weight, WeylElement] = {lam0: identity(n)}
+    arrows = []
     frontier = [lam0]
     while frontier:
-        nxt = []
+        nxt: Dict[Weight, WeylElement] = {}
         for lam in frontier:
-            for g in gens:
+            parent = reps[lam]
+            for k, g in enumerate(gens, start=1):
                 lam2 = dot_act(g, lam)
-                if lam2 not in seen:
-                    seen.add(lam2)
-                    nxt.append(lam2)
-        frontier = nxt
-    reps = {lam: find_w_lambda(lam)[0] for lam in seen}
-    ordered = sorted(seen, key=lambda l: (reps[l].length, reps[l].reduced_word))
+                if lam2 in reps:
+                    continue
+                arrows.append((lam, lam2, k))
+                word = (k,) + parent.reduced_word
+                if lam2 not in nxt or word < nxt[lam2].reduced_word:
+                    w = compose(g, parent)
+                    nxt[lam2] = WeylElement(w.perm, w.signs, len(word), word)
+        reps.update(nxt)
+        frontier = list(nxt)
+    ordered = sorted(reps, key=lambda l: (reps[l].length, reps[l].reduced_word))
     index = {lam: i for i, lam in enumerate(ordered)}
     rs = build_root_system(n)
     nodes = []
@@ -219,14 +229,7 @@ def multiplet_orbit(lam0: Weight) -> Multiplet:
         labels = tuple(pairing(mu, alpha.coords) for alpha in rs.simple)
         nodes.append(MultipletNode(index=index[lam], weight=lam,
                                    labels=labels, w=reps[lam]))
-    edges = []
-    for lam in ordered:
-        lu = reps[lam].length
-        for k, g in enumerate(gens, start=1):
-            lam2 = dot_act(g, lam)
-            if lam2 != lam and reps[lam2].length == lu + 1:
-                edges.append((index[lam], index[lam2], k))
-    edges.sort()
+    edges = sorted((index[u], index[v], k) for u, v, k in arrows)
     return Multiplet(lambda0=lam0, nodes=tuple(nodes), edges=tuple(edges))
 
 

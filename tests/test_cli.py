@@ -175,7 +175,8 @@ def test_each_command_imports_only_what_it_runs():
     modules = loaded_after(["gram", "--n", "3", "--a", "0,0", "--d", "5/2",
                             "--max-level", "1"])
     assert "ospuir.enveloping.module" in modules
-    assert not modules & {"ospuir.enveloping.singular", "ospuir.unitarity"}
+    assert not modules & {"ospuir.enveloping.singular", "ospuir.unitarity",
+                          "ospuir.characters", "ospuir.weyl"}
 
 
 def test_character_text_output():

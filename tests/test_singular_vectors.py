@@ -1,5 +1,7 @@
 """Singular vector catalog, kernel solving, and norm polynomials."""
 
+import random
+
 import pytest
 from fractions import Fraction
 
@@ -214,6 +216,43 @@ def test_poly_eval_and_zero_set_helpers():
     roots, residual = rational_zero_set([Fraction(1), Fraction(0), Fraction(1)])
     assert roots == {}
     assert residual == [Fraction(1), Fraction(0), Fraction(1)]
+
+
+def _times(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def test_zero_set_recovers_seeded_linear_factors():
+    # products of known linear factors (repeated roots, 0 as a root) times a
+    # factor with no rational root, some with trailing zero coefficients
+    rng = random.Random(20261018)
+    root_free = ([1], [1, 0, 1], [-2, 0, 1], [3, 1, 2], [1, 1, 1, 1, 1])
+    for _ in range(300):
+        want = {}
+        for _ in range(rng.randint(0, 4)):
+            r = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            want[r] = want.get(r, 0) + rng.randint(1, 2)
+        scale = Fraction(rng.choice((1, -1)) * rng.randint(1, 7), rng.randint(1, 3))
+        free = [scale * c for c in rng.choice(root_free)]
+        coeffs = free
+        for r, m in want.items():
+            for _ in range(m):
+                coeffs = _times(coeffs, [-r, Fraction(1)])
+        padded = coeffs + [Fraction(0)] * rng.randint(0, 2)
+        roots, residual = rational_zero_set(padded)
+        assert roots == want, padded
+        zero_first = [Fraction(0)] if Fraction(0) in want else []
+        assert list(roots) == zero_first + sorted(r for r in want if r != 0), padded
+        back = residual
+        for r, m in roots.items():
+            for _ in range(m):
+                back = _times(back, [-r, Fraction(1)])
+        assert back == coeffs, padded
+        assert residual == free, padded
 
 
 def test_anomaly_error_is_an_exception():

@@ -74,6 +74,10 @@ def test_kappa_counts_leading_zero_pairs():
     assert classify(Signature(3, Fraction(5), (0, 2))).kappa == Fraction(1, 2)
     assert classify(Signature(3, Fraction(5), (0, 0))).kappa == 1
     assert classify(Signature(3, Fraction(5), (2, 0))).kappa == 0
+    # the first nonzero label sits right after the leading zeros
+    for a, first in (((1, 1), 1), ((0, 2), 2), ((0, 0), None), ((2, 0), 1)):
+        assert classify(Signature(3, Fraction(5), a)).first_nonzero_label == first
+    assert classify(Signature(4, Fraction(5), (0, 0, 3))).first_nonzero_label == 3
 
 
 def test_first_label_branch_has_no_isolated_points():

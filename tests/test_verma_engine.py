@@ -263,7 +263,7 @@ def test_cartan_bracket_scalars_are_integer_polynomials(n):
     rng = random.Random(20261020 + n)
     table = structure_constants(n)
     gens = table.generators
-    raising = [g for g in gens if table.facts[g].cls == RAISING]
+    raising = [g for g, c in zip(gens, table.cls) if c == RAISING]
     for a in ((0,) * (n - 1), tuple(rng.randint(0, 3) for _ in range(n - 1)),
               (1,) + (0,) * (n - 2)):
         eng = VermaEngine(n, a)
@@ -273,10 +273,10 @@ def test_cartan_bracket_scalars_are_integer_polynomials(n):
         for x, gx in enumerate(gens):
             for y, gy in enumerate(gens):
                 combo = _bracket(gx, gy)
-                if not combo or any(table.facts[h].cls != CARTAN for h in combo):
+                if not combo or any(table.cls[table.code[h]] != CARTAN for h in combo):
                     assert all(c.denominator == 1 for c in combo.values()), (gx, gy)
                     continue
-                if table.facts[gx].cls != LOWERING or table.facts[gy].cls != RAISING:
+                if table.cls[x] != LOWERING or table.cls[y] != RAISING:
                     continue
                 form = eng._bracket_forms[(x, y)]
                 forms += 1

@@ -1,5 +1,6 @@
 """Signed-permutation Weyl group: words, actions, orbits."""
 
+import itertools
 import random
 
 import pytest
@@ -210,6 +211,30 @@ def test_multiplet_edges_raise_length_by_one():
         s = simple_reflection(3, k)
         assert dot_act(s, mult.nodes[u].weight) == mult.nodes[v].weight
         assert mult.nodes[v].w.length == mult.nodes[u].w.length + 1
+
+
+@pytest.mark.parametrize("n, top", [(2, 2), (3, 2), (4, 1)])
+def test_multiplet_nodes_and_edges_match_find_w_lambda(n, top):
+    # every node carries find_w_lambda's minimal w, and the edges are all
+    # (u, v, k) with s_k . u = v and length going up by one.  Labels run
+    # over {0..top}^n; at n = 4, {0, 1}^4 already meets every set of zero
+    # labels (every stabiliser), and {0, 1, 2}^4 would take about a minute.
+    gens = [simple_reflection(n, k) for k in range(1, n + 1)]
+    for labels in itertools.product(range(top + 1), repeat=n):
+        mult = multiplet_orbit(weight_from_labels(labels))
+        for node in mult.nodes:
+            w = find_w_lambda(node.weight)[0]
+            assert (node.w.perm, node.w.signs) == (w.perm, w.signs), (labels, node)
+            assert node.w.length == w.length, (labels, node)
+            assert node.w.reduced_word == w.reduced_word, (labels, node)
+        index = {node.weight: node.index for node in mult.nodes}
+        expected = sorted(
+            (u.index, index[dot_act(g, u.weight)], k)
+            for u in mult.nodes
+            for k, g in enumerate(gens, start=1)
+            if mult.nodes[index[dot_act(g, u.weight)]].w.length == u.w.length + 1
+        )
+        assert list(mult.edges) == expected, labels
 
 
 def test_multiplet_rejects_noncanonical_start():
