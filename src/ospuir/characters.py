@@ -7,7 +7,10 @@ exact rationals (integers for every character handled here).
 
 Every series here is a numerator over a product of factors (1 - t^v), and
 one routine, p_divide_one_minus, divides by them: the recurrence
-g[e] = f[e] + g[e - v], truncated at the requested degree.  The Verma
+g[e] = f[e] + g[e - v], truncated at the requested degree.  It runs on
+ints, each exponent vector packed into one int in base maxdeg + 1 (exact,
+because no kept term has a coordinate above maxdeg) and each coefficient a
+numerator over one common denominator.  The Verma
 character is 1 over the restricted positive roots; finite-dimensional
 characters of the restricted B_n system are the alternating Weyl numerator
 over the same roots; the unitary lowest-weight characters of the
@@ -22,6 +25,8 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ospuir.linalg import add_scaled
@@ -89,32 +94,53 @@ def one_minus(nvars: int, v: Exp) -> Poly:
 def p_divide_one_minus(f: Poly, exps: Sequence[Exp], maxdeg: int) -> Poly:
     """Series of f / prod(1 - t^v) over v in exps, truncated at maxdeg.
 
-    One factor at a time, by the recurrence g[e] = f[e] + g[e - v]: every
-    term of the quotient is visited once, in order of degree, and carried
-    to e + v while that stays within maxdeg.  Zero terms are dropped.  Each
-    v must be a nonnegative exponent vector with a positive total degree.
+    Each v must be a nonnegative exponent vector with a positive total
+    degree.  Zero terms are dropped.  The work is done on ints: the
+    coefficients are held as numerators over one common denominator, the
+    lcm of f's denominators, and an exponent vector e as the one int
+    sum_k (e_k - lo_k) B^k, where lo is the coordinatewise minimum of 0 and
+    f's exponents (0 unless f has negative exponents) and
+    B = maxdeg - sum(lo) + 1.  The packing is exact:
+    every term kept has total degree at most maxdeg, so no shifted
+    coordinate reaches B, and e + v is one int addition.  Terms are held
+    in layers by total degree, and for each factor in turn the recurrence
+    g[e] += g[e - v] runs up the layers in ascending degree.  The
+    Fractions are built once, at the end.
     """
-    g = {e: c for e, c in f.items() if sum(e) <= maxdeg}
-    for v in exps:
-        v = tuple(v)
-        step = sum(v)
-        if step <= 0 or any(x < 0 for x in v):
+    vs = [tuple(v) for v in exps]
+    for v in vs:
+        if sum(v) <= 0 or any(x < 0 for x in v):
             raise ValueError(f"need a nonzero nonnegative exponent vector, got {v}")
-        layers: Dict[int, Poly] = {}
-        for e, c in g.items():
-            layers.setdefault(sum(e), {})[e] = c
-        g = {}
-        while layers:
-            deg = min(layers)
-            for e, c in layers.pop(deg).items():
-                if not c:
-                    continue
-                g[e] = c
-                if deg + step <= maxdeg:
-                    nxt = layers.setdefault(deg + step, {})
-                    e2 = tuple(x + y for x, y in zip(e, v))
-                    nxt[e2] = nxt.get(e2, 0) + c
-    return g
+    terms = [(e, Fraction(c)) for e, c in f.items() if c and sum(e) <= maxdeg]
+    if not terms:
+        return {}
+    lo = [min(0, *col) for col in zip(*(e for e, _ in terms))]
+    base = maxdeg - sum(lo) + 1
+    place = [base ** k for k in range(len(lo))]
+    den = lcm(*(c.denominator for _, c in terms))
+    layers: List[Dict[int, int]] = [{} for _ in range(base)]
+    for e, c in terms:
+        shifted = [x - m for x, m in zip(e, lo)]
+        layers[sum(shifted)][sum(map(mul, shifted, place))] = c.numerator * (den // c.denominator)
+    for v in vs:
+        step = sum(v)
+        jump = sum(map(mul, v, place))
+        for deg in range(base - step):
+            dst = layers[deg + step]
+            for key, c in layers[deg].items():
+                if c:
+                    key += jump
+                    dst[key] = dst.get(key, 0) + c
+    out: Poly = {}
+    for layer in layers:
+        for key, c in layer.items():
+            if c:
+                e = []
+                for m in lo:
+                    key, x = divmod(key, base)
+                    e.append(x + m)
+                out[tuple(e)] = Fraction(c, den)
+    return out
 
 
 # ----------------------------------------------------------- series wrapper

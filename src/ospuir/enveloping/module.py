@@ -24,7 +24,9 @@ then one Fraction.  A Gram block's upper triangle is gathered once per
 engine and weight offset, as references to the memoized polynomials; at
 d = p/q it becomes one integer matrix q^D G(p/q), D the block's top
 degree, with the one positive scale q^D, and goes to psd_witness as that
-integer matrix.
+integer matrix.  A generator's action from one weight space to the next
+is evaluated the same way, into the int matrix that singular-vector
+kernels are solved from.
 
 Inside the engine a generator is its int code in the rank's StructureTable
 and a word is a tuple of codes, so the memoized recursions hash and compare
@@ -131,6 +133,13 @@ def _evaluate(p: Poly, d: Fraction, scale: int = 1) -> Fraction:
         acc = acc * num + c * power
         power *= den
     return Fraction(acc, scale * (power // den))
+
+
+def _weights(d: Fraction, top: int) -> List[int]:
+    """num^k den^(top - k) for k = 0..top, d = num/den: the dot product of a
+    polynomial of degree at most top with these is den^top p(d), an int."""
+    num, den = d.numerator, d.denominator
+    return [num ** k * den ** (top - k) for k in range(top + 1)]
 
 
 @dataclass(frozen=True)
@@ -415,8 +424,7 @@ class VermaEngine:
         self._check_signature(sig)
         offset = tuple(int(x) for x in offset)
         basis, upper, top = self._block(offset)
-        num, den = sig.d.numerator, sig.d.denominator
-        weights = [num ** k * den ** (top - k) for k in range(top + 1)]
+        weights = _weights(sig.d, top)
         vals = [sum(map(mul, p, weights)) for p in upper]
         # row i: column i of the rows above it, then its part of the triangle
         rows: List[Tuple[int, ...]] = []
@@ -427,7 +435,36 @@ class VermaEngine:
             rows.append(tuple([row[i] for row in rows] + vals[start:stop]))
             start = stop
         return GramMatrix(weight_offset=offset, basis=basis, scaled=tuple(rows),
-                          scale=den ** top)
+                          scale=sig.d.denominator ** top)
+
+    def action_matrix(self, sig: Signature, g: Generator,
+                      offset: Sequence[int]) -> List[List[int]]:
+        """g from the weight space at offset to the next one, at d = p/q.
+
+        Row i, column j is q^D times the coefficient of the i-th target PBW
+        word in g applied to the j-th source word, D the top degree in d of
+        those coefficients: one int matrix with the one positive scale q^D.
+        It has no rows when the target offset has a negative coordinate.  A
+        term outside the target basis raises AssertionError.
+        """
+        self._check_signature(sig)
+        t = self.table
+        code = t.code[g]
+        target = tuple(int(a) + b for a, b in zip(offset, t.weight_exp[code]))
+        if any(x < 0 for x in target):
+            return []
+        index = {t.encode(w): i for i, w in enumerate(self.basis(target))}
+        columns = [self.act_word_terms(code, t.encode(w)) for w in self.basis(offset)]
+        top = max([1, *(len(p) for col in columns for p in col.values())]) - 1
+        weights = _weights(sig.d, top)
+        rows = [[0] * len(columns) for _ in index]
+        for j, col in enumerate(columns):
+            for w, p in col.items():
+                i = index.get(w)
+                if i is None:
+                    raise AssertionError("vector leaves its expected weight space")
+                rows[i][j] = sum(map(mul, p, weights))
+        return rows
 
 
 def _scalar(form: ScalarForm, word: CodeWord) -> Poly:

@@ -64,25 +64,22 @@ def _vector_coords(vec: ModuleVector, basis: Sequence[Word]) -> List[Fraction]:
 
 
 def singular_space(sig: Signature, offset: Sequence[int]) -> List[ModuleVector]:
-    """Basis of the joint kernel of all simple lowerings at this offset."""
+    """Basis of the joint kernel of all simple lowerings at this offset.
+
+    Each simple lowering's action matrix at sig.d comes from the engine's
+    memoized polynomials as ints, its rows scaled by one positive constant
+    (VermaEngine.action_matrix); scaling changes neither the kernel nor its
+    rref, so the matrices are stacked as they are and solved by one
+    nullspace call, and the basis is that of the matrix over Q.
+    """
     engine = engine_for(sig)
     n = sig.n
     offset = tuple(int(x) for x in offset)
     basis = engine.basis(offset)
     if not basis:
         return []
-    unit = [ModuleVector(sig, offset, {w: Fraction(1)}) for w in basis]
-    rows: List[List[Fraction]] = []
-    for j in range(1, n + 1):
-        low = simple_lowering(n, j)
-        drop = engine.table.weight_exp[engine.table.code[low]]
-        target = tuple(a + b for a, b in zip(offset, drop))
-        if any(x < 0 for x in target):
-            continue
-        tbasis = engine.basis(target)
-        images = [engine.act(low, u) for u in unit]
-        for t_word in tbasis:
-            rows.append([img.terms.get(t_word, Fraction(0)) for img in images])
+    rows = [row for j in range(1, n + 1)
+            for row in engine.action_matrix(sig, simple_lowering(n, j), offset)]
     out = []
     for sol in nullspace(rows, cols=len(basis)):
         terms = {w: c for w, c in zip(basis, sol) if c}
@@ -403,25 +400,39 @@ def _divisors(x: int) -> List[int]:
     return out
 
 
-def _divide_out(p: List[Fraction], r: Fraction) -> Optional[List[Fraction]]:
-    """p / (x - r) by synthetic division; None when r is not a root."""
-    out = [Fraction(0)] * (len(p) - 1)
-    acc = Fraction(0)
-    for i in range(len(p) - 1, 0, -1):
-        acc = p[i] + acc
-        out[i - 1] = acc
-        acc *= r
-    return out if p[0] + acc == 0 else None
+def _is_root(ints: List[int], p: int, q: int) -> bool:
+    """Whether p/q is a root of the integer polynomial: sum a_i p^i q^(l-i) = 0."""
+    acc = 0
+    power = 1
+    for c in reversed(ints):
+        acc = acc * p + c * power
+        power *= q
+    return acc == 0
+
+
+def _divide_linear(ints: List[int], p: int, q: int) -> List[int]:
+    """ints / (q x - p) for a root p/q in lowest terms, q > 0: the quotient
+    has integer coefficients (Gauss's lemma), found from the top down."""
+    out = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        carry = (ints[i] + carry) // q
+        out[i - 1] = carry
+        carry *= p
+    return out
 
 
 def rational_zero_set(coeffs: Sequence[Fraction]) -> Tuple[Dict[Fraction, int], List[Fraction]]:
     """Rational roots with multiplicity, plus the root-free residual factor.
 
-    Every rational root of a quotient is a root of the input, so one
-    ascending pass over the input's rational-root-theorem candidates p/q
-    (p | a_0, q | a_l of its primitive integer form) divides each root out
-    to full multiplicity.  Roots are keyed 0 first, then increasing; the
-    residual has no rational roots left.
+    Every rational root of a quotient is a root of the input, and dividing
+    out one root leaves the others' multiplicities as they are, so one pass
+    over the input's rational-root-theorem candidates p/q (p | a_0, q | a_l
+    of its primitive integer form, in lowest terms) divides each root out
+    to full multiplicity.  The pass runs on that integer form: p/q is tested
+    as sum a_i p^i q^(l-i) = 0 and divided out as the factor q x - p, and
+    the residual is scaled back to the input's scale at the end.  Roots are
+    keyed 0 first, then increasing; the residual has no rational roots left.
     """
     poly = [Fraction(c) for c in coeffs]
     while len(poly) > 1 and poly[-1] == 0:
@@ -438,13 +449,23 @@ def rational_zero_set(coeffs: Sequence[Fraction]) -> Tuple[Dict[Fraction, int], 
     den = lcm(*(c.denominator for c in poly))
     ints = [int(c * den) for c in poly]
     g = gcd(*ints)
-    candidates = set()
-    for p in _divisors(abs(ints[0]) // g):
-        for q in _divisors(abs(ints[-1]) // g):
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
-    for r in sorted(candidates):
-        while (quotient := _divide_out(poly, r)) is not None:
-            poly = quotient
-            roots[r] = roots.get(r, 0) + 1
-    return roots, poly
+    ints = [c // g for c in ints]
+    # poly = (g / den) * ints, and dividing poly by x - p/q divides ints by
+    # q x - p and multiplies the scale by q
+    scale = Fraction(g, den)
+    found = []
+    leads = set(_divisors(abs(ints[-1])))
+    for p in set(_divisors(abs(ints[0]))):
+        for q in leads:
+            if gcd(p, q) > 1:
+                continue
+            for num in (p, -p):
+                m = 0
+                while _is_root(ints, num, q):
+                    ints = _divide_linear(ints, num, q)
+                    scale *= q
+                    m += 1
+                if m:
+                    found.append((Fraction(num, q), m))
+    roots.update(sorted(found))
+    return roots, [scale * c for c in ints]

@@ -122,6 +122,20 @@ def pairing(lam: Sequence, beta: Sequence) -> Fraction:
     return inner(lam, coroot(beta))
 
 
+@lru_cache(maxsize=None)
+def simple_coroots(n: int) -> Tuple[Weight, ...]:
+    """alpha_k-vee for the n simple roots, computed once per rank."""
+    return tuple(coroot(alpha.coords) for alpha in build_root_system(n).simple)
+
+
+def simple_labels(mu: Sequence) -> Tuple[Fraction, ...]:
+    """(mu, alpha_k-vee) for the n simple roots, n = len(mu)."""
+    return tuple(
+        sum((x * c for x, c in zip(mu, cv) if c), Fraction(0))
+        for cv in simple_coroots(len(mu))
+    )
+
+
 def delta_to_simple(v: Sequence) -> Tuple[Fraction, ...]:
     """Expand a delta-basis vector in the simple-root basis.
 

@@ -26,7 +26,7 @@ from ospuir.root_system import (
     Weight,
     build_root_system,
     coroot,
-    pairing,
+    simple_labels,
 )
 
 
@@ -72,8 +72,7 @@ def dynkin_labels(sig: Signature) -> Tuple[Fraction, ...]:
 def labels_of_weight(lam: Weight) -> Tuple[Fraction, ...]:
     """Labels of an arbitrary weight against the simple coroots."""
     rs = build_root_system(len(lam))
-    mu = tuple(r - x for r, x in zip(rs.rho, lam))
-    return tuple(pairing(mu, alpha.coords) for alpha in rs.simple)
+    return simple_labels([r - x for r, x in zip(rs.rho, lam)])
 
 
 FAMILY_COMPACT = "delta_i-delta_j"

@@ -17,6 +17,7 @@ from ospuir.root_system import (
     build_root_system,
     is_positive,
     pairing,
+    simple_labels,
 )
 
 MAX_GROUP_RANK = 8
@@ -151,20 +152,17 @@ def find_w_lambda(lam: Weight) -> Tuple[WeylElement, Weight]:
     n = len(lam)
     rs = build_root_system(n)
     mu = [r - Fraction(x) for r, x in zip(rs.rho, lam)]
-    for alpha in rs.simple:
-        c = pairing(mu, alpha.coords)
+    for alpha, c in zip(rs.simple, simple_labels(mu)):
         if c.denominator != 1:
             raise ValueError(f"weight is not integral: label {c} for root {alpha.coords}")
     word: List[int] = []
     while True:
-        for k, alpha in enumerate(rs.simple, start=1):
-            c = pairing(mu, alpha.coords)
-            if c < 0:
-                mu = [m - c * b for m, b in zip(mu, alpha.coords)]
-                word.append(k)
-                break
-        else:
+        labels = simple_labels(mu)
+        k = next((k for k, c in enumerate(labels) if c < 0), None)
+        if k is None:
             break
+        mu = [m - labels[k] * b for m, b in zip(mu, rs.simple[k].coords)]
+        word.append(k + 1)
     w = from_word(n, word)
     lam0 = tuple(r - m for r, m in zip(rs.rho, mu))
     return w, lam0
@@ -225,8 +223,7 @@ def multiplet_orbit(lam0: Weight) -> Multiplet:
     rs = build_root_system(n)
     nodes = []
     for lam in ordered:
-        mu = tuple(r - x for r, x in zip(rs.rho, lam))
-        labels = tuple(pairing(mu, alpha.coords) for alpha in rs.simple)
+        labels = simple_labels([r - x for r, x in zip(rs.rho, lam)])
         nodes.append(MultipletNode(index=index[lam], weight=lam,
                                    labels=labels, w=reps[lam]))
     edges = sorted((index[u], index[v], k) for u, v, k in arrows)

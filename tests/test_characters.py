@@ -107,6 +107,40 @@ def test_divide_one_minus_matches_geometric_product():
     h = {(0, 1): Fraction(2), (2, 1): Fraction(-1)}
     f = p_mul(h, one_minus(2, (1, 1)))
     assert p_divide_one_minus(f, [(1, 1)], 12) == h
+    # zero terms are dropped whether or not there are factors
+    assert p_divide_one_minus({(0, 0): 1, (1, 0): 0}, [], 3) == {(0, 0): 1}
+    assert p_divide_one_minus({(0, 0): 1, (1, 0): 0}, [(0, 1)], 1) == {
+        (0, 0): 1, (0, 1): 1}
+
+
+def test_divide_one_minus_packing_boundaries():
+    # exponents are packed in base maxdeg + 1, so let every variable reach
+    # maxdeg, through f and through the recurrence, in one to five
+    # variables, with coefficients over several denominators
+    rng = random.Random(20261019)
+    at_edge = 0
+    for n in range(1, 6):
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        for maxdeg in (0, 1, 2, 5):
+            for k in range(n):
+                f = _random_poly(rng, n, 3, 2)
+                f[(0,) * n] = Fraction(1, 4)
+                f[tuple(maxdeg * x for x in units[k])] = Fraction(-5, 6)
+                v = tuple(rng.randint(0, 2) for _ in range(n))
+                vs = [units[k], units[-1 - k]] + ([v] if any(v) else [])
+                want = f
+                for v in vs:
+                    want = p_mul(want, geometric(v, maxdeg), maxdeg)
+                got = p_divide_one_minus(f, vs, maxdeg)
+                assert got == want, (f, vs, maxdeg)
+                assert all(type(c) is Fraction and c for c in got.values())
+                at_edge += any(maxdeg in e for e in got)
+    assert at_edge > 50  # of 60 cases
+    # negative exponents in f are shifted into range before packing; f has
+    # a term of degree -2, so the factors are needed to degree 6
+    f = {(-1, 2): Fraction(1, 2), (0, -2): Fraction(-1, 3), (3, 0): Fraction(2)}
+    want = p_mul(f, p_mul(geometric((1, 0), 6), geometric((1, 1), 6), 6), 4)
+    assert p_divide_one_minus(f, [(1, 0), (1, 1)], 4) == want
 
 
 def test_divide_one_minus_rejects_bad_exponents():

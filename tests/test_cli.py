@@ -204,6 +204,21 @@ def test_character_goldens():
         assert rebuilt == golden, fname
 
 
+def test_verma_and_weyl_character_goldens():
+    # both series come from one p_divide_one_minus call over all restricted
+    # roots; the Weyl file runs past the numerator's top degree, 28
+    for fname, argv in (
+        ("character_verma_n4_maxdeg7.txt",
+         ["character", "--case", "verma", "--n", "4", "--maxdeg", "7"]),
+        ("character_weyl_n3_labels_3-2-2_maxdeg32.txt",
+         ["character", "--case", "weyl", "--n", "3", "--labels", "3,2,2",
+          "--maxdeg", "32"]),
+    ):
+        code, out = run(argv)
+        assert code == 0
+        assert out == (GOLDEN_DIR / fname).read_text(), fname
+
+
 def test_verify_all():
     code, out = run(["verify", "--all", "--n", "3"])
     rows = json.loads(out)

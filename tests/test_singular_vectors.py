@@ -5,7 +5,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from ospuir.enveloping.module import engine_for, word_name
+from ospuir.enveloping.module import ModuleVector, engine_for, word_name
 from ospuir.enveloping.singular import (
     AnomalyError,
     CATALOG,
@@ -22,7 +22,8 @@ from ospuir.enveloping.singular import (
     verify_singular,
     verify_subsingular,
 )
-from ospuir.weights import Signature
+from ospuir.linalg import nullspace
+from ospuir.weights import Signature, reduction_points
 
 
 def _named(vec):
@@ -112,6 +113,56 @@ def test_singular_vectors_are_annihilated_by_simple_lowerings():
     for j in (1, 2, 3):
         out = eng.act(simple_lowering(3, j), space[0])
         assert all(c == 0 for c in out.terms.values())
+
+
+def _fraction_singular_space(sig, offset):
+    """The kernel built term by term: each basis word as a unit vector,
+    every simple lowering applied with engine.act, Fraction rows."""
+    engine = engine_for(sig)
+    basis = engine.basis(offset)
+    if not basis:
+        return []
+    unit = [ModuleVector(sig, offset, {w: Fraction(1)}) for w in basis]
+    rows = []
+    for j in range(1, sig.n + 1):
+        low = simple_lowering(sig.n, j)
+        drop = engine.table.weight_exp[engine.table.code[low]]
+        target = tuple(a + b for a, b in zip(offset, drop))
+        if any(x < 0 for x in target):
+            continue
+        images = [engine.act(low, u) for u in unit]
+        for t_word in engine.basis(target):
+            rows.append([img.terms.get(t_word, Fraction(0)) for img in images])
+    return [
+        ModuleVector(sig, offset, {w: c for w, c in zip(basis, sol) if c})
+        for sol in nullspace(rows, cols=len(basis))
+    ]
+
+
+@pytest.mark.parametrize("n, labels, offsets", [
+    (3, (0, 1, 2), [(a, b, c) for a in range(3) for b in range(a, 4)
+                    for c in range(b, 5) if a + b + c <= 7]),
+    (4, (0, 1), [(a, b, c, e) for a in range(2) for b in range(a, 3)
+                 for c in range(b, 3) for e in range(c, 4) if a + b + c + e <= 6]),
+])
+def test_singular_space_matches_fraction_reference(n, labels, offsets):
+    # seeded label sets, each at all of its reduction points and at one
+    # generic d, over offsets of the dominant sector and a few others
+    rng = random.Random(20261018 + n)
+    nonempty = empty = 0
+    for _ in range(2):
+        a = tuple(rng.choice(labels) for _ in range(n - 1))
+        points = sorted(set(reduction_points(n, a).points.values()))
+        for d in points + [Fraction(rng.randint(1, 40), 7) + Fraction(1, 13)]:
+            sig = Signature(n, d, a)
+            for offset in offsets + [tuple(rng.randint(0, 2) for _ in range(n))]:
+                got = singular_space(sig, offset)
+                want = _fraction_singular_space(sig, offset)
+                assert [(v.offset, v.terms) for v in got] == [
+                    (v.offset, v.terms) for v in want], (sig, offset)
+                nonempty += bool(got) and offset != (0,) * n
+                empty += not got
+    assert nonempty > 10 and empty > 10, (nonempty, empty)
 
 
 def test_verify_rejects_wrong_parameters():
