@@ -55,15 +55,10 @@ def p_add(f: Poly, g: Poly) -> Poly:
     return out
 
 
-def p_scale(f: Poly, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in f.items()}
-
-
 def p_sub(f: Poly, g: Poly) -> Poly:
-    return p_add(f, p_scale(g, -1))
+    out = dict(f)
+    add_scaled(out, g, -1)
+    return out
 
 
 def p_mul(f: Poly, g: Poly, maxdeg: Optional[int] = None) -> Poly:
@@ -165,10 +160,6 @@ class CharacterSeries:
         }
         object.__setattr__(self, "coeffs", clean)
 
-    @classmethod
-    def from_poly(cls, n: int, poly: Poly, maxdeg: int) -> "CharacterSeries":
-        return cls(n=n, maxdeg=maxdeg, coeffs=dict(poly))
-
     def truncate(self, maxdeg: int) -> "CharacterSeries":
         return CharacterSeries(self.n, min(self.maxdeg, maxdeg), self.coeffs)
 
@@ -212,12 +203,10 @@ class NormalizedCharacter:
 # ------------------------------------------------------------ Verma series
 
 def _noncompact_exps(n: int) -> Tuple[Exp, ...]:
-    rs = build_root_system(n)
-    out = []
-    for r in rs.restricted_positive:
-        if all(c >= 0 for c in r.coords):
-            out.append(tuple(int(x) for x in delta_to_simple(r.coords)))
-    return tuple(out)
+    """The noncompact restricted positive roots: the last simple-root
+    coordinate, the sum of the delta coordinates, is positive (it is 0 on
+    the compact roots delta_i - delta_j)."""
+    return tuple(e for e in restricted_exps(n) if e[-1] > 0)
 
 
 def verma_character(n: int, maxdeg: int) -> CharacterSeries:
@@ -273,9 +262,7 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
         exp = delta_to_simple(shift)
         if any(x < 0 or x.denominator != 1 for x in exp):
             raise AssertionError(f"numerator exponent not dominant-integral: {exp}")
-        e = tuple(int(x) for x in exp)
-        sign = Fraction(-1 if w.length % 2 else 1)
-        numerator[e] = numerator.get(e, Fraction(0)) + sign
+        add_scaled(numerator, {tuple(int(x) for x in exp): 1}, -1 if w.length % 2 else 1)
     series = CharacterSeries(
         n, maxdeg, p_divide_one_minus(numerator, restricted_exps(n), maxdeg)
     )
@@ -311,7 +298,7 @@ def sl3_character(m1: int, m2: int) -> CharacterSeries:
     if p_sub(check, numerator):
         raise ValueError("division check failed")
     maxdeg = max((sum(e) for e in quotient), default=0)
-    return CharacterSeries.from_poly(2, quotient, maxdeg)
+    return CharacterSeries(2, maxdeg, quotient)
 
 
 # ------------------------------------------------------- unitary characters

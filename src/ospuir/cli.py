@@ -289,6 +289,8 @@ def cmd_character(args) -> int:
     if case in ("verma", "weyl"):
         _check_series_terms(args.n, maxdeg)
     elif case != "sl3":
+        if args.n != 3:
+            raise ValueError(f"the unitary cases are rank-three only, got --n {args.n}")
         _check_series_terms(3, maxdeg)
     prefix = None
     if case == "verma":

@@ -13,6 +13,12 @@ spanned by anticommutators of odd generators.  The basis used here:
     mix(i, j)        {a_i^+, a_j^-}/2, i != j   weight delta_i - delta_j
     cartan(i)        {a_i^+, a_i^-}             weight 0
 
+This table is held once, in Generator.factors: an even generator is c
+times the anticommutator of its two odd factors (c = 1/2 for double and
+mix, 1 otherwise), an odd one is its one factor.  A generator's weight is
+the sum of its factors' weights, its omega-image flips each factor's sign,
+and the brackets follow from the trilinear relations on the factors.
+
 The super-bracket table is built once per rank, together with each
 generator's weight, PBW key, class, parity, omega-image and (for an odd
 raising generator) square.  All of it is indexed by int code, a generator's
@@ -37,6 +43,9 @@ KIND_DOUBLE = "double"
 KIND_SUM = "sum"
 KIND_MIX = "mix"
 KIND_CARTAN = "cartan"
+
+HALF = Fraction(1, 2)   # double and mix generators: half an anticommutator
+ONE = Fraction(1)
 
 
 class AlgebraError(Exception):
@@ -70,18 +79,24 @@ class Generator:
     def is_odd(self) -> bool:
         return self.kind == KIND_ODD
 
+    def factors(self) -> Tuple[Fraction, Tuple[Tuple[int, int], ...]]:
+        """(c, odd factors (i, s)): an even generator is c {a_p, a_q} for its
+        two factors p, q, an odd one is its one factor a_p (c = 1)."""
+        i, j, s = self.i, self.j, self.sign
+        if self.kind == KIND_ODD:
+            return ONE, ((i, s),)
+        if self.kind == KIND_DOUBLE:
+            return HALF, ((i, s), (i, s))
+        if self.kind == KIND_SUM:
+            return ONE, ((i, s), (j, s))
+        if self.kind == KIND_MIX:   # sorted, which fixes the bracket term order
+            return HALF, tuple(sorted(((i, 1), (j, -1))))
+        return ONE, ((i, 1), (i, -1))
+
     def delta_weight(self, n: int) -> Tuple[int, ...]:
         w = [0] * n
-        if self.kind == KIND_ODD:
-            w[self.i - 1] = self.sign
-        elif self.kind == KIND_DOUBLE:
-            w[self.i - 1] = 2 * self.sign
-        elif self.kind == KIND_SUM:
-            w[self.i - 1] = self.sign
-            w[self.j - 1] = self.sign
-        elif self.kind == KIND_MIX:
-            w[self.i - 1] += 1
-            w[self.j - 1] -= 1
+        for i, s in self.factors()[1]:
+            w[i - 1] += s
         return tuple(w)
 
     def name(self) -> str:
@@ -103,17 +118,13 @@ def dict_weight_name(g: Generator) -> str:
     raise ValueError(g.kind)
 
 
-Pair = Tuple[Tuple[int, int], Tuple[int, int]]   # ((i, s), (j, t)) sorted
+Pair = Tuple[Tuple[int, int], Tuple[int, int]]   # ((i, s), (j, t))
 Combo = Dict[Generator, Fraction]
-
-
-def _canon_pair(p: Tuple[int, int], q: Tuple[int, int]) -> Pair:
-    return (p, q) if p <= q else (q, p)
 
 
 def _pair_to_combo(p: Tuple[int, int], q: Tuple[int, int]) -> Combo:
     """Expand the raw anticommutator {a_p, a_q} in the scaled basis."""
-    (i, s), (j, t) = _canon_pair(p, q)
+    (i, s), (j, t) = (p, q) if p <= q else (q, p)
     if i == j and s == t:
         return {Generator(KIND_DOUBLE, i, sign=s): Fraction(2)}
     if i != j and s == t:
@@ -122,19 +133,6 @@ def _pair_to_combo(p: Tuple[int, int], q: Tuple[int, int]) -> Combo:
         return {Generator(KIND_CARTAN, i): Fraction(1)}
     plus, minus = ((i, j) if s > 0 else (j, i))
     return {Generator(KIND_MIX, plus, minus): Fraction(2)}
-
-
-def _even_to_pair(g: Generator) -> Tuple[Fraction, Pair]:
-    """Inverse of _pair_to_combo for a single even generator."""
-    if g.kind == KIND_DOUBLE:
-        return Fraction(1, 2), ((g.i, g.sign), (g.i, g.sign))
-    if g.kind == KIND_SUM:
-        return Fraction(1), _canon_pair((g.i, g.sign), (g.j, g.sign))
-    if g.kind == KIND_MIX:
-        return Fraction(1, 2), _canon_pair((g.i, 1), (g.j, -1))
-    if g.kind == KIND_CARTAN:
-        return Fraction(1), ((g.i, 1), (g.i, -1))
-    raise ValueError("odd generator has no anticommutator form")
 
 
 def _trilinear(pair: Pair, k: int, e: int) -> Dict[Tuple[int, int], Fraction]:
@@ -152,18 +150,16 @@ def _bracket(x: Generator, y: Generator) -> Combo:
     """Super-bracket [x, y]: anticommutator when both odd, else commutator."""
     if x.is_odd and y.is_odd:
         return _pair_to_combo((x.i, x.sign), (y.i, y.sign))
-    if not x.is_odd and y.is_odd:
-        cx, pair = _even_to_pair(x)
-        out: Combo = {}
+    if x.is_odd:
+        return {g: -c for g, c in _bracket(y, x).items()}
+    cx, pair = x.factors()
+    out: Combo = {}
+    if y.is_odd:
         for (idx, sgn), c in _trilinear(pair, y.i, y.sign).items():
             add_scaled(out, {Generator(KIND_ODD, idx, sign=sgn): Fraction(1)}, c * cx)
         return out
-    if x.is_odd and not y.is_odd:
-        out = _bracket(y, x)
-        return {g: -c for g, c in out.items()}
     # both even: [x, {a_c, a_d}] = {[x, a_c], a_d} + {a_c, [x, a_d]}
-    cy, (pc, pd) = _even_to_pair(y)
-    out = {}
+    cy, (pc, pd) = y.factors()
     for first, second in ((pc, pd), (pd, pc)):
         br = _bracket(x, Generator(KIND_ODD, first[0], sign=first[1]))
         for g, c in br.items():
@@ -274,12 +270,9 @@ def structure_constants(n: int) -> StructureTable:
 
 def omega(g: Generator) -> Generator:
     """Anti-involution swapping a_i^+ and a_i^-; fixes the Cartan."""
-    if g.kind == KIND_ODD:
-        return Generator(KIND_ODD, g.i, sign=-g.sign)
-    if g.kind == KIND_DOUBLE:
-        return Generator(KIND_DOUBLE, g.i, sign=-g.sign)
-    if g.kind == KIND_SUM:
-        return Generator(KIND_SUM, g.i, g.j, sign=-g.sign)
-    if g.kind == KIND_MIX:
-        return Generator(KIND_MIX, g.j, g.i)
-    return g
+    flipped = [(i, -s) for i, s in g.factors()[1]]
+    if g.is_odd:
+        ((i, s),) = flipped
+        return Generator(KIND_ODD, i, sign=s)
+    (image,) = _pair_to_combo(*flipped)
+    return image

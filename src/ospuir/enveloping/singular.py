@@ -140,16 +140,14 @@ def _anticommutator_scale(
     terms: List[Tuple[Word, Fraction]],
 ) -> List[Tuple[Word, Fraction]]:
     # Entries passed through here are written with every even root vector
-    # normalized as the full anticommutator of its two odd factors.  Engine
-    # mix generators are half anticommutators and the double generator is a
-    # plain square, so each mix or double symbol carries a factor two.
+    # normalized as the full anticommutator of its two odd factors; an
+    # engine generator is c times that anticommutator, so its symbol
+    # carries a factor 1/c.
     scaled = []
     for word, coeff in terms:
-        factor = Fraction(1)
         for gen in word:
-            if gen.kind in (KIND_MIX, KIND_DOUBLE):
-                factor *= 2
-        scaled.append((word, coeff * factor))
+            coeff /= gen.factors()[0]
+        scaled.append((word, coeff))
     return scaled
 
 

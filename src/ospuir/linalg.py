@@ -108,22 +108,11 @@ def nullspace(m: Sequence[Sequence], cols: Optional[int] = None) -> List[List[Fr
     return basis
 
 
-def in_span(span_rref: Sequence[Sequence], v: Sequence) -> bool:
-    """Membership of v in the row space given by rref rows."""
-    vec = [Fraction(x) for x in v]
-    rows = list(span_rref)
-    if rows:
-        pivots = []
-        for row in rows:
-            for c, x in enumerate(row):
-                if x != 0:
-                    pivots.append(c)
-                    break
-        for row, pc in zip(rows, pivots):
-            if vec[pc] != 0:
-                f = vec[pc]
-                vec = [x - f * y for x, y in zip(vec, row)]
-    return all(x == 0 for x in vec)
+def in_span(span: Sequence[Sequence], v: Sequence) -> bool:
+    """Membership of v in the row space of independent rows (an rref, say):
+    appending v leaves the pivot count unchanged."""
+    rows = list(span)
+    return len(rref(rows + [v])[1]) == len(rows)
 
 
 def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:

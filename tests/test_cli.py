@@ -80,6 +80,9 @@ def test_usage_errors_exit_2():
     assert run(["character", "--case", "sl3", "--n", "3"])[0] == 2
     assert run(["classify", "--n", "3", "--a", "1,1,1", "--d", "2"])[0] == 2
     assert run(["verify", "--all", "--n", "4"])[0] == 2
+    for case in ("d1", "d12", "d2eq13", "d2", "d23", "d2_eq_d13", "d2=d13"):
+        assert run(["character", "--case", case, "--n", "5", "--maxdeg", "2",
+                    "--m1", "2", "--m2", "2"]) == (2, ""), case
     assert run(["classify", "--n", "3", "--a", "1,1", "--d", "3",
                 "--format", "dot"]) == (2, "")
     for level in ("0", "-2"):

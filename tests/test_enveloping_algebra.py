@@ -1,5 +1,8 @@
 """Oscillator realization, normal ordering, and the contravariant form."""
 
+import dataclasses
+import hashlib
+import pathlib
 import random
 from typing import NamedTuple, Tuple
 
@@ -37,6 +40,7 @@ from ospuir.enveloping.module import (
 from ospuir.weights import Signature
 
 SIG = Signature(3, Fraction(2), (0, 2))
+TABLE_DIGESTS = pathlib.Path(__file__).parent / "golden" / "structure_tables_sha256.txt"
 
 
 def _vec_terms(v):
@@ -95,6 +99,30 @@ def test_graded_jacobi_identity(n):
         ]
     bad = [tab.decode(t) for t in triples if not _jacobi_holds(tab, *t)]
     assert not bad, f"Jacobi identity fails on {len(bad)} triples, e.g. {bad[0]}"
+
+
+def structure_table_digest(n):
+    """sha256 of the repr of every StructureTable field at rank n (bracket
+    terms in stored order, `code` listed in code order), followed by each
+    generator's name(), delta_weight(n) and omega image."""
+    tab = structure_constants(n)
+    h = hashlib.sha256()
+    for field in dataclasses.fields(tab):
+        value = getattr(tab, field.name)
+        if field.name == "code":
+            value = sorted(value.items(), key=lambda item: item[1])
+        h.update(f"{field.name}={value!r}\n".encode())
+    for g in tab.generators:
+        h.update(f"{g!r} {g.name()} {g.delta_weight(n)!r} {omega(g)!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_structure_tables_match_pinned_digests():
+    # captured before the generator facts were derived from Generator.factors
+    pinned = dict(line.split() for line in TABLE_DIGESTS.read_text().splitlines())
+    assert sorted(pinned) == [str(n) for n in range(2, 9)]
+    for n in range(2, 9):
+        assert structure_table_digest(n) == pinned[str(n)], n
 
 
 class ReferenceFacts(NamedTuple):

@@ -170,6 +170,15 @@ def test_verify_rejects_wrong_parameters():
     assert not verify_subsingular("subsing_d13", Signature(3, Fraction(1, 2), (0, 0)))
 
 
+def test_verify_rejects_a_vector_outside_a_nonempty_kernel():
+    # the kernel has one vector and the printed one is nonzero, so the
+    # answer comes from the span test, not from an empty kernel
+    sig = Signature(3, Fraction(1, 2), (0, 1))
+    assert len(find_singular(sig, (0, 1, 1), 1)) == 1
+    assert not printed_vector("sv_d23", sig).is_zero
+    assert not verify_singular("sv_d23", sig)
+
+
 def test_compact_vector_is_not_subsingular():
     sig = Signature(3, Fraction(1), (0, 0))
     assert not is_subsingular(printed_vector("compact_1", sig))
