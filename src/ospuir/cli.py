@@ -1,11 +1,17 @@
 """Command-line interface.
 
-Subcommands: classify, grid, reduction-points, character, verify, gram,
-multiplet, weyl.  Formats: json (default for most), csv, text, dot.  All
-rationals cross the boundary as exact "p/q" strings; decimals are rejected.
-Exit codes: 0 success, 2 usage error, 3 internal anomaly.  Each cmd_*
-function imports the library names it uses in its own body, so a process
-loads only the modules its subcommand runs.
+The subcommands are the rows of COMMANDS: each row gives the help text, the
+handler, the output formats (the first is the default) and the options, and
+build_parser is one loop over the rows that adds --format and --out to each.
+A handler checks its request, runs it and returns a Payload, one
+zero-argument builder per format; main builds only the requested format and
+emits it to stdout or --out.  Formats: classify, reduction-points, verify
+and weyl json (default), csv, text; grid json (default), csv; gram json
+(default), text; multiplet json (default), dot; character text (default),
+json.  All rationals cross the boundary as exact "p/q" strings; decimals are
+rejected.  Exit codes: 0 success, 2 usage error, 3 internal anomaly.  Each
+cmd_* function imports the library names it uses in its own body, so a
+process loads only the modules its subcommand runs.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ospuir.weights import Signature
+
+Payload = Dict[str, Callable[[], str]]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -133,6 +141,19 @@ def _sig_from(args) -> Signature:
     return Signature(args.n, d, a)
 
 
+def _text(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _ints(xs) -> str:
+    return ",".join(str(x) for x in xs)
+
+
+def _word(w) -> str:
+    """A Weyl element's reduced word as a string of simple-reflection indices."""
+    return "".join(str(k) for k in w.reduced_word)
+
+
 def _verdict_obj(verdict) -> dict:
     sig = verdict.sig
     point = None
@@ -156,42 +177,36 @@ def _verdict_obj(verdict) -> dict:
     }
 
 
-def cmd_classify(args) -> int:
+def _verdict_csv(n: int, verdicts) -> str:
+    """One header and one row per verdict, for classify and grid alike."""
+    head = [f"a{k + 1}" for k in range(n - 1)] + ["d", "unitary", "branch", "point"]
+    return _csv([head] + [
+        [str(x) for x in v.sig.a]
+        + [_fr(v.sig.d), str(v.unitary).lower(), v.branch,
+           v.governing_point[0] if v.governing_point else ""]
+        for v in verdicts
+    ])
+
+
+def cmd_classify(args) -> Payload:
     from ospuir.unitarity import classify
 
-    sig = _sig_from(args)
-    verdict = classify(sig)
-    obj = _verdict_obj(verdict)
-    if args.format == "json":
-        _emit(_json(obj), args.out)
-    elif args.format == "text":
-        point = obj["point"]["name"] if obj["point"] else "-"
-        lines = [
-            f"signature [{_fr(sig.d)}; {','.join(str(x) for x in sig.a)}]",
+    verdict = classify(_sig_from(args))
+    sig = verdict.sig
+    point = verdict.governing_point[0] if verdict.governing_point else "-"
+    return {
+        "json": lambda: _json(_verdict_obj(verdict)),
+        "csv": lambda: _verdict_csv(sig.n, [verdict]),
+        "text": lambda: _text([
+            f"signature [{_fr(sig.d)}; {_ints(sig.a)}]",
             f"unitary {str(verdict.unitary).lower()}",
             f"branch {verdict.branch}",
             f"point {point}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "csv":
-        head = [f"a{k + 1}" for k in range(sig.n - 1)] + [
-            "d",
-            "unitary",
-            "branch",
-            "point",
-        ]
-        point = obj["point"]["name"] if obj["point"] else ""
-        row = [str(x) for x in sig.a] + [
-            _fr(sig.d),
-            str(verdict.unitary).lower(),
-            verdict.branch,
-            point,
-        ]
-        _emit(_csv([head, row]), args.out)
-    return 0
+        ]),
+    }
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(args) -> Payload:
     from ospuir.root_system import MAX_RANK
     from ospuir.unitarity import unitarity_grid
 
@@ -201,36 +216,24 @@ def cmd_grid(args) -> int:
     d_step = parse_rational(args.d_step)
     if d_step <= 0 or d_max < 0:
         raise ValueError("d grid must have positive step and nonnegative max")
+    if a_max < 0:
+        raise ValueError(f"labels are nonnegative, got --a-max {a_max}")
     if not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank must be an integer in [1, {MAX_RANK}], got {n}")
-    cells = (d_max // d_step + 1) * max(a_max + 1, 0) ** (n - 1)
+    steps = d_max // d_step + 1
+    cells = steps * (a_max + 1) ** (n - 1)
     if cells > MAX_GRID_CELLS:
         raise ValueError(f"grid of {cells} cells exceeds the limit of {MAX_GRID_CELLS}")
-    d_values = []
-    k = 0
-    while k * d_step <= d_max:
-        d_values.append(k * d_step)
-        k += 1
+    d_values = [k * d_step for k in range(steps)]
     ranges = [range(a_max + 1)] * (n - 1)
-    rows = unitarity_grid(n, ranges, d_values)
-    head = [f"a{k + 1}" for k in range(n - 1)] + ["d", "unitary", "branch", "point"]
-    table = []
-    for row in rows:
-        v = row.verdict
-        point = v.governing_point[0] if v.governing_point else ""
-        table.append(
-            [str(x) for x in row.sig.a]
-            + [_fr(row.sig.d), str(v.unitary).lower(), v.branch, point]
-        )
-    if args.format == "csv":
-        _emit(_csv([head] + table), args.out)
-    elif args.format == "json":
-        obj = [_verdict_obj(row.verdict) for row in rows]
-        _emit(_json(obj), args.out)
-    return 0
+    verdicts = [row.verdict for row in unitarity_grid(n, ranges, d_values)]
+    return {
+        "json": lambda: _json([_verdict_obj(v) for v in verdicts]),
+        "csv": lambda: _verdict_csv(n, verdicts),
+    }
 
 
-def cmd_reduction_points(args) -> int:
+def cmd_reduction_points(args) -> Payload:
     from ospuir.unitarity import subsingular_points
     from ospuir.weights import point_family, reduction_points
 
@@ -243,32 +246,27 @@ def cmd_reduction_points(args) -> int:
         key=lambda e: (-e[4], e[0]),
     )
     subs = subsingular_points(n, a)
-    obj = {
-        "n": n,
-        "a": list(a),
-        "points": [
-            {"name": name, "family": fam, "i": i, "j": j, "d": _fr(val)}
-            for name, fam, i, j, val in entries
-        ],
-        "subsingular": [
-            {"d": _fr(val), "chain": chain} for val, chain in subs
-        ],
+    return {
+        "json": lambda: _json({
+            "n": n,
+            "a": list(a),
+            "points": [
+                {"name": name, "family": fam, "i": i, "j": j, "d": _fr(val)}
+                for name, fam, i, j, val in entries
+            ],
+            "subsingular": [{"d": _fr(val), "chain": chain} for val, chain in subs],
+        }),
+        "csv": lambda: _csv([["name", "family", "d"]] + [
+            [name, fam, _fr(val)] for name, fam, _i, _j, val in entries
+        ]),
+        "text": lambda: _text(
+            [f"{name} = {_fr(val)}" for name, _f, _i, _j, val in entries]
+            + [f"subsingular {chain} at d = {_fr(val)}" for val, chain in subs]
+        ),
     }
-    if args.format == "json":
-        _emit(_json(obj), args.out)
-    elif args.format == "csv":
-        rows = [["name", "family", "d"]]
-        for name, fam, _i, _j, val in entries:
-            rows.append([name, fam, _fr(val)])
-        _emit(_csv(rows), args.out)
-    elif args.format == "text":
-        lines = [f"{name} = {_fr(val)}" for name, _f, _i, _j, val in entries]
-        lines += [f"subsingular {chain} at d = {_fr(val)}" for val, chain in subs]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def cmd_character(args) -> int:
+def cmd_character(args) -> Payload:
     from ospuir.characters import (
         series_to_json_obj,
         series_to_text,
@@ -283,14 +281,14 @@ def cmd_character(args) -> int:
     maxdeg = args.maxdeg
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
-    # the sl3 series is divided to its numerator's top degree 2(m1 + m2)
-    # whatever maxdeg is, so it is sized once its labels are known; the
-    # unitary cases are rank three
+    # the unitary cases and sl3 are rank three; the sl3 series is divided to
+    # its numerator's top degree 2(m1 + m2) whatever maxdeg is, so it is
+    # sized once its labels are known
     if case in ("verma", "weyl"):
         _check_series_terms(args.n, maxdeg)
+    elif args.n != 3:
+        raise ValueError(f"the unitary cases and sl3 are rank-three only, got --n {args.n}")
     elif case != "sl3":
-        if args.n != 3:
-            raise ValueError(f"the unitary cases are rank-three only, got --n {args.n}")
         _check_series_terms(3, maxdeg)
     prefix = None
     if case == "verma":
@@ -315,84 +313,53 @@ def cmd_character(args) -> int:
         norm = unitary_character(case, maxdeg, m1=args.m1, m2=args.m2)
         prefix = norm.prefix
         series = norm.series
-    if args.format == "text":
-        _emit(series_to_text(series), args.out)
-    elif args.format == "json":
-        obj = series_to_json_obj(series)
-        if prefix is not None:
-            obj["lowest_weight"] = [_fr(x) for x in prefix]
-        obj["case"] = case
-        _emit(_json(obj), args.out)
-    return 0
+    lowest = {} if prefix is None else {"lowest_weight": [_fr(x) for x in prefix]}
+    return {
+        "text": lambda: series_to_text(series),
+        "json": lambda: _json({**series_to_json_obj(series), **lowest, "case": case}),
+    }
 
 
-def cmd_verify(args) -> int:
-    from ospuir.enveloping.singular import (
-        PRINTED_IDS,
-        printed_regime,
-        verify_singular,
-        verify_subsingular,
-    )
+def cmd_verify(args) -> Payload:
+    from ospuir.enveloping.singular import PRINTED_IDS, printed_regime, verify_singular
 
     if args.n != 3:
         raise ValueError(f"the printed catalog is rank-three only, got --n {args.n}")
     if args.all:
-        ids = list(PRINTED_IDS)
+        ids = PRINTED_IDS
     elif args.id:
         ids = [args.id]
     else:
         raise ValueError("verify needs --all or --id")
     rows = []
     for vector_id in ids:
-        if vector_id not in PRINTED_IDS and not vector_id.startswith("compact_"):
-            raise ValueError(f"unknown vector id {vector_id!r}")
         sig = printed_regime(vector_id)
         if args.d is not None or args.a is not None:
             d = parse_rational(args.d) if args.d is not None else sig.d
             a = parse_int_list(args.a) if args.a is not None else sig.a
             sig = Signature(sig.n, d, a)
-        if vector_id == "subsing_d13":
-            kind = "subsingular"
-            ok = verify_subsingular(vector_id, sig)
-        else:
-            kind = "singular"
-            ok = verify_singular(vector_id, sig)
-        rows.append(
-            {
-                "id": vector_id,
-                "kind": kind,
-                "n": sig.n,
-                "a": list(sig.a),
-                "d": _fr(sig.d),
-                "ok": ok,
-            }
-        )
-    if args.format == "json":
-        _emit(_json(rows), args.out)
-    elif args.format == "csv":
-        table = [["id", "kind", "d", "a", "ok"]]
-        for r in rows:
-            table.append(
-                [
-                    r["id"],
-                    r["kind"],
-                    r["d"],
-                    ",".join(str(x) for x in r["a"]),
-                    str(r["ok"]).lower(),
-                ]
-            )
-        _emit(_csv(table), args.out)
-    elif args.format == "text":
-        lines = [
-            f"{r['id']}: {'pass' if r['ok'] else 'FAIL'} "
-            f"(d={r['d']}, a={','.join(str(x) for x in r['a'])})"
+        rows.append({
+            "id": vector_id,
+            "kind": "subsingular" if vector_id == "subsing_d13" else "singular",
+            "n": sig.n,
+            "a": list(sig.a),
+            "d": _fr(sig.d),
+            "ok": verify_singular(vector_id, sig),
+        })
+    return {
+        "json": lambda: _json(rows),
+        "csv": lambda: _csv([["id", "kind", "d", "a", "ok"]] + [
+            [r["id"], r["kind"], r["d"], _ints(r["a"]), str(r["ok"]).lower()]
             for r in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        ]),
+        "text": lambda: _text(
+            f"{r['id']}: {'pass' if r['ok'] else 'FAIL'} (d={r['d']}, a={_ints(r['a'])})"
+            for r in rows
+        ),
+    }
 
 
-def cmd_gram(args) -> int:
+def cmd_gram(args) -> Payload:
     from ospuir.enveloping.module import (
         MAX_LEVEL_DEFAULT,
         gram_psd_check,
@@ -412,24 +379,18 @@ def cmd_gram(args) -> int:
         "verdict": "psd" if report.psd else "not_psd",
         "levels_checked": report.levels_checked,
     }
+    lines = [f"verdict {obj['verdict']}"]
     if report.witness is not None:
         obj["witness"] = {
             "offset": list(report.witness_offset),
             "vector": module_vector_to_text(report.witness),
             "norm": _fr(report.witness_norm),
         }
-    if args.format == "json":
-        _emit(_json(obj), args.out)
-    elif args.format == "text":
-        lines = [f"verdict {obj['verdict']}"]
-        if report.witness is not None:
-            lines.append(f"witness {obj['witness']['vector']}")
-            lines.append(f"norm {obj['witness']['norm']}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        lines += [f"witness {obj['witness']['vector']}", f"norm {obj['witness']['norm']}"]
+    return {"json": lambda: _json(obj), "text": lambda: _text(lines)}
 
 
-def cmd_multiplet(args) -> int:
+def cmd_multiplet(args) -> Payload:
     from ospuir.characters import weight_from_labels
     from ospuir.weyl import multiplet_orbit, multiplet_to_dot
 
@@ -438,30 +399,26 @@ def cmd_multiplet(args) -> int:
         raise ValueError(f"need {args.n} labels")
     _check_group_order(args.n, MAX_MULTIPLET_ORDER)
     orbit = multiplet_orbit(weight_from_labels(labels))
-    if args.format == "dot":
-        _emit(multiplet_to_dot(orbit), args.out)
-        return 0
-    obj = {
-        "node_count": len(orbit.nodes),
-        "nodes": [
-            {
-                "index": node.index,
-                "labels": [_fr(x) for x in node.labels],
-                "weight": [_fr(x) for x in node.weight],
-                "length": node.w.length,
-                "word": "".join(str(k) for k in node.w.reduced_word),
-            }
-            for node in orbit.nodes
-        ],
-        "edges": [
-            {"src": u, "dst": v, "k": k} for (u, v, k) in orbit.edges
-        ],
+    return {
+        "json": lambda: _json({
+            "node_count": len(orbit.nodes),
+            "nodes": [
+                {
+                    "index": node.index,
+                    "labels": [_fr(x) for x in node.labels],
+                    "weight": [_fr(x) for x in node.weight],
+                    "length": node.w.length,
+                    "word": _word(node.w),
+                }
+                for node in orbit.nodes
+            ],
+            "edges": [{"src": u, "dst": v, "k": k} for (u, v, k) in orbit.edges],
+        }),
+        "dot": lambda: multiplet_to_dot(orbit),
     }
-    _emit(_json(obj), args.out)
-    return 0
 
 
-def cmd_weyl(args) -> int:
+def cmd_weyl(args) -> Payload:
     from ospuir.weyl import MAX_GROUP_RANK, generate
 
     n = args.n
@@ -469,32 +426,59 @@ def cmd_weyl(args) -> int:
         raise ValueError(f"rank must be in [2, {MAX_GROUP_RANK}] for group generation")
     _check_group_order(n, MAX_WEYL_ORDER)
     group = generate(n)
-    if args.format == "json":
-        obj = {
-            "n": args.n,
+    return {
+        "json": lambda: _json({
+            "n": n,
             "order": len(group),
             "longest_length": group[-1].length,
-            "elements": [
-                {
-                    "word": "".join(str(k) for k in w.reduced_word),
-                    "length": w.length,
-                }
-                for w in group
-            ],
-        }
-        _emit(_json(obj), args.out)
-    elif args.format == "csv":
-        rows = [["word", "length"]]
-        for w in group:
-            rows.append(["".join(str(k) for k in w.reduced_word), str(w.length)])
-        _emit(_csv(rows), args.out)
-    elif args.format == "text":
-        lines = [
-            ("e" if not w.reduced_word else "".join(str(k) for k in w.reduced_word))
-            for w in group
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+            "elements": [{"word": _word(w), "length": w.length} for w in group],
+        }),
+        "csv": lambda: _csv([["word", "length"]] + [[_word(w), str(w.length)] for w in group]),
+        "text": lambda: _text(_word(w) or "e" for w in group),
+    }
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace], Payload]
+    formats: Tuple[str, ...]  # the first is the default
+    options: Tuple[Tuple[str, dict], ...]  # (flag, add_argument keywords)
+
+
+_N = ("--n", {"type": int, "required": True})
+_N3 = ("--n", {"type": int, "default": 3})
+_A = ("--a", {"default": ""})
+_D = ("--d", {"required": True})
+_ALL = ("json", "csv", "text")
+
+COMMANDS = {
+    "classify": Command(
+        "unitarity verdict for one signature", cmd_classify, _ALL,
+        (_N, _A, _D)),
+    "grid": Command(
+        "verdicts over a rectangular (a, d) grid", cmd_grid, ("json", "csv"),
+        (_N, ("--a-max", {"type": int, "default": 3}), ("--d-max", {"default": "5"}),
+         ("--d-step", {"default": "1/4"}))),
+    "reduction-points": Command(
+        "named reduction points in d", cmd_reduction_points, _ALL,
+        (_N, _A)),
+    "character": Command(
+        "character series dumps", cmd_character, ("text", "json"),
+        (("--case", {"required": True}), _N3, ("--maxdeg", {"type": int, "default": 10}),
+         ("--m1", {"type": int}), ("--m2", {"type": int}), ("--labels", {}))),
+    "verify": Command(
+        "validate printed vectors", cmd_verify, _ALL,
+        (("--all", {"action": "store_true"}), ("--id", {}), _N3, ("--d", {}), ("--a", {}))),
+    "gram": Command(
+        "Shapovalov positivity check", cmd_gram, ("json", "text"),
+        (_N, _A, _D, ("--max-level", {"type": int}))),
+    "multiplet": Command(
+        "dot-action orbit graph", cmd_multiplet, ("json", "dot"),
+        (_N, ("--labels", {"required": True}))),
+    "weyl": Command(
+        "signed-permutation Weyl group listing", cmd_weyl, _ALL,
+        (_N,)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,70 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
         "for lowest-weight osp(1|2n) modules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, formats, default):
-        p.add_argument("--format", choices=formats, default=default)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--format", choices=command.formats, default=command.formats[0])
         p.add_argument("--out", default=None)
-
-    p = sub.add_parser("classify", help="unitarity verdict for one signature")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", default="")
-    p.add_argument("--d", required=True)
-    add_common(p, ["json", "csv", "text"], "json")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("grid", help="verdicts over a rectangular (a, d) grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a-max", type=int, default=3)
-    p.add_argument("--d-max", default="5")
-    p.add_argument("--d-step", default="1/4")
-    add_common(p, ["json", "csv"], "json")
-    p.set_defaults(func=cmd_grid)
-
-    p = sub.add_parser("reduction-points", help="named reduction points in d")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", default="")
-    add_common(p, ["json", "csv", "text"], "json")
-    p.set_defaults(func=cmd_reduction_points)
-
-    p = sub.add_parser("character", help="character series dumps")
-    p.add_argument("--case", required=True)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--maxdeg", type=int, default=10)
-    p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--labels", default=None)
-    add_common(p, ["text", "json"], "text")
-    p.set_defaults(func=cmd_character)
-
-    p = sub.add_parser("verify", help="validate printed vectors")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--id", default=None)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--d", default=None)
-    p.add_argument("--a", default=None)
-    add_common(p, ["json", "csv", "text"], "json")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("gram", help="Shapovalov positivity check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", default="")
-    p.add_argument("--d", required=True)
-    p.add_argument("--max-level", type=int, default=None)
-    add_common(p, ["json", "text"], "json")
-    p.set_defaults(func=cmd_gram)
-
-    p = sub.add_parser("multiplet", help="dot-action orbit graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--labels", required=True)
-    add_common(p, ["json", "dot"], "json")
-    p.set_defaults(func=cmd_multiplet)
-
-    p = sub.add_parser("weyl", help="signed-permutation Weyl group listing")
-    p.add_argument("--n", type=int, required=True)
-    add_common(p, ["json", "csv", "text"], "json")
-    p.set_defaults(func=cmd_weyl)
-
     return parser
 
 
@@ -578,13 +504,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload = COMMANDS[args.command].handler(args)
+        _emit(payload[args.format](), args.out)
     except AssertionError as exc:  # AnomalyError is one too
         print(f"anomaly: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -285,8 +285,9 @@ def verify_singular(vector_id: str, sig: Signature) -> bool:
     """True when the printed vector spans (part of) the solver's kernel.
 
     Proportionality test: the vector must be nonzero and lie in the span of
-    find_singular's solution basis.  subsing_d13 delegates to the
-    subsingular test.
+    find_singular's solution basis, whose rows are independent (one per
+    free column of a nullspace), as in_span needs; an empty basis spans
+    nothing.  subsing_d13 delegates to the subsingular test.
     """
     entry = _entry(vector_id)
     if entry.beta is None:
@@ -299,12 +300,8 @@ def verify_singular(vector_id: str, sig: Signature) -> bool:
         sols = find_singular(sig, beta, entry.order(*(Fraction(x) for x in sig.a)))
     except AnomalyError:
         return False
-    if not sols:
-        return False
-    engine = engine_for(sig)
-    basis = engine.basis(vec.offset)
-    span, _ = rref([_vector_coords(s, basis) for s in sols])
-    return in_span(span, _vector_coords(vec, basis))
+    basis = engine_for(sig).basis(vec.offset)
+    return in_span([_vector_coords(s, basis) for s in sols], _vector_coords(vec, basis))
 
 
 # ------------------------------------------------------------- subsingular

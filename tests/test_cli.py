@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import hashlib
 import json
 import os
 import pathlib
@@ -74,15 +75,33 @@ def test_classify_examples():
     ]
 
 
+def test_every_format_matches_its_pinned_digest():
+    # captured before the command table replaced the per-command format chains
+    lines = (GOLDEN_DIR / "cli_formats_sha256.txt").read_text().splitlines()
+    pins = [line.split(" ", 2) for line in lines if not line.startswith("#")]
+    assert len(pins) == 76
+    for code, digest, argv in pins:
+        with contextlib.redirect_stderr(io.StringIO()):
+            got, out = run(argv.split())
+        assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (
+            int(code), digest), argv
+
+
 def test_usage_errors_exit_2():
     assert run(["classify", "--n", "3", "--a", "1,1", "--d", "3.0"])[0] == 2
     assert run(["character", "--case", "bogus", "--n", "3"])[0] == 2
     assert run(["character", "--case", "sl3", "--n", "3"])[0] == 2
     assert run(["classify", "--n", "3", "--a", "1,1,1", "--d", "2"])[0] == 2
     assert run(["verify", "--all", "--n", "4"])[0] == 2
-    for case in ("d1", "d12", "d2eq13", "d2", "d23", "d2_eq_d13", "d2=d13"):
+    for case in ("d1", "d12", "d2eq13", "d2", "d23", "d2_eq_d13", "d2=d13", "sl3"):
         assert run(["character", "--case", case, "--n", "5", "--maxdeg", "2",
                     "--m1", "2", "--m2", "2"]) == (2, ""), case
+    # labels are nonnegative, so a negative --a-max is no empty grid
+    for n in ("1", "3"):
+        for fmt in ("json", "csv"):
+            assert run(["grid", "--n", n, "--a-max", "-1", "--format", fmt]) == (2, "")
+    # compact_1 and compact_2 are the catalog's only compact vectors
+    assert run(["verify", "--id", "compact_3"]) == (2, "")
     assert run(["classify", "--n", "3", "--a", "1,1", "--d", "3",
                 "--format", "dot"]) == (2, "")
     for level in ("0", "-2"):
