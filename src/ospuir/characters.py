@@ -145,7 +145,9 @@ class CharacterSeries:
     """Truncated power series with exact coefficients.
 
     coeffs maps exponent tuples (length n) to nonzero Fractions; every
-    stored total degree is at most maxdeg.
+    stored total degree is at most maxdeg.  The constructor normalises
+    what it is given; the series this module builds are canonical already
+    and skip that pass (_canonical).
     """
 
     n: int
@@ -160,8 +162,21 @@ class CharacterSeries:
         }
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _canonical(cls, n: int, maxdeg: int, coeffs: Dict[Exp, Fraction]) -> "CharacterSeries":
+        """The series of coeffs taken as they are: the caller guarantees
+        int tuple keys of length n, nonzero Fraction values and degrees at
+        most maxdeg, as p_divide_one_minus returns them."""
+        series = object.__new__(cls)
+        for name, value in (("n", n), ("maxdeg", maxdeg), ("coeffs", coeffs)):
+            object.__setattr__(series, name, value)
+        return series
+
     def truncate(self, maxdeg: int) -> "CharacterSeries":
-        return CharacterSeries(self.n, min(self.maxdeg, maxdeg), self.coeffs)
+        maxdeg = min(self.maxdeg, maxdeg)
+        return CharacterSeries._canonical(
+            self.n, maxdeg, {e: c for e, c in self.coeffs.items() if sum(e) <= maxdeg}
+        )
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self.coeffs.get(tuple(int(x) for x in exp), Fraction(0))
@@ -212,7 +227,9 @@ def _noncompact_exps(n: int) -> Tuple[Exp, ...]:
 def verma_character(n: int, maxdeg: int) -> CharacterSeries:
     """Product of 1/(1 - t^alpha) over the restricted positive roots."""
     one = {(0,) * n: Fraction(1)}
-    return CharacterSeries(n, maxdeg, p_divide_one_minus(one, restricted_exps(n), maxdeg))
+    return CharacterSeries._canonical(
+        n, maxdeg, p_divide_one_minus(one, restricted_exps(n), maxdeg)
+    )
 
 
 # ------------------------------------------------------- finite characters
@@ -263,7 +280,7 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
         if any(x < 0 or x.denominator != 1 for x in exp):
             raise AssertionError(f"numerator exponent not dominant-integral: {exp}")
         add_scaled(numerator, {tuple(int(x) for x in exp): 1}, -1 if w.length % 2 else 1)
-    series = CharacterSeries(
+    series = CharacterSeries._canonical(
         n, maxdeg, p_divide_one_minus(numerator, restricted_exps(n), maxdeg)
     )
     return NormalizedCharacter(prefix=lam0, series=series)
@@ -298,7 +315,7 @@ def sl3_character(m1: int, m2: int) -> CharacterSeries:
     if p_sub(check, numerator):
         raise ValueError("division check failed")
     maxdeg = max((sum(e) for e in quotient), default=0)
-    return CharacterSeries(2, maxdeg, quotient)
+    return CharacterSeries._canonical(2, maxdeg, quotient)
 
 
 # ------------------------------------------------------- unitary characters
@@ -371,7 +388,7 @@ def unitary_character(
         factor = {(0, 0): 1} if sl3 is None else sl3_character(*sl3).coeffs
         add_scaled(bracket, {(x + shift[0], y + shift[1], shift[2]): c
                              for (x, y), c in factor.items()}, sign)
-    series = CharacterSeries(
+    series = CharacterSeries._canonical(
         3, maxdeg, p_divide_one_minus(bracket, _noncompact_exps(3), maxdeg)
     )
     a = row.labels(m1, m2)

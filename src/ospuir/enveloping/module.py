@@ -17,7 +17,9 @@ of Cartan terms only is applied as one scalar on the remaining word,
 sum_h c_h (2d + m_h + kappa_h(word)), where [H_h, g] = kappa_h(g) g.  Every
 kappa value is even (+-2 or +-4), and for (H_i - H_j)/2 the d parts cancel
 and m_i - m_j = 2(a_i + ... + a_{j-1}) is even, so the scalar is an integer
-polynomial; the engine checks this for every such bracket when it is built.
+polynomial.  Every such bracket is checked: its slope and shifts once per
+rank (_cartan_forms), its constant term sum_h c_h m_h when a label set's
+engine is built.
 Per-signature vectors and pairings are exact evaluations of those
 polynomials at the signature's d: q^deg P(p/q) by an integer Horner loop,
 then one Fraction.  A Gram block's upper triangle is gathered once per
@@ -63,6 +65,8 @@ CodeTerms = Dict[CodeWord, Poly]
 # the word's eigenvalue is slope*d + constant + the sum of shift[x] over
 # its letters x.
 ScalarForm = Tuple[int, int, Tuple[int, ...]]
+# The same combination's label-free parts: the terms (h, c_h), slope, shift.
+RankForm = Tuple[Tuple[Tuple[int, Fraction], ...], int, Tuple[int, ...]]
 # A Gram block: its basis, its upper triangle row by row, and its top degree.
 Block = Tuple[Tuple[Word, ...], Tuple[Poly, ...], int]
 
@@ -201,29 +205,22 @@ class VermaEngine:
         self.n = n
         self.a = tuple(a)
         self.table: StructureTable = structure_constants(n)
-        t = self.table
-        size = len(t.generators)
-        cartan = [x for x, c in enumerate(t.cls) if c == CARTAN]
         lam0 = lowest_weight(Signature(n, Fraction(0), self.a))
-        m = {h: 2 * lam0[i] for i, h in enumerate(cartan)}
-        kappa = {h: [dict(t.brackets[h][x]).get(x, 0) for x in range(size)] for h in cartan}
+        eigen, brackets = _cartan_forms(n)
+        m = {h: 2 * lam0[i] for i, h in enumerate(eigen)}   # eigen is in code order
 
-        def form(combo: Iterable[Tuple[int, Fraction]]) -> ScalarForm:
-            """sum_h c_h H_h on PBW words, checked to be an integer polynomial."""
-            combo = tuple(combo)
-            slope = sum(2 * c for _, c in combo)
+        def form(rank_form: RankForm) -> ScalarForm:
+            """The rank's slope and shift with this label set's constant
+            term sum_h c_h m_h, checked to be an integer."""
+            combo, slope, shift = rank_form
             constant = sum(c * m[h] for h, c in combo)
-            shift = [sum(c * kappa[h][x] for h, c in combo) for x in range(size)]
-            if any(Fraction(v).denominator != 1 for v in [slope, constant] + shift):
+            if Fraction(constant).denominator != 1:
                 raise AssertionError(f"Cartan combination {combo} is not integral")
-            return int(slope), int(constant), tuple(int(v) for v in shift)
+            return slope, int(constant), shift
 
-        self._eigen = {h: form(((h, Fraction(1)),)) for h in cartan}
+        self._eigen = {h: form(f) for h, f in eigen.items()}
         self._bracket_forms: Dict[Tuple[int, int], ScalarForm] = {
-            (x, y): form(t.brackets[x][y])
-            for x, cx in enumerate(t.cls) if cx == LOWERING
-            for y, cy in enumerate(t.cls) if cy == RAISING
-            if t.brackets[x][y] and all(t.cls[h] == CARTAN for h, _ in t.brackets[x][y])
+            xy: form(f) for xy, f in brackets.items()
         }
         self._act_memo: Dict[Tuple[int, CodeWord], CodeTerms] = {}
         self._pair_memo: Dict[Tuple[CodeWord, CodeWord], Poly] = {}
@@ -467,6 +464,36 @@ class VermaEngine:
         return rows
 
 
+@lru_cache(maxsize=None)
+def _cartan_forms(n: int) -> Tuple[Dict[int, RankForm], Dict[Tuple[int, int], RankForm]]:
+    """The label-free parts of the rank-n Cartan forms, slope and shift
+    checked to be integers: each Cartan generator h, in code order, as the
+    combination 1*H_h, and each bracket [x, y] of a lowering x and a
+    raising y that is a combination of Cartan generators only, keyed by
+    (x, y).  A label set adds only the constant term (VermaEngine)."""
+    t = structure_constants(n)
+    size = len(t.generators)
+    cartan = [x for x, c in enumerate(t.cls) if c == CARTAN]
+    kappa = {h: [dict(t.brackets[h][x]).get(x, 0) for x in range(size)] for h in cartan}
+
+    def form(combo: Iterable[Tuple[int, Fraction]]) -> RankForm:
+        combo = tuple(combo)
+        slope = sum(2 * c for _, c in combo)
+        shift = [sum(c * kappa[h][x] for h, c in combo) for x in range(size)]
+        if any(Fraction(v).denominator != 1 for v in [slope] + shift):
+            raise AssertionError(f"Cartan combination {combo} is not integral")
+        return combo, int(slope), tuple(int(v) for v in shift)
+
+    eigen = {h: form(((h, Fraction(1)),)) for h in cartan}
+    brackets = {
+        (x, y): form(t.brackets[x][y])
+        for x, cx in enumerate(t.cls) if cx == LOWERING
+        for y, cy in enumerate(t.cls) if cy == RAISING
+        if t.brackets[x][y] and all(t.cls[h] == CARTAN for h, _ in t.brackets[x][y])
+    }
+    return eigen, brackets
+
+
 def _scalar(form: ScalarForm, word: CodeWord) -> Poly:
     slope, constant, shift = form
     c = constant + sum(shift[x] for x in word)
@@ -483,44 +510,45 @@ def engine_for(sig: Signature) -> VermaEngine:
     return _engine_cache(sig.n, sig.a)
 
 
-@lru_cache(maxsize=None)
 def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
     """All PBW monomials with the given simple-basis weight offset.
 
     Deterministic: generators ascend in PBW order left to right; smaller
-    multiplicities of the earlier generator come first.
+    multiplicities of the earlier generator come first.  The words are
+    ordered lexicographically by their multiplicities, so those that use
+    only the generators from the k-th on make one block, shared by every
+    offset that reaches the same remainder there (_tail_words, whose cache
+    holds each whole basis too).
     """
     if len(offset) != n:
         raise ValueError("offset length must equal the rank")
     if any(x < 0 for x in offset):
         raise ValueError("offset must be nonnegative")
+    return _tail_words(n, 0, tuple(offset))
+
+
+@lru_cache(maxsize=None)
+def _tail_words(n: int, idx: int, rem: Tuple[int, ...]) -> Tuple[Word, ...]:
+    """The PBW words at offset rem in the raising generators from the
+    idx-th on, in the order of weight_space_words; an odd generator is
+    used at most once."""
+    if not any(rem):
+        return ((),)
     table = structure_constants(n)
-    raising = table.raising
-    exps = [table.weight_exp[table.code[g]] for g in raising]
-
+    if idx == len(table.raising):
+        return ()
+    g = table.raising[idx]
+    e = table.weight_exp[table.code[g]]
     out: List[Word] = []
-
-    def rec(idx: int, remaining: Tuple[int, ...], word: Tuple[Generator, ...]) -> None:
-        if not any(remaining):
-            out.append(word)
-            return
-        if idx == len(raising):
-            return
-        g = raising[idx]
-        e = exps[idx]
-        limit = 1 if g.is_odd else None
-        mult = 0
-        cur = remaining
-        while True:
-            rec(idx + 1, cur, word + (g,) * mult)
-            if limit is not None and mult >= limit:
-                break
-            nxt = tuple(a - b for a, b in zip(cur, e))
-            if any(x < 0 for x in nxt):
-                break
-            cur = nxt
-            mult += 1
-    rec(0, tuple(offset), ())
+    prefix: Word = ()
+    while True:
+        out.extend(prefix + tail for tail in _tail_words(n, idx + 1, rem))
+        if g.is_odd and prefix:
+            break
+        rem = tuple(a - b for a, b in zip(rem, e))
+        if any(x < 0 for x in rem):
+            break
+        prefix += (g,)
     return tuple(out)
 
 

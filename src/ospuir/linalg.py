@@ -3,11 +3,15 @@
 Dense matrices are row-major sequences of exact rationals (ints or
 Fractions) and results are lists of Fraction; sparse vectors are dicts from
 keys to nonzero Fractions.  Elimination runs over Python ints after clearing
-denominators, once per matrix in psd_witness and once per row in rref, and
-turns back into Fractions only at the end; psd_witness takes a matrix
-whose denominators are all 1, such as a matrix of ints, as it is.  Pivot
-choice is that of elimination over Q and deterministic: pivots are chosen
-left to right, rows top to bottom.
+denominators and turns back into Fractions only at the end.  rref,
+nullspace and in_span share one sparse elimination: each row is a dict
+{column: int}, kept primitive, reduced against the pivot rows found so
+far; back-substitution runs among the pivot rows only, and only rref
+builds dense reduced rows; the reduced form is unique, so the order of
+elimination changes no result.  psd_witness scales the matrix once and
+takes a matrix whose denominators are all 1, such as a matrix of ints, as
+it is; its pivot choice is that of elimination over Q and deterministic:
+pivots are chosen left to right.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 Matrix = List[List[Fraction]]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _denominator = attrgetter("denominator")
 
 
@@ -41,78 +46,125 @@ def _as_rational(x):
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def _int_row(row: Sequence) -> List[int]:
-    """row times the lcm of its denominators, as primitive ints (entries
-    with no common factor); an all-zero row stays as it is."""
-    q = [_as_rational(x) for x in row]
-    den = math.lcm(*(x.denominator for x in q))
-    return _primitive([x.numerator * (den // x.denominator) for x in q])
+def _sparse_row(row: Sequence, cols: int) -> Dict[int, int]:
+    """row times the lcm of its denominators, as a primitive integer row
+    {column: nonzero int}; ValueError unless it has cols entries."""
+    if len(row) != cols:
+        raise ValueError(f"row of length {len(row)} in a matrix of {cols} columns")
+    q = {c: _as_rational(x) for c, x in enumerate(row) if x}
+    den = math.lcm(*(x.denominator for x in q.values()))
+    return _primitive({c: x.numerator * (den // x.denominator) for c, x in q.items()})
 
 
-def _primitive(row: List[int]) -> List[int]:
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    g = math.gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _eliminate(row: Dict[int, int], prow: Dict[int, int], c: int) -> Dict[int, int]:
+    """The primitive integer combination of row and prow with column c
+    cleared; prow[c] and row[c] are nonzero."""
+    g = math.gcd(prow[c], row[c])
+    p, f = prow[c] // g, row[c] // g
+    out = {k: p * x for k, x in row.items()}
+    for k, y in prow.items():
+        v = out.get(k, 0) - f * y
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return _primitive(out)
+
+
+def _echelon(m: Sequence[Sequence], cols: int) -> Dict[int, Dict[int, int]]:
+    """A basis of the row space of m as {pivot column: sparse primitive
+    integer row whose first nonzero column it is}.
+
+    Rows are taken sparsest first, which keeps the pivot rows sparse.  Each
+    is reduced against the pivot rows found so far, always at its first
+    nonzero column, and becomes a pivot row if anything is left; a row
+    that reduces to zero is dropped.  Once every column has a pivot, the
+    remaining rows lie in the span and are not reduced.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
+    for r in sorted((_sparse_row(row, cols) for row in m), key=len):
+        while r:
+            c = min(r)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = r
+                break
+            r = _eliminate(r, prow, c)
+        if len(pivots) == cols:
+            break
+    return pivots
+
+
+def _reduced(m: Sequence[Sequence], cols: int) -> Tuple[List[int], Dict[int, Dict[int, int]]]:
+    """Pivot columns, ascending, and pivot rows with every other pivot
+    column cleared: up to each row's scale, the reduced row-echelon form.
+
+    Back-substitution runs among the pivot rows only, right to left, so
+    each row is cleared against rows already free of other pivots.
+    """
+    rows = _echelon(m, cols)
+    order = sorted(rows)
+    for i in reversed(range(len(order))):
+        row = rows[order[i]]
+        for c in order[i + 1:]:
+            if c in row:
+                row = _eliminate(row, rows[c], c)
+        rows[order[i]] = row
+    return order, rows
 
 
 def rref(m: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
     """Reduced row-echelon form and pivot column indices.
 
-    Rows are scaled to primitive integer rows and eliminated with integer
-    row operations; the reduced form is unique, so dividing each pivot row
-    by its pivot at the end gives the same Fractions as Gauss-Jordan over Q.
+    The reduced form is unique, so dividing each pivot row by its pivot at
+    the end gives the same Fractions as Gauss-Jordan over Q, whatever the
+    order of elimination.  Rows of unequal length raise ValueError.
     """
-    a = [_int_row(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        prow = a[r]
-        p = prow[c]
-        for i in range(rows):
-            f = a[i][c]
-            if i != r and f:
-                g = math.gcd(p, f)
-                pi, fi = p // g, f // g
-                a[i] = _primitive([pi * x - fi * y for x, y in zip(a[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)], pivots
+    cols = len(m[0]) if m else 0
+    order, rows = _reduced(m, cols)
+    out = []
+    for c in order:
+        row, p = rows[c], rows[c][c]
+        out.append([Fraction(row[k], p) if k in row else _ZERO for k in range(cols)])
+    return out, order
 
 
 def nullspace(m: Sequence[Sequence], cols: Optional[int] = None) -> List[List[Fraction]]:
-    """Basis of {x : m x = 0}, one vector per free column, deterministic."""
-    rows = len(m)
+    """Basis of {x : m x = 0}, one vector per free column, deterministic.
+
+    Rows whose length is not cols raise ValueError; Fractions are built
+    for the free columns' entries only.
+    """
     if cols is None:
-        if rows == 0:
+        if not m:
             raise ValueError("empty matrix needs an explicit column count")
         cols = len(m[0])
-    if rows == 0:
-        return [[Fraction(1 if i == j else 0) for i in range(cols)] for j in range(cols)]
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
+    order, rows = _reduced(m, cols)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+    for fc in range(cols):
+        if fc in rows:
+            continue
+        v = [_ZERO] * cols
+        v[fc] = _ONE
+        for c in order:
+            x = rows[c].get(fc)
+            if x:
+                v[c] = Fraction(-x, rows[c][c])
         basis.append(v)
     return basis
 
 
 def in_span(span: Sequence[Sequence], v: Sequence) -> bool:
     """Membership of v in the row space of independent rows (an rref, say):
-    appending v leaves the pivot count unchanged."""
+    appending v leaves the pivot count unchanged.  Every row must have the
+    length of v (ValueError otherwise)."""
     rows = list(span)
-    return len(rref(rows + [v])[1]) == len(rows)
+    return len(_echelon(rows + [v], len(v))) == len(rows)
 
 
 def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:

@@ -183,7 +183,11 @@ def restricted_exps(n: int) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-_PARTITION_MEMO: Dict[Tuple[int, Tuple[int, ...], int], int] = {}
+# The memo of partition_count's recursion, on (remainder, root index), for
+# one rank at a time: a call at another rank, or one that finds more than
+# _PARTITION_MEMO_LIMIT entries, starts it afresh.
+_partition_memo: Tuple[int, Dict[Tuple[Tuple[int, ...], int], int]] = (0, {})
+_PARTITION_MEMO_LIMIT = 1 << 17
 
 
 def partition_count(n: int, mu: Sequence[int]) -> int:
@@ -193,21 +197,27 @@ def partition_count(n: int, mu: Sequence[int]) -> int:
     function of the restricted system, the coefficient of t^mu in the Verma
     character series.
     """
+    global _partition_memo
     mu = tuple(int(x) for x in mu)
     if len(mu) != n:
         raise ValueError("length mismatch")
     if any(x < 0 for x in mu):
         return 0
     roots = restricted_exps(n)
+    rank, memo = _partition_memo
+    if rank != n or len(memo) > _PARTITION_MEMO_LIMIT:
+        memo = {}
+        _partition_memo = (n, memo)
 
     def rec(rem: Tuple[int, ...], idx: int) -> int:
         if not any(rem):
             return 1
         if idx == len(roots):
             return 0
-        key = (n, rem, idx)
-        if key in _PARTITION_MEMO:
-            return _PARTITION_MEMO[key]
+        key = (rem, idx)
+        total = memo.get(key)
+        if total is not None:
+            return total
         total = 0
         r = roots[idx]
         cur = rem
@@ -217,7 +227,7 @@ def partition_count(n: int, mu: Sequence[int]) -> int:
             if any(x < 0 for x in nxt):
                 break
             cur = nxt
-        _PARTITION_MEMO[key] = total
+        memo[key] = total
         return total
 
     return rec(mu, 0)

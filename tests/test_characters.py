@@ -275,6 +275,45 @@ def test_unitary_cases_have_nonnegative_integer_coefficients():
         assert nc.series.coefficient((0, 0, 0)) == 1
 
 
+def _assert_canonical(series):
+    """Keys are int tuples of length n, values nonzero Fractions, degrees
+    at most maxdeg, and the public constructor leaves the series as it is."""
+    for e, c in series.coeffs.items():
+        assert type(e) is tuple and len(e) == series.n, e
+        assert all(type(x) is int for x in e), e
+        assert type(c) is Fraction and c, (e, c)
+        assert sum(e) <= series.maxdeg, e
+    assert series == CharacterSeries(series.n, series.maxdeg, dict(series.coeffs))
+
+
+def test_library_series_are_canonical():
+    built = [verma_character(3, 9), verma_character(4, 6),
+             weyl_character(weight_from_labels((2, 1, 2)), 10).series,
+             sl3_character(2, 3), sl3_character(0, 2)]
+    for case in UNITARY_CASES:
+        built.append(unitary_character(case, 9, m1=2, m2=3).series)
+    built += [s.truncate(5) for s in built] + [built[0].truncate(20)]
+    for series in built:
+        _assert_canonical(series)
+    assert built[0].truncate(20).coeffs == built[0].coeffs
+    assert built[0].truncate(20).coeffs is not built[0].coeffs
+
+
+class _Exp(tuple):
+    """A tuple subclass, standing for an outside caller's key type."""
+
+
+def test_constructor_normalises_outside_input():
+    # keys whose entries are bools, Fractions or a tuple subclass; int
+    # values; zero values; a term above maxdeg
+    raw = {(0, 0): 1, (1, 0): 0, (Fraction(0), True): Fraction(-2, 4),
+           _Exp((1, 1)): 3, (2, 2): 5, (1, 2): Fraction(0)}
+    series = CharacterSeries(2, 3, raw)
+    assert series.coeffs == {(0, 0): 1, (0, 1): Fraction(-1, 2), (1, 1): 3}
+    assert all(type(c) is Fraction for c in series.coeffs.values())
+    _assert_canonical(series)
+
+
 # ------------------------------------------- five-branch unitary reference
 
 def reference_unitary_character(case, maxdeg=10, m1=None, m2=None):

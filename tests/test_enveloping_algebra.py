@@ -40,7 +40,9 @@ from ospuir.enveloping.module import (
 from ospuir.weights import Signature
 
 SIG = Signature(3, Fraction(2), (0, 2))
-TABLE_DIGESTS = pathlib.Path(__file__).parent / "golden" / "structure_tables_sha256.txt"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+TABLE_DIGESTS = GOLDEN / "structure_tables_sha256.txt"
+BASIS_DIGESTS = GOLDEN / "weight_space_words_sha256.txt"
 
 
 def _vec_terms(v):
@@ -242,6 +244,25 @@ def test_partition_count_sizes_every_dominant_block(n):
     for level in range(4 if n < 5 else 3):
         for off in level_offsets(n, level):
             assert len(weight_space_words(n, off)) == partition_count(n, off), off
+
+
+def test_weight_space_words_match_pinned_digests():
+    # captured before the bases were built from shared tails: one line per
+    # (n, offset) with the dimension and the sha256 of the word names, one
+    # word a line, for every dominant offset to level 4 (level 3 at n = 5)
+    # and the other offsets that verify --all visits
+    pinned = {}
+    for line in BASIS_DIGESTS.read_text().splitlines():
+        n, offset, dim, digest = line.split()
+        pinned[int(n), tuple(int(x) for x in offset.split(","))] = int(dim), digest
+    dominant = {(n, off) for n in range(2, 6) for level in range(4 if n == 5 else 5)
+                for off in level_offsets(n, level)}
+    assert dominant < set(pinned)
+    assert {n for n, off in set(pinned) - dominant} == {3}
+    for (n, off), (dim, digest) in pinned.items():
+        basis = weight_space_words(n, off)
+        text = "\n".join(word_name(w) for w in basis)
+        assert (len(basis), hashlib.sha256(text.encode()).hexdigest()) == (dim, digest), (n, off)
 
 
 def test_gram_examples():

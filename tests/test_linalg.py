@@ -297,3 +297,55 @@ def test_rref_and_nullspace_match_fraction_reference():
         assert all(type(x) is Fraction for row in red for x in row)
         assert nullspace(m) == _ref_nullspace(m, cols)
     assert nullspace([], cols=3) == _ref_nullspace([], 3)
+    # tall sparse matrices shaped like the stacked singular-vector kernels
+    # (112 x 60, about 6% nonzero), with zero rows and Fraction or bool rows
+    rng = random.Random(20261019)
+    ranks = []
+    for deficient in (False, True):
+        m = _tall_sparse(rng, deficient)
+        for i in rng.sample(range(len(m)), 4):
+            m[i] = [0] * 60
+        for i in rng.sample(range(len(m)), 8):
+            den = rng.choice((2, 3, 7))
+            m[i] = [Fraction(x, den) for x in m[i]]
+        m += [[rng.random() < 0.06 for _ in range(60)] for _ in range(3)]
+        red, pivots = _ref_rref(m)
+        ranks.append(len(pivots))
+        assert rref(m) == (red, pivots)
+        assert nullspace(m) == _ref_nullspace(m, 60)
+        # in span: a combination of the reduced rows; not in span: a kernel
+        # vector k (k . k > 0 while every row is orthogonal to k)
+        coeffs = [rng.randint(-3, 3) for _ in red]
+        combo = [sum(x * row[c] for x, row in zip(coeffs, red)) for c in range(60)]
+        assert in_span(red, combo)
+        assert in_span(red, [0] * 60)
+        for k in nullspace(m)[:3]:
+            assert not in_span(red, k)
+    assert ranks[0] == 60 and ranks[1] < 60
+
+
+def _tall_sparse(rng, deficient):
+    """112 x 60 int matrix, about 6% nonzero; when deficient, every row is a
+    multiple of one of 40 sparse rows plus a multiple of another, so the
+    rank is at most 40 and the kernel is not empty."""
+    def sparse_row():
+        return [rng.randint(-9, 9) if rng.random() < 0.06 else 0 for _ in range(60)]
+    if not deficient:
+        return [sparse_row() for _ in range(112)]
+    base = [sparse_row() for _ in range(40)]
+    rows = []
+    for _ in range(112):
+        (i, j), (a, b) = rng.sample(range(40), 2), (rng.randint(1, 3), rng.randint(-3, 3))
+        rows.append([a * x + b * y for x, y in zip(base[i], base[j])])
+    return rows
+
+
+def test_ragged_rows_raise():
+    with pytest.raises(ValueError):
+        rref([[1, 2, 3], [4, 5]])
+    with pytest.raises(ValueError):
+        nullspace([[1, 2, 3]], cols=2)
+    with pytest.raises(ValueError):
+        nullspace([[1, 2]], cols=3)
+    with pytest.raises(ValueError):
+        in_span([[1, 0, 0]], [0, 1])

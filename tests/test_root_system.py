@@ -5,6 +5,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from ospuir import root_system
 from ospuir.root_system import (
     build_root_system,
     coroot,
@@ -12,6 +13,7 @@ from ospuir.root_system import (
     inner,
     is_positive,
     pairing,
+    partition_count,
     simple_to_delta,
 )
 
@@ -126,3 +128,40 @@ def test_pairing_linearity():
         v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(3))
         s = tuple(x + y for x, y in zip(u, v))
         assert pairing(s, beta) == pairing(u, beta) + pairing(v, beta)
+
+
+def _module_state():
+    """Sizes of root_system's module-level containers and caches."""
+    sizes = {}
+    for name, value in vars(root_system).items():
+        if isinstance(value, (dict, list, set)):
+            sizes[name] = len(value)
+        elif hasattr(value, "cache_info"):
+            sizes[name] = value.cache_info().currsize
+    return sizes
+
+
+def test_partition_count_leaves_no_growing_state(monkeypatch):
+    # the recursion's memo serves one rank at a time: after each round of
+    # calls at ranks 2..6, with new weights every round, it holds exactly
+    # what the round's rank-6 calls leave on their own, and no other
+    # module-level state grows
+    rng = random.Random(20261018)
+    states = []
+    for _ in range(3):
+        calls = {n: [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(5)]
+                 for n in range(2, 7)}
+        counts = [partition_count(n, mu) for n, mus in calls.items() for mu in mus]
+        states.append(_module_state())
+        rank, memo = root_system._partition_memo
+        monkeypatch.setattr(root_system, "_partition_memo", (0, {}))
+        assert [partition_count(6, mu) for mu in calls[6]] == counts[-5:]
+        assert (rank, len(memo)) == (6, len(root_system._partition_memo[1]))
+    assert states[0] == states[1] == states[2]
+    # a memo above the limit is started afresh by the next call
+    monkeypatch.setattr(root_system, "_PARTITION_MEMO_LIMIT", 10)
+    partition_count(6, (2, 3, 3, 3, 3, 3))
+    full = root_system._partition_memo[1]
+    assert partition_count(6, (0, 0, 0, 0, 0, 1)) == 1
+    assert root_system._partition_memo[1] is not full
+    assert len(root_system._partition_memo[1]) < len(full)
