@@ -118,8 +118,9 @@ def _check_series_terms(nvars: int, maxdeg: int) -> None:
 
 def _check_gram_size(n: int, max_level: int) -> None:
     """Refuse a Gram scan whose dominant blocks up to max_level have a sum
-    of dim^2 above MAX_GRAM_WORK; the sum is taken level by level, so the
-    count stops at the first level past the limit."""
+    of dim^2 above MAX_GRAM_WORK; the sum is taken block by block in scan
+    order, so the count stops at the first block past the limit and the
+    message reports the partial sum."""
     from ospuir.enveloping.algebra import check_rank
     from ospuir.enveloping.module import level_offsets
     from ospuir.root_system import partition_count
@@ -127,12 +128,13 @@ def _check_gram_size(n: int, max_level: int) -> None:
     check_rank(n)
     work = 0
     for level in range(1, max_level + 1):
-        work += sum(partition_count(n, off) ** 2 for off in level_offsets(n, level))
-        if work > MAX_GRAM_WORK:
-            raise ValueError(
-                f"gram blocks to level {level} at rank {n} have a sum of dim^2 of "
-                f"{work}, above the limit of {MAX_GRAM_WORK}"
-            )
+        for off in level_offsets(n, level):
+            work += partition_count(n, off) ** 2
+            if work > MAX_GRAM_WORK:
+                raise ValueError(
+                    f"gram blocks to level {level} at rank {n} have a sum of dim^2 of "
+                    f"at least {work}, above the limit of {MAX_GRAM_WORK}"
+                )
 
 
 def _sig_from(args) -> Signature:

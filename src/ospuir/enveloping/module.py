@@ -23,12 +23,18 @@ engine is built.
 Per-signature vectors and pairings are exact evaluations of those
 polynomials at the signature's d: q^deg P(p/q) by an integer Horner loop,
 then one Fraction.  A Gram block's upper triangle is gathered once per
-engine and weight offset, as references to the memoized polynomials; at
-d = p/q it becomes one integer matrix q^D G(p/q), D the block's top
-degree, with the one positive scale q^D, and goes to psd_witness as that
-integer matrix.  A generator's action from one weight space to the next
-is evaluated the same way, into the int matrix that singular-vector
-kernels are solved from.
+engine and weight offset, as references to the memoized polynomials, and
+split there into its parts: the connected components of the pattern of
+nonzero pairing polynomials, a pattern that no d changes.  Rows that pair
+to zero with every basis word belong to no part.  Ordering the basis part
+by part makes the block block-diagonal, a congruence, so the block is
+positive semidefinite exactly when every part is.  At d = p/q each part
+becomes one integer matrix q^D G(p/q), D the block's top degree, with the
+one positive scale q^D; the scan gives psd_witness the parts, and the
+whole block, assembled from them, only where a part is not PSD, so that
+the witness is the whole block's.  A generator's action from one weight
+space to the next is evaluated the same way, into the int matrix that
+singular-vector kernels are solved from.
 
 Inside the engine a generator is its int code in the rank's StructureTable
 and a word is a tuple of codes, so the memoized recursions hash and compare
@@ -67,8 +73,12 @@ CodeTerms = Dict[CodeWord, Poly]
 ScalarForm = Tuple[int, int, Tuple[int, ...]]
 # The same combination's label-free parts: the terms (h, c_h), slope, shift.
 RankForm = Tuple[Tuple[Tuple[int, Fraction], ...], int, Tuple[int, ...]]
-# A Gram block: its basis, its upper triangle row by row, and its top degree.
-Block = Tuple[Tuple[Word, ...], Tuple[Poly, ...], int]
+# A part of a Gram block: its basis indices, ascending, and its upper
+# triangle over them row by row.
+Part = Tuple[Tuple[int, ...], Tuple[Poly, ...]]
+# A Gram block: its basis, its parts, and its top degree.
+Block = Tuple[Tuple[Word, ...], Tuple[Part, ...], int]
+IntRows = List[List[int]]
 
 _ONE: Poly = (1,)
 _ZERO = Fraction(0)
@@ -405,34 +415,74 @@ class VermaEngine:
         return [Fraction(c, scale * scale) for c in poly] or [_ZERO]
 
     def _block(self, offset: Tuple[int, ...]) -> Block:
-        """The Gram block at offset, gathered once; its polynomials are the
-        objects held in the pairing memo, not copies."""
+        """The Gram block at offset, gathered once and split into its parts;
+        their polynomials are the objects held in the pairing memo, not
+        copies."""
         block = self._blocks.get(offset)
         if block is None:
             basis = self.basis(offset)
             words = [self.table.encode(w) for w in basis]
-            upper = tuple(self.pair_words(u, w) for i, u in enumerate(words) for w in words[i:])
-            top = max([1, *map(len, upper)]) - 1
-            block = self._blocks[offset] = (basis, upper, top)
+            nonzero = {}
+            for i, u in enumerate(words):
+                for j in range(i, len(words)):
+                    p = self.pair_words(u, words[j])
+                    if p:
+                        nonzero[i, j] = p
+            root = list(range(len(words)))
+
+            def find(i: int) -> int:
+                while root[i] != i:
+                    root[i] = root[root[i]]
+                    i = root[i]
+                return i
+
+            for i, j in nonzero:
+                root[find(j)] = find(i)
+            members: Dict[int, List[int]] = {}
+            for i in sorted({i for ij in nonzero for i in ij}):
+                members.setdefault(find(i), []).append(i)
+            parts = tuple(
+                (tuple(idx), tuple(nonzero.get((i, j), ()) for s, i in enumerate(idx)
+                                   for j in idx[s:]))
+                for idx in members.values()
+            )
+            top = max([1, *map(len, nonzero.values())]) - 1
+            block = self._blocks[offset] = (basis, parts, top)
         return block
 
+    def _parts(self, sig: Signature,
+               offset: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], IntRows]]:
+        """Each part of the block at offset at d = p/q: its basis indices
+        and its square int matrix q^D G(p/q), D the block's top degree."""
+        _basis, parts, top = self._block(offset)
+        weights = _weights(sig.d, top)
+        out = []
+        for idx, upper in parts:
+            vals = [sum(map(mul, p, weights)) for p in upper]
+            # row s: column s of the rows above it, then its part of the triangle
+            rows: IntRows = []
+            start = 0
+            for s in range(len(idx)):
+                stop = start + len(idx) - s
+                rows.append([row[s] for row in rows] + vals[start:stop])
+                start = stop
+            out.append((idx, rows))
+        return out
+
     def gram(self, sig: Signature, offset: Sequence[int]) -> "GramMatrix":
-        """The block at offset for d = p/q: q^D G(p/q) as int rows, scale q^D."""
+        """The block at offset for d = p/q: q^D G(p/q) as int rows, scale q^D,
+        assembled from its parts with zeros elsewhere."""
         self._check_signature(sig)
         offset = tuple(int(x) for x in offset)
-        basis, upper, top = self._block(offset)
-        weights = _weights(sig.d, top)
-        vals = [sum(map(mul, p, weights)) for p in upper]
-        # row i: column i of the rows above it, then its part of the triangle
-        rows: List[Tuple[int, ...]] = []
-        start = 0
-        size = len(basis)
-        for i in range(size):
-            stop = start + size - i
-            rows.append(tuple([row[i] for row in rows] + vals[start:stop]))
-            start = stop
-        return GramMatrix(weight_offset=offset, basis=basis, scaled=tuple(rows),
-                          scale=sig.d.denominator ** top)
+        basis, _, top = self._block(offset)
+        full = [[0] * len(basis) for _ in basis]
+        for idx, rows in self._parts(sig, offset):
+            for i, row in zip(idx, rows):
+                target = full[i]
+                for j, x in zip(idx, row):
+                    target[j] = x
+        return GramMatrix(weight_offset=offset, basis=basis,
+                          scaled=tuple(map(tuple, full)), scale=sig.d.denominator ** top)
 
     def action_matrix(self, sig: Signature, g: Generator,
                       offset: Sequence[int]) -> List[List[int]]:
@@ -510,6 +560,14 @@ def engine_for(sig: Signature) -> VermaEngine:
     return _engine_cache(sig.n, sig.a)
 
 
+# The memo of _tail_words, on (generator index, remainder), for one rank at
+# a time: a call at another rank, or one that finds more than
+# _TAIL_MEMO_LIMIT entries, starts it afresh.  Every dominant basis of rank
+# 4 to level 4 takes 9,054 entries.
+_tail_memo: Tuple[int, Dict[Tuple[int, Tuple[int, ...]], Tuple[Word, ...]]] = (0, {})
+_TAIL_MEMO_LIMIT = 1 << 14
+
+
 def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
     """All PBW monomials with the given simple-basis weight offset.
 
@@ -517,39 +575,48 @@ def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
     multiplicities of the earlier generator come first.  The words are
     ordered lexicographically by their multiplicities, so those that use
     only the generators from the k-th on make one block, shared by every
-    offset that reaches the same remainder there (_tail_words, whose cache
+    offset that reaches the same remainder there (_tail_words, whose memo
     holds each whole basis too).
     """
+    global _tail_memo
     if len(offset) != n:
         raise ValueError("offset length must equal the rank")
     if any(x < 0 for x in offset):
         raise ValueError("offset must be nonnegative")
-    return _tail_words(n, 0, tuple(offset))
+    rank, memo = _tail_memo
+    if rank != n or len(memo) > _TAIL_MEMO_LIMIT:
+        memo = {}
+        _tail_memo = (n, memo)
+    return _tail_words(structure_constants(n), memo, 0, tuple(offset))
 
 
-@lru_cache(maxsize=None)
-def _tail_words(n: int, idx: int, rem: Tuple[int, ...]) -> Tuple[Word, ...]:
+def _tail_words(table: StructureTable, memo: Dict, idx: int,
+                rem: Tuple[int, ...]) -> Tuple[Word, ...]:
     """The PBW words at offset rem in the raising generators from the
     idx-th on, in the order of weight_space_words; an odd generator is
     used at most once."""
     if not any(rem):
         return ((),)
-    table = structure_constants(n)
     if idx == len(table.raising):
         return ()
+    key = (idx, rem)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     g = table.raising[idx]
     e = table.weight_exp[table.code[g]]
     out: List[Word] = []
     prefix: Word = ()
     while True:
-        out.extend(prefix + tail for tail in _tail_words(n, idx + 1, rem))
+        out.extend(prefix + tail for tail in _tail_words(table, memo, idx + 1, rem))
         if g.is_odd and prefix:
             break
         rem = tuple(a - b for a, b in zip(rem, e))
         if any(x < 0 for x in rem):
             break
         prefix += (g,)
-    return tuple(out)
+    words = memo[key] = tuple(out)
+    return words
 
 
 @dataclass(frozen=True, eq=False)
@@ -642,9 +709,11 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
     Levels count odd creations (delta-coordinate sums).  The verdict is psd
     exactly when every dominant Gram block up to max_level is positive
     semidefinite; otherwise the witness vector and its (negative) norm are
-    reported.  Negativity first reaches the dominant sector on this grid;
-    the bound max_level = 4 for rank three is empirical.  A max_level below
-    1 would certify nothing and raises ValueError.
+    reported.  Each block is judged by its parts (VermaEngine._block); the
+    first block with a part that is not PSD is built whole, and the witness
+    is psd_witness's on it.  Negativity first reaches the dominant sector on
+    this grid; the bound max_level = 4 for rank three is empirical.  A
+    max_level below 1 would certify nothing and raises ValueError.
     """
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
@@ -653,10 +722,12 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
     for level in range(1, max_level + 1):
         levels.append(level)
         for offset in level_offsets(sig.n, level):
+            if all(psd_witness(rows) is None for _idx, rows in engine._parts(sig, offset)):
+                continue
             gram = engine.gram(sig, offset)
             coeffs = psd_witness(gram.scaled)
             if coeffs is None:
-                continue
+                raise AssertionError("a part of a Gram block is not PSD but the block is")
             terms = {w: c for w, c in zip(gram.basis, coeffs) if c}
             witness = ModuleVector(sig, offset, terms)
             norm = engine.norm(witness)

@@ -10,8 +10,9 @@ far; back-substitution runs among the pivot rows only, and only rref
 builds dense reduced rows; the reduced form is unique, so the order of
 elimination changes no result.  psd_witness scales the matrix once and
 takes a matrix whose denominators are all 1, such as a matrix of ints, as
-it is; its pivot choice is that of elimination over Q and deterministic:
-pivots are chosen left to right.
+it is; it eliminates on the upper triangle only, and its pivot choice is
+that of elimination over Q and deterministic: pivots are chosen left to
+right.
 """
 
 from __future__ import annotations
@@ -181,8 +182,10 @@ def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:
     witness.  Elimination uses Bareiss exact division: after pivots P,
     entry (i, j) is the Schur complement entry times det G[P, P] > 0, so
     every sign and zero test, and with it every choice, is that of
-    elimination over Q.  The witness is rebuilt afterwards from the pivots
-    (see _congruence_basis) and checked on the scaled matrix.
+    elimination over Q.  The Schur complement stays symmetric, so only its
+    upper triangle is stored and updated.  The witness is rebuilt
+    afterwards from the pivots (see _congruence_basis) and checked on the
+    scaled matrix.
     """
     m = len(gram)
     if any(len(row) != m for row in gram):
@@ -201,38 +204,40 @@ def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:
             raise AssertionError("witness construction failed")
         return v
 
-    # a holds the rows and columns still active, in index order; active[k]
-    # is the index in gram of row/column k of a.
-    a = [list(row) for row in g]
+    # a holds the upper triangle of the rows and columns still active, in
+    # index order: a[s][t - s] is entry (s, t) for t >= s, so a[s][0] is a
+    # diagonal entry; active[s] is the index in gram of row/column s.
+    a = [list(row[s:]) for s, row in enumerate(g)]
     active = list(range(m))
     pivots: List[int] = []
     prev = 1
     while active:
-        diag = [a[k][k] for k in range(len(active))]
-        neg = next((k for k, x in enumerate(diag) if x < 0), None)
+        neg = next((s for s, row in enumerate(a) if row[0] < 0), None)
         if neg is not None:
             return check(_congruence_basis(g, pivots, [active[neg]])[0])
-        k = next((k for k, x in enumerate(diag) if x > 0), None)
+        k = next((s for s, row in enumerate(a) if row[0] > 0), None)
         if k is None:
             break
-        p = diag[k]
         prow = a.pop(k)
-        del prow[k]
+        p = prow[0]
         pivots.append(active.pop(k))
-        for t, row in enumerate(a):
-            f = row.pop(k)
+        # entry (k, t) for every row t left, in the new order: taken out of
+        # the rows above the pivot, then the pivot row right of its diagonal
+        col = [a[s].pop(k - s) for s in range(k)] + prow[1:]
+        for s, row in enumerate(a):
+            f = col[s]
             if f:
-                a[t] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+                a[s] = [(p * x - f * y) // prev for x, y in zip(row, col[s:])]
             else:
-                a[t] = [p * x // prev for x in row]
+                a[s] = [p * x // prev for x in row]
         prev = p
     # every remaining diagonal entry is zero
     for s, row in enumerate(a):
-        for t in range(s + 1, len(row)):
-            if row[t]:
-                bi, bj = _congruence_basis(g, pivots, [active[s], active[t]])
-                sign = 1 if row[t] > 0 else -1
-                return check([x - sign * y for x, y in zip(bi, bj)])
+        t = next((t for t, x in enumerate(row) if x), None)
+        if t is not None:
+            bi, bj = _congruence_basis(g, pivots, [active[s], active[s + t]])
+            sign = 1 if row[t] > 0 else -1
+            return check([x - sign * y for x, y in zip(bi, bj)])
     return None
 
 

@@ -5,6 +5,8 @@ and the stated wall-clock budget, so a verbose run shows one pass/fail
 line per criterion.
 """
 
+import hashlib
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -18,7 +20,7 @@ from ospuir.characters import (
     verma_character,
     weight_from_labels,
 )
-from ospuir.enveloping.module import engine_for, gram_psd_check
+from ospuir.enveloping.module import engine_for, gram_psd_check, module_vector_to_text
 from ospuir.enveloping.singular import (
     PRINTED_IDS,
     find_singular,
@@ -83,11 +85,25 @@ def test_criterion_1_unitarity_table():
     assert elapsed < 1.0, f"criterion 1 took {elapsed:.2f}s"
 
 
+CRITERION_2_DIGEST = pathlib.Path(__file__).parent / "golden" / "criterion2_sha256.txt"
+
+
+def _report_line(report):
+    """One cell of the scan: signature, verdict, witness offset, norm, vector."""
+    sig = report.sig
+    offset = ",".join(map(str, report.witness_offset)) if report.witness_offset else "-"
+    vector = module_vector_to_text(report.witness) if report.witness else "-"
+    verdict = "psd" if report.psd else "witness"
+    return (f"{sig.n} {','.join(map(str, sig.a))} {sig.d} {verdict} {offset} "
+            f"{report.witness_norm} {vector}")
+
+
 def test_criterion_2_gram_cross_validation():
     t0 = time.monotonic()
     d_values = [Fraction(k, 4) for k in range(17)]
     rows = unitarity_grid(3, ((0, 1, 2), (0, 1, 2)), d_values)
     assert len(rows) == 9 * 17
+    lines = []
     for row in rows:
         report = gram_psd_check(row.sig, max_level=4)
         assert report.psd == row.verdict.unitary, row.sig
@@ -96,6 +112,11 @@ def test_criterion_2_gram_cross_validation():
             assert report.witness_norm < 0
             eng = engine_for(row.sig)
             assert eng.norm(report.witness) == report.witness_norm
+        lines.append(_report_line(report))
+    # every verdict, witness offset, witness vector and norm, as the scan
+    # gave them on whole blocks before blocks were split into parts
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CRITERION_2_DIGEST.read_text().strip()
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"criterion 2 took {elapsed:.2f}s"
 

@@ -11,7 +11,10 @@ import sys
 from fractions import Fraction
 
 from ospuir.characters import series_to_text, unitary_character
-from ospuir.cli import _check_series_terms, main
+import pytest
+
+from ospuir import root_system
+from ospuir.cli import MAX_GRAM_WORK, _check_gram_size, _check_series_terms, main
 from ospuir.enveloping import module, singular
 from ospuir.weights import reduction_points
 
@@ -133,6 +136,25 @@ def test_oversized_requests_exit_2():
         assert module._engine_cache.cache_info().currsize == engines, argv
     # C(142 + 3, 3) = 497,640 series terms are accepted, C(143 + 3, 3) = 508,080 are not
     _check_series_terms(3, 142)
+
+
+def test_gram_size_guard_stops_at_the_first_block_past_the_limit(monkeypatch):
+    # rank 8 to level 2 has 44 dominant blocks; the refusal sizes only those
+    # up to the first one that takes the sum of dim^2 past the limit
+    counted = []
+    count = root_system.partition_count
+
+    def counting(n, mu):
+        counted.append(count(n, mu))
+        return counted[-1]
+
+    monkeypatch.setattr(root_system, "partition_count", counting)
+    with pytest.raises(ValueError, match="at least"):
+        _check_gram_size(8, 2)
+    offsets = [off for level in (1, 2) for off in module.level_offsets(8, level)]
+    assert 0 < len(counted) < len(offsets)
+    work = [x * x for x in counted]
+    assert sum(work[:-1]) <= MAX_GRAM_WORK < sum(work)
 
 
 def test_exit_code_contract(monkeypatch, capsys):

@@ -27,6 +27,7 @@ from ospuir.enveloping.algebra import (
 )
 from ospuir.linalg import add_scaled
 from ospuir.root_system import delta_to_simple
+from ospuir.enveloping import module
 from ospuir.enveloping.module import (
     VermaEngine,
     engine_for,
@@ -38,6 +39,8 @@ from ospuir.enveloping.module import (
     word_name,
 )
 from ospuir.weights import Signature
+
+from test_root_system import _module_state
 
 SIG = Signature(3, Fraction(2), (0, 2))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -244,6 +247,32 @@ def test_partition_count_sizes_every_dominant_block(n):
     for level in range(4 if n < 5 else 3):
         for off in level_offsets(n, level):
             assert len(weight_space_words(n, off)) == partition_count(n, off), off
+
+
+def test_weight_space_words_leaves_no_growing_state(monkeypatch):
+    # the shared tails serve one rank at a time: after each round of calls
+    # at ranks 2..5, with new offsets every round, the memo holds exactly
+    # what the round's rank-5 calls leave on their own, and no other
+    # module-level state grows
+    rng = random.Random(20261019)
+    states = []
+    for _ in range(3):
+        calls = {n: [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(5)]
+                 for n in range(2, 6)}
+        bases = [weight_space_words(n, off) for n, offs in calls.items() for off in offs]
+        states.append(_module_state(module))
+        rank, memo = module._tail_memo
+        monkeypatch.setattr(module, "_tail_memo", (0, {}))
+        assert [weight_space_words(5, off) for off in calls[5]] == bases[-5:]
+        assert (rank, len(memo)) == (5, len(module._tail_memo[1]))
+    assert states[0] == states[1] == states[2]
+    # a memo above the limit is started afresh by the next call
+    monkeypatch.setattr(module, "_TAIL_MEMO_LIMIT", 10)
+    weight_space_words(5, (1, 2, 2, 2, 2))
+    full = module._tail_memo[1]
+    assert len(weight_space_words(5, (0, 0, 0, 0, 1))) == 1
+    assert module._tail_memo[1] is not full
+    assert len(module._tail_memo[1]) < len(full)
 
 
 def test_weight_space_words_match_pinned_digests():

@@ -218,6 +218,70 @@ def _symmetric_cases(rng):
         else:
             g = _hyperbolic_tail(rng, max(size, 2), denominators)
         yield g
+    # elimination that pivots in the middle of the active set, and blocks
+    # whose rows and columns are interleaved
+    for t in range(120):
+        denominators = t % 3 == 0
+        if t % 2:
+            yield _leading_zero_diagonals(rng, rng.randint(1, 5), denominators)
+        else:
+            yield _permuted_block_diagonal(rng, denominators)
+
+
+def _nonzero(rng, denominators):
+    return _entry(rng, denominators) or 1
+
+
+def _leading_zero_diagonals(rng, size, denominators):
+    """One or two zero diagonal entries ahead of a PSD block, so the first
+    pivot lies past them.  The leading rows stay zero, meet a later
+    column (a negative diagonal after the pivots), or, when there are two,
+    meet each other only (the two-term zero-diagonal witness after the
+    pivots)."""
+    z = rng.randint(1, 2)
+    inner = _gram(_random_matrix(rng, size, size, rng.randint(1, size), denominators))
+    m = z + size
+    g = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(size):
+        for j in range(size):
+            g[z + i][z + j] = Fraction(inner[i][j])
+    kind = rng.randrange(3)
+    if kind == 1:
+        i, j = rng.randrange(z), rng.randrange(z, m)
+        g[i][j] = g[j][i] = Fraction(_nonzero(rng, denominators))
+    elif kind == 2 and z == 2:
+        g[0][1] = g[1][0] = Fraction(_nonzero(rng, denominators))
+    return g
+
+
+def _permuted_block_diagonal(rng, denominators):
+    """Two or three symmetric blocks of the other families on the diagonal,
+    then one permutation applied to rows and columns alike."""
+    blocks = []
+    for _ in range(rng.randint(2, 3)):
+        size = rng.randint(1, 3)
+        family = rng.randrange(3)
+        if family == 0:
+            b = [[Fraction(0)] * size for _ in range(size)]
+            for i in range(size):
+                for j in range(i, size):
+                    b[i][j] = b[j][i] = Fraction(_entry(rng, denominators))
+        elif family == 1:
+            b = _gram(_random_matrix(rng, size, size, rng.randint(1, size), denominators))
+        else:
+            b = _hyperbolic_tail(rng, max(size, 2), denominators)
+        blocks.append(b)
+    m = sum(len(b) for b in blocks)
+    g = [[Fraction(0)] * m for _ in range(m)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                g[start + i][start + j] = Fraction(x)
+        start += len(b)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    return [[g[perm[i]][perm[j]] for j in range(m)] for i in range(m)]
 
 
 def test_psd_witness_matches_fraction_reference():

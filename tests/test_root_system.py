@@ -130,10 +130,10 @@ def test_pairing_linearity():
         assert pairing(s, beta) == pairing(u, beta) + pairing(v, beta)
 
 
-def _module_state():
-    """Sizes of root_system's module-level containers and caches."""
+def _module_state(mod=root_system):
+    """Sizes of a module's module-level containers and caches."""
     sizes = {}
-    for name, value in vars(root_system).items():
+    for name, value in vars(mod).items():
         if isinstance(value, (dict, list, set)):
             sizes[name] = len(value)
         elif hasattr(value, "cache_info"):

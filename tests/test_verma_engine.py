@@ -25,6 +25,7 @@ from ospuir.enveloping.algebra import (
     omega,
     structure_constants,
 )
+from ospuir.enveloping import module
 from ospuir.enveloping.module import (
     GramMatrix,
     ModuleVector,
@@ -181,6 +182,67 @@ def test_gram_blocks_compare_by_entries():
     assert rescaled(6, bump=1) != gram
     assert eng.gram(sig, level_offsets(3, 1)[0]) != gram
     assert eng.gram(Signature(3, Fraction(1, 2), (0, 1)), offset) != gram
+
+
+def _assert_parts_split_blocks(n, a, max_level, ds):
+    """Each block's parts are disjoint, every pairing between two parts or
+    on a row of no part is zero, gram() equals the block evaluated entry by
+    entry at the first d, and at each d the parts are PSD exactly when the
+    block is.  Returns the verdicts seen."""
+    eng = engine_for(Signature(n, ds[0], a))
+    verdicts = set()
+    for level in range(1, max_level + 1):
+        for offset in level_offsets(n, level):
+            basis, parts, _top = eng._block(offset)
+            words = [eng.table.encode(w) for w in basis]
+            owner = {}
+            for p, (idx, _upper) in enumerate(parts):
+                assert list(idx) == sorted(idx) and idx, (a, offset)
+                for i in idx:
+                    assert owner.setdefault(i, p) == p, (a, offset, i)
+            polys = {(i, j): eng.pair_words(words[i], words[j])
+                     for i in range(len(words)) for j in range(i, len(words))}
+            for (i, j), poly in polys.items():
+                if owner.get(i) is None or owner.get(i) != owner.get(j):
+                    assert poly == (), (a, offset, i, j)
+            for d in ds:
+                sig = Signature(n, d, a)
+                gram = eng.gram(sig, offset)
+                assert d != ds[0] or gram.entries == tuple(
+                    tuple(_evaluate(polys[min(i, j), max(i, j)], d) for j in range(len(words)))
+                    for i in range(len(words))), (a, offset, d)
+                parts_psd = all(psd_witness(rows) is None
+                                for _idx, rows in eng._parts(sig, offset))
+                assert parts_psd == (psd_witness(gram.scaled) is None), (a, offset, d)
+                verdicts.add(parts_psd)
+    return verdicts
+
+
+def test_gram_parts_split_each_block():
+    # rank 3, every a in {0,1,2}^2 to level 4, and rank 4 at a = 0 to
+    # level 2, each at a seeded d of the dyadic grid and one off it
+    rng = random.Random(20261023)
+    verdicts = set()
+    cases = [(3, (a1, a2), 4) for a1 in range(3) for a2 in range(3)] + [(4, (0, 0, 0), 2)]
+    for n, a, max_level in cases:
+        ds = [Fraction(rng.randint(0, 16), 4), Fraction(rng.randint(-20, 40), rng.randint(1, 7))]
+        verdicts |= _assert_parts_split_blocks(n, a, max_level, ds)
+    assert verdicts == {True, False}
+
+
+def test_parts_and_whole_block_must_agree(monkeypatch):
+    # a part called not PSD in a block that is PSD (d = 2 is unitary) trips
+    # the scan's own check: only the first call, on the first part, lies
+    calls = []
+
+    def first_part_fails(gram):
+        calls.append(gram)
+        return [Fraction(1)] * len(gram) if len(calls) == 1 else psd_witness(gram)
+
+    monkeypatch.setattr(module, "psd_witness", first_part_fails)
+    with pytest.raises(AssertionError, match="part of a Gram block"):
+        gram_psd_check(Signature(3, Fraction(2), (0, 0)), max_level=1)
+    assert len(calls) == 2
 
 
 def _reference_psd_check(sig, max_level):
