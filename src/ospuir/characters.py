@@ -49,12 +49,6 @@ Poly = Dict[Exp, Fraction]
 
 # ---------------------------------------------------------------- raw dicts
 
-def p_add(f: Poly, g: Poly) -> Poly:
-    out = dict(f)
-    add_scaled(out, g, 1)
-    return out
-
-
 def p_sub(f: Poly, g: Poly) -> Poly:
     out = dict(f)
     add_scaled(out, g, -1)

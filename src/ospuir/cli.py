@@ -9,9 +9,10 @@ emits it to stdout or --out.  Formats: classify, reduction-points, verify
 and weyl json (default), csv, text; grid json (default), csv; gram json
 (default), text; multiplet json (default), dot; character text (default),
 json.  All rationals cross the boundary as exact "p/q" strings; decimals are
-rejected.  Exit codes: 0 success, 2 usage error, 3 internal anomaly.  Each
-cmd_* function imports the library names it uses in its own body, so a
-process loads only the modules its subcommand runs.
+rejected.  Exit codes: 0 success, 2 usage error (an --out path that cannot
+be written is one), 3 internal anomaly.  Each cmd_* function imports the
+library names it uses in its own body, so a process loads only the modules
+its subcommand runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -33,22 +33,21 @@ Payload = Dict[str, Callable[[], str]]
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 # Largest requests the command line accepts; larger ones exit 2 before any
-# allocation.  On a 2-vCPU x86-64 host with CPython 3.11, a rank-3 grid of
-# 10,100 cells takes 14 s and 30 MB, and weyl --n 6 (46,080 elements) 3.7 s
-# and 80 MB; W(B7) has 645,120 elements.  A multiplet with every label
-# positive is the whole dot orbit of W(B_n): with all labels 1, n = 4 (384
-# elements) takes 0.4 s and 19 MB, and n = 5 (3,840) 4.5 s and 24 MB.  A
-# gram scan costs about the sum of dim^2 over its dominant blocks up to
-# --max-level (dim = partition_count): rank 4 to level 4 (3,087,225) takes
-# 20 s and 389 MB at one unitary cell, rank 3 to level 6 (773,920) 5.8 s
-# and 127 MB, and rank 5 to level 3 (5,792,062) 38 s and 744 MB.  A
-# character series in n variables to total degree maxdeg has at most
-# C(maxdeg + n, n) terms: verma --n 3 --maxdeg 141 (487,344) takes 14 s and
-# 200 MB, weyl --n 6 --maxdeg 23 (475,020) 9.2 s and 51 MB, and sl3 --m1 250
-# --m2 249 (2 variables to degree 998, 499,500) 6.4 s and 110 MB.
+# allocation.  The ranks each subcommand takes are root_system.RANKS, which
+# the library checks.  On a 2-vCPU x86-64 host with CPython 3.11, a rank-3
+# grid of 10,100 cells takes 14 s and 30 MB, weyl --n 6 (46,080 elements)
+# 3.7 s and 80 MB, and multiplet with every label 1, the whole dot orbit of
+# W(B_n), 0.4 s and 19 MB at n = 4 (384 nodes) and 4.5 s and 24 MB at
+# n = 5 (3,840).  A gram scan costs about the sum of dim^2 over its
+# dominant blocks up to --max-level (dim = partition_count): rank 4 to
+# level 4 (3,087,225) takes 20 s and 389 MB at one unitary cell, rank 3 to
+# level 6 (773,920) 5.8 s and 127 MB, and rank 5 to level 3 (5,792,062)
+# 38 s and 744 MB.  A character series in n variables to total degree
+# maxdeg has at most C(maxdeg + n, n) terms: verma --n 3 --maxdeg 141
+# (487,344) takes 14 s and 200 MB, weyl --n 6 --maxdeg 23 (475,020) 9.2 s
+# and 51 MB, and sl3 --m1 250 --m2 249 (2 variables to degree 998,
+# 499,500) 6.4 s and 110 MB.
 MAX_GRID_CELLS = 50_000
-MAX_WEYL_ORDER = 100_000
-MAX_MULTIPLET_ORDER = 1_000
 MAX_GRAM_WORK = 4_000_000
 MAX_CHARACTER_TERMS = 500_000
 
@@ -67,10 +66,6 @@ def parse_int_list(text: str) -> Tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"not a comma-separated integer list: {text!r}")
-
-
-def _fr(x: Fraction) -> str:
-    return str(x)
 
 
 def _emit(payload: str, out: Optional[str]) -> None:
@@ -93,14 +88,6 @@ def _csv(rows: Sequence[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
-def _check_group_order(n: int, limit: int) -> None:
-    """Refuse a request that may walk all of W(B_n) when its order 2^n n!
-    is above limit; n must already be bounded by the caller."""
-    order = 2 ** n * math.factorial(n)
-    if order > limit:
-        raise ValueError(f"W(B{n}) has {order} elements, above the limit of {limit}")
-
-
 def _check_series_terms(nvars: int, maxdeg: int) -> None:
     """Refuse a series in nvars variables to total degree maxdeg when it may
     have more than MAX_CHARACTER_TERMS terms, C(maxdeg + nvars, nvars); the
@@ -121,11 +108,10 @@ def _check_gram_size(n: int, max_level: int) -> None:
     of dim^2 above MAX_GRAM_WORK; the sum is taken block by block in scan
     order, so the count stops at the first block past the limit and the
     message reports the partial sum."""
-    from ospuir.enveloping.algebra import check_rank
     from ospuir.enveloping.module import level_offsets
-    from ospuir.root_system import partition_count
+    from ospuir.root_system import check_rank, partition_count
 
-    check_rank(n)
+    check_rank("engine", n)
     work = 0
     for level in range(1, max_level + 1):
         for off in level_offsets(n, level):
@@ -161,19 +147,19 @@ def _verdict_obj(verdict) -> dict:
     point = None
     if verdict.governing_point is not None:
         name, value = verdict.governing_point
-        point = {"name": name, "d": _fr(value)}
+        point = {"name": name, "d": str(value)}
     return {
         "n": sig.n,
         "a": list(sig.a),
-        "d": _fr(sig.d),
+        "d": str(sig.d),
         "unitary": verdict.unitary,
         "branch": verdict.branch,
         "point": point,
         "audit": {
             "leading_zero_count": verdict.audit["leading_zero_count"],
-            "kappa": _fr(verdict.audit["kappa"]),
-            "threshold": _fr(verdict.audit["threshold"]),
-            "isolated_points": [_fr(x) for x in verdict.audit["isolated_points"]],
+            "kappa": str(verdict.audit["kappa"]),
+            "threshold": str(verdict.audit["threshold"]),
+            "isolated_points": [str(x) for x in verdict.audit["isolated_points"]],
             "note": verdict.audit["note"],
         },
     }
@@ -184,7 +170,7 @@ def _verdict_csv(n: int, verdicts) -> str:
     head = [f"a{k + 1}" for k in range(n - 1)] + ["d", "unitary", "branch", "point"]
     return _csv([head] + [
         [str(x) for x in v.sig.a]
-        + [_fr(v.sig.d), str(v.unitary).lower(), v.branch,
+        + [str(v.sig.d), str(v.unitary).lower(), v.branch,
            v.governing_point[0] if v.governing_point else ""]
         for v in verdicts
     ])
@@ -200,7 +186,7 @@ def cmd_classify(args) -> Payload:
         "json": lambda: _json(_verdict_obj(verdict)),
         "csv": lambda: _verdict_csv(sig.n, [verdict]),
         "text": lambda: _text([
-            f"signature [{_fr(sig.d)}; {_ints(sig.a)}]",
+            f"signature [{sig.d}; {_ints(sig.a)}]",
             f"unitary {str(verdict.unitary).lower()}",
             f"branch {verdict.branch}",
             f"point {point}",
@@ -209,7 +195,7 @@ def cmd_classify(args) -> Payload:
 
 
 def cmd_grid(args) -> Payload:
-    from ospuir.root_system import MAX_RANK
+    from ospuir.root_system import check_rank
     from ospuir.unitarity import unitarity_grid
 
     n = args.n
@@ -220,8 +206,7 @@ def cmd_grid(args) -> Payload:
         raise ValueError("d grid must have positive step and nonnegative max")
     if a_max < 0:
         raise ValueError(f"labels are nonnegative, got --a-max {a_max}")
-    if not 1 <= n <= MAX_RANK:
-        raise ValueError(f"rank must be an integer in [1, {MAX_RANK}], got {n}")
+    check_rank("roots", n)
     steps = d_max // d_step + 1
     cells = steps * (a_max + 1) ** (n - 1)
     if cells > MAX_GRID_CELLS:
@@ -253,17 +238,17 @@ def cmd_reduction_points(args) -> Payload:
             "n": n,
             "a": list(a),
             "points": [
-                {"name": name, "family": fam, "i": i, "j": j, "d": _fr(val)}
+                {"name": name, "family": fam, "i": i, "j": j, "d": str(val)}
                 for name, fam, i, j, val in entries
             ],
-            "subsingular": [{"d": _fr(val), "chain": chain} for val, chain in subs],
+            "subsingular": [{"d": str(val), "chain": chain} for val, chain in subs],
         }),
         "csv": lambda: _csv([["name", "family", "d"]] + [
-            [name, fam, _fr(val)] for name, fam, _i, _j, val in entries
+            [name, fam, str(val)] for name, fam, _i, _j, val in entries
         ]),
         "text": lambda: _text(
-            [f"{name} = {_fr(val)}" for name, _f, _i, _j, val in entries]
-            + [f"subsingular {chain} at d = {_fr(val)}" for val, chain in subs]
+            [f"{name} = {val}" for name, _f, _i, _j, val in entries]
+            + [f"subsingular {chain} at d = {val}" for val, chain in subs]
         ),
     }
 
@@ -307,7 +292,6 @@ def cmd_character(args) -> Payload:
         labels = parse_int_list(args.labels)
         if len(labels) != args.n:
             raise ValueError(f"need {args.n} labels")
-        _check_group_order(args.n, MAX_WEYL_ORDER)
         norm = weyl_character(weight_from_labels(labels), maxdeg)
         prefix = norm.prefix
         series = norm.series
@@ -315,7 +299,7 @@ def cmd_character(args) -> Payload:
         norm = unitary_character(case, maxdeg, m1=args.m1, m2=args.m2)
         prefix = norm.prefix
         series = norm.series
-    lowest = {} if prefix is None else {"lowest_weight": [_fr(x) for x in prefix]}
+    lowest = {} if prefix is None else {"lowest_weight": [str(x) for x in prefix]}
     return {
         "text": lambda: series_to_text(series),
         "json": lambda: _json({**series_to_json_obj(series), **lowest, "case": case}),
@@ -345,7 +329,7 @@ def cmd_verify(args) -> Payload:
             "kind": "subsingular" if vector_id == "subsing_d13" else "singular",
             "n": sig.n,
             "a": list(sig.a),
-            "d": _fr(sig.d),
+            "d": str(sig.d),
             "ok": verify_singular(vector_id, sig),
         })
     return {
@@ -375,7 +359,7 @@ def cmd_gram(args) -> Payload:
     obj = {
         "n": sig.n,
         "a": list(sig.a),
-        "d": _fr(sig.d),
+        "d": str(sig.d),
         "max_level": report.max_level,
         "psd": report.psd,
         "verdict": "psd" if report.psd else "not_psd",
@@ -386,7 +370,7 @@ def cmd_gram(args) -> Payload:
         obj["witness"] = {
             "offset": list(report.witness_offset),
             "vector": module_vector_to_text(report.witness),
-            "norm": _fr(report.witness_norm),
+            "norm": str(report.witness_norm),
         }
         lines += [f"witness {obj['witness']['vector']}", f"norm {obj['witness']['norm']}"]
     return {"json": lambda: _json(obj), "text": lambda: _text(lines)}
@@ -399,7 +383,6 @@ def cmd_multiplet(args) -> Payload:
     labels = parse_int_list(args.labels)
     if len(labels) != args.n:
         raise ValueError(f"need {args.n} labels")
-    _check_group_order(args.n, MAX_MULTIPLET_ORDER)
     orbit = multiplet_orbit(weight_from_labels(labels))
     return {
         "json": lambda: _json({
@@ -407,8 +390,8 @@ def cmd_multiplet(args) -> Payload:
             "nodes": [
                 {
                     "index": node.index,
-                    "labels": [_fr(x) for x in node.labels],
-                    "weight": [_fr(x) for x in node.weight],
+                    "labels": [str(x) for x in node.labels],
+                    "weight": [str(x) for x in node.weight],
                     "length": node.w.length,
                     "word": _word(node.w),
                 }
@@ -421,12 +404,9 @@ def cmd_multiplet(args) -> Payload:
 
 
 def cmd_weyl(args) -> Payload:
-    from ospuir.weyl import MAX_GROUP_RANK, generate
+    from ospuir.weyl import generate
 
     n = args.n
-    if not 2 <= n <= MAX_GROUP_RANK:
-        raise ValueError(f"rank must be in [2, {MAX_GROUP_RANK}] for group generation")
-    _check_group_order(n, MAX_WEYL_ORDER)
     group = generate(n)
     return {
         "json": lambda: _json({
@@ -511,7 +491,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except AssertionError as exc:  # AnomalyError is one too
         print(f"anomaly: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

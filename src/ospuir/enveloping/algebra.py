@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from ospuir.linalg import add_scaled
-from ospuir.root_system import delta_to_simple
+from ospuir.root_system import check_rank, delta_to_simple
 
 KIND_ODD = "odd"
 KIND_DOUBLE = "double"
@@ -227,16 +227,11 @@ def all_generators(n: int) -> List[Generator]:
     return gens
 
 
-def check_rank(n: int) -> None:
-    """Raise ValueError unless the table (and the Verma engine) supports n."""
-    if not 2 <= n <= 8:
-        raise ValueError(f"rank must be in [2, 8], got {n}")
-
-
 @lru_cache(maxsize=None)
 def structure_constants(n: int) -> StructureTable:
-    """Build the bracket table and generator facts for rank n (2 <= n <= 8)."""
-    check_rank(n)
+    """Build the bracket table and generator facts for rank n (an "engine"
+    rank of root_system.RANKS)."""
+    check_rank("engine", n)
     gens = all_generators(n)
     expected = 2 * n + n * (2 * n + 1)
     if len(gens) != expected:

@@ -36,6 +36,10 @@ the witness is the whole block's.  A generator's action from one weight
 space to the next is evaluated the same way, into the int matrix that
 singular-vector kernels are solved from.
 
+An engine serves the "engine" ranks of root_system.RANKS, which
+structure_constants checks.  A GramMatrix is plain data, its int rows
+and their one scale, and compares field by field.
+
 Inside the engine a generator is its int code in the rank's StructureTable
 and a word is a tuple of codes, so the memoized recursions hash and compare
 only ints.  Generator words stay the public form: ModuleVector terms, PBW
@@ -322,10 +326,6 @@ class VermaEngine:
         code = self.table.encode(word)
         offset = tuple(a + b for a, b in zip(vec.offset, self._offset(code)))
         return self._vector(vec.sig, offset, self._apply(code, terms), scale)
-
-    def vacuum(self, sig: Signature) -> ModuleVector:
-        self._check_signature(sig)
-        return ModuleVector(sig, (0,) * self.n, {(): Fraction(1)})
 
     def _word_terms(
         self, entries: Iterable[Tuple[Word, Fraction]],
@@ -619,46 +619,20 @@ def _tail_words(table: StructureTable, memo: Dict, idx: int,
     return words
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GramMatrix:
     """Shapovalov form restricted to one weight space: its entries are the
-    integers `scaled` divided by the one positive integer `scale`.
-
-    Blocks compare by their entries, so the same block at two scales is
-    equal.
-    """
+    integers `scaled` divided by the one positive integer `scale`."""
 
     weight_offset: Tuple[int, ...]
     basis: Tuple[Word, ...]
     scaled: Tuple[Tuple[int, ...], ...]
     scale: int
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GramMatrix):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def _key(self) -> tuple:
-        return self.weight_offset, self.basis, self.entries
-
     @property
     def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
         s = self.scale
         return tuple(tuple(Fraction(x, s) for x in row) for row in self.scaled)
-
-    def to_csv(self) -> str:
-        header = ["monomial"] + [word_name(w) for w in self.basis]
-        lines = [",".join(header)]
-        for w, row in zip(self.basis, self.entries):
-            lines.append(",".join([word_name(w)] + [str(x) for x in row]))
-        return "\n".join(lines) + "\n"
-
-
-def shapovalov_gram(sig: Signature, offset: Sequence[int]) -> GramMatrix:
-    return engine_for(sig).gram(sig, offset)
 
 
 def level_offsets(n: int, level: int) -> List[Tuple[int, ...]]:

@@ -365,13 +365,6 @@ def verify_subsingular(vector_id: str, sig: Signature) -> bool:
 
 # ---------------------------------------------------------- norm polynomials
 
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def norm_polynomial_in_d(vector_id: str, a: Sequence[int]) -> List[Fraction]:
     """Shapovalov norm of the printed vector as a polynomial in d, ascending.
 

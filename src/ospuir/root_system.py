@@ -5,6 +5,10 @@ The even positive roots are delta_i +- delta_j (i < j) and 2 delta_i, the odd
 positive roots are delta_i, and the restricted set replaces each 2 delta_i by
 delta_i, giving a system of type B_n.  The simple roots are
 alpha_j = delta_j - delta_{j+1} for j < n and alpha_n = delta_n.
+
+RANKS is the one table of the ranks the package supports, feature by
+feature, and check_rank is the one check of it that every entry point
+makes before any work.
 """
 
 from __future__ import annotations
@@ -16,7 +20,25 @@ from typing import Dict, Sequence, Tuple
 
 Weight = Tuple[Fraction, ...]
 
-MAX_RANK = 16
+# (least, greatest) supported rank per feature.  "roots": root data,
+# signatures, verdicts, reduction points and Verma series.  "engine":
+# structure tables, Verma engines and Gram blocks.  "weyl_group": listing
+# W(B_n), of order 2^n n!, which is 46,080 at n = 6 and 645,120 at n = 7.
+# "multiplet": a whole dot orbit, 384 nodes at n = 4 and 3,840 at n = 5.
+RANKS: Dict[str, Tuple[int, int]] = {
+    "roots": (1, 16),
+    "engine": (2, 8),
+    "weyl_group": (2, 6),
+    "multiplet": (1, 4),
+}
+
+
+def check_rank(feature: str, n: int) -> None:
+    """Raise ValueError unless n is an integer rank in RANKS[feature]."""
+    lo, hi = RANKS[feature]
+    if not isinstance(n, int) or not lo <= n <= hi:
+        raise ValueError(f"rank must be an integer in [{lo}, {hi}] for {feature}, got {n!r}")
+
 
 EVEN = "even"
 ODD = "odd"
@@ -52,15 +74,10 @@ def _unit(n: int, i: int, c: int = 1) -> list:
     return v
 
 
-def weight(coords: Sequence) -> Weight:
-    return tuple(Fraction(c) for c in coords)
-
-
 @lru_cache(maxsize=None, typed=True)
 def build_root_system(n: int) -> RootSystemData:
-    """Construct the full root data for rank n (1 <= n <= 16), once per rank."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_RANK:
-        raise ValueError(f"rank must be an integer in [1, {MAX_RANK}], got {n!r}")
+    """Construct the full root data for rank n, once per rank."""
+    check_rank("roots", n)
 
     even = []
     restricted = []
@@ -148,17 +165,6 @@ def delta_to_simple(v: Sequence) -> Tuple[Fraction, ...]:
     for c in coords:
         acc += c
         out.append(acc)
-    return tuple(out)
-
-
-def simple_to_delta(coeffs: Sequence) -> Weight:
-    """Inverse of delta_to_simple."""
-    cs = [Fraction(c) for c in coeffs]
-    out = []
-    prev = Fraction(0)
-    for c in cs:
-        out.append(c - prev)
-        prev = c
     return tuple(out)
 
 

@@ -21,10 +21,10 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from ospuir.root_system import (
-    MAX_RANK,
     RootVector,
     Weight,
     build_root_system,
+    check_rank,
     coroot,
     simple_labels,
 )
@@ -32,24 +32,24 @@ from ospuir.root_system import (
 
 @dataclass(frozen=True)
 class Signature:
-    """Signature [d; a_1, ..., a_{n-1}] of a lowest-weight module."""
+    """Signature [d; a_1, ..., a_{n-1}] of a lowest-weight module.
+
+    d is exact: an int, a Fraction or a "p/q" string; a float is refused.
+    """
 
     n: int
     d: Fraction
     a: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_RANK:
-            raise ValueError(f"rank must be an integer in [1, {MAX_RANK}]")
+        check_rank("roots", self.n)
         if len(self.a) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} labels a_k, got {len(self.a)}")
         if any((not isinstance(x, int)) or x < 0 for x in self.a):
             raise ValueError("labels a_k must be nonnegative integers")
+        if isinstance(self.d, float):
+            raise ValueError(f"d must be exact, not the float {self.d!r}")
         object.__setattr__(self, "d", Fraction(self.d))
-
-
-def signature(n: int, d, a: Sequence[int]) -> Signature:
-    return Signature(n=n, d=Fraction(d), a=tuple(a))
 
 
 def lowest_weight(sig: Signature) -> Weight:
@@ -99,13 +99,6 @@ class ReducibilityEntry:
 class ReducibilityReport:
     sig: Signature
     entries: Tuple[ReducibilityEntry, ...]
-
-    @property
-    def reducible(self) -> bool:
-        return any(e.satisfied for e in self.entries)
-
-    def satisfied_entries(self) -> Tuple[ReducibilityEntry, ...]:
-        return tuple(e for e in self.entries if e.satisfied)
 
 
 def _is_positive_integer(x: Fraction) -> bool:

@@ -4,6 +4,10 @@ An element acts on the delta basis by delta_i -> sign_i * delta_{perm_i}.
 Composition is right-to-left: (u * v)(x) = u(v(x)), and a reduced word
 [k_1, ..., k_r] denotes s_{k_1} * ... * s_{k_r}, so s_{k_r} acts first.
 Each element carries the lexicographically smallest reduced word.
+
+Listing the group and walking a whole dot orbit cost about 2^n n! steps,
+so generate takes the "weyl_group" ranks of root_system.RANKS and
+multiplet_orbit the "multiplet" ranks.
 """
 
 from __future__ import annotations
@@ -15,12 +19,10 @@ from typing import Dict, List, Sequence, Tuple
 from ospuir.root_system import (
     Weight,
     build_root_system,
+    check_rank,
     is_positive,
-    pairing,
     simple_labels,
 )
-
-MAX_GROUP_RANK = 8
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,6 @@ def compose(u: WeylElement, v: WeylElement) -> WeylElement:
     return WeylElement(perm=perm, signs=signs)
 
 
-def inverse(w: WeylElement) -> WeylElement:
-    perm = [0] * w.n
-    signs = [1] * w.n
-    for i in range(w.n):
-        perm[w.perm[i]] = i
-        signs[w.perm[i]] = w.signs[i]
-    return WeylElement(perm=tuple(perm), signs=tuple(signs))
-
-
 def length_by_inversions(w: WeylElement) -> int:
     """Number of restricted positive roots sent to negative roots."""
     rs = build_root_system(w.n)
@@ -100,8 +93,7 @@ def generate(n: int) -> List[WeylElement]:
     Breadth-first search by right multiplication; the stored word of each
     element is the lexicographically smallest among its reduced words.
     """
-    if not 2 <= n <= MAX_GROUP_RANK:
-        raise ValueError(f"rank must be in [2, {MAX_GROUP_RANK}] for group generation")
+    check_rank("weyl_group", n)
     gens = [simple_reflection(n, k) for k in range(1, n + 1)]
     e = identity(n)
     words: Dict[WeylElement, Tuple[int, ...]] = {e: ()}
@@ -133,12 +125,6 @@ def dot_act(w: WeylElement, lam: Sequence) -> Weight:
     shifted = tuple(Fraction(x) - r for x, r in zip(lam, rs.rho))
     moved = apply(w, shifted)
     return tuple(m + r for m, r in zip(moved, rs.rho))
-
-
-def reflect(beta: Sequence, lam: Sequence) -> Weight:
-    """Reflection lam - (lam, beta-vee) beta."""
-    c = pairing(lam, beta)
-    return tuple(Fraction(x) - c * Fraction(b) for x, b in zip(lam, beta))
 
 
 def find_w_lambda(lam: Weight) -> Tuple[WeylElement, Weight]:
@@ -196,6 +182,7 @@ def multiplet_orbit(lam0: Weight) -> Multiplet:
     s_k . weight_u = weight_v with length going up by one.
     """
     n = len(lam0)
+    check_rank("multiplet", n)
     gens = [simple_reflection(n, k) for k in range(1, n + 1)]
     _, canon = find_w_lambda(lam0)
     if canon != lam0:

@@ -90,7 +90,7 @@ def test_every_format_matches_its_pinned_digest():
             int(code), digest), argv
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     assert run(["classify", "--n", "3", "--a", "1,1", "--d", "3.0"])[0] == 2
     assert run(["character", "--case", "bogus", "--n", "3"])[0] == 2
     assert run(["character", "--case", "sl3", "--n", "3"])[0] == 2
@@ -110,6 +110,10 @@ def test_usage_errors_exit_2():
     for level in ("0", "-2"):
         assert run(["gram", "--n", "3", "--a", "0,0", "--d", "1/4",
                     "--max-level", level]) == (2, "")
+    # an --out path that cannot be written: a directory, or a missing parent
+    for out in (tmp_path, tmp_path / "missing" / "x.json"):
+        assert run(["classify", "--n", "3", "--a", "0,0", "--d", "1/2",
+                    "--out", str(out)]) == (2, ""), out
 
 
 def test_oversized_requests_exit_2():

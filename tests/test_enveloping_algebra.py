@@ -29,12 +29,10 @@ from ospuir.linalg import add_scaled
 from ospuir.root_system import delta_to_simple
 from ospuir.enveloping import module
 from ospuir.enveloping.module import (
-    VermaEngine,
     engine_for,
     gram_psd_check,
     level_offsets,
     module_vector_to_text,
-    shapovalov_gram,
     weight_space_words,
     word_name,
 )
@@ -50,6 +48,11 @@ BASIS_DIGESTS = GOLDEN / "weight_space_words_sha256.txt"
 
 def _vec_terms(v):
     return {w: c for w, c in v.terms.items() if c}
+
+
+def _vacuum(eng):
+    """The lowest-weight vector v0 of SIG, the empty PBW word."""
+    return eng.from_words(SIG, [((), Fraction(1))])
 
 
 def test_structure_table_shape():
@@ -195,7 +198,7 @@ def test_omega_is_an_involution(n):
 
 def test_lowering_annihilates_vacuum():
     eng = engine_for(SIG)
-    v0 = eng.vacuum(SIG)
+    v0 = _vacuum(eng)
     for i in (1, 2, 3):
         low = Generator(KIND_ODD, i, sign=-1)
         assert _vec_terms(eng.act(low, v0)) == {}
@@ -203,7 +206,7 @@ def test_lowering_annihilates_vacuum():
 
 def test_cartan_eigenvalues_on_vacuum():
     eng = engine_for(SIG)
-    v0 = eng.vacuum(SIG)
+    v0 = _vacuum(eng)
     lam = (
         SIG.d + Fraction(-2, 2),
         SIG.d + Fraction(-2, 2),
@@ -216,7 +219,7 @@ def test_cartan_eigenvalues_on_vacuum():
 
 def test_raising_creates_pbw_monomial():
     eng = engine_for(SIG)
-    out = eng.act(Generator(KIND_ODD, 1, sign=1), eng.vacuum(SIG))
+    out = eng.act(Generator(KIND_ODD, 1, sign=1), _vacuum(eng))
     assert len(out.terms) == 1
     ((word, coeff),) = out.terms.items()
     assert coeff == 1
@@ -226,7 +229,7 @@ def test_raising_creates_pbw_monomial():
 
 def test_sum_generator_weight_additivity():
     eng = engine_for(SIG)
-    out = eng.act(Generator(KIND_SUM, 1, 2), eng.vacuum(SIG))
+    out = eng.act(Generator(KIND_SUM, 1, 2), _vacuum(eng))
     # delta_1 + delta_2 in the simple-root basis
     assert out.offset == (1, 2, 2)
 
@@ -325,7 +328,7 @@ def test_adjointness_of_omega():
         Generator(KIND_MIX, 1, 2),
     ]
     for g in raises:
-        base = eng.act(g, eng.vacuum(SIG))
+        base = eng.act(g, _vacuum(eng))
         if not base.terms:
             continue
         target = base.offset
@@ -367,12 +370,11 @@ def test_normal_ordering_matches_brackets():
         assert lhs == rhs
 
 
-def test_engine_memoization_and_gram_csv():
+def test_engine_memoization_gram_and_vector_text():
     assert engine_for(SIG) is engine_for(SIG)
-    g = shapovalov_gram(SIG, (0, 0, 1))
-    csv_text = g.to_csv()
-    assert csv_text.splitlines()[0] == "monomial,X[d3]"
-    assert csv_text.splitlines()[1] == "X[d3],6"
+    g = engine_for(SIG).gram(SIG, (0, 0, 1))
+    assert [word_name(w) for w in g.basis] == ["X[d3]"]
+    assert g.entries == ((6,),)
     u = engine_for(SIG).from_words(SIG, [(engine_for(SIG).basis((0, 1, 1))[0], Fraction(1))])
     assert module_vector_to_text(u) == "(1)*X[d2]"
 

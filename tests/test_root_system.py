@@ -5,17 +5,20 @@ import random
 import pytest
 from fractions import Fraction
 
-from ospuir import root_system
+from ospuir import root_system, weyl
+from ospuir.enveloping import algebra
 from ospuir.root_system import (
+    RANKS,
     build_root_system,
+    check_rank,
     coroot,
     delta_to_simple,
     inner,
     is_positive,
     pairing,
     partition_count,
-    simple_to_delta,
 )
+from ospuir.weights import Signature
 
 
 def test_counts_n2():
@@ -103,6 +106,12 @@ def test_delta_to_simple_examples():
     assert delta_to_simple((0, 0, 0)) == (0, 0, 0)
 
 
+def simple_to_delta(coeffs):
+    """The inverse of delta_to_simple: successive differences of the
+    simple-basis coefficients, which are prefix sums of delta coordinates."""
+    return tuple(c - p for p, c in zip((0,) + tuple(coeffs[:-1]), coeffs))
+
+
 def test_basis_roundtrip():
     rng = random.Random(7)
     for _ in range(50):
@@ -165,3 +174,38 @@ def test_partition_count_leaves_no_growing_state(monkeypatch):
     assert partition_count(6, (0, 0, 0, 0, 0, 1)) == 1
     assert root_system._partition_memo[1] is not full
     assert len(root_system._partition_memo[1]) < len(full)
+
+
+# Every library entry point that checks a feature's rank, as a call at rank n.
+RANK_ENTRY_POINTS = {
+    "roots": (build_root_system, lambda n: Signature(n, 1, (0,) * max(n - 1, 0))),
+    "engine": (algebra.structure_constants,),
+    "weyl_group": (weyl.generate,),
+    "multiplet": (lambda n: weyl.multiplet_orbit((Fraction(0),) * max(n, 0)),),
+}
+
+
+def test_one_rank_table_checked_before_any_work(monkeypatch):
+    assert RANKS == {"roots": (1, 16), "engine": (2, 8), "weyl_group": (2, 6),
+                     "multiplet": (1, 4)}
+    for feature, (lo, hi) in RANKS.items():
+        check_rank(feature, lo)
+        check_rank(feature, hi)
+        for bad in (lo - 1, hi + 1, float(lo)):
+            with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\] for {feature}, got"):
+                check_rank(feature, bad)
+
+    # the first step of each entry point's work fails, so a refusal with the
+    # table's message shows that the rank check came before it
+    def no_work(*args):
+        raise AssertionError("work began before the rank check")
+
+    monkeypatch.setattr(root_system, "_unit", no_work)
+    monkeypatch.setattr(algebra, "all_generators", no_work)
+    monkeypatch.setattr(weyl, "simple_reflection", no_work)
+    for feature, calls in RANK_ENTRY_POINTS.items():
+        lo, hi = RANKS[feature]
+        for n in (lo - 1, hi + 1):
+            for call in calls:
+                with pytest.raises(ValueError, match=f"for {feature}, got {n}$"):
+                    call(n)

@@ -13,7 +13,6 @@ from ospuir.enveloping.singular import (
     find_singular,
     is_subsingular,
     norm_polynomial_in_d,
-    poly_eval,
     printed_regime,
     printed_vector,
     rational_zero_set,
@@ -223,6 +222,14 @@ def test_norms_vanish_at_reduction_points():
             assert poly_eval(coeffs, d) == engine_for(other).norm(
                 printed_vector(vid, other)), (vid, d)
         assert poly_eval(coeffs, sig.d) == 0
+
+
+def poly_eval(coeffs, x):
+    """The polynomial with ascending coefficients coeffs at x, by Horner."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _lagrange(points):

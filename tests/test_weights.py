@@ -14,7 +14,6 @@ from ospuir.weights import (
     mn_at_reduction,
     reducibility_report,
     reduction_points,
-    signature,
 )
 from ospuir.unitarity import subsingular_points
 
@@ -24,8 +23,13 @@ def test_signature_validation():
         Signature(3, Fraction(1), (1,))
     with pytest.raises(ValueError):
         Signature(3, Fraction(1), (-1, 0))
-    sig = signature(3, "5/2", (0, 2))
-    assert sig.d == Fraction(5, 2)
+    # d is exact: an int, a Fraction or a "p/q" string, never a float
+    for d in (Fraction(5, 2), "5/2"):
+        assert Signature(3, d, (0, 2)).d == Fraction(5, 2)
+    assert Signature(3, 2, (0, 2)).d == Fraction(2)
+    for d in (0.1, 2.5, 2.0):
+        with pytest.raises(ValueError, match="float"):
+            Signature(3, d, (0, 0))
 
 
 def test_lowest_weight_components():
@@ -85,12 +89,11 @@ def test_reducibility_report_families():
     assert families.count("delta_i+delta_j") == 3
     assert families.count("delta_i") == 3
     assert families.count("2delta_i") == 3
-    sat = {(e.family, e.i, e.j) for e in rep.satisfied_entries()}
+    sat = {(e.family, e.i, e.j) for e in rep.entries if e.satisfied}
     # at d = d_1 = 2 the odd root delta_1 fires, plus the three compact roots
     assert ("delta_i", 1, None) in sat
     assert ("delta_i+delta_j", 1, 2) not in sat
     assert ("delta_i-delta_j", 1, 2) in sat
-    assert rep.reducible
 
 
 def test_m_equals_twice_double_m():

@@ -7,7 +7,7 @@ import pytest
 from fractions import Fraction
 
 from ospuir.characters import weight_from_labels
-from ospuir.root_system import build_root_system, inner
+from ospuir.root_system import build_root_system, inner, pairing
 from ospuir.weights import labels_of_weight
 from ospuir.weyl import (
     apply,
@@ -17,11 +17,9 @@ from ospuir.weyl import (
     from_word,
     generate,
     identity,
-    inverse,
     length_by_inversions,
     multiplet_orbit,
     multiplet_to_dot,
-    reflect,
     simple_reflection,
 )
 
@@ -117,13 +115,22 @@ def test_apply_preserves_inner_product():
 
 
 def test_inverse_and_compose():
+    # s_{k_1} ... s_{k_r} has the inverse s_{k_r} ... s_{k_1}
     rng = random.Random(43)
     els = generate(3)
     e = identity(3)
     for _ in range(20):
         w = rng.choice(els)
-        assert _key(compose(w, inverse(w))) == _key(e)
-        assert _key(compose(inverse(w), w)) == _key(e)
+        inverse = from_word(3, w.reduced_word[::-1])
+        assert inverse.length == w.length
+        assert _key(compose(w, inverse)) == _key(e)
+        assert _key(compose(inverse, w)) == _key(e)
+
+
+def reflect(beta, lam):
+    """The reflection lam - (lam, beta-vee) beta."""
+    c = pairing(lam, beta)
+    return tuple(Fraction(x) - c * Fraction(b) for x, b in zip(lam, beta))
 
 
 def test_reflect_basics():
@@ -136,6 +143,9 @@ def test_reflect_basics():
     for beta in rs.positive_even + rs.positive_odd:
         assert reflect(beta.coords, reflect(beta.coords, lam)) == lam
     assert reflect((1, 0, 0), (1, 0, 0)) == (-1, 0, 0)
+    # the simple reflections of W(B_3) are the reflections in the simple roots
+    for k, alpha in enumerate(rs.simple, start=1):
+        assert apply(simple_reflection(3, k), lam) == reflect(alpha.coords, lam)
     with pytest.raises(ValueError):
         reflect((0, 0, 0), lam)
 
