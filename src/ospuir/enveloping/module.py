@@ -22,19 +22,35 @@ rank (_cartan_forms), its constant term sum_h c_h m_h when a label set's
 engine is built.
 Per-signature vectors and pairings are exact evaluations of those
 polynomials at the signature's d: q^deg P(p/q) by an integer Horner loop,
-then one Fraction.  A Gram block's upper triangle is gathered once per
-engine and weight offset, as references to the memoized polynomials, and
-split there into its parts: the connected components of the pattern of
-nonzero pairing polynomials, a pattern that no d changes.  Rows that pair
-to zero with every basis word belong to no part.  Ordering the basis part
-by part makes the block block-diagonal, a congruence, so the block is
-positive semidefinite exactly when every part is.  At d = p/q each part
-becomes one integer matrix q^D G(p/q), D the block's top degree, with the
-one positive scale q^D; the scan gives psd_witness the parts, and the
-whole block, assembled from them, only where a part is not PSD, so that
-the witness is the whole block's.  A generator's action from one weight
-space to the next is evaluated the same way, into the int matrix that
-singular-vector kernels are solved from.
+then one Fraction.
+
+The positivity scan judges a Gram block on fewer rows than its basis
+where it can.  Let C be the submodule generated by the compact singular
+vectors X_i^(a_i + 1) v0, X_i the compact simple raising generators.  C
+lies in the radical of the form at every d, and M/C is the parabolic
+Verma module U(p+) (x) F(Lambda), p+ the noncompact raising generators (odd,
+double and sum; they span a subalgebra).  So the form on any complement
+of C_mu is congruent to the whole block with zeros added: both are PSD
+together and have the same rank.  At a = 0, F(Lambda) is trivial and the
+PBW words with no compact (mix) letter, noncompact_words, are a basis of
+U(p+) and so of a complement; the scan gathers those rows only.  For
+a != 0, F(Lambda) is not trivial and a complement of C_mu is as large as
+(U(p+) (x) F(Lambda))_mu, more than the noncompact words span, so there the
+scan keeps the whole basis.
+
+A block's upper triangle over its rows is gathered once per engine and
+weight offset, as references to the memoized polynomials, and split there
+into its parts: the connected components of the pattern of nonzero
+pairing polynomials, a pattern that no d changes.  Rows that pair to zero
+with every row belong to no part.  Ordering the rows part by part makes
+the block block-diagonal, a congruence, so the block is positive
+semidefinite exactly when every part is.  At d = p/q each part becomes
+one integer matrix q^D G(p/q), D the block's top degree, with the one
+positive scale q^D; the scan gives psd_witness the parts, and the whole
+block, gathered over the whole basis, only where a part is not PSD, so
+that the witness is the whole block's.  A generator's action from one
+weight space to the next is evaluated the same way, into the int matrix
+that singular-vector kernels are solved from.
 
 An engine serves the "engine" ranks of root_system.RANKS, which
 structure_constants checks.  A GramMatrix is plain data, its int rows
@@ -58,6 +74,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ospuir.enveloping.algebra import (
     CARTAN,
+    KIND_MIX,
     Generator,
     LOWERING,
     RAISING,
@@ -77,10 +94,10 @@ CodeTerms = Dict[CodeWord, Poly]
 ScalarForm = Tuple[int, int, Tuple[int, ...]]
 # The same combination's label-free parts: the terms (h, c_h), slope, shift.
 RankForm = Tuple[Tuple[Tuple[int, Fraction], ...], int, Tuple[int, ...]]
-# A part of a Gram block: its basis indices, ascending, and its upper
+# A part of a Gram block: its row indices, ascending, and its upper
 # triangle over them row by row.
 Part = Tuple[Tuple[int, ...], Tuple[Poly, ...]]
-# A Gram block: its basis, its parts, and its top degree.
+# A Gram block: the basis words of its rows, its parts, and its top degree.
 Block = Tuple[Tuple[Word, ...], Tuple[Part, ...], int]
 IntRows = List[List[int]]
 
@@ -238,7 +255,7 @@ class VermaEngine:
         }
         self._act_memo: Dict[Tuple[int, CodeWord], CodeTerms] = {}
         self._pair_memo: Dict[Tuple[CodeWord, CodeWord], Poly] = {}
-        self._blocks: Dict[Tuple[int, ...], Block] = {}
+        self._blocks: Dict[Tuple[Tuple[int, ...], bool], Block] = {}   # (offset, whole)
 
     def _check_signature(self, sig: Signature) -> None:
         if (sig.n, sig.a) != (self.n, self.a):
@@ -414,13 +431,15 @@ class VermaEngine:
         poly = self._pair_terms(terms, terms)
         return [Fraction(c, scale * scale) for c in poly] or [_ZERO]
 
-    def _block(self, offset: Tuple[int, ...]) -> Block:
-        """The Gram block at offset, gathered once and split into its parts;
-        their polynomials are the objects held in the pairing memo, not
-        copies."""
-        block = self._blocks.get(offset)
+    def _block(self, offset: Tuple[int, ...], whole: bool = False) -> Block:
+        """The Gram block at offset over the rows the scan judges (the
+        noncompact words at a = 0, the whole basis otherwise), or over the
+        whole basis; gathered once and split into its parts, whose
+        polynomials are the objects held in the pairing memo, not copies."""
+        whole = whole or any(self.a)
+        block = self._blocks.get((offset, whole))
         if block is None:
-            basis = self.basis(offset)
+            basis = self.basis(offset) if whole else noncompact_words(self.n, offset)
             words = [self.table.encode(w) for w in basis]
             nonzero = {}
             for i, u in enumerate(words):
@@ -447,14 +466,15 @@ class VermaEngine:
                 for idx in members.values()
             )
             top = max([1, *map(len, nonzero.values())]) - 1
-            block = self._blocks[offset] = (basis, parts, top)
+            block = self._blocks[offset, whole] = (basis, parts, top)
         return block
 
-    def _parts(self, sig: Signature,
-               offset: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], IntRows]]:
-        """Each part of the block at offset at d = p/q: its basis indices
-        and its square int matrix q^D G(p/q), D the block's top degree."""
-        _basis, parts, top = self._block(offset)
+    def _parts(self, sig: Signature, offset: Tuple[int, ...],
+               whole: bool = False) -> List[Tuple[Tuple[int, ...], IntRows]]:
+        """Each part of the block at offset (see _block) at d = p/q: its row
+        indices and its square int matrix q^D G(p/q), D the block's top
+        degree."""
+        _basis, parts, top = self._block(offset, whole)
         weights = _weights(sig.d, top)
         out = []
         for idx, upper in parts:
@@ -474,9 +494,9 @@ class VermaEngine:
         assembled from its parts with zeros elsewhere."""
         self._check_signature(sig)
         offset = tuple(int(x) for x in offset)
-        basis, _, top = self._block(offset)
+        basis, _, top = self._block(offset, whole=True)
         full = [[0] * len(basis) for _ in basis]
-        for idx, rows in self._parts(sig, offset):
+        for idx, rows in self._parts(sig, offset, whole=True):
             for i, row in zip(idx, rows):
                 target = full[i]
                 for j, x in zip(idx, row):
@@ -560,12 +580,25 @@ def engine_for(sig: Signature) -> VermaEngine:
     return _engine_cache(sig.n, sig.a)
 
 
-# The memo of _tail_words, on (generator index, remainder), for one rank at
-# a time: a call at another rank, or one that finds more than
-# _TAIL_MEMO_LIMIT entries, starts it afresh.  Every dominant basis of rank
-# 4 to level 4 takes 9,054 entries.
-_tail_memo: Tuple[int, Dict[Tuple[int, Tuple[int, ...]], Tuple[Word, ...]]] = (0, {})
+# The memos of _tail_words, on (generator index, remainder), one for whole
+# bases and one for noncompact words, each for one rank at a time: a call
+# at another rank, or one that finds more than _TAIL_MEMO_LIMIT entries,
+# starts it afresh.  Every dominant basis of rank 4 to level 4 takes 9,054
+# entries.
+TailMemo = Tuple[int, Dict[Tuple[int, Tuple[int, ...]], Tuple[Word, ...]]]
+_tail_memo: TailMemo = (0, {})
+_noncompact_memo: TailMemo = (0, {})
 _TAIL_MEMO_LIMIT = 1 << 14
+
+
+def _memo_for(state: TailMemo, n: int, offset: Tuple[int, ...]) -> TailMemo:
+    """Check a rank-n offset; the memo its call uses: state, or a fresh one."""
+    if len(offset) != n:
+        raise ValueError("offset length must equal the rank")
+    if any(x < 0 for x in offset):
+        raise ValueError("offset must be nonnegative")
+    rank, memo = state
+    return state if rank == n and len(memo) <= _TAIL_MEMO_LIMIT else (n, {})
 
 
 def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
@@ -579,36 +612,45 @@ def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
     holds each whole basis too).
     """
     global _tail_memo
-    if len(offset) != n:
-        raise ValueError("offset length must equal the rank")
-    if any(x < 0 for x in offset):
-        raise ValueError("offset must be nonnegative")
-    rank, memo = _tail_memo
-    if rank != n or len(memo) > _TAIL_MEMO_LIMIT:
-        memo = {}
-        _tail_memo = (n, memo)
-    return _tail_words(structure_constants(n), memo, 0, tuple(offset))
+    _tail_memo = _memo_for(_tail_memo, n, offset)
+    table = structure_constants(n)
+    return _tail_words(table, table.raising, _tail_memo[1], 0, tuple(offset))
 
 
-def _tail_words(table: StructureTable, memo: Dict, idx: int,
-                rem: Tuple[int, ...]) -> Tuple[Word, ...]:
-    """The PBW words at offset rem in the raising generators from the
-    idx-th on, in the order of weight_space_words; an odd generator is
-    used at most once."""
+def noncompact_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
+    """The words of weight_space_words(n, offset) with no compact (mix)
+    letter, in the same order: a PBW basis of U(p+) at that offset.
+
+    They have multiplicity 0 at every compact generator, so in the
+    lexicographic order of multiplicities they come as they do when the
+    same recursion skips those generators; the whole basis is never built.
+    """
+    global _noncompact_memo
+    _noncompact_memo = _memo_for(_noncompact_memo, n, offset)
+    table = structure_constants(n)
+    gens = tuple(g for g in table.raising if g.kind != KIND_MIX)
+    return _tail_words(table, gens, _noncompact_memo[1], 0, tuple(offset))
+
+
+def _tail_words(table: StructureTable, gens: Tuple[Generator, ...], memo: Dict,
+                idx: int, rem: Tuple[int, ...]) -> Tuple[Word, ...]:
+    """The PBW words at offset rem in the raising generators gens[idx:],
+    gens in PBW order, ordered as weight_space_words orders its words; an
+    odd generator is used at most once."""
     if not any(rem):
         return ((),)
-    if idx == len(table.raising):
+    if idx == len(gens):
         return ()
     key = (idx, rem)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    g = table.raising[idx]
+    g = gens[idx]
     e = table.weight_exp[table.code[g]]
     out: List[Word] = []
     prefix: Word = ()
     while True:
-        out.extend(prefix + tail for tail in _tail_words(table, memo, idx + 1, rem))
+        out.extend(prefix + tail for tail in _tail_words(table, gens, memo, idx + 1, rem))
         if g.is_odd and prefix:
             break
         rem = tuple(a - b for a, b in zip(rem, e))
@@ -683,11 +725,22 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
     Levels count odd creations (delta-coordinate sums).  The verdict is psd
     exactly when every dominant Gram block up to max_level is positive
     semidefinite; otherwise the witness vector and its (negative) norm are
-    reported.  Each block is judged by its parts (VermaEngine._block); the
-    first block with a part that is not PSD is built whole, and the witness
-    is psd_witness's on it.  Negativity first reaches the dominant sector on
-    this grid; the bound max_level = 4 for rank three is empirical.  A
-    max_level below 1 would certify nothing and raises ValueError.
+    reported.
+
+    Each block is judged by the parts of its scanned rows
+    (VermaEngine._block).  At a = 0 those are the noncompact words: the
+    submodule C generated by the compact singular vectors X_i^(a_i + 1) v0
+    lies in the radical of the form, M/C is the parabolic Verma module
+    U(p+) (x) F(Lambda) with F(Lambda) trivial, and the noncompact words span
+    a complement of C_mu, so the form on them is PSD exactly when the whole
+    block is, with the same rank.  For a != 0, F(Lambda) is not trivial, a
+    complement needs more than those words, and the rows are the whole
+    basis.  The first block with a part that is not PSD is built whole by
+    VermaEngine.gram, and the witness is psd_witness's on it; if the whole
+    block is PSD after all, the scan raises AssertionError.  Negativity
+    first reaches the dominant sector on this grid; the bound max_level = 4
+    for rank three is empirical.  A max_level below 1 would certify
+    nothing and raises ValueError.
     """
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
@@ -701,7 +754,8 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
             gram = engine.gram(sig, offset)
             coeffs = psd_witness(gram.scaled)
             if coeffs is None:
-                raise AssertionError("a part of a Gram block is not PSD but the block is")
+                raise AssertionError("a part of a Gram block's scanned rows is not PSD "
+                                     "but the whole block is")
             terms = {w: c for w, c in zip(gram.basis, coeffs) if c}
             witness = ModuleVector(sig, offset, terms)
             norm = engine.norm(witness)

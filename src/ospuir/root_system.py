@@ -28,7 +28,7 @@ Weight = Tuple[Fraction, ...]
 RANKS: Dict[str, Tuple[int, int]] = {
     "roots": (1, 16),
     "engine": (2, 8),
-    "weyl_group": (2, 6),
+    "weyl_group": (1, 6),
     "multiplet": (1, 4),
 }
 

@@ -43,6 +43,7 @@ class Signature:
 
     def __post_init__(self) -> None:
         check_rank("roots", self.n)
+        object.__setattr__(self, "a", tuple(self.a))
         if len(self.a) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} labels a_k, got {len(self.a)}")
         if any((not isinstance(x, int)) or x < 0 for x in self.a):

@@ -121,6 +121,27 @@ def test_criterion_2_gram_cross_validation():
     assert elapsed < 300.0, f"criterion 2 took {elapsed:.2f}s"
 
 
+def test_rank4_gram_cross_validation():
+    # criterion 2 one rank up, at a = 0: the closed form and the Gram scan
+    # agree at every d = k/4 to levels 4 and 5, and every nonunitary cell's
+    # witness re-norms negative through its engine.  The scan judges the
+    # noncompact rows of each block, so rank 4 costs about what rank 3 does.
+    t0 = time.monotonic()
+    witnesses = 0
+    for max_level in (4, 5):
+        for k in range(25):
+            sig = Signature(4, Fraction(k, 4), (0, 0, 0))
+            report = gram_psd_check(sig, max_level=max_level)
+            assert report.psd == classify(sig).unitary, (sig, max_level)
+            if not report.psd:
+                assert report.witness is not None and report.witness_norm < 0
+                assert engine_for(sig).norm(report.witness) == report.witness_norm
+                witnesses += 1
+    assert witnesses == 2 * 3     # d = 1/4, 3/4, 5/4 at each level
+    elapsed = time.monotonic() - t0
+    assert elapsed < 15.0, f"rank-4 cross-validation took {elapsed:.2f}s"
+
+
 def test_criterion_3_weyl_group():
     t0 = time.monotonic()
     els = generate(3)

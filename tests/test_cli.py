@@ -295,6 +295,15 @@ def test_gram_command():
     assert code == 0 and obj["verdict"] == "psd"
 
 
+def test_rank4_unitary_gram_cell_matches_golden():
+    # every dominant block of a = (0,0,0), d = 5/2 is PSD to level 4; the
+    # output was captured while the scan still gathered whole blocks
+    code, out = run(["gram", "--n", "4", "--a", "0,0,0", "--d", "5/2",
+                     "--max-level", "4"])
+    assert code == 0
+    assert out == (GOLDEN_DIR / "gram_n_4_a_0-0-0_d_5_2_max-level_4.out").read_text()
+
+
 def test_multiplet_command():
     code, first = run(["multiplet", "--n", "3", "--labels", "1,1,1",
                        "--format", "dot"])

@@ -33,6 +33,7 @@ from ospuir.enveloping.module import (
     gram_psd_check,
     level_offsets,
     module_vector_to_text,
+    noncompact_words,
     weight_space_words,
     word_name,
 )
@@ -256,26 +257,48 @@ def test_weight_space_words_leaves_no_growing_state(monkeypatch):
     # the shared tails serve one rank at a time: after each round of calls
     # at ranks 2..5, with new offsets every round, the memo holds exactly
     # what the round's rank-5 calls leave on their own, and no other
-    # module-level state grows
-    rng = random.Random(20261019)
-    states = []
-    for _ in range(3):
-        calls = {n: [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(5)]
-                 for n in range(2, 6)}
-        bases = [weight_space_words(n, off) for n, offs in calls.items() for off in offs]
-        states.append(_module_state(module))
-        rank, memo = module._tail_memo
-        monkeypatch.setattr(module, "_tail_memo", (0, {}))
-        assert [weight_space_words(5, off) for off in calls[5]] == bases[-5:]
-        assert (rank, len(memo)) == (5, len(module._tail_memo[1]))
-    assert states[0] == states[1] == states[2]
-    # a memo above the limit is started afresh by the next call
-    monkeypatch.setattr(module, "_TAIL_MEMO_LIMIT", 10)
-    weight_space_words(5, (1, 2, 2, 2, 2))
-    full = module._tail_memo[1]
-    assert len(weight_space_words(5, (0, 0, 0, 0, 1))) == 1
-    assert module._tail_memo[1] is not full
-    assert len(module._tail_memo[1]) < len(full)
+    # module-level state grows; the same holds for the noncompact words'
+    # own memo
+    for words, memo_name in ((weight_space_words, "_tail_memo"),
+                             (noncompact_words, "_noncompact_memo")):
+        rng = random.Random(20261019)
+        states = []
+        for _ in range(3):
+            calls = {n: [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(5)]
+                     for n in range(2, 6)}
+            bases = [words(n, off) for n, offs in calls.items() for off in offs]
+            states.append(_module_state(module))
+            rank, memo = getattr(module, memo_name)
+            monkeypatch.setattr(module, memo_name, (0, {}))
+            assert [words(5, off) for off in calls[5]] == bases[-5:]
+            assert (rank, len(memo)) == (5, len(getattr(module, memo_name)[1]))
+        assert states[0] == states[1] == states[2], memo_name
+        # a memo above the limit is started afresh by the next call
+        monkeypatch.setattr(module, "_TAIL_MEMO_LIMIT", 10)
+        words(5, (1, 2, 2, 2, 2))
+        full = getattr(module, memo_name)[1]
+        assert len(words(5, (0, 0, 0, 0, 1))) == 1
+        assert getattr(module, memo_name)[1] is not full
+        assert len(getattr(module, memo_name)[1]) < len(full)
+        monkeypatch.undo()
+
+
+def test_noncompact_words_filter_the_whole_basis():
+    # the direct enumeration lists exactly the basis words with no compact
+    # (mix) letter, in the basis order: every dominant offset to level 4 at
+    # ranks 2..4, level 3 at rank 5 and level 2 at rank 6, and seeded
+    # offsets off the dominant sector
+    rng = random.Random(20261020)
+    for n, top in ((2, 4), (3, 4), (4, 4), (5, 3), (6, 2)):
+        offsets = [off for level in range(top + 1) for off in level_offsets(n, level)]
+        offsets += [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(10)]
+        for off in offsets:
+            assert noncompact_words(n, off) == tuple(
+                w for w in weight_space_words(n, off)
+                if all(g.kind != KIND_MIX for g in w)), (n, off)
+    for bad in ((1, 1), (0, -1, 1)):
+        with pytest.raises(ValueError):
+            noncompact_words(3, bad)
 
 
 def test_weight_space_words_match_pinned_digests():

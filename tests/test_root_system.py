@@ -186,7 +186,7 @@ RANK_ENTRY_POINTS = {
 
 
 def test_one_rank_table_checked_before_any_work(monkeypatch):
-    assert RANKS == {"roots": (1, 16), "engine": (2, 8), "weyl_group": (2, 6),
+    assert RANKS == {"roots": (1, 16), "engine": (2, 8), "weyl_group": (1, 6),
                      "multiplet": (1, 4)}
     for feature, (lo, hi) in RANKS.items():
         check_rank(feature, lo)

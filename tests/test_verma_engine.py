@@ -36,10 +36,17 @@ from ospuir.enveloping.module import (
     engine_for,
     gram_psd_check,
     level_offsets,
+    noncompact_words,
     weight_space_words,
 )
-from ospuir.linalg import add_scaled, psd_witness
-from ospuir.weights import Signature, lowest_weight
+from ospuir.linalg import add_scaled, psd_witness, rref
+from ospuir.weights import (
+    FAMILY_COMPACT,
+    Signature,
+    lowest_weight,
+    reducibility_report,
+    reduction_points,
+)
 
 from test_enveloping_algebra import reference_facts
 
@@ -185,36 +192,44 @@ def test_gram_blocks_compare_by_entries():
 
 
 def _assert_parts_split_blocks(n, a, max_level, ds):
-    """Each block's parts are disjoint, every pairing between two parts or
-    on a row of no part is zero, gram() equals the block evaluated entry by
-    entry at the first d, and at each d the parts are PSD exactly when the
-    block is.  Returns the verdicts seen."""
+    """The scan's rows are the noncompact words at a = 0 and the whole
+    basis otherwise.  Each block's parts, over those rows and over the whole
+    basis, are disjoint, and every pairing between two parts or on a row of
+    no part is zero; gram() equals the whole block evaluated entry by entry
+    at the first d, and at each d both sets of parts are PSD exactly when
+    the block is.  Returns the verdicts seen."""
     eng = engine_for(Signature(n, ds[0], a))
     verdicts = set()
     for level in range(1, max_level + 1):
         for offset in level_offsets(n, level):
-            basis, parts, _top = eng._block(offset)
-            words = [eng.table.encode(w) for w in basis]
-            owner = {}
-            for p, (idx, _upper) in enumerate(parts):
-                assert list(idx) == sorted(idx) and idx, (a, offset)
-                for i in idx:
-                    assert owner.setdefault(i, p) == p, (a, offset, i)
-            polys = {(i, j): eng.pair_words(words[i], words[j])
-                     for i in range(len(words)) for j in range(i, len(words))}
-            for (i, j), poly in polys.items():
-                if owner.get(i) is None or owner.get(i) != owner.get(j):
-                    assert poly == (), (a, offset, i, j)
+            rows = eng.basis(offset) if any(a) else noncompact_words(n, offset)
+            assert eng._block(offset)[0] == rows, (a, offset)
+            assert any(a) == (eng._block(offset) is eng._block(offset, whole=True))
+            for whole in (False, True):
+                basis, parts, _top = eng._block(offset, whole)
+                words = [eng.table.encode(w) for w in basis]
+                owner = {}
+                for p, (idx, _upper) in enumerate(parts):
+                    assert list(idx) == sorted(idx) and idx, (a, offset)
+                    for i in idx:
+                        assert owner.setdefault(i, p) == p, (a, offset, i)
+                polys = {(i, j): eng.pair_words(words[i], words[j])
+                         for i in range(len(words)) for j in range(i, len(words))}
+                for (i, j), poly in polys.items():
+                    if owner.get(i) is None or owner.get(i) != owner.get(j):
+                        assert poly == (), (a, offset, i, j)
             for d in ds:
                 sig = Signature(n, d, a)
                 gram = eng.gram(sig, offset)
                 assert d != ds[0] or gram.entries == tuple(
                     tuple(_evaluate(polys[min(i, j), max(i, j)], d) for j in range(len(words)))
                     for i in range(len(words))), (a, offset, d)
-                parts_psd = all(psd_witness(rows) is None
-                                for _idx, rows in eng._parts(sig, offset))
-                assert parts_psd == (psd_witness(gram.scaled) is None), (a, offset, d)
-                verdicts.add(parts_psd)
+                psd = psd_witness(gram.scaled) is None
+                for whole in (False, True):
+                    assert psd == all(psd_witness(rows) is None
+                                      for _idx, rows in eng._parts(sig, offset, whole)), (
+                        a, offset, d, whole)
+                verdicts.add(psd)
     return verdicts
 
 
@@ -231,18 +246,61 @@ def test_gram_parts_split_each_block():
 
 
 def test_parts_and_whole_block_must_agree(monkeypatch):
-    # a part called not PSD in a block that is PSD (d = 2 is unitary) trips
-    # the scan's own check: only the first call, on the first part, lies
-    calls = []
+    # a part called not PSD in a block that is PSD (d = 2 is unitary at both
+    # label sets) trips the scan's own check: only the first call, on the
+    # first part, lies.  At a = (0, 0) that part is one of the noncompact
+    # rows, at a = (0, 1) one of the whole basis.
+    for a in ((0, 0), (0, 1)):
+        calls = []
 
-    def first_part_fails(gram):
-        calls.append(gram)
-        return [Fraction(1)] * len(gram) if len(calls) == 1 else psd_witness(gram)
+        def first_part_fails(gram):
+            calls.append(gram)
+            return [Fraction(1)] * len(gram) if len(calls) == 1 else psd_witness(gram)
 
-    monkeypatch.setattr(module, "psd_witness", first_part_fails)
-    with pytest.raises(AssertionError, match="part of a Gram block"):
-        gram_psd_check(Signature(3, Fraction(2), (0, 0)), max_level=1)
-    assert len(calls) == 2
+        monkeypatch.setattr(module, "psd_witness", first_part_fails)
+        with pytest.raises(AssertionError, match="part of a Gram block"):
+            gram_psd_check(Signature(3, Fraction(2), a), max_level=1)
+        assert len(calls) == 2, a
+
+
+def _generic_d(rng, n, a):
+    """A seeded d at which no noncompact root is reducible."""
+    while True:
+        d = Fraction(rng.randint(-40, 40), rng.choice((3, 5, 7)))
+        entries = reducibility_report(Signature(n, d, a)).entries
+        if not any(e.satisfied for e in entries if e.family != FAMILY_COMPACT):
+            return d
+
+
+def test_noncompact_rows_match_whole_blocks():
+    # At a = 0 the noncompact words span a complement of the submodule C
+    # generated by the compact singular vectors, and C lies in the radical
+    # of the form: on every block the rows the scan judges give the whole
+    # block's PSD verdict and rank.  Where no noncompact root is reducible,
+    # M/C = N(Lambda) is irreducible and the form on those rows is
+    # nondegenerate, so a row too many or too few shows as a rank.
+    rng = random.Random(20261019)
+    verdicts = set()
+    for n, max_level in ((3, 4), (4, 3), (5, 2)):
+        a = (0,) * (n - 1)
+        points = sorted(set(reduction_points(n, a).points.values()))
+        on = rng.sample(points, 3)
+        off = [_generic_d(rng, n, a) for _ in range(3)]
+        eng = engine_for(Signature(n, on[0], a))
+        for level in range(1, max_level + 1):
+            for offset in level_offsets(n, level):
+                rows = eng._block(offset)[0]
+                for d in on + off:
+                    sig = Signature(n, d, a)
+                    parts = eng._parts(sig, offset)
+                    reduced_psd = all(psd_witness(part) is None for _idx, part in parts)
+                    reduced_rank = sum(len(rref(part)[1]) for _idx, part in parts)
+                    whole = eng.gram(sig, offset).scaled
+                    assert (reduced_psd, reduced_rank) == (
+                        psd_witness(whole) is None, len(rref(whole)[1])), (n, offset, d)
+                    assert d in on or reduced_rank == len(rows), (n, offset, d)
+                    verdicts.add(reduced_psd)
+    assert verdicts == {True, False}
 
 
 def _reference_psd_check(sig, max_level):

@@ -5,6 +5,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from ospuir.enveloping.module import engine_for
 from ospuir.root_system import pairing
 from ospuir.weights import (
     Signature,
@@ -30,6 +31,12 @@ def test_signature_validation():
     for d in (0.1, 2.5, 2.0):
         with pytest.raises(ValueError, match="float"):
             Signature(3, d, (0, 0))
+    # labels given as a list are kept as a tuple, so the signature hashes
+    # and finds the engine of its label set
+    sig = Signature(3, 1, [0, 0])
+    assert sig.a == (0, 0) and sig == Signature(3, 1, (0, 0))
+    assert hash(sig) == hash(Signature(3, 1, (0, 0)))
+    assert engine_for(sig) is engine_for(Signature(3, 1, (0, 0)))
 
 
 def test_lowest_weight_components():

@@ -47,10 +47,13 @@ def _key(w):
 
 
 def test_group_orders():
+    # W(B_1) is the identity and the one simple reflection, the sign flip
+    assert [(w.reduced_word, w.perm, w.signs) for w in generate(1)] == [
+        ((), (0,), (1,)), ((1,), (0,), (-1,))]
     assert len(generate(2)) == 8
     assert len(generate(3)) == 48
     with pytest.raises(ValueError):
-        generate(1)
+        generate(0)
 
 
 def test_defining_relations():
