@@ -264,7 +264,8 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
     n = len(lam0)
     labels = labels_of_weight(lam0)
     if any(m.denominator != 1 or m < 1 for m in labels):
-        raise ValueError(f"labels must be positive integers, got {labels}")
+        raise ValueError("labels must be positive integers, got "
+                         + ", ".join(map(str, labels)))
     rs = build_root_system(n)
     mu0 = tuple(r - x for r, x in zip(rs.rho, lam0))
     numerator: Poly = {}

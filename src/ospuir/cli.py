@@ -38,15 +38,17 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 # grid of 10,100 cells takes 14 s and 30 MB, weyl --n 6 (46,080 elements)
 # 3.7 s and 80 MB, and multiplet with every label 1, the whole dot orbit of
 # W(B_n), 0.4 s and 19 MB at n = 4 (384 nodes) and 4.5 s and 24 MB at
-# n = 5 (3,840).  A gram scan costs about the sum of dim^2 over its
-# dominant blocks up to --max-level (dim = partition_count): rank 4 to
-# level 4 (3,087,225) takes 20 s and 389 MB at one unitary cell, rank 3 to
-# level 6 (773,920) 5.8 s and 127 MB, and rank 5 to level 3 (5,792,062)
-# 38 s and 744 MB.  A character series in n variables to total degree
-# maxdeg has at most C(maxdeg + n, n) terms: verma --n 3 --maxdeg 141
-# (487,344) takes 14 s and 200 MB, weyl --n 6 --maxdeg 23 (475,020) 9.2 s
-# and 51 MB, and sl3 --m1 250 --m2 249 (2 variables to degree 998,
-# 499,500) 6.4 s and 110 MB.
+# n = 5 (3,840).  A gram scan at a != 0 costs about the sum of dim^2 over
+# its dominant blocks up to --max-level (dim = partition_count): rank 4 to
+# level 4 (3,087,225) takes 13-16 s and 379 MB at a = (0,0,1), d = 9/2,
+# and rank 3 to level 6 (773,920) 12-14 s and 160 MB at a = (1,1), d = 5,
+# both unitary cells.  At a = 0 the scan judges only the noncompact rows,
+# and the same two scans take 0.2 s and 0.1 s; rank 5 to level 3
+# (5,792,062, refused) takes 0.2 s by direct call.  A character series in
+# n variables to total degree maxdeg has at most C(maxdeg + n, n) terms:
+# verma --n 3 --maxdeg 141 (487,344) takes 14 s and 200 MB, weyl --n 6
+# --maxdeg 23 (475,020) 9.2 s and 51 MB, and sl3 --m1 250 --m2 249 (2
+# variables to degree 998, 499,500) 6.4 s and 110 MB.
 MAX_GRID_CELLS = 50_000
 MAX_GRAM_WORK = 4_000_000
 MAX_CHARACTER_TERMS = 500_000
@@ -107,7 +109,11 @@ def _check_gram_size(n: int, max_level: int) -> None:
     """Refuse a Gram scan whose dominant blocks up to max_level have a sum
     of dim^2 above MAX_GRAM_WORK; the sum is taken block by block in scan
     order, so the count stops at the first block past the limit and the
-    message reports the partial sum."""
+    message reports the partial sum.
+
+    The count is over whole blocks also at a = 0, where the scan judges
+    only the noncompact rows: the first block that fails is built whole
+    for its witness, so the scanned rows do not bound the cost."""
     from ospuir.enveloping.module import level_offsets
     from ospuir.root_system import check_rank, partition_count
 

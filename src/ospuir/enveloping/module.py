@@ -38,16 +38,14 @@ a != 0, F(Lambda) is not trivial and a complement of C_mu is as large as
 (U(p+) (x) F(Lambda))_mu, more than the noncompact words span, so there the
 scan keeps the whole basis.
 
-A block's upper triangle over its rows is gathered once per engine and
-weight offset, as references to the memoized polynomials, and split there
-into its parts: the connected components of the pattern of nonzero
-pairing polynomials, a pattern that no d changes.  Rows that pair to zero
-with every row belong to no part.  Ordering the rows part by part makes
-the block block-diagonal, a congruence, so the block is positive
-semidefinite exactly when every part is.  At d = p/q each part becomes
-one integer matrix q^D G(p/q), D the block's top degree, with the one
-positive scale q^D; the scan gives psd_witness the parts, and the whole
-block, gathered over the whole basis, only where a part is not PSD, so
+A block's upper triangle is gathered once per engine and weight offset,
+as references to the memoized polynomials, over its kept rows: the rows
+with at least one nonzero pairing polynomial, a pattern that no d
+changes.  A dropped row pairs to zero with every row, so the block is
+PSD exactly when its kept rows are.  At d = p/q the kept rows become one
+integer matrix q^D G(p/q), D the block's top degree, with the one
+positive scale q^D; the scan gives psd_witness that matrix, and the
+whole block, gathered over the whole basis, only where it is not PSD, so
 that the witness is the whole block's.  A generator's action from one
 weight space to the next is evaluated the same way, into the int matrix
 that singular-vector kernels are solved from.
@@ -94,11 +92,9 @@ CodeTerms = Dict[CodeWord, Poly]
 ScalarForm = Tuple[int, int, Tuple[int, ...]]
 # The same combination's label-free parts: the terms (h, c_h), slope, shift.
 RankForm = Tuple[Tuple[Tuple[int, Fraction], ...], int, Tuple[int, ...]]
-# A part of a Gram block: its row indices, ascending, and its upper
-# triangle over them row by row.
-Part = Tuple[Tuple[int, ...], Tuple[Poly, ...]]
-# A Gram block: the basis words of its rows, its parts, and its top degree.
-Block = Tuple[Tuple[Word, ...], Tuple[Part, ...], int]
+# A Gram block: the basis words of its rows, the indices of its kept rows
+# (ascending), its upper triangle over them row by row, and its top degree.
+Block = Tuple[Tuple[Word, ...], Tuple[int, ...], Tuple[Poly, ...], int]
 IntRows = List[List[int]]
 
 _ONE: Poly = (1,)
@@ -434,7 +430,7 @@ class VermaEngine:
     def _block(self, offset: Tuple[int, ...], whole: bool = False) -> Block:
         """The Gram block at offset over the rows the scan judges (the
         noncompact words at a = 0, the whole basis otherwise), or over the
-        whole basis; gathered once and split into its parts, whose
+        whole basis; gathered once and reduced to its kept rows, whose
         polynomials are the objects held in the pairing memo, not copies."""
         whole = whole or any(self.a)
         block = self._blocks.get((offset, whole))
@@ -447,60 +443,42 @@ class VermaEngine:
                     p = self.pair_words(u, words[j])
                     if p:
                         nonzero[i, j] = p
-            root = list(range(len(words)))
-
-            def find(i: int) -> int:
-                while root[i] != i:
-                    root[i] = root[root[i]]
-                    i = root[i]
-                return i
-
-            for i, j in nonzero:
-                root[find(j)] = find(i)
-            members: Dict[int, List[int]] = {}
-            for i in sorted({i for ij in nonzero for i in ij}):
-                members.setdefault(find(i), []).append(i)
-            parts = tuple(
-                (tuple(idx), tuple(nonzero.get((i, j), ()) for s, i in enumerate(idx)
-                                   for j in idx[s:]))
-                for idx in members.values()
-            )
+            kept = tuple(sorted({i for ij in nonzero for i in ij}))
+            upper = tuple(nonzero.get((i, j), ()) for s, i in enumerate(kept)
+                          for j in kept[s:])
             top = max([1, *map(len, nonzero.values())]) - 1
-            block = self._blocks[offset, whole] = (basis, parts, top)
+            block = self._blocks[offset, whole] = (basis, kept, upper, top)
         return block
 
-    def _parts(self, sig: Signature, offset: Tuple[int, ...],
-               whole: bool = False) -> List[Tuple[Tuple[int, ...], IntRows]]:
-        """Each part of the block at offset (see _block) at d = p/q: its row
-        indices and its square int matrix q^D G(p/q), D the block's top
-        degree."""
-        _basis, parts, top = self._block(offset, whole)
+    def _kept(self, sig: Signature, offset: Tuple[int, ...],
+              whole: bool = False) -> Tuple[Tuple[int, ...], IntRows]:
+        """The kept rows of the block at offset (see _block) at d = p/q:
+        their indices and the square int matrix q^D G(p/q) over them, D the
+        block's top degree."""
+        _basis, kept, upper, top = self._block(offset, whole)
         weights = _weights(sig.d, top)
-        out = []
-        for idx, upper in parts:
-            vals = [sum(map(mul, p, weights)) for p in upper]
-            # row s: column s of the rows above it, then its part of the triangle
-            rows: IntRows = []
-            start = 0
-            for s in range(len(idx)):
-                stop = start + len(idx) - s
-                rows.append([row[s] for row in rows] + vals[start:stop])
-                start = stop
-            out.append((idx, rows))
-        return out
+        vals = [sum(map(mul, p, weights)) for p in upper]
+        # row s: column s of the rows above it, then its row of the triangle
+        rows: IntRows = []
+        start = 0
+        for s in range(len(kept)):
+            stop = start + len(kept) - s
+            rows.append([row[s] for row in rows] + vals[start:stop])
+            start = stop
+        return kept, rows
 
     def gram(self, sig: Signature, offset: Sequence[int]) -> "GramMatrix":
         """The block at offset for d = p/q: q^D G(p/q) as int rows, scale q^D,
-        assembled from its parts with zeros elsewhere."""
+        the kept rows' matrix with zeros elsewhere."""
         self._check_signature(sig)
         offset = tuple(int(x) for x in offset)
-        basis, _, top = self._block(offset, whole=True)
+        basis, _kept, _upper, top = self._block(offset, whole=True)
         full = [[0] * len(basis) for _ in basis]
-        for idx, rows in self._parts(sig, offset, whole=True):
-            for i, row in zip(idx, rows):
-                target = full[i]
-                for j, x in zip(idx, row):
-                    target[j] = x
+        kept, rows = self._kept(sig, offset, whole=True)
+        for i, row in zip(kept, rows):
+            target = full[i]
+            for j, x in zip(kept, row):
+                target[j] = x
         return GramMatrix(weight_offset=offset, basis=basis,
                           scaled=tuple(map(tuple, full)), scale=sig.d.denominator ** top)
 
@@ -727,15 +705,17 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
     semidefinite; otherwise the witness vector and its (negative) norm are
     reported.
 
-    Each block is judged by the parts of its scanned rows
-    (VermaEngine._block).  At a = 0 those are the noncompact words: the
-    submodule C generated by the compact singular vectors X_i^(a_i + 1) v0
-    lies in the radical of the form, M/C is the parabolic Verma module
-    U(p+) (x) F(Lambda) with F(Lambda) trivial, and the noncompact words span
-    a complement of C_mu, so the form on them is PSD exactly when the whole
-    block is, with the same rank.  For a != 0, F(Lambda) is not trivial, a
+    Each block is judged by the kept rows of its scanned rows
+    (VermaEngine._block), with one psd_witness call: a row that pairs to
+    zero with every row changes no verdict.  At a = 0 the scanned rows are
+    the noncompact words: the submodule C generated by the compact
+    singular vectors X_i^(a_i + 1) v0 lies in the radical of the form, M/C
+    is the parabolic Verma module U(p+) (x) F(Lambda) with F(Lambda)
+    trivial, and the noncompact words span a complement of C_mu, so the
+    form on them is PSD exactly when the whole block is, with the same
+    rank.  For a != 0, F(Lambda) is not trivial, a
     complement needs more than those words, and the rows are the whole
-    basis.  The first block with a part that is not PSD is built whole by
+    basis.  The first block whose kept rows are not PSD is built whole by
     VermaEngine.gram, and the witness is psd_witness's on it; if the whole
     block is PSD after all, the scan raises AssertionError.  Negativity
     first reaches the dominant sector on this grid; the bound max_level = 4
@@ -749,12 +729,12 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
     for level in range(1, max_level + 1):
         levels.append(level)
         for offset in level_offsets(sig.n, level):
-            if all(psd_witness(rows) is None for _idx, rows in engine._parts(sig, offset)):
+            if psd_witness(engine._kept(sig, offset)[1]) is None:
                 continue
             gram = engine.gram(sig, offset)
             coeffs = psd_witness(gram.scaled)
             if coeffs is None:
-                raise AssertionError("a part of a Gram block's scanned rows is not PSD "
+                raise AssertionError("a Gram block's scanned rows are not PSD "
                                      "but the whole block is")
             terms = {w: c for w, c in zip(gram.basis, coeffs) if c}
             witness = ModuleVector(sig, offset, terms)

@@ -114,7 +114,7 @@ def test_criterion_2_gram_cross_validation():
             assert eng.norm(report.witness) == report.witness_norm
         lines.append(_report_line(report))
     # every verdict, witness offset, witness vector and norm, as the scan
-    # gave them on whole blocks before blocks were split into parts
+    # gave them on whole blocks, before the scan judged kept rows only
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CRITERION_2_DIGEST.read_text().strip()
     elapsed = time.monotonic() - t0

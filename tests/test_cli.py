@@ -168,6 +168,9 @@ def test_exit_code_contract(monkeypatch, capsys):
     # 2: a usage error, reported on stderr
     assert main(["classify", "--n", "3", "--a", "0,0", "--d", "0.5"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # labels are printed as the user typed them, not as Fraction reprs
+    assert main(["character", "--case", "weyl", "--n", "3", "--labels", "1,1,0"]) == 2
+    assert capsys.readouterr() == ("", "error: labels must be positive integers, got 1, 1, 0\n")
     # 3: an internal anomaly; a witness that does not have negative norm
     # trips the Gram scan's own check
     monkeypatch.setattr(module, "psd_witness",
@@ -302,6 +305,16 @@ def test_rank4_unitary_gram_cell_matches_golden():
                      "--max-level", "4"])
     assert code == 0
     assert out == (GOLDEN_DIR / "gram_n_4_a_0-0-0_d_5_2_max-level_4.out").read_text()
+
+
+@pytest.mark.parametrize("a, d, verdict", [("0,0,1", "5/2", "psd"), ("1,0,1", "3", "not_psd")])
+def test_rank4_gram_cells_off_a_zero_match_goldens(a, d, verdict):
+    # at a != 0 the scan judges the kept rows of whole blocks; both outputs
+    # were captured while those blocks were still split into parts
+    code, out = run(["gram", "--n", "4", "--a", a, "--d", d, "--max-level", "3"])
+    assert code == 0 and json.loads(out)["verdict"] == verdict
+    name = f"gram_n_4_a_{a.replace(',', '-')}_d_{d.replace('/', '_')}_max-level_3.out"
+    assert out == (GOLDEN_DIR / name).read_text()
 
 
 def test_multiplet_command():

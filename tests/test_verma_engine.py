@@ -191,13 +191,14 @@ def test_gram_blocks_compare_by_entries():
     assert eng.gram(Signature(3, Fraction(1, 2), (0, 1)), offset) != gram
 
 
-def _assert_parts_split_blocks(n, a, max_level, ds):
+def _assert_kept_rows(n, a, max_level, ds):
     """The scan's rows are the noncompact words at a = 0 and the whole
-    basis otherwise.  Each block's parts, over those rows and over the whole
-    basis, are disjoint, and every pairing between two parts or on a row of
-    no part is zero; gram() equals the whole block evaluated entry by entry
-    at the first d, and at each d both sets of parts are PSD exactly when
-    the block is.  Returns the verdicts seen."""
+    basis otherwise.  Over those rows and over the whole basis, each
+    block's kept rows ascend and are exactly the rows with a nonzero
+    pairing against the whole basis, so every pairing on a dropped row is
+    zero; gram() equals the whole block evaluated entry by entry at the
+    first d, and at each d both kept-row matrices are PSD exactly when the
+    block is.  Returns the verdicts seen."""
     eng = engine_for(Signature(n, ds[0], a))
     verdicts = set()
     for level in range(1, max_level + 1):
@@ -205,60 +206,56 @@ def _assert_parts_split_blocks(n, a, max_level, ds):
             rows = eng.basis(offset) if any(a) else noncompact_words(n, offset)
             assert eng._block(offset)[0] == rows, (a, offset)
             assert any(a) == (eng._block(offset) is eng._block(offset, whole=True))
+            everything = [eng.table.encode(w) for w in eng.basis(offset)]
             for whole in (False, True):
-                basis, parts, _top = eng._block(offset, whole)
+                basis, kept, _upper, _top = eng._block(offset, whole)
                 words = [eng.table.encode(w) for w in basis]
-                owner = {}
-                for p, (idx, _upper) in enumerate(parts):
-                    assert list(idx) == sorted(idx) and idx, (a, offset)
-                    for i in idx:
-                        assert owner.setdefault(i, p) == p, (a, offset, i)
-                polys = {(i, j): eng.pair_words(words[i], words[j])
-                         for i in range(len(words)) for j in range(i, len(words))}
-                for (i, j), poly in polys.items():
-                    if owner.get(i) is None or owner.get(i) != owner.get(j):
-                        assert poly == (), (a, offset, i, j)
+                assert list(kept) == sorted(set(kept)), (a, offset)
+                pairs = [[eng.pair_words(u, w) for w in everything] for u in words]
+                assert kept == tuple(i for i, row in enumerate(pairs) if any(row)), (
+                    a, offset, whole)
             for d in ds:
                 sig = Signature(n, d, a)
                 gram = eng.gram(sig, offset)
                 assert d != ds[0] or gram.entries == tuple(
-                    tuple(_evaluate(polys[min(i, j), max(i, j)], d) for j in range(len(words)))
-                    for i in range(len(words))), (a, offset, d)
+                    tuple(_evaluate(eng.pair_words(u, w), d) for w in everything)
+                    for u in everything), (a, offset, d)
                 psd = psd_witness(gram.scaled) is None
                 for whole in (False, True):
-                    assert psd == all(psd_witness(rows) is None
-                                      for _idx, rows in eng._parts(sig, offset, whole)), (
+                    assert psd == (psd_witness(eng._kept(sig, offset, whole)[1]) is None), (
                         a, offset, d, whole)
                 verdicts.add(psd)
     return verdicts
 
 
-def test_gram_parts_split_each_block():
-    # rank 3, every a in {0,1,2}^2 to level 4, and rank 4 at a = 0 to
-    # level 2, each at a seeded d of the dyadic grid and one off it
+def test_gram_kept_rows_of_each_block():
+    # rank 3, every a in {0,1,2}^2 to level 4, rank 4 at a = 0 to level 2
+    # and rank 5 at a = 0 to level 2, each at a seeded d of the dyadic grid
+    # and one off it
     rng = random.Random(20261023)
     verdicts = set()
-    cases = [(3, (a1, a2), 4) for a1 in range(3) for a2 in range(3)] + [(4, (0, 0, 0), 2)]
+    cases = [(3, (a1, a2), 4) for a1 in range(3) for a2 in range(3)] + [
+        (4, (0, 0, 0), 2), (5, (0, 0, 0, 0), 2)]
     for n, a, max_level in cases:
         ds = [Fraction(rng.randint(0, 16), 4), Fraction(rng.randint(-20, 40), rng.randint(1, 7))]
-        verdicts |= _assert_parts_split_blocks(n, a, max_level, ds)
+        verdicts |= _assert_kept_rows(n, a, max_level, ds)
     assert verdicts == {True, False}
 
 
-def test_parts_and_whole_block_must_agree(monkeypatch):
-    # a part called not PSD in a block that is PSD (d = 2 is unitary at both
-    # label sets) trips the scan's own check: only the first call, on the
-    # first part, lies.  At a = (0, 0) that part is one of the noncompact
-    # rows, at a = (0, 1) one of the whole basis.
+def test_kept_rows_and_whole_block_must_agree(monkeypatch):
+    # kept rows called not PSD in a block that is PSD (d = 2 is unitary at
+    # both label sets) trip the scan's own check: only the first call, on
+    # the first block's kept rows, lies.  At a = (0, 0) those are
+    # noncompact rows, at a = (0, 1) rows of the whole basis.
     for a in ((0, 0), (0, 1)):
         calls = []
 
-        def first_part_fails(gram):
+        def first_block_fails(gram):
             calls.append(gram)
             return [Fraction(1)] * len(gram) if len(calls) == 1 else psd_witness(gram)
 
-        monkeypatch.setattr(module, "psd_witness", first_part_fails)
-        with pytest.raises(AssertionError, match="part of a Gram block"):
+        monkeypatch.setattr(module, "psd_witness", first_block_fails)
+        with pytest.raises(AssertionError, match="scanned rows are not PSD"):
             gram_psd_check(Signature(3, Fraction(2), a), max_level=1)
         assert len(calls) == 2, a
 
@@ -292,9 +289,9 @@ def test_noncompact_rows_match_whole_blocks():
                 rows = eng._block(offset)[0]
                 for d in on + off:
                     sig = Signature(n, d, a)
-                    parts = eng._parts(sig, offset)
-                    reduced_psd = all(psd_witness(part) is None for _idx, part in parts)
-                    reduced_rank = sum(len(rref(part)[1]) for _idx, part in parts)
+                    kept = eng._kept(sig, offset)[1]
+                    reduced_psd = psd_witness(kept) is None
+                    reduced_rank = len(rref(kept)[1])
                     whole = eng.gram(sig, offset).scaled
                     assert (reduced_psd, reduced_rank) == (
                         psd_witness(whole) is None, len(rref(whole)[1])), (n, offset, d)
