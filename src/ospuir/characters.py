@@ -37,6 +37,7 @@ from ospuir.root_system import (
     inner,
     partition_count,  # kept importable as ospuir.characters.partition_count
     restricted_exps,
+    rho_shift,
 )
 from ospuir.weights import (
     Signature, labels_of_weight, lowest_weight, point_name, reduction_points,
@@ -232,19 +233,18 @@ def weight_from_labels(labels: Sequence) -> Weight:
     """Weight Lambda with (rho - Lambda, alpha_k-vee) equal to the labels."""
     ms = [Fraction(x) for x in labels]
     n = len(ms)
-    rs = build_root_system(n)
     mu = [Fraction(0)] * n
     mu[n - 1] = ms[n - 1] / 2
     for k in range(n - 2, -1, -1):
         mu[k] = mu[k + 1] + ms[k]
-    return tuple(r - m for r, m in zip(rs.rho, mu))
+    return rho_shift(mu)
 
 
 def weyl_dimension(lam0: Weight) -> Fraction:
     """Weyl product formula over the restricted positive roots."""
     n = len(lam0)
     rs = build_root_system(n)
-    mu0 = tuple(r - x for r, x in zip(rs.rho, lam0))
+    mu0 = rho_shift(lam0)
     num = Fraction(1)
     den = Fraction(1)
     for r in rs.restricted_positive:
@@ -266,8 +266,7 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
     if any(m.denominator != 1 or m < 1 for m in labels):
         raise ValueError("labels must be positive integers, got "
                          + ", ".join(map(str, labels)))
-    rs = build_root_system(n)
-    mu0 = tuple(r - x for r, x in zip(rs.rho, lam0))
+    mu0 = rho_shift(lam0)
     numerator: Poly = {}
     for w in generate(n):
         shift = tuple(a - b for a, b in zip(mu0, apply(w, mu0)))

@@ -23,14 +23,17 @@ import io
 import json
 import re
 import sys
-from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ospuir.weights import Signature
+from ospuir.weights import Signature, parse_rational
 
 Payload = Dict[str, Callable[[], str]]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# Each subcommand's parser reads an argument matching this as a negative
+# number, so as an option's value: argparse's own pattern (-5, and -1.5,
+# which parse_rational then refuses) plus -p/q, which it would otherwise
+# take for an unknown option.
+_NEGATIVE_ARG_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 # Largest requests the command line accepts; larger ones exit 2 before any
 # allocation.  The ranks each subcommand takes are root_system.RANKS, which
@@ -52,12 +55,6 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 MAX_GRID_CELLS = 50_000
 MAX_GRAM_WORK = 4_000_000
 MAX_CHARACTER_TERMS = 500_000
-
-
-def parse_rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text.strip()):
-        raise ValueError(f"not an exact rational 'p/q': {text!r}")
-    return Fraction(text.strip())
 
 
 def parse_int_list(text: str) -> Tuple[int, ...]:
@@ -274,37 +271,33 @@ def cmd_character(args) -> Payload:
     maxdeg = args.maxdeg
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
-    # the unitary cases and sl3 are rank three; the sl3 series is divided to
-    # its numerator's top degree 2(m1 + m2) whatever maxdeg is, so it is
-    # sized once its labels are known
-    if case in ("verma", "weyl"):
-        _check_series_terms(args.n, maxdeg)
-    elif args.n != 3:
-        raise ValueError(f"the unitary cases and sl3 are rank-three only, got --n {args.n}")
-    elif case != "sl3":
-        _check_series_terms(3, maxdeg)
+    # each case is sized before it is built; the unitary cases and sl3 are
+    # rank three, and the sl3 series is divided to its numerator's top
+    # degree 2(m1 + m2) whatever maxdeg is, so it is sized by its labels
     prefix = None
     if case == "verma":
+        _check_series_terms(args.n, maxdeg)
         series = verma_character(args.n, maxdeg)
-    elif case == "sl3":
-        if args.m1 is None or args.m2 is None:
-            raise ValueError("case sl3 needs --m1 and --m2")
-        _check_series_terms(2, 2 * (args.m1 + args.m2))
-        series = sl3_character(args.m1, args.m2)
-        series = series.truncate(min(maxdeg, series.maxdeg))
     elif case == "weyl":
+        _check_series_terms(args.n, maxdeg)
         if not args.labels:
             raise ValueError("case weyl needs --labels")
         labels = parse_int_list(args.labels)
         if len(labels) != args.n:
             raise ValueError(f"need {args.n} labels")
         norm = weyl_character(weight_from_labels(labels), maxdeg)
-        prefix = norm.prefix
-        series = norm.series
+        prefix, series = norm.prefix, norm.series
+    elif args.n != 3:
+        raise ValueError(f"the unitary cases and sl3 are rank-three only, got --n {args.n}")
+    elif case == "sl3":
+        if args.m1 is None or args.m2 is None:
+            raise ValueError("case sl3 needs --m1 and --m2")
+        _check_series_terms(2, 2 * (args.m1 + args.m2))
+        series = sl3_character(args.m1, args.m2).truncate(maxdeg)
     else:
+        _check_series_terms(3, maxdeg)
         norm = unitary_character(case, maxdeg, m1=args.m1, m2=args.m2)
-        prefix = norm.prefix
-        series = norm.series
+        prefix, series = norm.prefix, norm.series
     lowest = {} if prefix is None else {"lowest_weight": [str(x) for x in prefix]}
     return {
         "text": lambda: series_to_text(series),
@@ -478,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        p._negative_number_matcher = _NEGATIVE_ARG_RE
         for flag, keywords in command.options:
             p.add_argument(flag, **keywords)
         p.add_argument("--format", choices=command.formats, default=command.formats[0])

@@ -207,24 +207,14 @@ class StructureTable:
 
 
 def all_generators(n: int) -> List[Generator]:
-    gens: List[Generator] = []
-    for i in range(1, n + 1):
-        for s in (1, -1):
-            gens.append(Generator(KIND_ODD, i, sign=s))
-    for i in range(1, n + 1):
-        for s in (1, -1):
-            gens.append(Generator(KIND_DOUBLE, i, sign=s))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for s in (1, -1):
-                gens.append(Generator(KIND_SUM, i, j, sign=s))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                gens.append(Generator(KIND_MIX, i, j))
-    for i in range(1, n + 1):
-        gens.append(Generator(KIND_CARTAN, i))
-    return gens
+    """The rank-n basis in code order: odd, double, sum, mix, cartan."""
+    idx = range(1, n + 1)
+    return (
+        [Generator(k, i, sign=s) for k in (KIND_ODD, KIND_DOUBLE) for i in idx for s in (1, -1)]
+        + [Generator(KIND_SUM, i, j, sign=s) for i in idx for j in idx if i < j for s in (1, -1)]
+        + [Generator(KIND_MIX, i, j) for i in idx for j in idx if i != j]
+        + [Generator(KIND_CARTAN, i) for i in idx]
+    )
 
 
 @lru_cache(maxsize=None)

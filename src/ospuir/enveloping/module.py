@@ -67,6 +67,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -660,28 +661,13 @@ def level_offsets(n: int, level: int) -> List[Tuple[int, ...]]:
 
     The level counts odd creations: it is the sum of the delta coordinates
     of the offset.  The scan covers the dominant sector (all delta
-    coordinates nonnegative); a simple-basis offset (c_1, ..., c_n) lies in
-    it iff the c_k are the prefix sums of a composition of the level.
+    coordinates nonnegative); in the simple basis the coordinates are the
+    prefix sums of the delta ones, so the dominant offsets are the
+    nondecreasing (c_1, ..., c_{n-1}) with c_{n-1} <= level, followed by
+    c_n = level.  They are listed in lexicographic order, which is also
+    the lexicographic order of their delta coordinates.
     """
-    out: List[Tuple[int, ...]] = []
-
-    def rec(prefix: Tuple[int, ...], rest: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (rest,))
-            return
-        for x in range(rest + 1):
-            rec(prefix + (x,), rest - x, slots - 1)
-    rec((), level, n)
-    out.sort()
-    simple = []
-    for delta in out:
-        acc = 0
-        exp = []
-        for c in delta:
-            acc += c
-            exp.append(acc)
-        simple.append(tuple(exp))
-    return simple
+    return [c + (level,) for c in combinations_with_replacement(range(level + 1), n - 1)]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from ospuir.enveloping.module import (
     weight_space_words,
 )
 from ospuir.linalg import in_span, nullspace, rref
-from ospuir.root_system import build_root_system, delta_to_simple, pairing
+from ospuir.root_system import delta_to_simple, pairing, rho_shift
 from ospuir.weights import Signature, lowest_weight, reduction_points
 
 
@@ -96,7 +96,6 @@ def find_singular(sig: Signature, beta: Sequence, m: int) -> List[ModuleVector]:
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
-    n = sig.n
     beta_coords = tuple(Fraction(x) for x in beta)
     exp = delta_to_simple(beta_coords)
     offset = tuple(int(m * x) for x in exp)
@@ -105,8 +104,7 @@ def find_singular(sig: Signature, beta: Sequence, m: int) -> List[ModuleVector]:
     ):
         raise ValueError(f"{beta_coords} is not a positive root multiple")
     sols = singular_space(sig, offset)
-    rs = build_root_system(n)
-    mu = tuple(r - x for r, x in zip(rs.rho, lowest_weight(sig)))
+    mu = rho_shift(lowest_weight(sig))
     m_val = pairing(mu, beta_coords)
     predicted = m_val == m
     if predicted and not sols:

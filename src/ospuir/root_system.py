@@ -82,18 +82,13 @@ def build_root_system(n: int) -> RootSystemData:
     even = []
     restricted = []
     # long/short even roots first in the fixed order: differences, sums, doubles
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _unit(n, i)
-            v[j] = Fraction(-1)
-            even.append(RootVector(tuple(v), EVEN))
-            restricted.append(RootVector(tuple(v), EVEN))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _unit(n, i)
-            v[j] = Fraction(1)
-            even.append(RootVector(tuple(v), EVEN))
-            restricted.append(RootVector(tuple(v), EVEN))
+    for sign in (-1, 1):
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = _unit(n, i)
+                v[j] = Fraction(sign)
+                even.append(RootVector(tuple(v), EVEN))
+                restricted.append(even[-1])
     odd = []
     for i in range(n):
         even.append(RootVector(tuple(_unit(n, i, 2)), EVEN))
@@ -117,6 +112,11 @@ def build_root_system(n: int) -> RootSystemData:
         simple=tuple(simple),
         rho=rho,
     )
+
+
+def rho_shift(lam: Sequence) -> Weight:
+    """rho - lam at the rank len(lam); it is its own inverse."""
+    return tuple(r - x for r, x in zip(build_root_system(len(lam)).rho, lam))
 
 
 def inner(u: Sequence, v: Sequence) -> Fraction:

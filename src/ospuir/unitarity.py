@@ -101,44 +101,29 @@ def classify(sig: Signature) -> UnitarityVerdict:
 def subsingular_points(n: int, a: Sequence[int]) -> List[Tuple[Fraction, str]]:
     """Values of d carrying a subsingular vector, with coincidence chains.
 
-    Two families, both requiring a long enough run of leading zero labels
-    (labels beyond a_{n-1} count as zero):
+    Two families, e = 0 and e = 1, each requiring a run of leading zero
+    labels a_1 = ... = a_{2j-2+e} = 0 (labels beyond a_{n-1} count as
+    zero), for j = 2..n-1-e:
 
-      * d = n - j + (a_{2j-1} + ... + a_{n-1})/2 for j = 2..n-1 when
-        a_1 = ... = a_{2j-2} = 0, named d_j = d_{1,2j-1} = ... ;
-      * d = n - j - 1/2 + (a_{2j} + ... + a_{n-1})/2 for j = 2..n-2 when
-        a_1 = ... = a_{2j-1} = 0, named d_{j,j+1} = d_{1,2j} = ... .
+        d = n - j - e/2 + (a_{2j-1+e} + ... + a_{n-1})/2,
+
+    named d_j = d_{1,2j-1} = ... for e = 0 and d_{j,j+1} = d_{1,2j} = ...
+    for e = 1: the chain is d_{i,2j+e-i} for i = max(1, 2j+e-n)..j-1.
 
     Sorted by decreasing d.
     """
     a = tuple(a)
     if len(a) != n - 1:
         raise ValueError(f"expected {n - 1} labels, got {len(a)}")
-
-    def ext(k: int) -> int:
-        return a[k - 1] if 1 <= k <= n - 1 else 0
-
-    def run_of_zeros(upto: int) -> bool:
-        return all(ext(k) == 0 for k in range(1, upto + 1))
-
     out: List[Tuple[Fraction, str]] = []
-    for j in range(2, n):
-        if not run_of_zeros(2 * j - 2):
-            continue
-        value = Fraction(n - j) + Fraction(sum(ext(k) for k in range(2 * j - 1, n)), 2)
-        names = [f"d{j}"]
-        for i in range(max(1, 2 * j - n), j):
-            names.append(point_name(n, i, 2 * j - i))
-        out.append((value, "=".join(names)))
-    for j in range(2, n - 1):
-        if not run_of_zeros(2 * j - 1):
-            continue
-        value = (Fraction(n - j) - Fraction(1, 2)
-                 + Fraction(sum(ext(k) for k in range(2 * j, n)), 2))
-        names = [point_name(n, j, j + 1)]
-        for i in range(max(1, 2 * j + 1 - n), j):
-            names.append(point_name(n, i, 2 * j + 1 - i))
-        out.append((value, "=".join(names)))
+    for e in (0, 1):
+        for j in range(2, n - e):
+            if any(a[: 2 * j - 2 + e]):
+                continue
+            value = n - j - Fraction(e, 2) + Fraction(sum(a[2 * j - 2 + e:]), 2)
+            names = [point_name(n, j, j + 1 if e else None)]
+            names += [point_name(n, i, 2 * j + e - i) for i in range(max(1, 2 * j + e - n), j)]
+            out.append((value, "=".join(names)))
     out.sort(key=lambda t: (-t[0], t[1]))
     return out
 

@@ -15,6 +15,7 @@ and 2 delta_i; the compact family delta_i - delta_j does not move with d.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -26,15 +27,28 @@ from ospuir.root_system import (
     build_root_system,
     check_rank,
     coroot,
+    rho_shift,
     simple_labels,
 )
+
+
+_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The exact rational an integer or "p/q" string names; decimals and
+    exponents are refused."""
+    if not _RATIONAL_RE.match(text.strip()):
+        raise ValueError(f"not an exact rational 'p/q': {text!r}")
+    return Fraction(text.strip())
 
 
 @dataclass(frozen=True)
 class Signature:
     """Signature [d; a_1, ..., a_{n-1}] of a lowest-weight module.
 
-    d is exact: an int, a Fraction or a "p/q" string; a float is refused.
+    d is exact: an int, a Fraction or a "p/q" string (parse_rational); a
+    float, a bool or a decimal string is refused, as is a bool label.
     """
 
     n: int
@@ -46,11 +60,13 @@ class Signature:
         object.__setattr__(self, "a", tuple(self.a))
         if len(self.a) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} labels a_k, got {len(self.a)}")
-        if any((not isinstance(x, int)) or x < 0 for x in self.a):
+        if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in self.a):
             raise ValueError("labels a_k must be nonnegative integers")
-        if isinstance(self.d, float):
-            raise ValueError(f"d must be exact, not the float {self.d!r}")
-        object.__setattr__(self, "d", Fraction(self.d))
+        d = self.d
+        if isinstance(d, (bool, float)):
+            raise ValueError(f"d must be exact, not the {type(d).__name__} {d!r}")
+        d = parse_rational(d) if isinstance(d, str) else Fraction(d)
+        object.__setattr__(self, "d", d)
 
 
 def lowest_weight(sig: Signature) -> Weight:
@@ -72,8 +88,7 @@ def dynkin_labels(sig: Signature) -> Tuple[Fraction, ...]:
 
 def labels_of_weight(lam: Weight) -> Tuple[Fraction, ...]:
     """Labels of an arbitrary weight against the simple coroots."""
-    rs = build_root_system(len(lam))
-    return simple_labels([r - x for r, x in zip(rs.rho, lam)])
+    return simple_labels(rho_shift(lam))
 
 
 FAMILY_COMPACT = "delta_i-delta_j"
@@ -128,8 +143,7 @@ def _root_rows(n: int) -> Tuple[Tuple[str, int, Optional[int], RootVector, Weigh
 
 def reducibility_report(sig: Signature) -> ReducibilityReport:
     """m_beta for every positive root family, with the integrality flag."""
-    rs = build_root_system(sig.n)
-    mu = tuple(r - x for r, x in zip(rs.rho, lowest_weight(sig)))
+    mu = rho_shift(lowest_weight(sig))
     entries = []
     for family, i, j, root, cv in _root_rows(sig.n):
         m = sum((x * c for x, c in zip(mu, cv) if c), Fraction(0))

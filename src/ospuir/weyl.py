@@ -21,6 +21,7 @@ from ospuir.root_system import (
     build_root_system,
     check_rank,
     is_positive,
+    rho_shift,
     simple_labels,
 )
 
@@ -120,11 +121,8 @@ def generate(n: int) -> List[WeylElement]:
 
 
 def dot_act(w: WeylElement, lam: Sequence) -> Weight:
-    """Shifted action w . lam = w(lam - rho) + rho."""
-    rs = build_root_system(w.n)
-    shifted = tuple(Fraction(x) - r for x, r in zip(lam, rs.rho))
-    moved = apply(w, shifted)
-    return tuple(m + r for m, r in zip(moved, rs.rho))
+    """Shifted action w . lam = w(lam - rho) + rho = rho - w(rho - lam)."""
+    return rho_shift(apply(w, rho_shift(lam)))
 
 
 def find_w_lambda(lam: Weight) -> Tuple[WeylElement, Weight]:
@@ -137,7 +135,7 @@ def find_w_lambda(lam: Weight) -> Tuple[WeylElement, Weight]:
     """
     n = len(lam)
     rs = build_root_system(n)
-    mu = [r - Fraction(x) for r, x in zip(rs.rho, lam)]
+    mu = rho_shift(lam)
     for alpha, c in zip(rs.simple, simple_labels(mu)):
         if c.denominator != 1:
             raise ValueError(f"weight is not integral: label {c} for root {alpha.coords}")
@@ -150,7 +148,7 @@ def find_w_lambda(lam: Weight) -> Tuple[WeylElement, Weight]:
         mu = [m - labels[k] * b for m, b in zip(mu, rs.simple[k].coords)]
         word.append(k + 1)
     w = from_word(n, word)
-    lam0 = tuple(r - m for r, m in zip(rs.rho, mu))
+    lam0 = rho_shift(mu)
     return w, lam0
 
 
@@ -207,12 +205,11 @@ def multiplet_orbit(lam0: Weight) -> Multiplet:
         frontier = list(nxt)
     ordered = sorted(reps, key=lambda l: (reps[l].length, reps[l].reduced_word))
     index = {lam: i for i, lam in enumerate(ordered)}
-    rs = build_root_system(n)
-    nodes = []
-    for lam in ordered:
-        labels = simple_labels([r - x for r, x in zip(rs.rho, lam)])
-        nodes.append(MultipletNode(index=index[lam], weight=lam,
-                                   labels=labels, w=reps[lam]))
+    nodes = [
+        MultipletNode(index=index[lam], weight=lam,
+                      labels=simple_labels(rho_shift(lam)), w=reps[lam])
+        for lam in ordered
+    ]
     edges = sorted((index[u], index[v], k) for u, v, k in arrows)
     return Multiplet(lambda0=lam0, nodes=tuple(nodes), edges=tuple(edges))
 

@@ -116,6 +116,25 @@ def test_usage_errors_exit_2(tmp_path):
                     "--out", str(out)]) == (2, ""), out
 
 
+def test_negative_rational_option_values():
+    # argparse took -3/2 for an option; --d=-3/2 was always read as a value
+    for argv in (["classify", "--n", "3", "--a", "0,0"],
+                 ["gram", "--n", "3", "--a", "0,0", "--max-level", "2"]):
+        code, out = run(argv + ["--d", "-3/2"])
+        assert code == 0 and (code, out) == run(argv + ["--d=-3/2"]), argv
+    out = run(["classify", "--n", "3", "--a", "0,0", "--d", "-3/2"])[1]
+    assert out == (GOLDEN_DIR / "classify_n_3_a_0-0_d_-3_2.out").read_text()
+    # a negative decimal is still taken as the value, and parse_rational refuses it
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(["classify", "--n", "3", "--a", "0,0", "--d", "-1.5"]) == (2, "")
+        for flag in ("--d-max", "--d-step"):
+            assert run(["grid", "--n", "2", flag, "-1/2"]) == (2, "")
+    assert err.getvalue().splitlines() == [
+        "error: not an exact rational 'p/q': '-1.5'",
+    ] + ["error: d grid must have positive step and nonnegative max"] * 2
+
+
 def test_oversized_requests_exit_2():
     # each is refused from its size alone, before any cell or element exists
     for argv in (

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import pathlib
 import random
 from typing import NamedTuple, Tuple
@@ -407,6 +408,15 @@ def test_level_offsets_enumeration():
     assert level_offsets(3, 2) == [
         (0, 0, 2), (0, 1, 2), (0, 2, 2), (1, 1, 2), (1, 2, 2), (2, 2, 2),
     ]
+    # every n-tuple of delta coordinates with the level as its sum, sorted,
+    # then written as prefix sums: the same offsets in the same order
+    for n in range(1, 9):
+        for level in range(6):
+            deltas = sorted(
+                x for x in itertools.product(range(level + 1), repeat=n) if sum(x) == level
+            )
+            expected = [tuple(itertools.accumulate(x)) for x in deltas]
+            assert level_offsets(n, level) == expected, (n, level)
 
 
 def test_psd_check_cases():

@@ -1,9 +1,10 @@
 """Unitarity classification against the closed-form case analysis."""
 
+import itertools
 import random
 from fractions import Fraction
 
-from ospuir.weights import Signature, reduction_points
+from ospuir.weights import Signature, point_name, reduction_points
 from ospuir.unitarity import classify, subsingular_points, unitarity_grid
 
 AUDIT_KEYS = {"leading_zero_count", "kappa", "threshold", "isolated_points", "note"}
@@ -114,11 +115,45 @@ def test_all_zero_labels_general_rank():
                 assert not classify(Signature(n, off, a)).unitary
 
 
+def _subsingular_by_family(n, a):
+    """The two subsingular families as two separate loops, as written
+    before they became one loop over e."""
+    def ext(k):
+        return a[k - 1] if 1 <= k <= n - 1 else 0
+
+    def run_of_zeros(upto):
+        return all(ext(k) == 0 for k in range(1, upto + 1))
+
+    out = []
+    for j in range(2, n):
+        if not run_of_zeros(2 * j - 2):
+            continue
+        value = Fraction(n - j) + Fraction(sum(ext(k) for k in range(2 * j - 1, n)), 2)
+        names = [f"d{j}"]
+        for i in range(max(1, 2 * j - n), j):
+            names.append(point_name(n, i, 2 * j - i))
+        out.append((value, "=".join(names)))
+    for j in range(2, n - 1):
+        if not run_of_zeros(2 * j - 1):
+            continue
+        value = (Fraction(n - j) - Fraction(1, 2)
+                 + Fraction(sum(ext(k) for k in range(2 * j, n)), 2))
+        names = [point_name(n, j, j + 1)]
+        for i in range(max(1, 2 * j + 1 - n), j):
+            names.append(point_name(n, i, 2 * j + 1 - i))
+        out.append((value, "=".join(names)))
+    out.sort(key=lambda t: (-t[0], t[1]))
+    return out
+
+
 def test_subsingular_points():
     assert subsingular_points(3, (0, 0)) == [(Fraction(1), "d2=d13")]
     assert subsingular_points(3, (1, 1)) == []
     pts = subsingular_points(4, (0, 0, 0))
     assert (Fraction(3, 2), "d23=d14") in pts
+    for n in range(2, 12):
+        for a in itertools.product(range(3), repeat=n - 1):
+            assert subsingular_points(n, a) == _subsingular_by_family(n, a), (n, a)
 
 
 def test_grid_shape_and_rows():

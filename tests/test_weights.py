@@ -37,6 +37,20 @@ def test_signature_validation():
     assert sig.a == (0, 0) and sig == Signature(3, 1, (0, 0))
     assert hash(sig) == hash(Signature(3, 1, (0, 0)))
     assert engine_for(sig) is engine_for(Signature(3, 1, (0, 0)))
+    # a string d goes through parse_rational: an integer or "p/q", nothing else
+    for d in ("-3/2", " -3/2 ", "-6/4"):
+        assert Signature(3, d, (0, 0)).d == Fraction(-3, 2)
+    assert Signature(3, "7", (0, 0)).d == Fraction(7)
+    for d in ("1.5", "1e1", "3/0", "inf", "", "3/-2"):
+        with pytest.raises(ValueError, match="exact rational"):
+            Signature(3, d, (0, 0))
+    # a bool is an int to Python but no d and no label
+    for d in (True, False):
+        with pytest.raises(ValueError, match="bool"):
+            Signature(3, d, (0, 0))
+    for a in ((True, 0), (0, False)):
+        with pytest.raises(ValueError, match="labels"):
+            Signature(3, 1, a)
 
 
 def test_lowest_weight_components():
