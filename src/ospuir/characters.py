@@ -36,7 +36,6 @@ from ospuir.root_system import (
     delta_to_simple,
     inner,
     partition_count,  # kept importable as ospuir.characters.partition_count
-    restricted_exps,
     rho_shift,
 )
 from ospuir.weights import (
@@ -216,14 +215,14 @@ def _noncompact_exps(n: int) -> Tuple[Exp, ...]:
     """The noncompact restricted positive roots: the last simple-root
     coordinate, the sum of the delta coordinates, is positive (it is 0 on
     the compact roots delta_i - delta_j)."""
-    return tuple(e for e in restricted_exps(n) if e[-1] > 0)
+    return tuple(e for e in build_root_system(n).restricted_exps if e[-1] > 0)
 
 
 def verma_character(n: int, maxdeg: int) -> CharacterSeries:
     """Product of 1/(1 - t^alpha) over the restricted positive roots."""
     one = {(0,) * n: Fraction(1)}
     return CharacterSeries._canonical(
-        n, maxdeg, p_divide_one_minus(one, restricted_exps(n), maxdeg)
+        n, maxdeg, p_divide_one_minus(one, build_root_system(n).restricted_exps, maxdeg)
     )
 
 
@@ -275,7 +274,7 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
             raise AssertionError(f"numerator exponent not dominant-integral: {exp}")
         add_scaled(numerator, {tuple(int(x) for x in exp): 1}, -1 if w.length % 2 else 1)
     series = CharacterSeries._canonical(
-        n, maxdeg, p_divide_one_minus(numerator, restricted_exps(n), maxdeg)
+        n, maxdeg, p_divide_one_minus(numerator, build_root_system(n).restricted_exps, maxdeg)
     )
     return NormalizedCharacter(prefix=lam0, series=series)
 

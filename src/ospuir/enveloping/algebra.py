@@ -48,10 +48,6 @@ HALF = Fraction(1, 2)   # double and mix generators: half an anticommutator
 ONE = Fraction(1)
 
 
-class AlgebraError(Exception):
-    """Internal inconsistency in the structure constants."""
-
-
 @dataclass(frozen=True)
 class Generator:
     """One basis element; see the module docstring for the five kinds."""
@@ -225,7 +221,7 @@ def structure_constants(n: int) -> StructureTable:
     gens = all_generators(n)
     expected = 2 * n + n * (2 * n + 1)
     if len(gens) != expected:
-        raise AlgebraError(f"expected {expected} basis elements, got {len(gens)}")
+        raise AssertionError(f"expected {expected} basis elements, got {len(gens)}")
     code = {g: x for x, g in enumerate(gens)}
     brackets = tuple(
         tuple(tuple((code[h], c) for h, c in _bracket(x, y).items()) for y in gens)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 Weight = Tuple[Fraction, ...]
 
@@ -56,9 +56,18 @@ class RootVector:
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
 
 
+FAMILY_COMPACT = "delta_i-delta_j"
+FAMILY_SUM = "delta_i+delta_j"
+FAMILY_ODD = "delta_i"
+FAMILY_DOUBLE = "2delta_i"
+
+
 @dataclass(frozen=True)
 class RootSystemData:
-    """Positive roots, simple roots and rho for a fixed rank n."""
+    """Root data for a fixed rank n.  families holds (family, i, j, root,
+    coroot) for every positive root, in report order: the compact, sum,
+    odd and double families, by index inside each, with j None for delta_i
+    and j == i for 2 delta_i; the root tuples are filtered from it."""
 
     n: int
     positive_even: Tuple[RootVector, ...]
@@ -66,12 +75,9 @@ class RootSystemData:
     restricted_positive: Tuple[RootVector, ...]
     simple: Tuple[RootVector, ...]
     rho: Weight
-
-
-def _unit(n: int, i: int, c: int = 1) -> list:
-    v = [Fraction(0)] * n
-    v[i] = Fraction(c)
-    return v
+    families: Tuple[Tuple[str, int, Optional[int], RootVector, Weight], ...]
+    simple_coroots: Tuple[Weight, ...]
+    restricted_exps: Tuple[Tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -79,38 +85,37 @@ def build_root_system(n: int) -> RootSystemData:
     """Construct the full root data for rank n, once per rank."""
     check_rank("roots", n)
 
-    even = []
-    restricted = []
-    # long/short even roots first in the fixed order: differences, sums, doubles
-    for sign in (-1, 1):
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = _unit(n, i)
-                v[j] = Fraction(sign)
-                even.append(RootVector(tuple(v), EVEN))
-                restricted.append(even[-1])
-    odd = []
-    for i in range(n):
-        even.append(RootVector(tuple(_unit(n, i, 2)), EVEN))
-        r = RootVector(tuple(_unit(n, i)), ODD)
-        odd.append(r)
-        restricted.append(r)
+    idx = range(1, n + 1)
+    pairs = [(i, j) for i in idx for j in idx if i < j]
+    specs = (
+        [(FAMILY_COMPACT, i, j, {i: 1, j: -1}, EVEN) for i, j in pairs]
+        + [(FAMILY_SUM, i, j, {i: 1, j: 1}, EVEN) for i, j in pairs]
+        + [(FAMILY_ODD, i, None, {i: 1}, ODD) for i in idx]
+        + [(FAMILY_DOUBLE, i, i, {i: 2}, EVEN) for i in idx]
+    )
+    families = []
+    for family, i, j, coords, parity in specs:
+        root = RootVector(tuple(Fraction(coords.get(k, 0)) for k in idx), parity)
+        families.append((family, i, j, root, coroot(root.coords)))
 
-    simple = []
-    for j in range(n - 1):
-        v = _unit(n, j)
-        v[j + 1] = Fraction(-1)
-        simple.append(RootVector(tuple(v), EVEN))
-    simple.append(RootVector(tuple(_unit(n, n - 1)), ODD))
+    def roots_of(*kinds: str) -> Tuple[RootVector, ...]:
+        return tuple(row[3] for row in families if row[0] in kinds)
 
-    rho = tuple(Fraction(2 * (n - i) + 1, 2) for i in range(1, n + 1))
+    restricted = roots_of(FAMILY_COMPACT, FAMILY_SUM, FAMILY_ODD)
+    # alpha_k = delta_k - delta_{k+1} for k < n, and alpha_n = delta_n
+    simple_rows = [row for row in families
+                   if (row[0] == FAMILY_COMPACT and row[2] == row[1] + 1)
+                   or (row[0] == FAMILY_ODD and row[1] == n)]
     return RootSystemData(
         n=n,
-        positive_even=tuple(even),
-        positive_odd=tuple(odd),
-        restricted_positive=tuple(restricted),
-        simple=tuple(simple),
-        rho=rho,
+        positive_even=roots_of(FAMILY_COMPACT, FAMILY_SUM, FAMILY_DOUBLE),
+        positive_odd=roots_of(FAMILY_ODD),
+        restricted_positive=restricted,
+        simple=tuple(row[3] for row in simple_rows),
+        rho=tuple(Fraction(2 * (n - i) + 1, 2) for i in idx),
+        families=tuple(families),
+        simple_coroots=tuple(row[4] for row in simple_rows),
+        restricted_exps=tuple(tuple(map(int, delta_to_simple(r.coords))) for r in restricted),
     )
 
 
@@ -139,17 +144,11 @@ def pairing(lam: Sequence, beta: Sequence) -> Fraction:
     return inner(lam, coroot(beta))
 
 
-@lru_cache(maxsize=None)
-def simple_coroots(n: int) -> Tuple[Weight, ...]:
-    """alpha_k-vee for the n simple roots, computed once per rank."""
-    return tuple(coroot(alpha.coords) for alpha in build_root_system(n).simple)
-
-
 def simple_labels(mu: Sequence) -> Tuple[Fraction, ...]:
     """(mu, alpha_k-vee) for the n simple roots, n = len(mu)."""
     return tuple(
         sum((x * c for x, c in zip(mu, cv) if c), Fraction(0))
-        for cv in simple_coroots(len(mu))
+        for cv in build_root_system(len(mu)).simple_coroots
     )
 
 
@@ -180,15 +179,6 @@ def is_positive(v: Sequence) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
-def restricted_exps(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """The restricted positive roots of rank n in the simple-root basis."""
-    return tuple(
-        tuple(int(x) for x in delta_to_simple(r.coords))
-        for r in build_root_system(n).restricted_positive
-    )
-
-
 # The memo of partition_count's recursion, on (remainder, root index), for
 # one rank at a time: a call at another rank, or one that finds more than
 # _PARTITION_MEMO_LIMIT entries, starts it afresh.
@@ -209,7 +199,7 @@ def partition_count(n: int, mu: Sequence[int]) -> int:
         raise ValueError("length mismatch")
     if any(x < 0 for x in mu):
         return 0
-    roots = restricted_exps(n)
+    roots = build_root_system(n).restricted_exps
     rank, memo = _partition_memo
     if rank != n or len(memo) > _PARTITION_MEMO_LIMIT:
         memo = {}

@@ -142,13 +142,14 @@ def unitarity_grid(
     """Classify every combination of labels and d, in deterministic order.
 
     a_ranges gives the candidate values per label slot (length n - 1);
-    combinations run in lexicographic order, d ascending inside each.
+    each d is read as Signature reads it.  Combinations run in
+    lexicographic order, d ascending inside each.
     """
     if len(a_ranges) != n - 1:
         raise ValueError(f"expected {n - 1} label ranges, got {len(a_ranges)}")
     rows: List[GridRow] = []
     for combo in itertools.product(*a_ranges):
-        for d in sorted(Fraction(x) for x in d_values):
-            sig = Signature(n=n, d=d, a=tuple(combo))
+        sigs = (Signature(n=n, d=d, a=tuple(combo)) for d in d_values)
+        for sig in sorted(sigs, key=lambda sig: sig.d):
             rows.append(GridRow(sig=sig, verdict=classify(sig)))
     return rows

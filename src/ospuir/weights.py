@@ -22,11 +22,14 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from ospuir.root_system import (
+    FAMILY_COMPACT,  # the FAMILY_* names stay importable from ospuir.weights
+    FAMILY_DOUBLE,
+    FAMILY_ODD,
+    FAMILY_SUM,
     RootVector,
     Weight,
     build_root_system,
     check_rank,
-    coroot,
     rho_shift,
     simple_labels,
 )
@@ -91,12 +94,6 @@ def labels_of_weight(lam: Weight) -> Tuple[Fraction, ...]:
     return simple_labels(rho_shift(lam))
 
 
-FAMILY_COMPACT = "delta_i-delta_j"
-FAMILY_SUM = "delta_i+delta_j"
-FAMILY_ODD = "delta_i"
-FAMILY_DOUBLE = "2delta_i"
-
-
 @dataclass(frozen=True)
 class ReducibilityEntry:
     """m_beta for one positive root beta.  (i, j) names beta as the
@@ -121,31 +118,11 @@ def _is_positive_integer(x: Fraction) -> bool:
     return x.denominator == 1 and x > 0
 
 
-@lru_cache(maxsize=None)
-def _root_rows(n: int) -> Tuple[Tuple[str, int, Optional[int], RootVector, Weight], ...]:
-    """(family, i, j, root, coroot) for every positive root of rank n, in
-    report order: compact, sum, odd, double families; by index inside each."""
-    rs = build_root_system(n)
-    by_coords = {r.coords: r for r in rs.positive_even + rs.positive_odd}
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    specs = (
-        [(FAMILY_COMPACT, i, j, {i: 1, j: -1}) for i, j in pairs]
-        + [(FAMILY_SUM, i, j, {i: 1, j: 1}) for i, j in pairs]
-        + [(FAMILY_ODD, i, None, {i: 1}) for i in range(1, n + 1)]
-        + [(FAMILY_DOUBLE, i, i, {i: 2}) for i in range(1, n + 1)]
-    )
-    rows = []
-    for family, i, j, coords in specs:
-        root = by_coords[tuple(Fraction(coords.get(k, 0)) for k in range(1, n + 1))]
-        rows.append((family, i, j, root, coroot(root.coords)))
-    return tuple(rows)
-
-
 def reducibility_report(sig: Signature) -> ReducibilityReport:
     """m_beta for every positive root family, with the integrality flag."""
     mu = rho_shift(lowest_weight(sig))
     entries = []
-    for family, i, j, root, cv in _root_rows(sig.n):
+    for family, i, j, root, cv in build_root_system(sig.n).families:
         m = sum((x * c for x, c in zip(mu, cv) if c), Fraction(0))
         entries.append(ReducibilityEntry(
             root=root, family=family, i=i, j=j, m_value=m,
@@ -178,7 +155,8 @@ def _point_rows(n: int) -> Tuple[Tuple[Tuple[int, Optional[int]], int, int], ...
     return tuple(
         ((i, j), k, sum(cv))
         for family in (FAMILY_ODD, FAMILY_DOUBLE, FAMILY_SUM)
-        for k, (fam, i, j, _root, cv) in enumerate(_root_rows(n)) if fam == family
+        for k, (fam, i, j, _root, cv) in enumerate(build_root_system(n).families)
+        if fam == family
     )
 
 
@@ -231,7 +209,7 @@ def mn_at_reduction(m: Sequence[int], i: int, j: Optional[int] = None) -> Fracti
     m holds the first n-1 labels (m_k = 1 + a_k); the point is
     ReductionPoints.value(i, j).
     """
-    if any((not isinstance(x, int)) or x < 1 for x in m):
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in m):
         raise ValueError("labels m_k must be positive integers")
     n = len(m) + 1
     a = tuple(x - 1 for x in m)

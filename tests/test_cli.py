@@ -405,6 +405,14 @@ def test_reduction_points_command():
             assert keys == sorted(keys)
 
 
+def test_rank12_reduction_points_match_golden():
+    # two-digit point names take commas from rank 10 up, as in the chain d2=d1,3
+    code, out = run(["reduction-points", "--n", "12", "--a", "0,0,0,1,0,2,0,0,1,0,3"])
+    assert code == 0
+    assert out == (GOLDEN_DIR / "reduction-points_n_12_a_0-0-0-1-0-2-0-0-1-0-3.out").read_text()
+    assert '"chain": "d2=d1,3"' in out
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "verdict.json"
     code, out = run(["classify", "--n", "3", "--a", "0,0", "--d", "2",

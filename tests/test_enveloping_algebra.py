@@ -26,6 +26,7 @@ from ospuir.enveloping.algebra import (
     omega,
     structure_constants,
 )
+from ospuir.enveloping import algebra
 from ospuir.linalg import add_scaled
 from ospuir.root_system import delta_to_simple
 from ospuir.enveloping import module
@@ -66,6 +67,14 @@ def test_structure_table_shape():
     # even part sp(6): 3 cartan + 6 mix + 3 sum + 3 lowered sums + 3+3 doubles
     assert sum(v for k, v in kinds.items() if k != KIND_ODD) == 21
     assert len(tab.generators) == 27
+
+
+def test_basis_count_mismatch_is_a_failed_check(monkeypatch):
+    # a wrong basis count is an internal fault, an AssertionError like the
+    # library's other failed checks; __wrapped__ skips the per-rank cache
+    monkeypatch.setattr(algebra, "all_generators", lambda n: all_generators(n)[1:])
+    with pytest.raises(AssertionError, match="expected 14 basis elements, got 13"):
+        structure_constants.__wrapped__(2)
 
 
 def test_bracket_examples():

@@ -8,7 +8,14 @@ from fractions import Fraction
 from ospuir import root_system, weyl
 from ospuir.enveloping import algebra
 from ospuir.root_system import (
+    EVEN,
+    FAMILY_COMPACT,
+    FAMILY_DOUBLE,
+    FAMILY_ODD,
+    FAMILY_SUM,
+    ODD,
     RANKS,
+    RootVector,
     build_root_system,
     check_rank,
     coroot,
@@ -200,7 +207,7 @@ def test_one_rank_table_checked_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work began before the rank check")
 
-    monkeypatch.setattr(root_system, "_unit", no_work)
+    monkeypatch.setattr(root_system, "RootVector", no_work)
     monkeypatch.setattr(algebra, "all_generators", no_work)
     monkeypatch.setattr(weyl, "simple_reflection", no_work)
     for feature, calls in RANK_ENTRY_POINTS.items():
@@ -209,3 +216,76 @@ def test_one_rank_table_checked_before_any_work(monkeypatch):
             for call in calls:
                 with pytest.raises(ValueError, match=f"for {feature}, got {n}$"):
                     call(n)
+
+
+def _old_unit(n, i, c=1):
+    v = [Fraction(0)] * n
+    v[i] = Fraction(c)
+    return v
+
+
+def old_root_lists(n):
+    """The root lists as nested loops by parity built them: (positive_even,
+    positive_odd, restricted_positive, simple)."""
+    even = []
+    restricted = []
+    for sign in (-1, 1):
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = _old_unit(n, i)
+                v[j] = Fraction(sign)
+                even.append(RootVector(tuple(v), EVEN))
+                restricted.append(even[-1])
+    odd = []
+    for i in range(n):
+        even.append(RootVector(tuple(_old_unit(n, i, 2)), EVEN))
+        r = RootVector(tuple(_old_unit(n, i)), ODD)
+        odd.append(r)
+        restricted.append(r)
+    simple = []
+    for j in range(n - 1):
+        v = _old_unit(n, j)
+        v[j + 1] = Fraction(-1)
+        simple.append(RootVector(tuple(v), EVEN))
+    simple.append(RootVector(tuple(_old_unit(n, n - 1)), ODD))
+    return tuple(even), tuple(odd), tuple(restricted), tuple(simple)
+
+
+def old_root_rows(n):
+    """(family, i, j, root, coroot) as a second listing of the families
+    built them, finding each root by its coordinates in the parity lists."""
+    even, odd, _restricted, _simple = old_root_lists(n)
+    by_coords = {r.coords: r for r in even + odd}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    specs = (
+        [(FAMILY_COMPACT, i, j, {i: 1, j: -1}) for i, j in pairs]
+        + [(FAMILY_SUM, i, j, {i: 1, j: 1}) for i, j in pairs]
+        + [(FAMILY_ODD, i, None, {i: 1}) for i in range(1, n + 1)]
+        + [(FAMILY_DOUBLE, i, i, {i: 2}) for i in range(1, n + 1)]
+    )
+    rows = []
+    for family, i, j, coords in specs:
+        root = by_coords[tuple(Fraction(coords.get(k, 0)) for k in range(1, n + 1))]
+        rows.append((family, i, j, root, coroot(root.coords)))
+    return tuple(rows)
+
+
+def test_family_table_matches_the_parity_loops():
+    # the one family table gives every field the parity loops and the
+    # coordinate lookup gave, in the same order, at every supported rank
+    lo, hi = RANKS["roots"]
+    for n in range(lo, hi + 1):
+        rs = build_root_system(n)
+        even, odd, restricted, simple = old_root_lists(n)
+        assert rs.n == n
+        assert rs.positive_even == even
+        assert rs.positive_odd == odd
+        assert rs.restricted_positive == restricted
+        assert rs.simple == simple
+        assert rs.rho == tuple(Fraction(2 * (n - i) + 1, 2) for i in range(1, n + 1))
+        assert rs.families == old_root_rows(n)
+        assert rs.simple_coroots == tuple(coroot(a.coords) for a in simple)
+        assert rs.restricted_exps == tuple(
+            tuple(int(x) for x in delta_to_simple(r.coords)) for r in restricted
+        )
+        assert build_root_system(n) is rs

@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from ospuir.weights import Signature, point_name, reduction_points
 from ospuir.unitarity import classify, subsingular_points, unitarity_grid
 
@@ -166,3 +168,12 @@ def test_grid_shape_and_rows():
     assert by_key[((1, 0), Fraction(5, 2))].governing_point == ("d1", Fraction(5, 2))
     for r in rows:
         assert r.verdict.unitary == expected_unitary_n3(r.sig.d, *r.sig.a)
+
+
+def test_grid_reads_d_as_signature_does():
+    # each d passes the Signature rule, then the cells run in d order
+    rows = unitarity_grid(3, ((0,), (0,)), ["3/2", 1, Fraction(1, 2)])
+    assert [r.sig.d for r in rows] == [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+    for bad in ("1.5", "1e0", True, 0.25):
+        with pytest.raises(ValueError):
+            unitarity_grid(3, ((0,), (0,)), ["3/2", bad])

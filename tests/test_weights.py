@@ -254,3 +254,5 @@ def test_mn_at_reduction_rejects_bad_labels():
         mn_at_reduction((0, 1), 1)
     with pytest.raises(ValueError):
         mn_at_reduction((1, Fraction(3, 2)), 1)
+    with pytest.raises(ValueError):
+        mn_at_reduction((True, 1), 1)
