@@ -24,8 +24,12 @@ generator's weight, PBW key, class, parity, omega-image and (for an odd
 raising generator) square.  All of it is indexed by int code, a generator's
 position in the rank's basis, so the Verma engine works on words of ints;
 Generator objects are the public names, decoded at the boundary.  The
-graded Jacobi identity is checked on the stored table by
-tests/test_enveloping_algebra.py.
+table is built in one pass over ints (_bracket_table): each generator's
+factors are read once, the trilinear relations act on raw odd indices and
+coefficients are counted in quarters, one Fraction per distinct value.
+tests/test_enveloping_algebra.py holds the recursive Fraction expansion of
+the brackets on Generator objects as the reference that the table must
+match term for term, and checks the graded Jacobi identity on the table.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ospuir.linalg import add_scaled
-from ospuir.root_system import check_rank, delta_to_simple
+from ospuir.root_system import check_rank
 
 KIND_ODD = "odd"
 KIND_DOUBLE = "double"
@@ -114,7 +118,6 @@ def dict_weight_name(g: Generator) -> str:
     raise ValueError(g.kind)
 
 
-Pair = Tuple[Tuple[int, int], Tuple[int, int]]   # ((i, s), (j, t))
 Combo = Dict[Generator, Fraction]
 
 
@@ -129,38 +132,6 @@ def _pair_to_combo(p: Tuple[int, int], q: Tuple[int, int]) -> Combo:
         return {Generator(KIND_CARTAN, i): Fraction(1)}
     plus, minus = ((i, j) if s > 0 else (j, i))
     return {Generator(KIND_MIX, plus, minus): Fraction(2)}
-
-
-def _trilinear(pair: Pair, k: int, e: int) -> Dict[Tuple[int, int], Fraction]:
-    """[{a_p, a_q}, a_k^e] as a combination of odd raw generators."""
-    (i, s), (j, t) = pair
-    out: Dict[Tuple[int, int], Fraction] = {}
-    if i == k:
-        add_scaled(out, {(j, t): 1}, e - s)
-    if j == k:
-        add_scaled(out, {(i, s): 1}, e - t)
-    return out
-
-
-def _bracket(x: Generator, y: Generator) -> Combo:
-    """Super-bracket [x, y]: anticommutator when both odd, else commutator."""
-    if x.is_odd and y.is_odd:
-        return _pair_to_combo((x.i, x.sign), (y.i, y.sign))
-    if x.is_odd:
-        return {g: -c for g, c in _bracket(y, x).items()}
-    cx, pair = x.factors()
-    out: Combo = {}
-    if y.is_odd:
-        for (idx, sgn), c in _trilinear(pair, y.i, y.sign).items():
-            add_scaled(out, {Generator(KIND_ODD, idx, sign=sgn): Fraction(1)}, c * cx)
-        return out
-    # both even: [x, {a_c, a_d}] = {[x, a_c], a_d} + {a_c, [x, a_d]}
-    cy, (pc, pd) = y.factors()
-    for first, second in ((pc, pd), (pd, pc)):
-        br = _bracket(x, Generator(KIND_ODD, first[0], sign=first[1]))
-        for g, c in br.items():
-            add_scaled(out, _pair_to_combo((g.i, g.sign), second), c * cy)
-    return out
 
 
 RAISING = "raising"
@@ -213,6 +184,89 @@ def all_generators(n: int) -> List[Generator]:
     )
 
 
+def _bracket_table(gens: Sequence[Generator]) -> Tuple[Tuple[Tuple[Term, ...], ...], ...]:
+    """Every super-bracket [x, y] of the basis gens, by code, in one pass.
+
+    The odd generators come first, so a raw odd index (i, s) is the code of
+    a_i^s.  Each even generator is read once as its scale c and odd factors
+    (p, q); {a_p, a_q} is then one generator times 1/c, and the trilinear
+    relation gives [x, a_r] for even x on the raw indices.  The other
+    brackets follow: [a_r, x] = -[x, a_r], and for y = c {a_p, a_q},
+    [x, y] = c ({[x, a_p], a_q} + {a_p, [x, a_q]}).  Coefficients are ints
+    in quarters (every [x, a_r] is an integer and every c is 1 or 1/2),
+    each distinct value becomes one Fraction, and terms are added, and
+    dropped when they cancel, in the order of that expansion."""
+    size = len(gens)
+    k = sum(g.is_odd for g in gens)
+    odd = gens[:k]
+    if not all(g.is_odd for g in odd):
+        raise AssertionError("the odd generators must have the first codes")
+    idx = [g.i for g in odd]
+    sgn = [g.sign for g in odd]
+    raw = {(g.i, g.sign): r for r, g in enumerate(odd)}
+    halves: List[int] = []                    # 2c per code
+    factors: List[Tuple[int, ...]] = []       # odd factors per code, as raw indices
+    pair: List[List[Tuple[int, int]]] = [[(0, 0)] * k for _ in odd]
+    for x, g in enumerate(gens):
+        c, fs = g.factors()
+        halves.append(int(2 * c))
+        factors.append(tuple(raw[f] for f in fs))
+        if len(fs) == 2:   # {a_p, a_q} = (1/c) x
+            p, q = factors[x]
+            pair[p][q] = pair[q][p] = (x, 2 // halves[x])
+    # act[x][r]: [x, a_r] for even x, as (raw index, coefficient in halves);
+    # [{a_i^s, a_j^t}, a_k^e] = (e - s) d_ik a_j^t + (e - t) d_jk a_i^s
+    act: Dict[int, List[Tuple[Tuple[int, int], ...]]] = {}
+    for x in range(k, size):
+        p, q = factors[x]
+        row = []
+        for r in range(k):
+            out: Dict[int, int] = {}
+            if idx[p] == idx[r] and sgn[r] != sgn[p]:
+                out[q] = (sgn[r] - sgn[p]) * halves[x]
+            if idx[q] == idx[r] and sgn[r] != sgn[q]:
+                out[p] = out.get(p, 0) + (sgn[r] - sgn[q]) * halves[x]
+            row.append(tuple(out.items()))
+        act[x] = row
+    quarters: Dict[int, Fraction] = {}
+
+    def terms(items: Iterable[Tuple[int, int]]) -> Tuple[Term, ...]:
+        out = []
+        for z, v in items:
+            c = quarters.get(v)
+            if c is None:
+                c = quarters[v] = Fraction(v, 4)
+            out.append((z, c))
+        return tuple(out)
+
+    rows = []
+    for x in range(size):
+        if x < k:
+            row = [terms(((z, 4 * m),)) for z, m in pair[x]]
+            row += [terms((r, -2 * v) for r, v in act[y][x]) for y in range(k, size)]
+            rows.append(tuple(row))
+            continue
+        ax = act[x]
+        row = [terms((r, 2 * v) for r, v in ax[y]) for y in range(k)]
+        for y in range(k, size):
+            p, q = factors[y]
+            if not (ax[p] or ax[q]):
+                row.append(())
+                continue
+            acc: Dict[int, int] = {}
+            for first, second in ((p, q), (q, p)):
+                for r, v in ax[first]:
+                    z, m = pair[r][second]
+                    total = acc.get(z, 0) + v * m * halves[y]
+                    if total:
+                        acc[z] = total
+                    else:
+                        del acc[z]
+            row.append(terms(acc.items()))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 @lru_cache(maxsize=None)
 def structure_constants(n: int) -> StructureTable:
     """Build the bracket table and generator facts for rank n (an "engine"
@@ -223,12 +277,9 @@ def structure_constants(n: int) -> StructureTable:
     if len(gens) != expected:
         raise AssertionError(f"expected {expected} basis elements, got {len(gens)}")
     code = {g: x for x, g in enumerate(gens)}
-    brackets = tuple(
-        tuple(tuple((code[h], c) for h, c in _bracket(x, y).items()) for y in gens)
-        for x in gens
-    )
+    brackets = _bracket_table(gens)
     deltas = [g.delta_weight(n) for g in gens]
-    weight_exp = tuple(tuple(int(v) for v in delta_to_simple(d)) for d in deltas)
+    weight_exp = tuple(tuple(accumulate(d)) for d in deltas)   # simple-root basis
     pbw_key = tuple(
         (1 if g.is_odd else 0, sum(e), d) for g, e, d in zip(gens, weight_exp, deltas)
     )

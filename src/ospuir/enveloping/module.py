@@ -519,19 +519,31 @@ def _cartan_forms(n: int) -> Tuple[Dict[int, RankForm], Dict[Tuple[int, int], Ra
     checked to be integers: each Cartan generator h, in code order, as the
     combination 1*H_h, and each bracket [x, y] of a lowering x and a
     raising y that is a combination of Cartan generators only, keyed by
-    (x, y).  A label set adds only the constant term (VermaEngine)."""
-    t = structure_constants(n)
-    size = len(t.generators)
-    cartan = [x for x, c in enumerate(t.cls) if c == CARTAN]
-    kappa = {h: [dict(t.brackets[h][x]).get(x, 0) for x in range(size)] for h in cartan}
+    (x, y).  A label set adds only the constant term (VermaEngine).
 
-    def form(combo: Iterable[Tuple[int, Fraction]]) -> RankForm:
+    The sums are taken on ints: the eigenvalues kappa_h are read once and
+    must be integers, and a combination is scaled by the lcm of its
+    denominators, which must then divide its slope and every shift."""
+    t = structure_constants(n)
+    cartan = [x for x, c in enumerate(t.cls) if c == CARTAN]
+    kappa = {}
+    for h in cartan:   # [h, x] = kappa_h(x) x
+        values = [dict(row).get(x, 0) for x, row in enumerate(t.brackets[h])]
+        if any(c.denominator != 1 for c in values):
+            raise AssertionError(f"Cartan generator {h} has a non-integral eigenvalue")
+        kappa[h] = [int(c) for c in values]
+
+    def form(combo: Sequence[Tuple[int, Fraction]]) -> RankForm:
         combo = tuple(combo)
-        slope = sum(2 * c for _, c in combo)
-        shift = [sum(c * kappa[h][x] for h, c in combo) for x in range(size)]
-        if any(Fraction(v).denominator != 1 for v in [slope] + shift):
+        den = math.lcm(*(c.denominator for _, c in combo))
+        slope, shift = 0, [0] * len(t.generators)
+        for h, c in combo:
+            m = c.numerator * (den // c.denominator)
+            slope += 2 * m
+            shift = [s + m * k for s, k in zip(shift, kappa[h])]
+        if slope % den or any(v % den for v in shift):
             raise AssertionError(f"Cartan combination {combo} is not integral")
-        return combo, int(slope), tuple(int(v) for v in shift)
+        return combo, slope // den, tuple(v // den for v in shift)
 
     eigen = {h: form(((h, Fraction(1)),)) for h in cartan}
     brackets = {

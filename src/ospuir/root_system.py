@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, Optional, Sequence, Tuple
 
 Weight = Tuple[Fraction, ...]
@@ -93,10 +94,15 @@ def build_root_system(n: int) -> RootSystemData:
         + [(FAMILY_ODD, i, None, {i: 1}, ODD) for i in idx]
         + [(FAMILY_DOUBLE, i, i, {i: 2}, EVEN) for i in idx]
     )
+    # every root and coroot coordinate is one of these; the coroot
+    # 2 beta / (beta, beta) is 2 beta, beta or beta / 2 and so integral
+    frac = {v: Fraction(v) for v in (-1, 0, 1, 2)}
     families = []
     for family, i, j, coords, parity in specs:
-        root = RootVector(tuple(Fraction(coords.get(k, 0)) for k in idx), parity)
-        families.append((family, i, j, root, coroot(root.coords)))
+        beta = [coords.get(k, 0) for k in idx]
+        bb = sum(v * v for v in beta)
+        root = RootVector(tuple(frac[v] for v in beta), parity)
+        families.append((family, i, j, root, tuple(frac[2 * v // bb] for v in beta)))
 
     def roots_of(*kinds: str) -> Tuple[RootVector, ...]:
         return tuple(row[3] for row in families if row[0] in kinds)
@@ -115,7 +121,7 @@ def build_root_system(n: int) -> RootSystemData:
         rho=tuple(Fraction(2 * (n - i) + 1, 2) for i in idx),
         families=tuple(families),
         simple_coroots=tuple(row[4] for row in simple_rows),
-        restricted_exps=tuple(tuple(map(int, delta_to_simple(r.coords))) for r in restricted),
+        restricted_exps=tuple(tuple(accumulate(map(int, r.coords))) for r in restricted),
     )
 
 

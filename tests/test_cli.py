@@ -336,6 +336,15 @@ def test_rank4_gram_cells_off_a_zero_match_goldens(a, d, verdict):
     assert out == (GOLDEN_DIR / name).read_text()
 
 
+def test_rank8_gram_cell_matches_golden():
+    # the top engine rank end to end: structure table, Cartan forms and a
+    # level-1 scan whose witness mixes a compact and an odd letter
+    code, out = run(["gram", "--n", "8", "--a", "0,0,0,0,0,0,1", "--d", "1",
+                     "--max-level", "1"])
+    assert code == 0 and json.loads(out)["verdict"] == "not_psd"
+    assert out == (GOLDEN_DIR / "gram_n_8_a_0-0-0-0-0-0-1_d_1_max-level_1.out").read_text()
+
+
 def test_multiplet_command():
     code, first = run(["multiplet", "--n", "3", "--labels", "1,1,1",
                        "--format", "dot"])

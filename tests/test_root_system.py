@@ -102,6 +102,16 @@ def test_coroot_long_and_odd():
     assert coroot((2, 0, 0)) == (1, 0, 0)
 
 
+def test_family_coroots_are_the_general_coroot():
+    # each family's coroot is built on ints as beta, 2 beta or beta / 2; it
+    # equals coroot() of its root, with Fraction coordinates
+    scale = {FAMILY_COMPACT: 1, FAMILY_SUM: 1, FAMILY_ODD: 2, FAMILY_DOUBLE: Fraction(1, 2)}
+    for n in range(1, 17):
+        for family, _i, _j, root, cv in build_root_system(n).families:
+            assert cv == coroot(root.coords) == tuple(scale[family] * c for c in root.coords)
+            assert all(type(c) is Fraction for c in root.coords + cv), (n, family)
+
+
 def test_coroot_zero_rejected():
     with pytest.raises(ValueError):
         coroot((0, 0, 0))

@@ -4,10 +4,12 @@ ReferenceEngine is the normal-ordering and pairing recursion over words of
 Generator objects with Fraction coefficients for one signature, as the
 engine ran before generators were coded as ints and before one engine
 served every d of a label set with integer-polynomial coefficients.  It
-takes its brackets straight from algebra._bracket and its facts from
-Generator.delta_weight, so it shares no table with the engine under test.
+takes its brackets from the recursive reference_bracket of
+test_enveloping_algebra and its facts from Generator.delta_weight, so it
+shares no table with the engine under test.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,11 +18,11 @@ import pytest
 from ospuir.enveloping.algebra import (
     CARTAN,
     Generator,
+    KIND_CARTAN,
     KIND_DOUBLE,
     KIND_ODD,
     LOWERING,
     RAISING,
-    _bracket,
     all_generators,
     omega,
     structure_constants,
@@ -48,7 +50,7 @@ from ospuir.weights import (
     reduction_points,
 )
 
-from test_enveloping_algebra import reference_facts
+from test_enveloping_algebra import reference_bracket, reference_facts
 
 
 class ReferenceEngine:
@@ -63,7 +65,7 @@ class ReferenceEngine:
 
     def bracket(self, x, y):
         if (x, y) not in self.brackets:
-            self.brackets[(x, y)] = _bracket(x, y)
+            self.brackets[(x, y)] = reference_bracket(x, y)
         return self.brackets[(x, y)]
 
     def act_word_terms(self, g, word):
@@ -369,6 +371,64 @@ def test_one_engine_serves_every_d_of_a_label_set():
         engine_for(sig).gram(Signature(3, Fraction(1, 3), (2, 1)), (0, 0, 1))
 
 
+def reference_cartan_forms(n):
+    """module._cartan_forms built over Fractions: each combination's slope
+    and shifts summed as Fractions, then checked to be integers."""
+    t = structure_constants(n)
+    size = len(t.generators)
+    cartan = [x for x, c in enumerate(t.cls) if c == CARTAN]
+    kappa = {h: [dict(t.brackets[h][x]).get(x, 0) for x in range(size)] for h in cartan}
+
+    def form(combo):
+        combo = tuple(combo)
+        slope = sum(2 * c for _, c in combo)
+        shift = [sum(c * kappa[h][x] for h, c in combo) for x in range(size)]
+        assert all(Fraction(v).denominator == 1 for v in [slope] + shift), combo
+        return combo, int(slope), tuple(int(v) for v in shift)
+
+    eigen = {h: form(((h, Fraction(1)),)) for h in cartan}
+    brackets = {
+        (x, y): form(t.brackets[x][y])
+        for x, cx in enumerate(t.cls) if cx == LOWERING
+        for y, cy in enumerate(t.cls) if cy == RAISING
+        if t.brackets[x][y] and all(t.cls[h] == CARTAN for h, _ in t.brackets[x][y])
+    }
+    return eigen, brackets
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cartan_forms_match_fraction_reference(n):
+    # repr also tells an int from an equal Fraction
+    assert repr(module._cartan_forms(n)) == repr(reference_cartan_forms(n))
+
+
+def _table_with(monkeypatch, n, x, y, terms):
+    """Make module.structure_constants return rank n's table with
+    brackets[x][y] replaced by terms."""
+    t = structure_constants(n)
+    rows = [list(row) for row in t.brackets]
+    rows[x][y] = terms
+    patched = dataclasses.replace(t, brackets=tuple(tuple(row) for row in rows))
+    monkeypatch.setattr(module, "structure_constants", lambda _n: patched)
+
+
+def test_cartan_forms_refuse_non_integral_coefficients(monkeypatch):
+    # a third of H_1 has slope 2/3, and a half-integral eigenvalue of H_1 on
+    # a_1^+ makes a shift non-integral; __wrapped__ skips the per-rank cache
+    t = structure_constants(3)
+    h1 = t.code[Generator(KIND_CARTAN, 1)]
+    lower = t.code[Generator(KIND_ODD, 1, sign=-1)]
+    raise_ = t.code[Generator(KIND_ODD, 1, sign=1)]
+    assert t.brackets[lower][raise_] == ((h1, Fraction(1)),)
+    _table_with(monkeypatch, 3, lower, raise_, ((h1, Fraction(1, 3)),))
+    with pytest.raises(AssertionError, match="not integral"):
+        module._cartan_forms.__wrapped__(3)
+    monkeypatch.undo()
+    _table_with(monkeypatch, 3, h1, raise_, ((raise_, Fraction(3, 2)),))
+    with pytest.raises(AssertionError, match="non-integral"):
+        module._cartan_forms.__wrapped__(3)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_cartan_bracket_scalars_are_integer_polynomials(n):
     # Every bracket of a lowering and a raising generator that is a
@@ -389,7 +449,7 @@ def test_cartan_bracket_scalars_are_integer_polynomials(n):
         forms = 0
         for x, gx in enumerate(gens):
             for y, gy in enumerate(gens):
-                combo = _bracket(gx, gy)
+                combo = reference_bracket(gx, gy)
                 if not combo or any(table.cls[table.code[h]] != CARTAN for h in combo):
                     assert all(c.denominator == 1 for c in combo.values()), (gx, gy)
                     continue
