@@ -22,12 +22,10 @@ degree and checked by multiplying back.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ospuir.linalg import add_scaled
 from ospuir.root_system import (
@@ -134,37 +132,40 @@ def p_divide_one_minus(f: Poly, exps: Sequence[Exp], maxdeg: int) -> Poly:
 
 # ----------------------------------------------------------- series wrapper
 
-@dataclass(frozen=True)
-class CharacterSeries:
-    """Truncated power series with exact coefficients.
+class _CharacterSeriesFields(NamedTuple):
+    n: int
+    maxdeg: int
+    coeffs: Dict[Exp, Fraction]
+
+
+class CharacterSeries(_CharacterSeriesFields):
+    """Truncated power series with exact coefficients, the named tuple
+    (n, maxdeg, coeffs).
 
     coeffs maps exponent tuples (length n) to nonzero Fractions; every
     stored total degree is at most maxdeg.  The constructor normalises
-    what it is given; the series this module builds are canonical already
-    and skip that pass (_canonical).
+    what it is given (no coeffs is the zero series); the series this
+    module builds are canonical already and skip that pass: _canonical
+    builds the tuple directly.
     """
 
-    n: int
-    maxdeg: int
-    coeffs: Dict[Exp, Fraction] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, n: int, maxdeg: int,
+                coeffs: Optional[Mapping[Exp, Fraction]] = None) -> "CharacterSeries":
         clean = {
             tuple(int(x) for x in e): Fraction(c)
-            for e, c in self.coeffs.items()
-            if c and sum(e) <= self.maxdeg
+            for e, c in (coeffs or {}).items()
+            if c and sum(e) <= maxdeg
         }
-        object.__setattr__(self, "coeffs", clean)
+        return super().__new__(cls, n, maxdeg, clean)
 
     @classmethod
     def _canonical(cls, n: int, maxdeg: int, coeffs: Dict[Exp, Fraction]) -> "CharacterSeries":
         """The series of coeffs taken as they are: the caller guarantees
         int tuple keys of length n, nonzero Fraction values and degrees at
         most maxdeg, as p_divide_one_minus returns them."""
-        series = object.__new__(cls)
-        for name, value in (("n", n), ("maxdeg", maxdeg), ("coeffs", coeffs)):
-            object.__setattr__(series, name, value)
-        return series
+        return tuple.__new__(cls, (n, maxdeg, coeffs))
 
     def truncate(self, maxdeg: int) -> "CharacterSeries":
         maxdeg = min(self.maxdeg, maxdeg)
@@ -201,8 +202,7 @@ def series_to_json_obj(series: CharacterSeries) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class NormalizedCharacter:
+class NormalizedCharacter(NamedTuple):
     """Character written as e(prefix) times a series in the t_k."""
 
     prefix: Weight
@@ -390,8 +390,10 @@ def unitary_character(
 
 
 if unitary_character.__doc__:  # None under python -OO
+    # every line after the first sits at one indent, so stripping each
+    # line dedents the docstring
     unitary_character.__doc__ = "\n".join(
-        [inspect.cleandoc(unitary_character.__doc__), ""]
+        [line.strip() for line in unitary_character.__doc__.strip().split("\n")] + [""]
         + [f"  {name:<7} d = {point_name(3, *row.point):<4} {row.needs}"
            for name, row in UNITARY.items()]
     )

@@ -34,11 +34,10 @@ match term for term, and checks the graded Jacobi identity on the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from ospuir.root_system import check_rank
 
@@ -52,28 +51,32 @@ HALF = Fraction(1, 2)   # double and mix generators: half an anticommutator
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Generator:
-    """One basis element; see the module docstring for the five kinds."""
-
+class _GeneratorFields(NamedTuple):
     kind: str
     i: int
-    j: int = 0
-    sign: int = 1
+    j: int
+    sign: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_ODD, KIND_DOUBLE, KIND_SUM, KIND_MIX, KIND_CARTAN):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind in (KIND_ODD, KIND_DOUBLE) and self.j != 0:
+
+class Generator(_GeneratorFields):
+    """One basis element; see the module docstring for the five kinds."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, i: int, j: int = 0, sign: int = 1) -> "Generator":
+        if kind not in (KIND_ODD, KIND_DOUBLE, KIND_SUM, KIND_MIX, KIND_CARTAN):
+            raise ValueError(f"unknown kind {kind!r}")
+        if kind in (KIND_ODD, KIND_DOUBLE) and j != 0:
             raise ValueError("single-index generator takes no j")
-        if self.kind == KIND_SUM and not self.i < self.j:
+        if kind == KIND_SUM and not i < j:
             raise ValueError("sum generator needs i < j")
-        if self.kind == KIND_MIX and (self.i == self.j or self.sign != 1):
+        if kind == KIND_MIX and (i == j or sign != 1):
             raise ValueError("mix generator needs i != j and default sign")
-        if self.kind == KIND_CARTAN and (self.j != 0 or self.sign != 1):
+        if kind == KIND_CARTAN and (j != 0 or sign != 1):
             raise ValueError("cartan generator takes no j or sign")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        return super().__new__(cls, kind, i, j, sign)
 
     @property
     def is_odd(self) -> bool:
@@ -142,8 +145,7 @@ CARTAN = "cartan"
 Term = Tuple[int, Fraction]   # (generator code, coefficient)
 
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(NamedTuple):
     """Bracket table and generator facts for rank n, indexed by int code.
 
     A generator's code is its index in `generators`.  Every per-generator

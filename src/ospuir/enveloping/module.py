@@ -64,12 +64,11 @@ the way in and decode on the way out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import mul
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ospuir.enveloping.algebra import (
     CARTAN,
@@ -174,17 +173,23 @@ def _weights(d: Fraction, top: int) -> List[int]:
     return [num ** k * den ** (top - k) for k in range(top + 1)]
 
 
-@dataclass(frozen=True)
-class ModuleVector:
-    """Element of the Verma module, expanded over PBW monomials."""
-
+class _ModuleVectorFields(NamedTuple):
     sig: Signature
     offset: Tuple[int, ...]          # weight offset from Lambda, simple basis
     terms: Dict[Word, Fraction]
 
-    def __post_init__(self) -> None:
-        clean = {w: Fraction(c) for w, c in self.terms.items() if c}
-        object.__setattr__(self, "terms", clean)
+
+class ModuleVector(_ModuleVectorFields):
+    """Element of the Verma module, expanded over PBW monomials: the named
+    tuple (sig, offset, terms).  The constructor keeps the nonzero terms,
+    each coefficient as a Fraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, sig: Signature, offset: Tuple[int, ...],
+                terms: Mapping[Word, Fraction]) -> "ModuleVector":
+        clean = {w: Fraction(c) for w, c in terms.items() if c}
+        return super().__new__(cls, sig, offset, clean)
 
     @property
     def is_zero(self) -> bool:
@@ -652,8 +657,7 @@ def _tail_words(table: StructureTable, gens: Tuple[Generator, ...], memo: Dict,
     return words
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Shapovalov form restricted to one weight space: its entries are the
     integers `scaled` divided by the one positive integer `scale`."""
 
@@ -682,8 +686,7 @@ def level_offsets(n: int, level: int) -> List[Tuple[int, ...]]:
     return [c + (level,) for c in combinations_with_replacement(range(level + 1), n - 1)]
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     """Outcome of the level-by-level positivity scan."""
 
     sig: Signature

@@ -13,11 +13,10 @@ makes before any work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 Weight = Tuple[Fraction, ...]
 
@@ -45,16 +44,20 @@ EVEN = "even"
 ODD = "odd"
 
 
-@dataclass(frozen=True)
-class RootVector:
-    """A root with its delta-basis coordinates and parity."""
-
+class _RootVectorFields(NamedTuple):
     coords: Weight
     parity: str
 
-    def __post_init__(self) -> None:
-        if self.parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+
+class RootVector(_RootVectorFields):
+    """A root with its delta-basis coordinates and parity."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords: Weight, parity: str) -> "RootVector":
+        if parity not in (EVEN, ODD):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        return super().__new__(cls, coords, parity)
 
 
 FAMILY_COMPACT = "delta_i-delta_j"
@@ -63,8 +66,7 @@ FAMILY_ODD = "delta_i"
 FAMILY_DOUBLE = "2delta_i"
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(NamedTuple):
     """Root data for a fixed rank n.  families holds (family, i, j, root,
     coroot) for every positive root, in report order: the compact, sum,
     odd and double families, by index inside each, with j None for delta_i

@@ -16,9 +16,8 @@ more reduction points; the verdict records those names.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ospuir.weights import Signature, point_name, reduction_points
 
@@ -29,8 +28,7 @@ BRANCH_TRIVIAL = "trivial"
 BRANCH_NONUNITARY = "nonunitary"
 
 
-@dataclass(frozen=True)
-class UnitarityVerdict:
+class UnitarityVerdict(NamedTuple):
     sig: Signature
     unitary: bool
     branch: str
@@ -128,8 +126,7 @@ def subsingular_points(n: int, a: Sequence[int]) -> List[Tuple[Fraction, str]]:
     return out
 
 
-@dataclass(frozen=True)
-class GridRow:
+class GridRow(NamedTuple):
     sig: Signature
     verdict: UnitarityVerdict
 

@@ -16,10 +16,9 @@ and 2 delta_i; the compact family delta_i - delta_j does not move with d.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from ospuir.root_system import (
     FAMILY_COMPACT,  # the FAMILY_* names stay importable from ospuir.weights
@@ -46,30 +45,32 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-@dataclass(frozen=True)
-class Signature:
+class _SignatureFields(NamedTuple):
+    n: int
+    d: Fraction
+    a: Tuple[int, ...]
+
+
+class Signature(_SignatureFields):
     """Signature [d; a_1, ..., a_{n-1}] of a lowest-weight module.
 
     d is exact: an int, a Fraction or a "p/q" string (parse_rational); a
     float, a bool or a decimal string is refused, as is a bool label.
     """
 
-    n: int
-    d: Fraction
-    a: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_rank("roots", self.n)
-        object.__setattr__(self, "a", tuple(self.a))
-        if len(self.a) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} labels a_k, got {len(self.a)}")
-        if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in self.a):
+    def __new__(cls, n: int, d, a: Sequence[int]) -> "Signature":
+        check_rank("roots", n)
+        a = tuple(a)
+        if len(a) != n - 1:
+            raise ValueError(f"expected {n - 1} labels a_k, got {len(a)}")
+        if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in a):
             raise ValueError("labels a_k must be nonnegative integers")
-        d = self.d
         if isinstance(d, (bool, float)):
             raise ValueError(f"d must be exact, not the {type(d).__name__} {d!r}")
         d = parse_rational(d) if isinstance(d, str) else Fraction(d)
-        object.__setattr__(self, "d", d)
+        return super().__new__(cls, n, d, a)
 
 
 def lowest_weight(sig: Signature) -> Weight:
@@ -94,8 +95,7 @@ def labels_of_weight(lam: Weight) -> Tuple[Fraction, ...]:
     return simple_labels(rho_shift(lam))
 
 
-@dataclass(frozen=True)
-class ReducibilityEntry:
+class ReducibilityEntry(NamedTuple):
     """m_beta for one positive root beta.  (i, j) names beta as the
     reduction points do: j None for delta_i, j == i for 2 delta_i, and
     i < j for delta_i + delta_j and delta_i - delta_j."""
@@ -108,8 +108,7 @@ class ReducibilityEntry:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class ReducibilityReport:
+class ReducibilityReport(NamedTuple):
     sig: Signature
     entries: Tuple[ReducibilityEntry, ...]
 
@@ -160,8 +159,7 @@ def _point_rows(n: int) -> Tuple[Tuple[Tuple[int, Optional[int]], int, int], ...
     )
 
 
-@dataclass(frozen=True)
-class ReductionPoints:
+class ReductionPoints(NamedTuple):
     """Values of d where m_beta = 1, one per noncompact positive root.
 
     points maps (i, j) to its value: j None stands for delta_i, j == i for

@@ -12,9 +12,8 @@ multiplet_orbit the "multiplet" ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from ospuir.root_system import (
     Weight,
@@ -26,18 +25,33 @@ from ospuir.root_system import (
 )
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """Signed permutation with its length and lex-least reduced word."""
+class WeylElement(NamedTuple):
+    """Signed permutation with its length and lex-least reduced word.
+
+    Elements are equal, and hash alike, when perm and signs are: length
+    and reduced_word do not take part.
+    """
 
     perm: Tuple[int, ...]           # 0-based images: delta_i -> signs[i]*delta_{perm[i]}
     signs: Tuple[int, ...]
-    length: int = field(compare=False, hash=False, default=0)
-    reduced_word: Tuple[int, ...] = field(compare=False, hash=False, default=())
+    length: int = 0
+    reduced_word: Tuple[int, ...] = ()
 
     @property
     def n(self) -> int:
         return len(self.perm)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.perm, self.signs) == (other.perm, other.signs)
+
+    def __ne__(self, other: object) -> bool:   # tuple.__ne__ would compare all four
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self) -> int:
+        return hash((self.perm, self.signs))
 
 
 def identity(n: int) -> WeylElement:
@@ -97,14 +111,16 @@ def generate(n: int) -> List[WeylElement]:
     check_rank("weyl_group", n)
     gens = [simple_reflection(n, k) for k in range(1, n + 1)]
     e = identity(n)
-    words: Dict[WeylElement, Tuple[int, ...]] = {e: ()}
-    current: Dict[WeylElement, Tuple[int, ...]] = {e: ()}
+    # keyed by (perm, signs), the part of an element that equality reads
+    words: Dict[tuple, Tuple[int, ...]] = {(e.perm, e.signs): ()}
+    current = dict(words)
     while current:
-        nxt: Dict[WeylElement, Tuple[int, ...]] = {}
-        for w, word in current.items():
+        nxt: Dict[tuple, Tuple[int, ...]] = {}
+        for (perm, signs), word in current.items():
+            w = WeylElement(perm, signs)
             for k in range(1, n + 1):
                 w2 = compose(w, gens[k - 1])
-                key = WeylElement(perm=w2.perm, signs=w2.signs)
+                key = (w2.perm, w2.signs)
                 if key in words:
                     continue
                 cand = word + (k,)
@@ -113,8 +129,8 @@ def generate(n: int) -> List[WeylElement]:
         words.update(nxt)
         current = nxt
     out = [
-        WeylElement(perm=w.perm, signs=w.signs, length=len(word), reduced_word=word)
-        for w, word in words.items()
+        WeylElement(perm=perm, signs=signs, length=len(word), reduced_word=word)
+        for (perm, signs), word in words.items()
     ]
     out.sort(key=lambda w: (w.length, w.reduced_word))
     return out
@@ -152,16 +168,14 @@ def find_w_lambda(lam: Weight) -> Tuple[WeylElement, Weight]:
     return w, lam0
 
 
-@dataclass(frozen=True)
-class MultipletNode:
+class MultipletNode(NamedTuple):
     index: int
     weight: Weight
     labels: Tuple[Fraction, ...]
     w: WeylElement
 
 
-@dataclass(frozen=True)
-class Multiplet:
+class Multiplet(NamedTuple):
     """Dot orbit of a dominant weight with length-increasing edges."""
 
     lambda0: Weight

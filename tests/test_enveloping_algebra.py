@@ -1,6 +1,5 @@
 """Oscillator realization, normal ordering, and the contravariant form."""
 
-import dataclasses
 import hashlib
 import itertools
 import pathlib
@@ -162,11 +161,11 @@ def structure_table_digest(n):
     generator's name(), delta_weight(n) and omega image."""
     tab = structure_constants(n)
     h = hashlib.sha256()
-    for field in dataclasses.fields(tab):
-        value = getattr(tab, field.name)
-        if field.name == "code":
+    for name in tab._fields:
+        value = getattr(tab, name)
+        if name == "code":
             value = sorted(value.items(), key=lambda item: item[1])
-        h.update(f"{field.name}={value!r}\n".encode())
+        h.update(f"{name}={value!r}\n".encode())
     for g in tab.generators:
         h.update(f"{g!r} {g.name()} {g.delta_weight(n)!r} {omega(g)!r}\n".encode())
     return h.hexdigest()

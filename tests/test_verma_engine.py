@@ -9,7 +9,6 @@ test_enveloping_algebra and its facts from Generator.delta_weight, so it
 shares no table with the engine under test.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -408,7 +407,7 @@ def _table_with(monkeypatch, n, x, y, terms):
     t = structure_constants(n)
     rows = [list(row) for row in t.brackets]
     rows[x][y] = terms
-    patched = dataclasses.replace(t, brackets=tuple(tuple(row) for row in rows))
+    patched = t._replace(brackets=tuple(tuple(row) for row in rows))
     monkeypatch.setattr(module, "structure_constants", lambda _n: patched)
 
 

@@ -21,6 +21,7 @@ from ospuir.weyl import (
     multiplet_orbit,
     multiplet_to_dot,
     simple_reflection,
+    WeylElement,
 )
 
 # One reduced word per element of W(B_3), as listed in the source tables.
@@ -128,6 +129,20 @@ def test_inverse_and_compose():
         assert inverse.length == w.length
         assert _key(compose(w, inverse)) == _key(e)
         assert _key(compose(inverse, w)) == _key(e)
+
+
+def test_weyl_element_equality_ignores_length_and_word():
+    # generate and the multiplet search look elements up by (perm, signs);
+    # the length and reduced word they carry must not split one element
+    bare = WeylElement((1, 0), (1, -1))
+    full = WeylElement((1, 0), (1, -1), 3, (1, 2, 1))
+    assert bare == full and not bare != full
+    assert hash(bare) == hash(full)
+    assert {full: "w"}[bare] == "w"
+    assert len({bare, full, WeylElement((1, 0), (1, -1), 5, (2, 1, 2, 1, 2))}) == 1
+    other = WeylElement((1, 0), (-1, 1), 3, (1, 2, 1))
+    assert other != full and not other == full
+    assert WeylElement((0, 1), (1, -1), 3, (1, 2, 1)) != full
 
 
 def reflect(beta, lam):
