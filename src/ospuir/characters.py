@@ -13,11 +13,14 @@ because no kept term has a coordinate above maxdeg) and each coefficient a
 numerator over one common denominator.  The Verma
 character is 1 over the restricted positive roots; finite-dimensional
 characters of the restricted B_n system are the alternating Weyl numerator
-over the same roots; the unitary lowest-weight characters of the
+over the same roots; and the unitary lowest-weight characters of the
 rank-three algebra are finite alternating combinations of compact sl(3)
-characters over the six noncompact roots; and the compact sl(3) character
-itself is its numerator over three roots, divided at the numerator's top
-degree and checked by multiplying back.
+characters over the six noncompact roots.  Each sl(3) character is its
+six-term Weyl numerator over the three compact roots, so a unitary
+character is one alternating numerator over all nine restricted roots, and
+all three kinds end in one division, _restricted_series.  The compact
+sl(3) character alone is its numerator over the three compact roots,
+divided at the numerator's top degree and checked by degree.
 """
 
 from __future__ import annotations
@@ -47,12 +50,6 @@ Poly = Dict[Exp, Fraction]
 
 # ---------------------------------------------------------------- raw dicts
 
-def p_sub(f: Poly, g: Poly) -> Poly:
-    out = dict(f)
-    add_scaled(out, g, -1)
-    return out
-
-
 def p_mul(f: Poly, g: Poly, maxdeg: Optional[int] = None) -> Poly:
     out: Poly = {}
     for e1, c1 in f.items():
@@ -71,11 +68,6 @@ def p_mul(f: Poly, g: Poly, maxdeg: Optional[int] = None) -> Poly:
 
 def grlex_key(e: Exp) -> Tuple[int, Exp]:
     return (sum(e), e)
-
-
-def one_minus(nvars: int, v: Exp) -> Poly:
-    zero = (0,) * nvars
-    return {zero: Fraction(1), tuple(v): Fraction(-1)}
 
 
 def p_divide_one_minus(f: Poly, exps: Sequence[Exp], maxdeg: int) -> Poly:
@@ -211,19 +203,17 @@ class NormalizedCharacter(NamedTuple):
 
 # ------------------------------------------------------------ Verma series
 
-def _noncompact_exps(n: int) -> Tuple[Exp, ...]:
-    """The noncompact restricted positive roots: the last simple-root
-    coordinate, the sum of the delta coordinates, is positive (it is 0 on
-    the compact roots delta_i - delta_j)."""
-    return tuple(e for e in build_root_system(n).restricted_exps if e[-1] > 0)
+def _restricted_series(n: int, numerator: Poly, maxdeg: int) -> CharacterSeries:
+    """numerator / prod(1 - t^alpha) over the restricted positive roots of
+    rank n, truncated at maxdeg."""
+    return CharacterSeries._canonical(
+        n, maxdeg, p_divide_one_minus(numerator, build_root_system(n).restricted_exps, maxdeg)
+    )
 
 
 def verma_character(n: int, maxdeg: int) -> CharacterSeries:
     """Product of 1/(1 - t^alpha) over the restricted positive roots."""
-    one = {(0,) * n: Fraction(1)}
-    return CharacterSeries._canonical(
-        n, maxdeg, p_divide_one_minus(one, build_root_system(n).restricted_exps, maxdeg)
-    )
+    return _restricted_series(n, {(0,) * n: Fraction(1)}, maxdeg)
 
 
 # ------------------------------------------------------- finite characters
@@ -273,10 +263,22 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
         if any(x < 0 or x.denominator != 1 for x in exp):
             raise AssertionError(f"numerator exponent not dominant-integral: {exp}")
         add_scaled(numerator, {tuple(int(x) for x in exp): 1}, -1 if w.length % 2 else 1)
-    series = CharacterSeries._canonical(
-        n, maxdeg, p_divide_one_minus(numerator, build_root_system(n).restricted_exps, maxdeg)
-    )
-    return NormalizedCharacter(prefix=lam0, series=series)
+    return NormalizedCharacter(prefix=lam0, series=_restricted_series(n, numerator, maxdeg))
+
+
+def _sl3_numerator(m1: int, m2: int) -> Poly:
+    """Weyl numerator of the compact sl(3) factor with labels (m1, m2) in
+    t_1, t_2: the six alternating terms t^(mu0 - sigma mu0) over S_3, which
+    cancel to zero when either label vanishes.  Labels (1, 1) give
+    (1 - t1)(1 - t2)(1 - t1 t2), the numerator of the trivial factor."""
+    if not (isinstance(m1, int) and isinstance(m2, int)) or m1 < 0 or m2 < 0:
+        raise ValueError("labels must be nonnegative integers")
+    m12 = m1 + m2
+    numerator: Poly = {}
+    for e, c in (((0, 0), 1), ((m1, 0), -1), ((0, m2), -1),
+                 ((m1, m12), 1), ((m12, m2), 1), ((m12, m12), -1)):
+        add_scaled(numerator, {e: c}, 1)
+    return numerator
 
 
 def sl3_character(m1: int, m2: int) -> CharacterSeries:
@@ -288,24 +290,17 @@ def sl3_character(m1: int, m2: int) -> CharacterSeries:
 
       (1 - t1^m1)(... six-term numerator ...) / ((1-t1)(1-t2)(1-t1 t2)),
 
-    computed as the series quotient truncated at the numerator's top
-    degree and multiplied back; a quotient that does not reproduce the
-    numerator raises ValueError.  Total dimension is m1*m2*(m1+m2)/2.
+    computed as the series quotient Q truncated at the numerator's top
+    degree T.  The denominator D has total degree 4 and constant term 1,
+    so Q is exact exactly when it has no term above degree T - 4: then
+    f - D Q has degree at most T, and its lowest part, that of
+    f/D - Q, lies above T, so it is 0.  A quotient with such a term
+    raises ValueError.  Total dimension is m1*m2*(m1+m2)/2.
     """
-    if not (isinstance(m1, int) and isinstance(m2, int)) or m1 < 0 or m2 < 0:
-        raise ValueError("labels must be nonnegative integers")
-    m12 = m1 + m2
-    numerator: Poly = {}
-    for e, c in (((0, 0), 1), ((m1, 0), -1), ((0, m2), -1),
-                 ((m1, m12), 1), ((m12, m2), 1), ((m12, m12), -1)):
-        add_scaled(numerator, {e: c}, 1)
-    denominator = ((1, 0), (0, 1), (1, 1))
+    numerator = _sl3_numerator(m1, m2)
     top = max((sum(e) for e in numerator), default=0)
-    quotient = p_divide_one_minus(numerator, denominator, top)
-    check = quotient
-    for v in denominator:
-        check = p_mul(one_minus(2, v), check)
-    if p_sub(check, numerator):
+    quotient = p_divide_one_minus(numerator, ((1, 0), (0, 1), (1, 1)), top)
+    if any(sum(e) > top - 4 for e in quotient):
         raise ValueError("division check failed")
     maxdeg = max((sum(e) for e in quotient), default=0)
     return CharacterSeries._canonical(2, maxdeg, quotient)
@@ -318,13 +313,13 @@ class UnitaryCase(NamedTuple):
     the case does not use) and that rule in words; the labels a(m1, m2);
     the reduction point, as indices for ReductionPoints.value; and the
     alternating numerator over the six noncompact factors (1 - t^v), as
-    terms (sign, t-shift, sl(3) labels or None for 1)."""
+    terms (sign, t-shift, sl(3) labels), labels (1, 1) for the factor 1."""
 
     least: Tuple[Optional[int], Optional[int]]
     needs: str
     labels: Callable[..., Tuple[int, int]]
     point: Tuple[int, ...]
-    bracket: Callable[..., Sequence[Tuple[int, Exp, Optional[Tuple[int, int]]]]]
+    bracket: Callable[..., Sequence[Tuple[int, Exp, Tuple[int, int]]]]
 
 
 UNITARY: Dict[str, UnitaryCase] = {
@@ -338,7 +333,7 @@ UNITARY: Dict[str, UnitaryCase] = {
                                        (-1, (m2, 2 * m2, 2 * m2), (1, m2 - 1))]),
     "d2eq13": UnitaryCase((None, None), "no labels",
                           lambda m1, m2: (0, 0), (2,),
-                          lambda m1, m2: [(1, (0, 0, 0), None), (-1, (1, 2, 3), None)]),
+                          lambda m1, m2: [(1, (0, 0, 0), (1, 1)), (-1, (1, 2, 3), (1, 1))]),
     "d2": UnitaryCase((None, 2), "an integer label m2 >= 2",
                       lambda m1, m2: (0, m2 - 1), (2,),
                       lambda m1, m2: [(1, (0, 0, 0), (1, m2)), (-1, (0, 1, 1), (2, m2 - 1)),
@@ -346,8 +341,8 @@ UNITARY: Dict[str, UnitaryCase] = {
                                       (-1, (2, 4, 4), (1, m2 - 2))]),
     "d23": UnitaryCase((None, None), "no labels",
                        lambda m1, m2: (0, 0), (2, 3),
-                       lambda m1, m2: [(1, (0, 0, 0), None), (-1, (0, 1, 2), (2, 1)),
-                                       (1, (1, 2, 4), (1, 2)), (-1, (2, 4, 6), None)]),
+                       lambda m1, m2: [(1, (0, 0, 0), (1, 1)), (-1, (0, 1, 2), (2, 1)),
+                                       (1, (1, 2, 4), (1, 2)), (-1, (2, 4, 6), (1, 1))]),
 }
 
 UNITARY_CASES = tuple(UNITARY)
@@ -376,14 +371,13 @@ def unitary_character(
     row = UNITARY[name]
     if any(lo is not None and (m is None or m < lo) for m, lo in zip((m1, m2), row.least)):
         raise ValueError(f"case {name} needs {row.needs}")
-    bracket: Poly = {}
-    for sign, shift, sl3 in row.bracket(m1, m2):
-        factor = {(0, 0): 1} if sl3 is None else sl3_character(*sl3).coeffs
-        add_scaled(bracket, {(x + shift[0], y + shift[1], shift[2]): c
-                             for (x, y), c in factor.items()}, sign)
-    series = CharacterSeries._canonical(
-        3, maxdeg, p_divide_one_minus(bracket, _noncompact_exps(3), maxdeg)
-    )
+    # each sl(3) character is its Weyl numerator over the three compact
+    # factors, so the bracket times those factors is divided by all nine
+    numerator: Poly = {}
+    for sign, shift, labels in row.bracket(m1, m2):
+        add_scaled(numerator, {(x + shift[0], y + shift[1], shift[2]): c
+                               for (x, y), c in _sl3_numerator(*labels).items()}, sign)
+    series = _restricted_series(3, numerator, maxdeg)
     a = row.labels(m1, m2)
     sig = Signature(n=3, d=reduction_points(3, a).value(*row.point), a=a)
     return NormalizedCharacter(prefix=lowest_weight(sig), series=series)

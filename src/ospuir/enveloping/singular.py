@@ -29,6 +29,7 @@ from ospuir.enveloping.algebra import (
 from ospuir.enveloping.module import (
     ModuleVector,
     Word,
+    _evaluate,
     engine_for,
     weight_space_words,
 )
@@ -386,16 +387,6 @@ def _divisors(x: int) -> List[int]:
     return out
 
 
-def _is_root(ints: List[int], p: int, q: int) -> bool:
-    """Whether p/q is a root of the integer polynomial: sum a_i p^i q^(l-i) = 0."""
-    acc = 0
-    power = 1
-    for c in reversed(ints):
-        acc = acc * p + c * power
-        power *= q
-    return acc == 0
-
-
 def _divide_linear(ints: List[int], p: int, q: int) -> List[int]:
     """ints / (q x - p) for a root p/q in lowest terms, q > 0: the quotient
     has integer coefficients (Gauss's lemma), found from the top down."""
@@ -447,7 +438,7 @@ def rational_zero_set(coeffs: Sequence[Fraction]) -> Tuple[Dict[Fraction, int], 
                 continue
             for num in (p, -p):
                 m = 0
-                while _is_root(ints, num, q):
+                while not _evaluate(ints, Fraction(num, q)):
                     ints = _divide_linear(ints, num, q)
                     scale *= q
                     m += 1

@@ -34,9 +34,10 @@ RANKS: Dict[str, Tuple[int, int]] = {
 
 
 def check_rank(feature: str, n: int) -> None:
-    """Raise ValueError unless n is an integer rank in RANKS[feature]."""
+    """Raise ValueError unless n is an integer rank in RANKS[feature]; a
+    bool is not a rank."""
     lo, hi = RANKS[feature]
-    if not isinstance(n, int) or not lo <= n <= hi:
+    if isinstance(n, bool) or not isinstance(n, int) or not lo <= n <= hi:
         raise ValueError(f"rank must be an integer in [{lo}, {hi}] for {feature}, got {n!r}")
 
 

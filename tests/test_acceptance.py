@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 from ospuir.characters import (
-    one_minus,
     p_mul,
     partition_count,
     sl3_character,
@@ -43,7 +42,7 @@ from ospuir.weyl import (
     simple_reflection,
 )
 
-from test_characters import geometric, one
+from test_characters import geometric, one, one_minus
 
 from test_weyl import B3_WORDS
 

@@ -11,10 +11,8 @@ from ospuir.characters import (
     UNITARY_CASES,
     CharacterSeries,
     NormalizedCharacter,
-    one_minus,
     p_divide_one_minus,
     p_mul,
-    p_sub,
     partition_count,
     series_to_json_obj,
     series_to_text,
@@ -25,6 +23,7 @@ from ospuir.characters import (
     weyl_character,
     weyl_dimension,
 )
+from ospuir import characters
 from ospuir.enveloping.module import engine_for
 from ospuir.linalg import rref
 from ospuir.root_system import delta_to_simple
@@ -47,6 +46,16 @@ def add(f, g):
     for e, c in g.items():
         out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
+
+
+def p_sub(f, g):
+    """f - g, without the terms that cancel."""
+    return add(f, {e: -c for e, c in g.items()})
+
+
+def one_minus(nvars, v):
+    """The polynomial 1 - t^v in nvars variables."""
+    return {(0,) * nvars: Fraction(1), tuple(v): Fraction(-1)}
 
 
 def geometric(v, maxdeg):
@@ -204,6 +213,41 @@ def test_sl3_dimension_formula():
             total = sum(s.coeffs.values())
             assert total == Fraction(m1 * m2 * (m1 + m2), 2)
             assert all(c > 0 and c.denominator == 1 for c in s.coeffs.values())
+
+
+def sl3_weyl_numerator(m1, m2):
+    """The sum over S_3 of sgn(w) t^(mu0 - w mu0), mu0 with labels
+    (m1, m2): each w is a reduced word in s1, s2, applied right to left."""
+    alpha = ((2, -1), (-1, 2))  # the simple roots in fundamental-weight coordinates
+    out = {}
+    for word in ((), (0,), (1,), (0, 1), (1, 0), (0, 1, 0)):
+        lam, e = [m1, m2], [0, 0]
+        for i in reversed(word):
+            c = lam[i]
+            lam = [x - c * a for x, a in zip(lam, alpha[i])]
+            e[i] += c
+        out = add(out, {tuple(e): Fraction((-1) ** len(word))})
+    return out
+
+
+def test_sl3_character_times_compact_factors_is_its_numerator():
+    for m1 in range(7):
+        for m2 in range(7):
+            product = sl3_character(m1, m2).coeffs
+            for v in ((1, 0), (0, 1), (1, 1)):
+                product = p_mul(product, one_minus(2, v))
+            assert product == sl3_weyl_numerator(m1, m2), (m1, m2)
+
+
+def test_sl3_character_refuses_an_inexact_numerator(monkeypatch):
+    full = characters._sl3_numerator
+    for dropped in full(2, 3):
+        def short(m1, m2, dropped=dropped):
+            return {e: c for e, c in full(m1, m2).items() if e != dropped}
+
+        monkeypatch.setattr(characters, "_sl3_numerator", short)
+        with pytest.raises(ValueError, match="division check failed"):
+            sl3_character(2, 3)
 
 
 def test_weight_from_labels_roundtrip():
@@ -395,6 +439,9 @@ def test_unitary_table_matches_five_branch_reference():
     requests += [(case, None, None) for case in ("d2eq13", "d2_eq_d13", "d2=d13", "d23")]
     ref = reference_unitary_character
     for case, m1, m2 in requests:
+        for top in (0, 1):
+            assert unitary_character(case, top, m1, m2) == ref(case, top, m1, m2), \
+                (case, m1, m2, top)
         want = ref(case, 24, m1, m2)
         got = unitary_character(case, 24, m1, m2)
         assert got.prefix == want.prefix, (case, m1, m2)
@@ -456,6 +503,11 @@ def test_unitary_case_parameter_validation():
         unitary_character("d12", m2=1)
     with pytest.raises(ValueError):
         unitary_character("d2", m2=1)
+    # a label the case uses must be an int; an unused one is not read
+    for case, m1, m2 in (("d1", 1.5, 2), ("d2", None, 2.0), ("d12", None, Fraction(5, 2))):
+        with pytest.raises(ValueError, match="labels must be nonnegative integers"):
+            unitary_character(case, 4, m1, m2)
+    assert unitary_character("d23", 4, 1.5, None) == unitary_character("d23", 4)
 
 
 def test_text_and_json_serialization():

@@ -208,7 +208,7 @@ def test_one_rank_table_checked_before_any_work(monkeypatch):
     for feature, (lo, hi) in RANKS.items():
         check_rank(feature, lo)
         check_rank(feature, hi)
-        for bad in (lo - 1, hi + 1, float(lo)):
+        for bad in (lo - 1, hi + 1, float(lo), True, False):
             with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\] for {feature}, got"):
                 check_rank(feature, bad)
 
