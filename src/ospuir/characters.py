@@ -8,24 +8,28 @@ exact rationals (integers for every character handled here).
 Every series here is a numerator over a product of factors (1 - t^v), and
 one routine, p_divide_one_minus, divides by them: the recurrence
 g[e] = f[e] + g[e - v], truncated at the requested degree.  It runs on
-ints, each exponent vector packed into one int in base maxdeg + 1 (exact,
-because no kept term has a coordinate above maxdeg) and each coefficient a
-numerator over one common denominator.  The Verma
-character is 1 over the restricted positive roots; finite-dimensional
-characters of the restricted B_n system are the alternating Weyl numerator
-over the same roots; and the unitary lowest-weight characters of the
-rank-three algebra are finite alternating combinations of compact sl(3)
-characters over the six noncompact roots.  Each sl(3) character is its
-six-term Weyl numerator over the three compact roots, so a unitary
-character is one alternating numerator over all nine restricted roots, and
-all three kinds end in one division, _restricted_series.  The compact
-sl(3) character alone is its numerator over the three compact roots,
-divided at the numerator's top degree and checked by degree.
+ints until its output, each exponent vector packed into one int in base
+maxdeg + 1 (exact, because no kept term has a coordinate above maxdeg) and
+each coefficient a numerator over one common denominator; in the output
+each distinct coefficient is one Fraction and each exponent tuple is
+joined from the two decoded halves of its key.  The Verma character is 1
+over the restricted positive roots; finite-dimensional characters of the
+restricted B_n system are the alternating Weyl numerator over the same
+roots, summed on ints over the signed permutations of W(B_n); and the
+unitary lowest-weight characters of the rank-three algebra are finite
+alternating combinations of compact sl(3) characters over the six
+noncompact roots.  Each sl(3) character is its six-term Weyl numerator
+over the three compact roots, so a unitary character is one alternating
+numerator over all nine restricted roots, and all three kinds end in one
+division, _restricted_series, which also checks maxdeg.  The compact sl(3)
+character alone is its numerator over the three compact roots, divided at
+the numerator's top degree and checked by degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, combinations, permutations, product
 from math import lcm
 from operator import mul
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -34,7 +38,7 @@ from ospuir.linalg import add_scaled
 from ospuir.root_system import (
     Weight,
     build_root_system,
-    delta_to_simple,
+    check_rank,
     inner,
     partition_count,  # kept importable as ospuir.characters.partition_count
     rho_shift,
@@ -42,7 +46,6 @@ from ospuir.root_system import (
 from ospuir.weights import (
     Signature, labels_of_weight, lowest_weight, point_name, reduction_points,
 )
-from ospuir.weyl import apply, generate
 
 Exp = Tuple[int, ...]
 Poly = Dict[Exp, Fraction]
@@ -83,8 +86,11 @@ def p_divide_one_minus(f: Poly, exps: Sequence[Exp], maxdeg: int) -> Poly:
     every term kept has total degree at most maxdeg, so no shifted
     coordinate reaches B, and e + v is one int addition.  Terms are held
     in layers by total degree, and for each factor in turn the recurrence
-    g[e] += g[e - v] runs up the layers in ascending degree.  The
-    Fractions are built once, at the end.
+    g[e] += g[e - v] runs up the layers in ascending degree.  At the end
+    one divmod by B^h, h = n // 2, splits each key into the first h
+    coordinates and the rest; each distinct half is decoded once and each
+    distinct numerator becomes one Fraction, shared by every term that has
+    it.  Those memos hold only what the output holds.
     """
     vs = [tuple(v) for v in exps]
     for v in vs:
@@ -110,15 +116,37 @@ def p_divide_one_minus(f: Poly, exps: Sequence[Exp], maxdeg: int) -> Poly:
                 if c:
                     key += jump
                     dst[key] = dst.get(key, 0) + c
+    # memos filled as the output meets them, never tables of every half,
+    # which would grow as base ** half
+    half = len(lo) // 2
+    split = base ** half
+    head_lo, tail_lo = lo[:half], lo[half:]
+    heads: Dict[int, Exp] = {}
+    tails: Dict[int, Exp] = {}
+    values: Dict[int, Fraction] = {}
+
+    def digits(key: int, offsets: Sequence[int]) -> Exp:
+        e = []
+        for m in offsets:
+            key, x = divmod(key, base)
+            e.append(x + m)
+        return tuple(e)
+
     out: Poly = {}
     for layer in layers:
         for key, c in layer.items():
             if c:
-                e = []
-                for m in lo:
-                    key, x = divmod(key, base)
-                    e.append(x + m)
-                out[tuple(e)] = Fraction(c, den)
+                t, h = divmod(key, split)
+                head = heads.get(h)
+                if head is None:
+                    head = heads[h] = digits(h, head_lo)
+                tail = tails.get(t)
+                if tail is None:
+                    tail = tails[t] = digits(t, tail_lo)
+                value = values.get(c)
+                if value is None:
+                    value = values[c] = Fraction(c, den)
+                out[head + tail] = value
     return out
 
 
@@ -203,9 +231,16 @@ class NormalizedCharacter(NamedTuple):
 
 # ------------------------------------------------------------ Verma series
 
+def _is_int(m: object) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(m, int) and not isinstance(m, bool)
+
+
 def _restricted_series(n: int, numerator: Poly, maxdeg: int) -> CharacterSeries:
     """numerator / prod(1 - t^alpha) over the restricted positive roots of
-    rank n, truncated at maxdeg."""
+    rank n, truncated at maxdeg, which must be an int (not a bool) >= 0."""
+    if not _is_int(maxdeg) or maxdeg < 0:
+        raise ValueError(f"maxdeg must be a nonnegative integer, got {maxdeg!r}")
     return CharacterSeries._canonical(
         n, maxdeg, p_divide_one_minus(numerator, build_root_system(n).restricted_exps, maxdeg)
     )
@@ -242,6 +277,46 @@ def weyl_dimension(lam0: Weight) -> Fraction:
     return num / den
 
 
+def _weyl_numerator(lam0: Weight) -> Dict[Exp, int]:
+    """The alternating Weyl numerator of the finite-dimensional character
+    with lowest weight lam0: the sum over W(B_n) of det(w) t^e(w), where
+    e(w) is mu0 - w(mu0) in the simple-root basis, mu0 = rho - lam0.
+
+    Requires every label (rho - lam0, alpha_k-vee) to be a positive
+    integer.  Then 2 mu0 is an int vector whose entries share one parity,
+    so each signed permutation w moves it on ints, every entry of
+    2 mu0 - w(2 mu0) is even, and e(w) is the prefix sums of its halves.
+    det(w) = (-1)^length(w) is the sign of the permutation times the
+    product of the signs.
+    """
+    n = len(lam0)
+    labels = labels_of_weight(lam0)
+    if any(m.denominator != 1 or m < 1 for m in labels):
+        raise ValueError("labels must be positive integers, got "
+                         + ", ".join(map(str, labels)))
+    check_rank("weyl_group", n)
+    two_mu = [2 * x for x in rho_shift(lam0)]
+    if any(x.denominator != 1 or (x - two_mu[0]) % 2 for x in two_mu):
+        raise AssertionError(f"2 mu0 is not an int vector of one parity: {two_mu}")
+    two_mu = [int(x) for x in two_mu]
+    # det of the sign flips, in the order product() lists them
+    flips = [(-1) ** signs.count(-1) for signs in product((1, -1), repeat=n)]
+    numerator: Dict[Exp, int] = {}
+    for perm in permutations(range(n)):
+        moved = [0] * n
+        for x, p in zip(two_mu, perm):
+            moved[p] = x
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        # entry k of mu0 - w(mu0) when w puts the sign +1 or -1 at k
+        halves = [((a - b) // 2, (a + b) // 2) for a, b in zip(two_mu, moved)]
+        for picked, flip in zip(product(*halves), flips):
+            exp = tuple(accumulate(picked))
+            if min(exp) < 0:
+                raise AssertionError(f"numerator exponent not dominant: {exp}")
+            numerator[exp] = numerator.get(exp, 0) + sign * flip
+    return {e: c for e, c in numerator.items() if c}
+
+
 def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
     """Finite-dimensional restricted character with lowest weight lam0.
 
@@ -250,20 +325,9 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
     divided by (1 - t^alpha) for each restricted positive root, truncated
     at maxdeg.
     """
-    n = len(lam0)
-    labels = labels_of_weight(lam0)
-    if any(m.denominator != 1 or m < 1 for m in labels):
-        raise ValueError("labels must be positive integers, got "
-                         + ", ".join(map(str, labels)))
-    mu0 = rho_shift(lam0)
-    numerator: Poly = {}
-    for w in generate(n):
-        shift = tuple(a - b for a, b in zip(mu0, apply(w, mu0)))
-        exp = delta_to_simple(shift)
-        if any(x < 0 or x.denominator != 1 for x in exp):
-            raise AssertionError(f"numerator exponent not dominant-integral: {exp}")
-        add_scaled(numerator, {tuple(int(x) for x in exp): 1}, -1 if w.length % 2 else 1)
-    return NormalizedCharacter(prefix=lam0, series=_restricted_series(n, numerator, maxdeg))
+    numerator = _weyl_numerator(lam0)
+    return NormalizedCharacter(prefix=lam0,
+                               series=_restricted_series(len(lam0), numerator, maxdeg))
 
 
 def _sl3_numerator(m1: int, m2: int) -> Poly:
@@ -271,7 +335,7 @@ def _sl3_numerator(m1: int, m2: int) -> Poly:
     t_1, t_2: the six alternating terms t^(mu0 - sigma mu0) over S_3, which
     cancel to zero when either label vanishes.  Labels (1, 1) give
     (1 - t1)(1 - t2)(1 - t1 t2), the numerator of the trivial factor."""
-    if not (isinstance(m1, int) and isinstance(m2, int)) or m1 < 0 or m2 < 0:
+    if not (_is_int(m1) and _is_int(m2)) or m1 < 0 or m2 < 0:
         raise ValueError("labels must be nonnegative integers")
     m12 = m1 + m2
     numerator: Poly = {}
@@ -366,9 +430,10 @@ def unitary_character(
     name = _CASE_ALIASES.get(case, case)
     if name not in UNITARY:
         raise ValueError(f"unknown case {case!r}; expected one of {UNITARY_CASES}")
-    if maxdeg < 0:
-        raise ValueError("maxdeg must be nonnegative")
     row = UNITARY[name]
+    if any(lo is not None and m is not None and not _is_int(m)
+           for m, lo in zip((m1, m2), row.least)):
+        raise ValueError("labels must be nonnegative integers")
     if any(lo is not None and (m is None or m < lo) for m, lo in zip((m1, m2), row.least)):
         raise ValueError(f"case {name} needs {row.needs}")
     # each sl(3) character is its Weyl numerator over the three compact

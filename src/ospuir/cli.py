@@ -49,9 +49,9 @@ _NEGATIVE_ARG_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 # and the same two scans take 0.2 s and 0.1 s; rank 5 to level 3
 # (5,792,062, refused) takes 0.2 s by direct call.  A character series in
 # n variables to total degree maxdeg has at most C(maxdeg + n, n) terms:
-# verma --n 3 --maxdeg 141 (487,344) takes 14 s and 200 MB, weyl --n 6
-# --maxdeg 23 (475,020) 9.2 s and 51 MB, and sl3 --m1 250 --m2 249 (2
-# variables to degree 998, 499,500) 0.5 s and 66 MB.
+# verma --n 3 --maxdeg 141 (487,344) takes 2.5 s and 155 MB, weyl --n 6
+# --maxdeg 23 (475,020) 0.16 s and 27 MB, and sl3 --m1 250 --m2 249 (2
+# variables to degree 998, 499,500) 0.27 s and 53 MB.
 MAX_GRID_CELLS = 50_000
 MAX_GRAM_WORK = 4_000_000
 MAX_CHARACTER_TERMS = 500_000

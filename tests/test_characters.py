@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from fractions import Fraction
@@ -26,8 +27,9 @@ from ospuir.characters import (
 from ospuir import characters
 from ospuir.enveloping.module import engine_for
 from ospuir.linalg import rref
-from ospuir.root_system import delta_to_simple
+from ospuir.root_system import delta_to_simple, rho_shift
 from ospuir.weights import Signature, labels_of_weight, lowest_weight, reduction_points
+from ospuir.weyl import apply, generate
 
 # simple-root exponents of the six noncompact restricted roots of rank 3
 NONCOMPACT_EXPS = ((1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 2, 2), (1, 1, 2), (0, 1, 2))
@@ -163,6 +165,61 @@ def test_divide_one_minus_packing_boundaries():
     assert p_divide_one_minus(f, [(1, 0), (1, 1)], 4) == want
 
 
+def _assert_shared_fractions(coeffs):
+    """Every value is a Fraction, and equal values are one object."""
+    assert all(type(c) is Fraction for c in coeffs.values())
+    assert len({id(c) for c in coeffs.values()}) == len(set(coeffs.values()))
+
+
+def test_divide_one_minus_output_keys_and_values():
+    # the output splits each packed key into two halves, n // 2
+    # coordinates and the rest, so take n = 1 to 5 (an empty first half,
+    # even and odd splits), negative exponents in either half and
+    # coefficients from a short list, so that output values repeat
+    rng = random.Random(20261020)
+    repeated = 0
+    for n in range(1, 6):
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        for trial in range(6):
+            f = {}
+            for _ in range(4):
+                e = tuple(rng.randint(-3, 2) for _ in range(n))
+                f[e] = rng.choice((Fraction(1, 2), Fraction(-1, 3), Fraction(2)))
+            f[(0,) * n] = Fraction(1, 2)
+            vs = [units[trial % n], tuple(rng.randint(0, 1) for _ in range(n - 1)) + (1,)]
+            maxdeg = rng.randint(2, 6)
+            # a term of f below degree 0 needs the factors past maxdeg
+            reach = maxdeg - min(0, *(sum(e) for e in f))
+            want = f
+            for v in vs:
+                want = p_mul(want, geometric(v, reach), maxdeg)
+            got = p_divide_one_minus(f, vs, maxdeg)
+            assert got == want, (f, vs, maxdeg)
+            assert all(type(e) is tuple and len(e) == n and all(type(x) is int for x in e)
+                       for e in got)
+            _assert_shared_fractions(got)
+            repeated += len(got) - len(set(got.values()))
+    assert repeated > 100
+
+
+def test_divide_one_minus_memory_follows_the_output():
+    # one far-negative exponent makes the packing base 3003; the output
+    # has 3,005 terms, so its memos stay small, where a table of every
+    # two-coordinate half would hold 3003 ** 2 tuples
+    f = {(-3000, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 1): Fraction(-1, 3)}
+    tracemalloc.start()
+    try:
+        got = p_divide_one_minus(f, [(0, 0, 0, 1)], 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak
+    assert len(got) == 3005
+    assert got[(-3000, 0, 0, 3002)] == Fraction(1, 2)
+    assert got[(0, 0, 0, 2)] == Fraction(-1, 3)
+    _assert_shared_fractions(got)
+
+
 def test_divide_one_minus_rejects_bad_exponents():
     for v in ((0, 0), (2, -1), (-1, 0)):
         with pytest.raises(ValueError):
@@ -269,6 +326,34 @@ def test_weyl_character_trivial_and_dimensions():
         weyl_character(weight_from_labels((1, 0, 1)), 6)
 
 
+def group_walk_weyl_numerator(lam0):
+    """The sum over W(B_n) of (-1)^length(w) t^(mu0 - w mu0), mu0 = rho -
+    lam0: the group listed by weyl.generate, each element applied on
+    Fractions and the shift expanded in the simple roots."""
+    mu0 = rho_shift(lam0)
+    out = {}
+    for w in generate(len(lam0)):
+        shift = tuple(a - b for a, b in zip(mu0, apply(w, mu0)))
+        exp = delta_to_simple(shift)
+        assert all(x >= 0 and x.denominator == 1 for x in exp), exp
+        out = add(out, {tuple(int(x) for x in exp): Fraction((-1) ** w.length)})
+    return out
+
+
+def test_weyl_numerator_matches_the_group_walk():
+    label_sets = [(1,), (2,), (5,), (1, 1), (3, 1), (1, 4), (2, 3),
+                  (1, 1, 1), (3, 2, 2), (1, 2, 1), (2, 1, 3),
+                  (1, 1, 1, 1), (2, 1, 1, 3), (1, 3, 2, 1)]
+    for labels in label_sets:
+        lam0 = weight_from_labels(labels)
+        got = characters._weyl_numerator(lam0)
+        assert got == group_walk_weyl_numerator(lam0), labels
+        # every label is positive, so no two elements share an exponent
+        assert len(got) == len(generate(len(labels))), labels
+    with pytest.raises(ValueError, match=r"\[1, 6\] for weyl_group, got 7"):
+        weyl_character(weight_from_labels((1,) * 7), 3)
+
+
 def test_unitary_case_d23_closed_form():
     nc = unitary_character("d23", maxdeg=12)
     closed = one(3)
@@ -350,6 +435,7 @@ def test_library_series_are_canonical():
     built += [s.truncate(5) for s in built] + [built[0].truncate(20)]
     for series in built:
         _assert_canonical(series)
+        _assert_shared_fractions(series.coeffs)
     assert built[0].truncate(20).coeffs == built[0].coeffs
     assert built[0].truncate(20).coeffs is not built[0].coeffs
 
@@ -508,6 +594,29 @@ def test_unitary_case_parameter_validation():
         with pytest.raises(ValueError, match="labels must be nonnegative integers"):
             unitary_character(case, 4, m1, m2)
     assert unitary_character("d23", 4, 1.5, None) == unitary_character("d23", 4)
+
+
+def test_series_inputs_are_checked_by_type():
+    labels = "labels must be nonnegative integers"
+    with pytest.raises(ValueError, match=labels):
+        sl3_character(True, 2)
+    with pytest.raises(ValueError, match=labels):
+        sl3_character(2, False)
+    for m1, m2 in ((True, True), ("2", 1), (2, "1")):
+        with pytest.raises(ValueError, match=labels):
+            unitary_character("d1", 4, m1, m2)
+    with pytest.raises(ValueError, match=labels):
+        unitary_character("d2", 4, None, "3")
+    # maxdeg is one check, shared by the three series kinds
+    lam0 = weight_from_labels((2, 1, 1))
+    for maxdeg in (2.5, True, False, -1, Fraction(3), "4"):
+        for build in (lambda: unitary_character("d23", maxdeg),
+                      lambda: unitary_character("d1", maxdeg, 2, 1),
+                      lambda: verma_character(3, maxdeg),
+                      lambda: weyl_character(lam0, maxdeg)):
+            with pytest.raises(ValueError, match="maxdeg must be a nonnegative integer"):
+                build()
+    assert verma_character(3, 0).coeffs == {(0, 0, 0): 1}
 
 
 def test_text_and_json_serialization():

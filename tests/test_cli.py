@@ -248,6 +248,16 @@ def test_each_command_imports_only_what_it_runs():
     assert not modules & {"ospuir.enveloping.singular", "ospuir.unitarity",
                           "ospuir.characters", "ospuir.weyl"}
 
+    # the Weyl series sums over signed permutations without listing the group
+    for argv in (["character", "--case", "weyl", "--n", "3", "--labels", "2,1,1",
+                  "--maxdeg", "4"],
+                 ["character", "--case", "d23", "--maxdeg", "4"]):
+        modules = loaded_after(argv)
+        assert "ospuir.characters" in modules
+        assert "ospuir.weyl" not in modules
+
+    assert "ospuir.weyl" in loaded_after(["weyl", "--n", "3"])
+
 
 def test_character_text_output():
     code, out = run(["character", "--case", "d23", "--n", "3", "--maxdeg", "6"])
@@ -287,6 +297,13 @@ def test_verma_and_weyl_character_goldens():
         code, out = run(argv)
         assert code == 0
         assert out == (GOLDEN_DIR / fname).read_text(), fname
+    # the largest Weyl series the command line takes, pinned by the digest
+    # that CI checks with sha256sum -c
+    code, out = run(["character", "--case", "weyl", "--n", "6",
+                     "--labels", "1,1,1,1,1,1", "--maxdeg", "23"])
+    assert code == 0
+    digest = (GOLDEN_DIR / "weyl_character_n6_labels_1-1-1-1-1-1_maxdeg23.sha256").read_text()
+    assert digest == hashlib.sha256(out.encode("utf-8")).hexdigest() + "  -\n"
 
 
 def test_verify_all():
