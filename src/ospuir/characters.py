@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ospuir.linalg import add_scaled
@@ -40,6 +40,7 @@ from ospuir.root_system import (
     build_root_system,
     check_rank,
     inner,
+    is_int,
     partition_count,  # kept importable as ospuir.characters.partition_count
     rho_shift,
 )
@@ -67,10 +68,6 @@ def p_mul(f: Poly, g: Poly, maxdeg: Optional[int] = None) -> Poly:
             elif e in out:
                 del out[e]
     return out
-
-
-def grlex_key(e: Exp) -> Tuple[int, Exp]:
-    return (sum(e), e)
 
 
 def p_divide_one_minus(f: Poly, exps: Sequence[Exp], maxdeg: int) -> Poly:
@@ -197,27 +194,42 @@ class CharacterSeries(_CharacterSeriesFields):
         return self.coeffs.get(tuple(int(x) for x in exp), Fraction(0))
 
     def terms_sorted(self) -> List[Tuple[Exp, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda t: grlex_key(t[0]))
+        """The terms in graded-lex order: by total degree, then
+        lexicographically inside each degree."""
+        exps = self._exps_sorted()
+        return list(zip(exps, map(self.coeffs.__getitem__, exps)))
+
+    def _exps_sorted(self) -> List[Exp]:
+        """The exponents in graded-lex order, by stable sorts on keys that
+        are computed in C: on coordinates n - 2 down to 0, which orders
+        each degree lexicographically (there the first n - 1 coordinates
+        fix the last), then on the total degree, which keeps that order."""
+        exps = list(self.coeffs)
+        for k in reversed(range(self.n - 1)):
+            exps.sort(key=itemgetter(k))
+        exps.sort(key=sum)
+        return exps
 
 
 def series_to_text(series: CharacterSeries) -> str:
     """Graded-lex lines 'coeff * t1^a t2^b ...'; bare coefficient for t^0."""
+    coeffs = series.coeffs
+    names = [f"t{k + 1}^" for k in range(series.n)]
     lines = []
-    for e, c in series.terms_sorted():
-        if any(e):
-            factors = " ".join(f"t{k + 1}^{x}" for k, x in enumerate(e) if x)
-            lines.append(f"{c} * {factors}")
-        else:
-            lines.append(f"{c}")
+    for e in series._exps_sorted():
+        c = str(coeffs[e])
+        factors = " ".join([name + str(x) for name, x in zip(names, e) if x])
+        lines.append(f"{c} * {factors}" if factors else c)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def series_to_json_obj(series: CharacterSeries) -> dict:
+    coeffs = series.coeffs
     return {
         "n": series.n,
         "maxdeg": series.maxdeg,
         "terms": [
-            {"exp": list(e), "coeff": str(c)} for e, c in series.terms_sorted()
+            {"exp": list(e), "coeff": str(coeffs[e])} for e in series._exps_sorted()
         ],
     }
 
@@ -231,16 +243,16 @@ class NormalizedCharacter(NamedTuple):
 
 # ------------------------------------------------------------ Verma series
 
-def _is_int(m: object) -> bool:
-    """True for an int that is not a bool."""
-    return isinstance(m, int) and not isinstance(m, bool)
+def check_maxdeg(maxdeg: object) -> None:
+    """Raise ValueError unless maxdeg is an int (not a bool) >= 0."""
+    if not is_int(maxdeg) or maxdeg < 0:
+        raise ValueError(f"maxdeg must be a nonnegative integer, got {maxdeg!r}")
 
 
 def _restricted_series(n: int, numerator: Poly, maxdeg: int) -> CharacterSeries:
     """numerator / prod(1 - t^alpha) over the restricted positive roots of
-    rank n, truncated at maxdeg, which must be an int (not a bool) >= 0."""
-    if not _is_int(maxdeg) or maxdeg < 0:
-        raise ValueError(f"maxdeg must be a nonnegative integer, got {maxdeg!r}")
+    rank n, truncated at maxdeg (check_maxdeg)."""
+    check_maxdeg(maxdeg)
     return CharacterSeries._canonical(
         n, maxdeg, p_divide_one_minus(numerator, build_root_system(n).restricted_exps, maxdeg)
     )
@@ -335,7 +347,7 @@ def _sl3_numerator(m1: int, m2: int) -> Poly:
     t_1, t_2: the six alternating terms t^(mu0 - sigma mu0) over S_3, which
     cancel to zero when either label vanishes.  Labels (1, 1) give
     (1 - t1)(1 - t2)(1 - t1 t2), the numerator of the trivial factor."""
-    if not (_is_int(m1) and _is_int(m2)) or m1 < 0 or m2 < 0:
+    if not (is_int(m1) and is_int(m2)) or m1 < 0 or m2 < 0:
         raise ValueError("labels must be nonnegative integers")
     m12 = m1 + m2
     numerator: Poly = {}
@@ -431,7 +443,7 @@ def unitary_character(
     if name not in UNITARY:
         raise ValueError(f"unknown case {case!r}; expected one of {UNITARY_CASES}")
     row = UNITARY[name]
-    if any(lo is not None and m is not None and not _is_int(m)
+    if any(lo is not None and m is not None and not is_int(m)
            for m, lo in zip((m1, m2), row.least)):
         raise ValueError("labels must be nonnegative integers")
     if any(lo is not None and (m is None or m < lo) for m, lo in zip((m1, m2), row.least)):

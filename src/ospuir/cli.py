@@ -49,7 +49,7 @@ _NEGATIVE_ARG_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 # and the same two scans take 0.2 s and 0.1 s; rank 5 to level 3
 # (5,792,062, refused) takes 0.2 s by direct call.  A character series in
 # n variables to total degree maxdeg has at most C(maxdeg + n, n) terms:
-# verma --n 3 --maxdeg 141 (487,344) takes 2.5 s and 155 MB, weyl --n 6
+# verma --n 3 --maxdeg 141 (487,344) takes 1.9 s and 148 MB, weyl --n 6
 # --maxdeg 23 (475,020) 0.16 s and 27 MB, and sl3 --m1 250 --m2 249 (2
 # variables to degree 998, 499,500) 0.27 s and 53 MB.
 MAX_GRID_CELLS = 50_000
@@ -258,6 +258,7 @@ def cmd_reduction_points(args) -> Payload:
 
 def cmd_character(args) -> Payload:
     from ospuir.characters import (
+        check_maxdeg,
         series_to_json_obj,
         series_to_text,
         sl3_character,
@@ -269,8 +270,7 @@ def cmd_character(args) -> Payload:
 
     case = args.case
     maxdeg = args.maxdeg
-    if maxdeg < 0:
-        raise ValueError("maxdeg must be nonnegative")
+    check_maxdeg(maxdeg)
     # each case is sized before it is built; the unitary cases and sl3 are
     # rank three, and the sl3 series is divided to its numerator's top
     # degree 2(m1 + m2) whatever maxdeg is, so it is sized by its labels

@@ -42,10 +42,11 @@ A block's upper triangle is gathered once per engine and weight offset,
 as references to the memoized polynomials, over its kept rows: the rows
 with at least one nonzero pairing polynomial, a pattern that no d
 changes.  A dropped row pairs to zero with every row, so the block is
-PSD exactly when its kept rows are.  At d = p/q the kept rows become one
-integer matrix q^D G(p/q), D the block's top degree, with the one
-positive scale q^D; the scan gives psd_witness that matrix, and the
-whole block, gathered over the whole basis, only where it is not PSD, so
+PSD exactly when its kept rows are.  At d = p/q the kept rows become the
+upper triangle of one integer matrix q^D G(p/q), packed row by row, D
+the block's top degree, with the one positive scale q^D; the scan gives
+that triangle to linalg.packed_psd as it is, and only where it is not
+PSD builds the whole block, over the whole basis, for psd_witness, so
 that the witness is the whole block's.  A generator's action from one
 weight space to the next is evaluated the same way, into the int matrix
 that singular-vector kernels are solved from.
@@ -79,7 +80,8 @@ from ospuir.enveloping.algebra import (
     StructureTable,
     structure_constants,
 )
-from ospuir.linalg import psd_witness
+from ospuir.linalg import packed_psd, psd_witness
+from ospuir.root_system import is_int
 from ospuir.weights import Signature, lowest_weight
 
 Word = Tuple[Generator, ...]
@@ -93,8 +95,9 @@ ScalarForm = Tuple[int, int, Tuple[int, ...]]
 # The same combination's label-free parts: the terms (h, c_h), slope, shift.
 RankForm = Tuple[Tuple[Tuple[int, Fraction], ...], int, Tuple[int, ...]]
 # A Gram block: the basis words of its rows, the indices of its kept rows
-# (ascending), its upper triangle over them row by row, and its top degree.
-Block = Tuple[Tuple[Word, ...], Tuple[int, ...], Tuple[Poly, ...], int]
+# (ascending), its upper triangle over them packed row by row (row s pairs
+# kept row s with kept rows s, s + 1, ...), and its top degree.
+Block = Tuple[Tuple[Word, ...], Tuple[int, ...], Tuple[Tuple[Poly, ...], ...], int]
 IntRows = List[List[int]]
 
 _ONE: Poly = (1,)
@@ -450,41 +453,32 @@ class VermaEngine:
                     if p:
                         nonzero[i, j] = p
             kept = tuple(sorted({i for ij in nonzero for i in ij}))
-            upper = tuple(nonzero.get((i, j), ()) for s, i in enumerate(kept)
-                          for j in kept[s:])
+            upper = tuple(tuple(nonzero.get((i, j), ()) for j in kept[s:])
+                          for s, i in enumerate(kept))
             top = max([1, *map(len, nonzero.values())]) - 1
             block = self._blocks[offset, whole] = (basis, kept, upper, top)
         return block
 
-    def _kept(self, sig: Signature, offset: Tuple[int, ...],
-              whole: bool = False) -> Tuple[Tuple[int, ...], IntRows]:
+    def _packed(self, sig: Signature, offset: Tuple[int, ...],
+                whole: bool = False) -> IntRows:
         """The kept rows of the block at offset (see _block) at d = p/q:
-        their indices and the square int matrix q^D G(p/q) over them, D the
-        block's top degree."""
-        _basis, kept, upper, top = self._block(offset, whole)
+        the upper triangle of the int matrix q^D G(p/q) over them, D the
+        block's top degree, packed as _block packs it."""
+        _basis, _kept, upper, top = self._block(offset, whole)
         weights = _weights(sig.d, top)
-        vals = [sum(map(mul, p, weights)) for p in upper]
-        # row s: column s of the rows above it, then its row of the triangle
-        rows: IntRows = []
-        start = 0
-        for s in range(len(kept)):
-            stop = start + len(kept) - s
-            rows.append([row[s] for row in rows] + vals[start:stop])
-            start = stop
-        return kept, rows
+        return [[sum(map(mul, p, weights)) for p in row] for row in upper]
 
     def gram(self, sig: Signature, offset: Sequence[int]) -> "GramMatrix":
         """The block at offset for d = p/q: q^D G(p/q) as int rows, scale q^D,
         the kept rows' matrix with zeros elsewhere."""
         self._check_signature(sig)
         offset = tuple(int(x) for x in offset)
-        basis, _kept, _upper, top = self._block(offset, whole=True)
+        basis, kept, _upper, top = self._block(offset, whole=True)
         full = [[0] * len(basis) for _ in basis]
-        kept, rows = self._kept(sig, offset, whole=True)
-        for i, row in zip(kept, rows):
-            target = full[i]
-            for j, x in zip(kept, row):
-                target[j] = x
+        for s, row in enumerate(self._packed(sig, offset, whole=True)):
+            i = kept[s]
+            for j, x in zip(kept[s:], row):
+                full[i][j] = full[j][i] = x
         return GramMatrix(weight_offset=offset, basis=basis,
                           scaled=tuple(map(tuple, full)), scale=sig.d.denominator ** top)
 
@@ -707,22 +701,21 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
     reported.
 
     Each block is judged by the kept rows of its scanned rows
-    (VermaEngine._block), with one psd_witness call: a row that pairs to
-    zero with every row changes no verdict.  At a = 0 the scanned rows are
-    the noncompact words: the submodule C generated by the compact
-    singular vectors X_i^(a_i + 1) v0 lies in the radical of the form, M/C
-    is the parabolic Verma module U(p+) (x) F(Lambda) with F(Lambda)
-    trivial, and the noncompact words span a complement of C_mu, so the
-    form on them is PSD exactly when the whole block is, with the same
-    rank.  For a != 0, F(Lambda) is not trivial, a
-    complement needs more than those words, and the rows are the whole
-    basis.  The first block whose kept rows are not PSD is built whole by
-    VermaEngine.gram, and the witness is psd_witness's on it; if the whole
-    block is PSD after all, the scan raises AssertionError.  Negativity
-    first reaches the dominant sector on this grid; the bound max_level = 4
-    for rank three is empirical.  A max_level below 1 would certify
-    nothing and raises ValueError.
+    (VermaEngine._block), with one packed_psd call on their packed int
+    triangle: a row that pairs to zero with every row changes no verdict.
+    At a = 0 the scanned rows are the noncompact words, which span a
+    complement of the radical submodule C (see the module docstring), so
+    the form on them is PSD exactly when the whole block is, with the same
+    rank; for a != 0 they are the whole basis.  The first block whose kept
+    rows are not PSD is built whole by VermaEngine.gram, and the witness
+    is psd_witness's on it; if the whole block is PSD after all, the scan
+    raises AssertionError.  Negativity first reaches the dominant sector
+    on this grid; the bound max_level = 4 for rank three is empirical.  A
+    max_level that is not an int (a bool is not one) raises ValueError,
+    and so does one below 1, which would certify nothing.
     """
+    if not is_int(max_level):
+        raise ValueError(f"max_level must be an integer, got {max_level!r}")
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
     engine = engine_for(sig)
@@ -730,7 +723,7 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
     for level in range(1, max_level + 1):
         levels.append(level)
         for offset in level_offsets(sig.n, level):
-            if psd_witness(engine._kept(sig, offset)[1]) is None:
+            if packed_psd(engine._packed(sig, offset)):
                 continue
             gram = engine.gram(sig, offset)
             coeffs = psd_witness(gram.scaled)

@@ -34,7 +34,7 @@ from ospuir.enveloping.module import (
     weight_space_words,
 )
 from ospuir.linalg import in_span, nullspace, rref
-from ospuir.root_system import delta_to_simple, pairing, rho_shift
+from ospuir.root_system import delta_to_simple, is_int, pairing, rho_shift
 from ospuir.weights import Signature, lowest_weight, reduction_points
 
 
@@ -95,7 +95,7 @@ def find_singular(sig: Signature, beta: Sequence, m: int) -> List[ModuleVector]:
     points).  Raises AnomalyError when the reducibility criterion predicts
     a singular vector at (beta, m) but none exists.
     """
-    if not isinstance(m, int) or m < 1:
+    if not is_int(m) or m < 1:
         raise ValueError("m must be a positive integer")
     beta_coords = tuple(Fraction(x) for x in beta)
     exp = delta_to_simple(beta_coords)

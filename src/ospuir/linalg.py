@@ -8,11 +8,11 @@ nullspace and in_span share one sparse elimination: each row is a dict
 {column: int}, kept primitive, reduced against the pivot rows found so
 far; back-substitution runs among the pivot rows only, and only rref
 builds dense reduced rows; the reduced form is unique, so the order of
-elimination changes no result.  psd_witness scales the matrix once and
-takes a matrix whose denominators are all 1, such as a matrix of ints, as
-it is; it eliminates on the upper triangle only, and its pivot choice is
-that of elimination over Q and deterministic: pivots are chosen left to
-right.
+elimination changes no result.  psd_witness and packed_psd share one
+elimination on an int matrix's upper triangle packed row by row, whose
+pivot choice is that of elimination over Q and deterministic: pivots are
+chosen left to right.  psd_witness checks, scales and packs its matrix;
+packed_psd takes a packed triangle as it is.
 """
 
 from __future__ import annotations
@@ -172,20 +172,11 @@ def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:
     """None when the symmetric matrix is positive semidefinite, else a
     coefficient vector v with v^T G v < 0.
 
-    Symmetric congruence elimination: pivot on positive diagonal entries;
-    a negative diagonal entry gives a witness at once, and an all-zero
-    diagonal with a nonzero off-diagonal entry gives a two-term witness.
-
     Entries are ints or Fractions (a bool counts as an int).  The matrix is
     scaled once by the lcm of its denominators, which leaves a matrix of
     ints as it is; scaling by a positive constant changes no sign, pivot or
-    witness.  Elimination uses Bareiss exact division: after pivots P,
-    entry (i, j) is the Schur complement entry times det G[P, P] > 0, so
-    every sign and zero test, and with it every choice, is that of
-    elimination over Q.  The Schur complement stays symmetric, so only its
-    upper triangle is stored and updated.  The witness is rebuilt
-    afterwards from the pivots (see _congruence_basis) and checked on the
-    scaled matrix.
+    witness.  The witness is rebuilt from _congruence_eliminate's pivots
+    (see _congruence_basis) and checked on the scaled matrix.
     """
     m = len(gram)
     if any(len(row) != m for row in gram):
@@ -196,26 +187,52 @@ def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:
     ]
     if list(zip(*g)) != [tuple(row) for row in g]:
         raise ValueError("matrix must be symmetric")
+    found = _congruence_eliminate([list(row[s:]) for s, row in enumerate(g)])
+    if found is None:
+        return None
+    pivots, free, sign = found
+    basis = _congruence_basis(g, pivots, free)
+    v = basis[0] if len(basis) == 1 else [x - sign * y for x, y in zip(*basis)]
+    den = math.lcm(*(x.denominator for x in v))
+    w = [(i, x.numerator * (den // x.denominator)) for i, x in enumerate(v) if x]
+    if sum(x * y * g[i][j] for i, x in w for j, y in w) >= 0:
+        raise AssertionError("witness construction failed")
+    return v
 
-    def check(v: List[Fraction]) -> List[Fraction]:
-        den = math.lcm(*(x.denominator for x in v))
-        w = [(i, x.numerator * (den // x.denominator)) for i, x in enumerate(v) if x]
-        if sum(x * y * g[i][j] for i, x in w for j, y in w) >= 0:
-            raise AssertionError("witness construction failed")
-        return v
 
-    # a holds the upper triangle of the rows and columns still active, in
-    # index order: a[s][t - s] is entry (s, t) for t >= s, so a[s][0] is a
-    # diagonal entry; active[s] is the index in gram of row/column s.
-    a = [list(row[s:]) for s, row in enumerate(g)]
-    active = list(range(m))
+def packed_psd(a: List[List[int]]) -> bool:
+    """Whether the symmetric int matrix with upper triangle a[s][t - s] =
+    entry (s, t), t >= s, is PSD; a is consumed and not validated."""
+    return _congruence_eliminate(a) is None
+
+
+def _congruence_eliminate(a: List[List[int]]) -> Optional[Tuple[List[int], List[int], int]]:
+    """Symmetric congruence elimination on a packed upper triangle (as
+    packed_psd takes it), which it consumes: None when the matrix is PSD,
+    else (pivots, free, sign) for the witness.  Pivot on positive diagonal
+    entries; a negative diagonal entry i gives free = [i] at once, and an
+    all-zero diagonal with entry (i, j) nonzero gives free = [i, j] and
+    the sign of that entry.
+
+    Elimination uses Bareiss exact division: after pivots P, entry (i, j)
+    is the Schur complement entry times det G[P, P] > 0, so every sign and
+    zero test, and with it every choice, is that of elimination over Q.
+    The Schur complement stays symmetric, so only its upper triangle is
+    stored and updated.
+    """
+    # a holds the rows and columns still active, in index order; active[s]
+    # is the index in the matrix of row/column s
+    active = list(range(len(a)))
     pivots: List[int] = []
     prev = 1
-    while active:
-        neg = next((s for s, row in enumerate(a) if row[0] < 0), None)
-        if neg is not None:
-            return check(_congruence_basis(g, pivots, [active[neg]])[0])
-        k = next((s for s, row in enumerate(a) if row[0] > 0), None)
+    while a:
+        k = None
+        for s, row in enumerate(a):
+            x = row[0]
+            if x < 0:
+                return pivots, [active[s]], 1
+            if x and k is None:
+                k = s
         if k is None:
             break
         prow = a.pop(k)
@@ -233,11 +250,9 @@ def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:
         prev = p
     # every remaining diagonal entry is zero
     for s, row in enumerate(a):
-        t = next((t for t, x in enumerate(row) if x), None)
-        if t is not None:
-            bi, bj = _congruence_basis(g, pivots, [active[s], active[s + t]])
-            sign = 1 if row[t] > 0 else -1
-            return check([x - sign * y for x, y in zip(bi, bj)])
+        for t, x in enumerate(row):
+            if x:
+                return pivots, [active[s], active[s + t]], 1 if x > 0 else -1
     return None
 
 

@@ -8,7 +8,8 @@ alpha_j = delta_j - delta_{j+1} for j < n and alpha_n = delta_n.
 
 RANKS is the one table of the ranks the package supports, feature by
 feature, and check_rank is the one check of it that every entry point
-makes before any work.
+makes before any work.  is_int is the one test for an int that is not a
+bool, which every integer input check uses.
 """
 
 from __future__ import annotations
@@ -33,11 +34,16 @@ RANKS: Dict[str, Tuple[int, int]] = {
 }
 
 
+def is_int(x: object) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_rank(feature: str, n: int) -> None:
     """Raise ValueError unless n is an integer rank in RANKS[feature]; a
     bool is not a rank."""
     lo, hi = RANKS[feature]
-    if isinstance(n, bool) or not isinstance(n, int) or not lo <= n <= hi:
+    if not is_int(n) or not lo <= n <= hi:
         raise ValueError(f"rank must be an integer in [{lo}, {hi}] for {feature}, got {n!r}")
 
 

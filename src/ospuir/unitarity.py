@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ospuir.weights import Signature, point_name, reduction_points
+from ospuir.weights import ReductionPoints, Signature, point_name, reduction_points
 
 BRANCH_CONTINUOUS = "continuous"
 BRANCH_BOUNDARY = "boundary"
@@ -49,6 +49,12 @@ def _leading_zeros(a: Sequence[int]) -> int:
 
 def classify(sig: Signature) -> UnitarityVerdict:
     """Decide unitarity of the module with the given signature."""
+    return _verdict(sig, reduction_points(sig.n, sig.a))
+
+
+def _verdict(sig: Signature, pts: ReductionPoints) -> UnitarityVerdict:
+    """classify's verdict, naming its points from pts, the reduction
+    points of the signature's label set."""
     n, d, a = sig.n, sig.d, sig.a
     z = _leading_zeros(a)
     kappa = Fraction(z, 2)
@@ -56,8 +62,6 @@ def classify(sig: Signature) -> UnitarityVerdict:
     threshold = Fraction(n - 1) - kappa + Fraction(total, 2)
     isolated = [threshold - Fraction(s, 2) for s in range(1, z + 1)]
     first_nonzero = z + 1 if z < len(a) else None
-
-    pts = reduction_points(n, a)
 
     def point_of(value: Fraction) -> Tuple[str, Fraction]:
         label = pts.labels_at(value)
@@ -140,13 +144,16 @@ def unitarity_grid(
 
     a_ranges gives the candidate values per label slot (length n - 1);
     each d is read as Signature reads it.  Combinations run in
-    lexicographic order, d ascending inside each.
+    lexicographic order, d ascending inside each, whose reduction points
+    are solved once.
     """
     if len(a_ranges) != n - 1:
         raise ValueError(f"expected {n - 1} label ranges, got {len(a_ranges)}")
     rows: List[GridRow] = []
     for combo in itertools.product(*a_ranges):
-        sigs = (Signature(n=n, d=d, a=tuple(combo)) for d in d_values)
-        for sig in sorted(sigs, key=lambda sig: sig.d):
-            rows.append(GridRow(sig=sig, verdict=classify(sig)))
+        sigs = sorted((Signature(n=n, d=d, a=tuple(combo)) for d in d_values),
+                      key=lambda sig: sig.d)
+        if sigs:
+            pts = reduction_points(n, combo)
+            rows.extend(GridRow(sig=sig, verdict=_verdict(sig, pts)) for sig in sigs)
     return rows

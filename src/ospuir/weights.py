@@ -29,6 +29,7 @@ from ospuir.root_system import (
     Weight,
     build_root_system,
     check_rank,
+    is_int,
     rho_shift,
     simple_labels,
 )
@@ -65,7 +66,7 @@ class Signature(_SignatureFields):
         a = tuple(a)
         if len(a) != n - 1:
             raise ValueError(f"expected {n - 1} labels a_k, got {len(a)}")
-        if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in a):
+        if any(not is_int(x) or x < 0 for x in a):
             raise ValueError("labels a_k must be nonnegative integers")
         if isinstance(d, (bool, float)):
             raise ValueError(f"d must be exact, not the {type(d).__name__} {d!r}")
@@ -207,7 +208,7 @@ def mn_at_reduction(m: Sequence[int], i: int, j: Optional[int] = None) -> Fracti
     m holds the first n-1 labels (m_k = 1 + a_k); the point is
     ReductionPoints.value(i, j).
     """
-    if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in m):
+    if any(not is_int(x) or x < 1 for x in m):
         raise ValueError("labels m_k must be positive integers")
     n = len(m) + 1
     a = tuple(x - 1 for x in m)

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from ospuir.characters import series_to_text, unitary_character
+from ospuir.characters import series_to_text, unitary_character, verma_character
 import pytest
 
 from ospuir import root_system
@@ -191,13 +191,29 @@ def test_exit_code_contract(monkeypatch, capsys):
     assert main(["character", "--case", "weyl", "--n", "3", "--labels", "1,1,0"]) == 2
     assert capsys.readouterr() == ("", "error: labels must be positive integers, got 1, 1, 0\n")
     # 3: an internal anomaly; a witness that does not have negative norm
-    # trips the Gram scan's own check
+    # trips the Gram scan's own check: the first block is called not PSD
+    # and given the first basis vector as its witness
+    monkeypatch.setattr(module, "packed_psd", lambda packed: False)
     monkeypatch.setattr(module, "psd_witness",
                         lambda gram: [Fraction(1)] + [Fraction(0)] * (len(gram) - 1))
     assert main(["gram", "--n", "3", "--a", "0,0", "--d", "5/2", "--max-level", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "anomaly: claimed witness does not have negative norm\n"
+
+
+def test_negative_maxdeg_reads_as_the_library_reads_it(capsys):
+    # every case refuses --maxdeg -1 before any work, in the words the
+    # library's own check uses
+    message = "maxdeg must be a nonnegative integer, got -1"
+    with pytest.raises(ValueError) as library:
+        verma_character(3, -1)
+    assert str(library.value) == message
+    for case in (["verma"], ["weyl", "--labels", "2,1,1"], ["sl3", "--m1", "1", "--m2", "1"],
+                 ["d23"]):
+        argv = ["character", "--n", "3", "--maxdeg", "-1", "--case", *case]
+        assert main(argv) == 2, case
+        assert capsys.readouterr() == ("", f"error: {message}\n"), case
 
 
 def test_anomaly_error_exits_3(monkeypatch, capsys):

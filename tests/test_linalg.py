@@ -1,4 +1,4 @@
-"""Exact elimination kernels: psd_witness, rref and nullspace.
+"""Exact elimination kernels: psd_witness, packed_psd, rref and nullspace.
 
 The integer kernels must return exactly what Gauss elimination over Q
 returns.  The Fraction implementations below are the references.
@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from ospuir import linalg
-from ospuir.linalg import in_span, nullspace, psd_witness, rref
+from ospuir.linalg import in_span, nullspace, packed_psd, psd_witness, rref
 
 
 # ------------------------------------------------------ Fraction references
@@ -300,6 +300,59 @@ def test_psd_witness_matches_fraction_reference():
             outcomes["witness"] += 1
     # both verdicts, and full eliminations, are exercised
     assert outcomes["psd"] >= 80 and outcomes["witness"] >= 80
+
+
+def _symmetric_int_case(rng, size):
+    """A symmetric int matrix of the given size, from one of four
+    families: random entries, a rank-deficient Gram matrix B^T B (PSD),
+    zero diagonal with nonzero entries off it, and a PSD Gram matrix with
+    one diagonal entry made negative."""
+    family = rng.randrange(4)
+    if family == 1 or family == 3:
+        rank = rng.randint(0, max(size - 1, 0)) if family == 1 else size
+        b = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(rank)]
+        g = [[sum(r[i] * r[j] for r in b) for j in range(size)] for i in range(size)]
+        if family == 3 and size:
+            i = rng.randrange(size)
+            g[i][i] = -rng.randint(1, 5)
+        return g
+    g = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            g[i][j] = g[j][i] = rng.randint(-4, 4)
+    if family == 2:
+        for i in range(size):
+            g[i][i] = 0
+        if size >= 2:
+            i, j = rng.sample(range(size), 2)
+            g[i][j] = g[j][i] = rng.choice((-1, 1)) * rng.randint(1, 4)
+    return g
+
+
+def test_packed_psd_matches_psd_witness():
+    # the scan's predicate on the packed upper triangle gives psd_witness's
+    # verdict on the whole matrix, and the Fraction reference's, at every
+    # size from 0 to 6
+    rng = random.Random(20261025)
+    seen = set()
+    for t in range(1400):
+        size = t % 7
+        g = _symmetric_int_case(rng, size)
+        packed = [row[s:] for s, row in enumerate(g)]
+        expected = psd_witness(g) is None
+        assert expected == (_ref_psd_witness(g) is None), g
+        assert packed_psd(packed) == expected, g
+        diagonal = [g[i][i] for i in range(size)]
+        seen.add((expected, size,
+                  min(diagonal, default=0) < 0,
+                  not any(diagonal) and any(map(any, g)),
+                  expected and len(rref(g)[1]) < size))
+    verdicts = {psd for psd, *_ in seen}
+    assert verdicts == {True, False}
+    assert {size for _, size, *_ in seen} == set(range(7))
+    assert any(s[2] for s in seen), "no negative diagonal"
+    assert any(s[3] for s in seen), "no zero diagonal with a nonzero entry"
+    assert any(s[4] and s[1] >= 3 for s in seen), "no rank-deficient PSD matrix"
 
 
 def test_int_scaled_matrices_match_fraction_matrices():

@@ -104,6 +104,14 @@ def test_find_singular_away_from_reduction_points():
     assert find_singular(sig, (1, 0, 0), 1) == []
 
 
+def test_find_singular_refuses_an_m_that_is_not_a_positive_int():
+    # a bool is not an int here, as in every other integer input
+    sig = Signature(3, Fraction(17, 3), (1, 1))
+    for bad in (True, 0, -1, 1.0, "1"):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            find_singular(sig, (1, 0, 0), bad)
+
+
 def test_singular_vectors_are_annihilated_by_simple_lowerings():
     sig = Signature(3, Fraction(2), (0, 2))
     eng = engine_for(sig)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ospuir import unitarity
 from ospuir.weights import Signature, point_name, reduction_points
 from ospuir.unitarity import classify, subsingular_points, unitarity_grid
 
@@ -177,3 +178,23 @@ def test_grid_reads_d_as_signature_does():
     for bad in ("1.5", "1e0", True, 0.25):
         with pytest.raises(ValueError):
             unitarity_grid(3, ((0,), (0,)), ["3/2", bad])
+
+
+def test_grid_solves_reduction_points_once_per_label_set(monkeypatch):
+    # the points do not depend on d: one solve per label set, none for a
+    # label set with no d, and every verdict is classify's
+    solved = []
+
+    def counted(n, a):
+        solved.append(tuple(a))
+        return reduction_points(n, a)
+
+    d_values = [Fraction(k, 4) for k in range(17)]
+    expected = [classify(Signature(3, d, (a1, a2)))
+                for a1 in (0, 2) for a2 in (0, 1, 3) for d in d_values]
+    monkeypatch.setattr(unitarity, "reduction_points", counted)
+    rows = unitarity_grid(3, ((0, 2), (0, 1, 3)), d_values)
+    assert solved == [(a1, a2) for a1 in (0, 2) for a2 in (0, 1, 3)]
+    assert [r.verdict for r in rows] == expected
+    solved.clear()
+    assert unitarity_grid(3, ((0, 1), (0,)), []) == [] and solved == []

@@ -10,6 +10,7 @@ shares no table with the engine under test.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,7 @@ from ospuir.enveloping.module import (
     noncompact_words,
     weight_space_words,
 )
-from ospuir.linalg import add_scaled, psd_witness, rref
+from ospuir.linalg import add_scaled, packed_psd, psd_witness, rref
 from ospuir.weights import (
     FAMILY_COMPACT,
     Signature,
@@ -192,6 +193,14 @@ def test_gram_blocks_compare_by_entries():
     assert eng.gram(Signature(3, Fraction(1, 2), (0, 1)), offset) != gram
 
 
+def _unpacked(packed):
+    """The symmetric matrix whose upper triangle is packed row by row."""
+    rows = []
+    for s, row in enumerate(packed):
+        rows.append([r[s] for r in rows] + list(row))
+    return rows
+
+
 def _assert_kept_rows(n, a, max_level, ds):
     """The scan's rows are the noncompact words at a = 0 and the whole
     basis otherwise.  Over those rows and over the whole basis, each
@@ -199,7 +208,8 @@ def _assert_kept_rows(n, a, max_level, ds):
     pairing against the whole basis, so every pairing on a dropped row is
     zero; gram() equals the whole block evaluated entry by entry at the
     first d, and at each d both kept-row matrices are PSD exactly when the
-    block is.  Returns the verdicts seen."""
+    block is, judged on their packed triangles as the scan judges them and
+    on the symmetric matrices they pack.  Returns the verdicts seen."""
     eng = engine_for(Signature(n, ds[0], a))
     verdicts = set()
     for level in range(1, max_level + 1):
@@ -223,8 +233,10 @@ def _assert_kept_rows(n, a, max_level, ds):
                     for u in everything), (a, offset, d)
                 psd = psd_witness(gram.scaled) is None
                 for whole in (False, True):
-                    assert psd == (psd_witness(eng._kept(sig, offset, whole)[1]) is None), (
+                    packed = eng._packed(sig, offset, whole)
+                    assert psd == (psd_witness(_unpacked(packed)) is None), (
                         a, offset, d, whole)
+                    assert psd == packed_psd(packed), (a, offset, d, whole)
                 verdicts.add(psd)
     return verdicts
 
@@ -245,20 +257,38 @@ def test_gram_kept_rows_of_each_block():
 
 def test_kept_rows_and_whole_block_must_agree(monkeypatch):
     # kept rows called not PSD in a block that is PSD (d = 2 is unitary at
-    # both label sets) trip the scan's own check: only the first call, on
-    # the first block's kept rows, lies.  At a = (0, 0) those are
-    # noncompact rows, at a = (0, 1) rows of the whole basis.
+    # both label sets) trip the scan's own check: only the first call, the
+    # packed_psd call on the first block's kept rows, lies, and the second,
+    # psd_witness on the whole block, finds it PSD.  At a = (0, 0) those
+    # are noncompact rows, at a = (0, 1) rows of the whole basis.
     for a in ((0, 0), (0, 1)):
         calls = []
 
-        def first_block_fails(gram):
-            calls.append(gram)
-            return [Fraction(1)] * len(gram) if len(calls) == 1 else psd_witness(gram)
+        def first_block_fails(packed):
+            calls.append(packed)
+            return False if len(calls) == 1 else packed_psd(packed)
 
-        monkeypatch.setattr(module, "psd_witness", first_block_fails)
+        def counted_witness(gram):
+            calls.append(gram)
+            return psd_witness(gram)
+
+        monkeypatch.setattr(module, "packed_psd", first_block_fails)
+        monkeypatch.setattr(module, "psd_witness", counted_witness)
         with pytest.raises(AssertionError, match="scanned rows are not PSD"):
             gram_psd_check(Signature(3, Fraction(2), a), max_level=1)
         assert len(calls) == 2, a
+
+
+def test_scan_refuses_a_max_level_that_is_not_an_int():
+    # a bool, a float and a str are refused before any block is judged,
+    # and a level below 1 keeps its own message
+    sig = Signature(3, Fraction(5, 2), (0, 0))
+    for bad in (True, False, 2.5, "3", Fraction(2)):
+        with pytest.raises(ValueError, match=re.escape(f"max_level must be an integer, got {bad!r}")):
+            gram_psd_check(sig, max_level=bad)
+    with pytest.raises(ValueError, match="max_level must be at least 1, got 0"):
+        gram_psd_check(sig, max_level=0)
+    assert gram_psd_check(sig, max_level=1).max_level == 1
 
 
 def _generic_d(rng, n, a):
@@ -290,8 +320,10 @@ def test_noncompact_rows_match_whole_blocks():
                 rows = eng._block(offset)[0]
                 for d in on + off:
                     sig = Signature(n, d, a)
-                    kept = eng._kept(sig, offset)[1]
+                    packed = eng._packed(sig, offset)
+                    kept = _unpacked(packed)
                     reduced_psd = psd_witness(kept) is None
+                    assert packed_psd(packed) == reduced_psd, (n, offset, d)
                     reduced_rank = len(rref(kept)[1])
                     whole = eng.gram(sig, offset).scaled
                     assert (reduced_psd, reduced_rank) == (
