@@ -34,7 +34,6 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from ospuir.linalg import add_scaled
 from ospuir.root_system import (
     Weight,
     build_root_system,
@@ -193,12 +192,6 @@ class CharacterSeries(_CharacterSeriesFields):
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self.coeffs.get(tuple(int(x) for x in exp), Fraction(0))
 
-    def terms_sorted(self) -> List[Tuple[Exp, Fraction]]:
-        """The terms in graded-lex order: by total degree, then
-        lexicographically inside each degree."""
-        exps = self._exps_sorted()
-        return list(zip(exps, map(self.coeffs.__getitem__, exps)))
-
     def _exps_sorted(self) -> List[Exp]:
         """The exponents in graded-lex order, by stable sorts on keys that
         are computed in C: on coordinates n - 2 down to 0, which orders
@@ -342,7 +335,7 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
                                series=_restricted_series(len(lam0), numerator, maxdeg))
 
 
-def _sl3_numerator(m1: int, m2: int) -> Poly:
+def _sl3_numerator(m1: int, m2: int) -> Dict[Exp, int]:
     """Weyl numerator of the compact sl(3) factor with labels (m1, m2) in
     t_1, t_2: the six alternating terms t^(mu0 - sigma mu0) over S_3, which
     cancel to zero when either label vanishes.  Labels (1, 1) give
@@ -350,11 +343,11 @@ def _sl3_numerator(m1: int, m2: int) -> Poly:
     if not (is_int(m1) and is_int(m2)) or m1 < 0 or m2 < 0:
         raise ValueError("labels must be nonnegative integers")
     m12 = m1 + m2
-    numerator: Poly = {}
+    numerator: Dict[Exp, int] = {}
     for e, c in (((0, 0), 1), ((m1, 0), -1), ((0, m2), -1),
                  ((m1, m12), 1), ((m12, m2), 1), ((m12, m12), -1)):
-        add_scaled(numerator, {e: c}, 1)
-    return numerator
+        numerator[e] = numerator.get(e, 0) + c
+    return {e: c for e, c in numerator.items() if c}
 
 
 def sl3_character(m1: int, m2: int) -> CharacterSeries:
@@ -450,10 +443,11 @@ def unitary_character(
         raise ValueError(f"case {name} needs {row.needs}")
     # each sl(3) character is its Weyl numerator over the three compact
     # factors, so the bracket times those factors is divided by all nine
-    numerator: Poly = {}
+    numerator: Dict[Exp, int] = {}
     for sign, shift, labels in row.bracket(m1, m2):
-        add_scaled(numerator, {(x + shift[0], y + shift[1], shift[2]): c
-                               for (x, y), c in _sl3_numerator(*labels).items()}, sign)
+        for (x, y), c in _sl3_numerator(*labels).items():
+            e = (x + shift[0], y + shift[1], shift[2])
+            numerator[e] = numerator.get(e, 0) + sign * c
     series = _restricted_series(3, numerator, maxdeg)
     a = row.labels(m1, m2)
     sig = Signature(n=3, d=reduction_points(3, a).value(*row.point), a=a)

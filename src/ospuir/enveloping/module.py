@@ -22,7 +22,7 @@ rank (_cartan_forms), its constant term sum_h c_h m_h when a label set's
 engine is built.
 Per-signature vectors and pairings are exact evaluations of those
 polynomials at the signature's d: q^deg P(p/q) by an integer Horner loop,
-then one Fraction.
+then one Fraction (ospuir.dpoly holds the polynomial arithmetic).
 
 The positivity scan judges a Gram block on fewer rows than its basis
 where it can.  Let C be the submodule generated by the compact singular
@@ -71,6 +71,16 @@ from itertools import combinations_with_replacement
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from ospuir.dpoly import (
+    ONE as _ONE,
+    Poly,
+    add as _padd,
+    add_product as _add_product,
+    evaluate as _evaluate,
+    mul as _pmul,
+    trim as _trim,
+    weights as _weights,
+)
 from ospuir.enveloping.algebra import (
     CARTAN,
     KIND_MIX,
@@ -86,7 +96,6 @@ from ospuir.weights import Signature, lowest_weight
 
 Word = Tuple[Generator, ...]
 CodeWord = Tuple[int, ...]            # a Word as generator codes
-Poly = Tuple[int, ...]                # integer polynomial in d, ascending; () is 0
 CodeTerms = Dict[CodeWord, Poly]
 # A Cartan combination acting on a PBW word, as (slope, constant, shift):
 # the word's eigenvalue is slope*d + constant + the sum of shift[x] over
@@ -100,47 +109,9 @@ RankForm = Tuple[Tuple[Tuple[int, Fraction], ...], int, Tuple[int, ...]]
 Block = Tuple[Tuple[Word, ...], Tuple[int, ...], Tuple[Tuple[Poly, ...], ...], int]
 IntRows = List[List[int]]
 
-_ONE: Poly = (1,)
 _ZERO = Fraction(0)
 
 MAX_LEVEL_DEFAULT = 4
-
-
-def _add_product(acc: List[int], p: Poly, q: Poly) -> None:
-    """acc += p * q for a polynomial held as a growable list."""
-    if len(acc) < len(p) + len(q) - 1:
-        acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            acc[i + j] += x * y
-
-
-def _trim(acc: List[int]) -> Poly:
-    while acc and not acc[-1]:
-        acc.pop()
-    return tuple(acc)
-
-
-def _padd(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for k, c in enumerate(q):
-        out[k] += c
-    return _trim(out)
-
-
-def _pmul(p: Poly, q: Poly) -> Poly:
-    """Product of two nonzero polynomials (nonzero again: no trimming)."""
-    if len(p) == 1:
-        c = p[0]
-        return tuple(c * x for x in q)
-    if len(q) == 1:
-        c = q[0]
-        return tuple(c * x for x in p)
-    acc: List[int] = []
-    _add_product(acc, p, q)
-    return tuple(acc)
 
 
 def _add_mul(acc: CodeTerms, terms: Mapping[CodeWord, Poly], coeff: Poly) -> None:
@@ -154,26 +125,6 @@ def _add_mul(acc: CodeTerms, terms: Mapping[CodeWord, Poly], coeff: Poly) -> Non
                 del acc[k]
                 continue
         acc[k] = prod
-
-
-def _evaluate(p: Poly, d: Fraction, scale: int = 1) -> Fraction:
-    """p(d) / scale, exactly: den^deg p(num/den) by an integer Horner loop."""
-    if not p:
-        return _ZERO
-    num, den = d.numerator, d.denominator
-    acc = 0
-    power = 1
-    for c in reversed(p):
-        acc = acc * num + c * power
-        power *= den
-    return Fraction(acc, scale * (power // den))
-
-
-def _weights(d: Fraction, top: int) -> List[int]:
-    """num^k den^(top - k) for k = 0..top, d = num/den: the dot product of a
-    polynomial of degree at most top with these is den^top p(d), an int."""
-    num, den = d.numerator, d.denominator
-    return [num ** k * den ** (top - k) for k in range(top + 1)]
 
 
 class _ModuleVectorFields(NamedTuple):
@@ -560,7 +511,13 @@ def _scalar(form: ScalarForm, word: CodeWord) -> Poly:
     return (c, slope) if slope else (c,) if c else ()
 
 
-@lru_cache(maxsize=None)
+# An engine keeps its memos and blocks while it is cached (about 1.1 MB
+# for a rank-3 label set scanned to level 3), so a sweep over many label
+# sets keeps only the 8 most recently used.  Criterion 2 and
+# unitarity_grid run label set by label set, and perfbench's catalog-r3
+# makes 75 lookups over 6 to 8 label sets: 8 slots rebuild no engine
+# there, 4 slots rebuild 3.
+@lru_cache(maxsize=8)
 def _engine_cache(n: int, a: Tuple[int, ...]) -> VermaEngine:
     return VermaEngine(n, a)
 

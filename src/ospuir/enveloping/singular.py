@@ -17,8 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ospuir.dpoly import divide_linear as _divide_linear, weights as _weights
 from ospuir.enveloping.algebra import (
     Generator,
     KIND_DOUBLE,
@@ -29,11 +31,10 @@ from ospuir.enveloping.algebra import (
 from ospuir.enveloping.module import (
     ModuleVector,
     Word,
-    _evaluate,
     engine_for,
     weight_space_words,
 )
-from ospuir.linalg import in_span, nullspace, rref
+from ospuir.linalg import check_exact, in_span, nullspace, rref
 from ospuir.root_system import delta_to_simple, is_int, pairing, rho_shift
 from ospuir.weights import Signature, lowest_weight, reduction_points
 
@@ -387,18 +388,6 @@ def _divisors(x: int) -> List[int]:
     return out
 
 
-def _divide_linear(ints: List[int], p: int, q: int) -> List[int]:
-    """ints / (q x - p) for a root p/q in lowest terms, q > 0: the quotient
-    has integer coefficients (Gauss's lemma), found from the top down."""
-    out = [0] * (len(ints) - 1)
-    carry = 0
-    for i in range(len(ints) - 1, 0, -1):
-        carry = (ints[i] + carry) // q
-        out[i - 1] = carry
-        carry *= p
-    return out
-
-
 def rational_zero_set(coeffs: Sequence[Fraction]) -> Tuple[Dict[Fraction, int], List[Fraction]]:
     """Rational roots with multiplicity, plus the root-free residual factor.
 
@@ -411,6 +400,7 @@ def rational_zero_set(coeffs: Sequence[Fraction]) -> Tuple[Dict[Fraction, int], 
     the residual is scaled back to the input's scale at the end.  Roots are
     keyed 0 first, then increasing; the residual has no rational roots left.
     """
+    check_exact(coeffs)
     poly = [Fraction(c) for c in coeffs]
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
@@ -438,11 +428,12 @@ def rational_zero_set(coeffs: Sequence[Fraction]) -> Tuple[Dict[Fraction, int], 
                 continue
             for num in (p, -p):
                 m = 0
-                while not _evaluate(ints, Fraction(num, q)):
+                root = Fraction(num, q)
+                while not sum(map(mul, ints, _weights(root, len(ints) - 1))):
                     ints = _divide_linear(ints, num, q)
                     scale *= q
                     m += 1
                 if m:
-                    found.append((Fraction(num, q), m))
+                    found.append((root, m))
     roots.update(sorted(found))
     return roots, [scale * c for c in ints]

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices are row-major sequences of exact rationals (ints or
-Fractions) and results are lists of Fraction; sparse vectors are dicts from
-keys to nonzero Fractions.  Elimination runs over Python ints after clearing
-denominators and turns back into Fractions only at the end.  rref,
+Fractions; check_exact refuses any other entry) and results are lists of
+Fraction.  Elimination runs over Python ints after clearing denominators
+and turns back into Fractions only at the end.  rref,
 nullspace and in_span share one sparse elimination: each row is a dict
 {column: int}, kept primitive, reduced against the pivot rows found so
 far; back-substitution runs among the pivot rows only, and only rref
@@ -21,38 +21,37 @@ import math
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _denominator = attrgetter("denominator")
+_EXACT_TYPES = frozenset((int, bool, Fraction))
 
 
-def add_scaled(acc: Dict, terms: Mapping, coeff) -> None:
-    """acc += coeff * terms for sparse vectors (dicts of Fractions), in
-    place; keys whose coefficient cancels to zero are dropped."""
-    if not coeff:
+def check_exact(entries: Sequence) -> None:
+    """Raise ValueError unless every entry is an int (a bool counts) or a
+    Fraction: a float, a str or a Decimal is refused, as Signature refuses
+    a float d.  The entries' types are matched in C; one at a time only
+    when a type is not int, bool or Fraction (a subclass passes)."""
+    if _EXACT_TYPES.issuperset(map(type, entries)):
         return
-    for k, c in terms.items():
-        v = acc.get(k, _ZERO) + c * coeff
-        if v:
-            acc[k] = v
-        elif k in acc:
-            del acc[k]
-
-
-def _as_rational(x):
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+    for x in entries:
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"entries must be ints or Fractions, "
+                             f"not the {type(x).__name__} {x!r}")
 
 
 def _sparse_row(row: Sequence, cols: int) -> Dict[int, int]:
     """row times the lcm of its denominators, as a primitive integer row
-    {column: nonzero int}; ValueError unless it has cols entries."""
+    {column: nonzero int}; ValueError unless it has cols entries, each
+    exact (check_exact)."""
     if len(row) != cols:
         raise ValueError(f"row of length {len(row)} in a matrix of {cols} columns")
-    q = {c: _as_rational(x) for c, x in enumerate(row) if x}
+    check_exact(row)
+    q = {c: x for c, x in enumerate(row) if x}
     den = math.lcm(*(x.denominator for x in q.values()))
     return _primitive({c: x.numerator * (den // x.denominator) for c, x in q.items()})
 
@@ -172,15 +171,18 @@ def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:
     """None when the symmetric matrix is positive semidefinite, else a
     coefficient vector v with v^T G v < 0.
 
-    Entries are ints or Fractions (a bool counts as an int).  The matrix is
-    scaled once by the lcm of its denominators, which leaves a matrix of
-    ints as it is; scaling by a positive constant changes no sign, pivot or
+    Entries are ints or Fractions (a bool counts as an int); any other
+    entry raises ValueError (check_exact).  The matrix is scaled once by
+    the lcm of its denominators, which leaves a matrix of ints as it is;
+    scaling by a positive constant changes no sign, pivot or
     witness.  The witness is rebuilt from _congruence_eliminate's pivots
     (see _congruence_basis) and checked on the scaled matrix.
     """
     m = len(gram)
     if any(len(row) != m for row in gram):
         raise ValueError("matrix must be square")
+    for row in gram:
+        check_exact(row)
     den = math.lcm(*set(map(_denominator, chain.from_iterable(gram))))
     g = gram if den == 1 else [
         [x.numerator * (den // x.denominator) for x in row] for row in gram

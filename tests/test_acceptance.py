@@ -190,10 +190,10 @@ def test_criterion_4_character_identities():
     assert numerator == {(0, 0, 0): Fraction(1), (1, 2, 3): Fraction(-1)}
 
     # (c) the two printed compact characters
-    assert dict(sl3_character(2, 1).terms_sorted()) == {
+    assert sl3_character(2, 1).coeffs == {
         (0, 0): Fraction(1), (1, 0): Fraction(1), (1, 1): Fraction(1),
     }
-    assert dict(sl3_character(1, 2).terms_sorted()) == {
+    assert sl3_character(1, 2).coeffs == {
         (0, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1),
     }
 

@@ -250,11 +250,11 @@ def test_verma_series_matches_partition_count():
 
 
 def test_sl3_character_values():
-    assert sl3_character(1, 1).terms_sorted() == [((0, 0), Fraction(1))]
-    assert dict(sl3_character(2, 1).terms_sorted()) == {
+    assert sl3_character(1, 1).coeffs == {(0, 0): Fraction(1)}
+    assert sl3_character(2, 1).coeffs == {
         (0, 0): Fraction(1), (1, 0): Fraction(1), (1, 1): Fraction(1),
     }
-    assert dict(sl3_character(1, 2).terms_sorted()) == {
+    assert sl3_character(1, 2).coeffs == {
         (0, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1),
     }
     assert sl3_character(0, 3).coeffs == {}

@@ -26,7 +26,6 @@ from ospuir.enveloping.algebra import (
     structure_constants,
 )
 from ospuir.enveloping import algebra
-from ospuir.linalg import add_scaled
 from ospuir.root_system import delta_to_simple
 from ospuir.enveloping import module
 from ospuir.enveloping.module import (
@@ -46,6 +45,19 @@ SIG = Signature(3, Fraction(2), (0, 2))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 TABLE_DIGESTS = GOLDEN / "structure_tables_sha256.txt"
 BASIS_DIGESTS = GOLDEN / "weight_space_words_sha256.txt"
+
+
+def add_scaled(acc, terms, coeff):
+    """acc += coeff * terms for sparse vectors (dicts of Fractions), in
+    place; keys whose coefficient cancels to zero are dropped."""
+    if not coeff:
+        return
+    for k, c in terms.items():
+        v = acc.get(k, Fraction(0)) + c * coeff
+        if v:
+            acc[k] = v
+        elif k in acc:
+            del acc[k]
 
 
 def _trilinear(pair, k, e):

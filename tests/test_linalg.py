@@ -6,6 +6,7 @@ returns.  The Fraction implementations below are the references.
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -466,3 +467,16 @@ def test_ragged_rows_raise():
         nullspace([[1, 2]], cols=3)
     with pytest.raises(ValueError):
         in_span([[1, 0, 0]], [0, 1])
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, "1/2", Decimal("0.5")])
+def test_inexact_entries_raise(bad):
+    # an exact rational is an int or a Fraction; a float, even 0.0, a str
+    # and a Decimal are refused, where a zero entry is skipped too
+    for call in (lambda: nullspace([[bad, 1]]), lambda: rref([[1, 2], [bad, 1]]),
+                 lambda: in_span([[1, 0]], [bad, 1]), lambda: psd_witness([[bad]]),
+                 lambda: psd_witness([[1, bad], [bad, 1]])):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            call()
+    # a bool is an int
+    assert nullspace([[True, 1]]) == nullspace([[1, 1]]) == [[Fraction(-1), Fraction(1)]]

@@ -1,6 +1,7 @@
 """Singular vector catalog, kernel solving, and norm polynomials."""
 
 import random
+from decimal import Decimal
 
 import pytest
 from fractions import Fraction
@@ -291,6 +292,12 @@ def test_poly_eval_and_zero_set_helpers():
     roots, residual = rational_zero_set([Fraction(1), Fraction(0), Fraction(1)])
     assert roots == {}
     assert residual == [Fraction(1), Fraction(0), Fraction(1)]
+    # exact input only: a float coefficient once read as the root
+    # -36028797018963968/3602879701896397; a bool is an int
+    for bad in (0.1, "1/10", Decimal("0.1")):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            rational_zero_set([1, bad])
+    assert rational_zero_set([-2, True]) == ({Fraction(2): 1}, [Fraction(1)])
 
 
 def _times(p, q):

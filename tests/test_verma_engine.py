@@ -9,8 +9,11 @@ test_enveloping_algebra and its facts from Generator.delta_weight, so it
 shares no table with the engine under test.
 """
 
+import gc
+import itertools
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -27,13 +30,13 @@ from ospuir.enveloping.algebra import (
     omega,
     structure_constants,
 )
+from ospuir.dpoly import evaluate
 from ospuir.enveloping import module
 from ospuir.enveloping.module import (
     GramMatrix,
     ModuleVector,
     PsdReport,
     VermaEngine,
-    _evaluate,
     _scalar,
     engine_for,
     gram_psd_check,
@@ -41,7 +44,7 @@ from ospuir.enveloping.module import (
     noncompact_words,
     weight_space_words,
 )
-from ospuir.linalg import add_scaled, packed_psd, psd_witness, rref
+from ospuir.linalg import packed_psd, psd_witness, rref
 from ospuir.weights import (
     FAMILY_COMPACT,
     Signature,
@@ -50,7 +53,7 @@ from ospuir.weights import (
     reduction_points,
 )
 
-from test_enveloping_algebra import reference_bracket, reference_facts
+from test_enveloping_algebra import add_scaled, reference_bracket, reference_facts
 
 
 class ReferenceEngine:
@@ -229,7 +232,7 @@ def _assert_kept_rows(n, a, max_level, ds):
                 sig = Signature(n, d, a)
                 gram = eng.gram(sig, offset)
                 assert d != ds[0] or gram.entries == tuple(
-                    tuple(_evaluate(eng.pair_words(u, w), d) for w in everything)
+                    tuple(evaluate(eng.pair_words(u, w), d) for w in everything)
                     for u in everything), (a, offset, d)
                 psd = psd_witness(gram.scaled) is None
                 for whole in (False, True):
@@ -345,7 +348,7 @@ def _reference_psd_check(sig, max_level):
             if not basis:
                 continue
             words = [eng.table.encode(w) for w in basis]
-            entries = [[_evaluate(eng.pair_words(u, w), sig.d) for w in words]
+            entries = [[evaluate(eng.pair_words(u, w), sig.d) for w in words]
                        for u in words]
             coeffs = psd_witness(entries)
             if coeffs is None:
@@ -400,6 +403,20 @@ def test_one_engine_serves_every_d_of_a_label_set():
     assert engine_for(sig) is not engine_for(Signature(3, Fraction(1, 3), (2, 1)))
     with pytest.raises(ValueError, match="label set"):
         engine_for(sig).gram(Signature(3, Fraction(1, 3), (2, 1)), (0, 0, 1))
+
+
+def test_engine_cache_keeps_at_most_eight_engines():
+    # each engine keeps its memos while it is cached: a sweep over 16 label
+    # sets leaves at most 8 of them alive
+    refs = []
+    for a in itertools.product(range(6, 10), repeat=2):
+        sig = Signature(3, 30, a)
+        assert gram_psd_check(sig, max_level=2).psd
+        refs.append(weakref.ref(engine_for(sig)))
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) <= 8
+    assert module._engine_cache.cache_info().currsize <= 8
+    assert refs[-1]() is engine_for(Signature(3, Fraction(1, 2), (9, 9)))
 
 
 def reference_cartan_forms(n):
