@@ -28,6 +28,7 @@ the numerator's top degree and checked by degree.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 from math import lcm
@@ -37,8 +38,10 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 from ospuir.root_system import (
     Weight,
     build_root_system,
+    check_exact,
     check_rank,
     inner,
+    int_tuple,
     is_int,
     partition_count,  # kept importable as ospuir.characters.partition_count
     rho_shift,
@@ -169,11 +172,9 @@ class CharacterSeries(_CharacterSeriesFields):
 
     def __new__(cls, n: int, maxdeg: int,
                 coeffs: Optional[Mapping[Exp, Fraction]] = None) -> "CharacterSeries":
-        clean = {
-            tuple(int(x) for x in e): Fraction(c)
-            for e, c in (coeffs or {}).items()
-            if c and sum(e) <= maxdeg
-        }
+        coeffs = {int_tuple(e): c for e, c in (coeffs or {}).items()}
+        check_exact(coeffs.values())
+        clean = {e: Fraction(c) for e, c in coeffs.items() if c and sum(e) <= maxdeg}
         return super().__new__(cls, n, maxdeg, clean)
 
     @classmethod
@@ -190,7 +191,7 @@ class CharacterSeries(_CharacterSeriesFields):
         )
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.coeffs.get(tuple(int(x) for x in exp), Fraction(0))
+        return self.coeffs.get(int_tuple(exp), Fraction(0))
 
     def _exps_sorted(self) -> List[Exp]:
         """The exponents in graded-lex order, by stable sorts on keys that
@@ -216,15 +217,25 @@ def series_to_text(series: CharacterSeries) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def series_to_json_obj(series: CharacterSeries) -> dict:
+def series_to_json(series: CharacterSeries, **fields: object) -> str:
+    """The text json.dumps(obj, sort_keys=True, indent=2) + newline writes
+    for obj = {"n", "maxdeg", **fields, "terms"}, terms listing
+    {"exp": [...], "coeff": "p/q"} in graded-lex order.  Only the other
+    keys pass through json; each term is one fixed template, so no dict is
+    built per term."""
     coeffs = series.coeffs
-    return {
-        "n": series.n,
-        "maxdeg": series.maxdeg,
-        "terms": [
-            {"exp": list(e), "coeff": str(coeffs[e])} for e in series._exps_sorted()
-        ],
-    }
+    terms = [
+        '    {\n      "coeff": "%s",\n      "exp": [\n        %s\n      ]\n    }'
+        % (coeffs[e], ",\n        ".join(map(str, e)))
+        for e in series._exps_sorted()
+    ]
+    head = json.dumps({**fields, "n": series.n, "maxdeg": series.maxdeg, "terms": None},
+                      sort_keys=True, indent=2)
+    # a string value would print an inner quote as \", so this is the key
+    before, after = head.split('"terms": null')
+    if not terms:
+        return before + '"terms": []' + after + "\n"
+    return "".join([before, '"terms": [\n', ",\n".join(terms), "\n  ]", after, "\n"])
 
 
 class NormalizedCharacter(NamedTuple):
@@ -260,6 +271,7 @@ def verma_character(n: int, maxdeg: int) -> CharacterSeries:
 
 def weight_from_labels(labels: Sequence) -> Weight:
     """Weight Lambda with (rho - Lambda, alpha_k-vee) equal to the labels."""
+    check_exact(labels)
     ms = [Fraction(x) for x in labels]
     n = len(ms)
     mu = [Fraction(0)] * n

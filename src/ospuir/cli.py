@@ -40,7 +40,7 @@ _NEGATIVE_ARG_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 # the library checks.  On a 2-vCPU x86-64 host with CPython 3.11, a rank-3
 # grid of 10,100 cells takes 14 s and 30 MB, weyl --n 6 (46,080 elements)
 # 3.7 s and 80 MB, and multiplet with every label 1, the whole dot orbit of
-# W(B_n), 0.4 s and 19 MB at n = 4 (384 nodes) and 4.5 s and 24 MB at
+# W(B_n), 0.2 s and 18 MB at n = 4 (384 nodes) and 1.2-1.3 s and 42 MB at
 # n = 5 (3,840).  A gram scan at a != 0 costs about the sum of dim^2 over
 # its dominant blocks up to --max-level (dim = partition_count): rank 4 to
 # level 4 (3,087,225) takes 13-16 s and 379 MB at a = (0,0,1), d = 9/2,
@@ -49,9 +49,10 @@ _NEGATIVE_ARG_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 # and the same two scans take 0.2 s and 0.1 s; rank 5 to level 3
 # (5,792,062, refused) takes 0.2 s by direct call.  A character series in
 # n variables to total degree maxdeg has at most C(maxdeg + n, n) terms:
-# verma --n 3 --maxdeg 141 (487,344) takes 1.9 s and 148 MB, weyl --n 6
-# --maxdeg 23 (475,020) 0.16 s and 27 MB, and sl3 --m1 250 --m2 249 (2
-# variables to degree 998, 499,500) 0.27 s and 53 MB.
+# verma --n 3 --maxdeg 141 (487,344) takes 2.0-2.9 s and 148 MB as text
+# and 2.3-2.9 s and 243 MB as json, weyl --n 6 --maxdeg 23 (475,020)
+# 0.16 s and 27 MB, and sl3 --m1 250 --m2 249 (2 variables to degree 998,
+# 499,500) 0.27 s and 53 MB.
 MAX_GRID_CELLS = 50_000
 MAX_GRAM_WORK = 4_000_000
 MAX_CHARACTER_TERMS = 500_000
@@ -259,7 +260,7 @@ def cmd_reduction_points(args) -> Payload:
 def cmd_character(args) -> Payload:
     from ospuir.characters import (
         check_maxdeg,
-        series_to_json_obj,
+        series_to_json,
         series_to_text,
         sl3_character,
         unitary_character,
@@ -301,12 +302,14 @@ def cmd_character(args) -> Payload:
     lowest = {} if prefix is None else {"lowest_weight": [str(x) for x in prefix]}
     return {
         "text": lambda: series_to_text(series),
-        "json": lambda: _json({**series_to_json_obj(series), **lowest, "case": case}),
+        "json": lambda: series_to_json(series, **lowest, case=case),
     }
 
 
 def cmd_verify(args) -> Payload:
-    from ospuir.enveloping.singular import PRINTED_IDS, printed_regime, verify_singular
+    from ospuir.enveloping.singular import (
+        PRINTED_IDS, catalog_entry, printed_regime, verify_singular,
+    )
 
     if args.n != 3:
         raise ValueError(f"the printed catalog is rank-three only, got --n {args.n}")
@@ -325,7 +328,7 @@ def cmd_verify(args) -> Payload:
             sig = Signature(sig.n, d, a)
         rows.append({
             "id": vector_id,
-            "kind": "subsingular" if vector_id == "subsing_d13" else "singular",
+            "kind": "subsingular" if catalog_entry(vector_id).beta is None else "singular",
             "n": sig.n,
             "a": list(sig.a),
             "d": str(sig.d),

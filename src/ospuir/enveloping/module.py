@@ -91,7 +91,7 @@ from ospuir.enveloping.algebra import (
     structure_constants,
 )
 from ospuir.linalg import packed_psd, psd_witness
-from ospuir.root_system import is_int
+from ospuir.root_system import check_exact, int_tuple, is_int
 from ospuir.weights import Signature, lowest_weight
 
 Word = Tuple[Generator, ...]
@@ -136,12 +136,14 @@ class _ModuleVectorFields(NamedTuple):
 class ModuleVector(_ModuleVectorFields):
     """Element of the Verma module, expanded over PBW monomials: the named
     tuple (sig, offset, terms).  The constructor keeps the nonzero terms,
-    each coefficient as a Fraction."""
+    each coefficient as a Fraction; a coefficient must be exact
+    (check_exact)."""
 
     __slots__ = ()
 
     def __new__(cls, sig: Signature, offset: Tuple[int, ...],
                 terms: Mapping[Word, Fraction]) -> "ModuleVector":
+        check_exact(terms.values())
         clean = {w: Fraction(c) for w, c in terms.items() if c}
         return super().__new__(cls, sig, offset, clean)
 
@@ -304,6 +306,8 @@ class VermaEngine:
         self, entries: Iterable[Tuple[Word, Fraction]],
     ) -> Tuple[int, Tuple[int, ...], CodeTerms]:
         """(s, offset, terms): s times the sum of coeff * word v0, PBW-ordered."""
+        entries = list(entries)
+        check_exact([c for _, c in entries])
         encode = self.table.encode
         entries = [(encode(w), Fraction(c)) for w, c in entries]
         if not entries:
@@ -332,7 +336,7 @@ class VermaEngine:
     # -------------------------------------------------------- weight spaces
 
     def basis(self, offset: Sequence[int]) -> Tuple[Word, ...]:
-        return weight_space_words(self.n, tuple(int(x) for x in offset))
+        return weight_space_words(self.n, int_tuple(offset))
 
     # ------------------------------------------------------ Shapovalov form
 
@@ -423,7 +427,7 @@ class VermaEngine:
         """The block at offset for d = p/q: q^D G(p/q) as int rows, scale q^D,
         the kept rows' matrix with zeros elsewhere."""
         self._check_signature(sig)
-        offset = tuple(int(x) for x in offset)
+        offset = int_tuple(offset)
         basis, kept, _upper, top = self._block(offset, whole=True)
         full = [[0] * len(basis) for _ in basis]
         for s, row in enumerate(self._packed(sig, offset, whole=True)):
@@ -446,7 +450,8 @@ class VermaEngine:
         self._check_signature(sig)
         t = self.table
         code = t.code[g]
-        target = tuple(int(a) + b for a, b in zip(offset, t.weight_exp[code]))
+        offset = int_tuple(offset)
+        target = tuple(a + b for a, b in zip(offset, t.weight_exp[code]))
         if any(x < 0 for x in target):
             return []
         index = {t.encode(w): i for i, w in enumerate(self.basis(target))}

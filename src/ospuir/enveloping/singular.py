@@ -34,8 +34,8 @@ from ospuir.enveloping.module import (
     engine_for,
     weight_space_words,
 )
-from ospuir.linalg import check_exact, in_span, nullspace, rref
-from ospuir.root_system import delta_to_simple, is_int, pairing, rho_shift
+from ospuir.linalg import in_span, nullspace, rref
+from ospuir.root_system import check_exact, delta_to_simple, int_tuple, is_int, pairing, rho_shift
 from ospuir.weights import Signature, lowest_weight, reduction_points
 
 
@@ -76,7 +76,7 @@ def singular_space(sig: Signature, offset: Sequence[int]) -> List[ModuleVector]:
     """
     engine = engine_for(sig)
     n = sig.n
-    offset = tuple(int(x) for x in offset)
+    offset = int_tuple(offset)
     basis = engine.basis(offset)
     if not basis:
         return []
@@ -252,7 +252,8 @@ def _compact_entry(i: int) -> CatalogEntry:
 _COMPACT = {f"compact_{i}": _compact_entry(i) for i in (1, 2)}
 
 
-def _entry(vector_id: str) -> CatalogEntry:
+def catalog_entry(vector_id: str) -> CatalogEntry:
+    """The CatalogEntry of a printed or compact vector id."""
     entry = CATALOG.get(vector_id) or _COMPACT.get(vector_id)
     if entry is not None:
         return entry
@@ -264,7 +265,7 @@ def _entry(vector_id: str) -> CatalogEntry:
 def _catalog_terms(vector_id: str, sig: Signature) -> List[Tuple[Word, Fraction]]:
     if sig.n != 3:
         raise ValueError("the printed catalog is rank-three only")
-    return _entry(vector_id).terms(*(Fraction(x) for x in sig.a))
+    return catalog_entry(vector_id).terms(*(Fraction(x) for x in sig.a))
 
 
 def printed_vector(vector_id: str, sig: Signature) -> ModuleVector:
@@ -274,7 +275,7 @@ def printed_vector(vector_id: str, sig: Signature) -> ModuleVector:
 
 def printed_regime(vector_id: str) -> Signature:
     """Default signature at which the printed vector is validated."""
-    entry = _entry(vector_id)
+    entry = catalog_entry(vector_id)
     a = entry.regime_a
     if not entry.regime_point:
         return Signature(3, Fraction(1), a)
@@ -287,9 +288,9 @@ def verify_singular(vector_id: str, sig: Signature) -> bool:
     Proportionality test: the vector must be nonzero and lie in the span of
     find_singular's solution basis, whose rows are independent (one per
     free column of a nullspace), as in_span needs; an empty basis spans
-    nothing.  subsing_d13 delegates to the subsingular test.
+    nothing.  An entry with no beta delegates to the subsingular test.
     """
-    entry = _entry(vector_id)
+    entry = catalog_entry(vector_id)
     if entry.beta is None:
         return verify_subsingular(vector_id, sig)
     vec = printed_vector(vector_id, sig)
@@ -311,7 +312,7 @@ def submodule_component(sig: Signature, nu: Sequence[int]) -> List[List[Fraction
     submodule: sums of U+ words applied to singular vectors of lower or
     equal weight."""
     engine = engine_for(sig)
-    nu = tuple(int(x) for x in nu)
+    nu = int_tuple(nu)
     basis = engine.basis(nu)
     if not basis:
         return []
@@ -358,8 +359,8 @@ def is_subsingular(vec: ModuleVector) -> bool:
 
 
 def verify_subsingular(vector_id: str, sig: Signature) -> bool:
-    if vector_id != "subsing_d13":
-        raise ValueError("only subsing_d13 carries a subsingular claim")
+    if catalog_entry(vector_id).beta is not None:
+        raise ValueError(f"{vector_id} carries no subsingular claim")
     return is_subsingular(printed_vector(vector_id, sig))
 
 

@@ -23,25 +23,13 @@ from itertools import chain
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ospuir.root_system import check_exact
+
 Matrix = List[List[Fraction]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _denominator = attrgetter("denominator")
-_EXACT_TYPES = frozenset((int, bool, Fraction))
-
-
-def check_exact(entries: Sequence) -> None:
-    """Raise ValueError unless every entry is an int (a bool counts) or a
-    Fraction: a float, a str or a Decimal is refused, as Signature refuses
-    a float d.  The entries' types are matched in C; one at a time only
-    when a type is not int, bool or Fraction (a subclass passes)."""
-    if _EXACT_TYPES.issuperset(map(type, entries)):
-        return
-    for x in entries:
-        if not isinstance(x, (int, Fraction)):
-            raise ValueError(f"entries must be ints or Fractions, "
-                             f"not the {type(x).__name__} {x!r}")
 
 
 def _sparse_row(row: Sequence, cols: int) -> Dict[int, int]:

@@ -9,7 +9,9 @@ alpha_j = delta_j - delta_{j+1} for j < n and alpha_n = delta_n.
 RANKS is the one table of the ranks the package supports, feature by
 feature, and check_rank is the one check of it that every entry point
 makes before any work.  is_int is the one test for an int that is not a
-bool, which every integer input check uses.
+bool, which every integer input check uses; int_tuple applies it to an
+offset or exponent, and check_exact is the one test that coefficients are
+exact rationals.  No input is truncated or rounded.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 Weight = Tuple[Fraction, ...]
 
@@ -37,6 +39,32 @@ RANKS: Dict[str, Tuple[int, int]] = {
 def is_int(x: object) -> bool:
     """True for an int that is not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+_EXACT_TYPES = frozenset((int, bool, Fraction))
+
+
+def int_tuple(entries: Iterable) -> Tuple[int, ...]:
+    """entries as a tuple, unchanged; ValueError unless every entry passes
+    is_int, so a float, a Fraction or a bool is refused, never truncated."""
+    out = tuple(entries)
+    for x in out:
+        if not is_int(x):
+            raise ValueError(f"entries must be ints, not the {type(x).__name__} {x!r}")
+    return out
+
+
+def check_exact(entries: Collection) -> None:
+    """Raise ValueError unless every entry is an int (a bool counts) or a
+    Fraction: a float, a str or a Decimal is refused, as Signature refuses
+    a float d.  The entries' types are matched in C; one at a time only
+    when a type is not int, bool or Fraction (a subclass passes)."""
+    if _EXACT_TYPES.issuperset(map(type, entries)):
+        return
+    for x in entries:
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"entries must be ints or Fractions, "
+                             f"not the {type(x).__name__} {x!r}")
 
 
 def check_rank(feature: str, n: int) -> None:
@@ -209,7 +237,7 @@ def partition_count(n: int, mu: Sequence[int]) -> int:
     character series.
     """
     global _partition_memo
-    mu = tuple(int(x) for x in mu)
+    mu = int_tuple(mu)
     if len(mu) != n:
         raise ValueError("length mismatch")
     if any(x < 0 for x in mu):

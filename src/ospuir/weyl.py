@@ -75,7 +75,8 @@ def apply(w: WeylElement, lam: Sequence) -> Weight:
     """Linear action on delta coordinates."""
     out = [Fraction(0)] * w.n
     for i, x in enumerate(lam):
-        out[w.perm[i]] = w.signs[i] * Fraction(x)
+        x = Fraction(x)
+        out[w.perm[i]] = x if w.signs[i] > 0 else -x
     return tuple(out)
 
 
@@ -184,48 +185,38 @@ class Multiplet(NamedTuple):
 
 
 def multiplet_orbit(lam0: Weight) -> Multiplet:
-    """Breadth-first dot orbit of lam0 under the simple reflections.
+    """Dot orbit of lam0, read off generate's listing of W(B_n).
 
-    The search reaches each weight first at the length of its minimal w and
-    keeps the least word (k,) + word(parent) over the parents reaching it:
-    its smallest left descent k, then the least word of s_k . weight, which
-    is the reduced word find_w_lambda's greedy descent yields.  Nodes are
-    sorted by (length of minimal w, its word); an edge (u, v, k) records
-    s_k . weight_u = weight_v with length going up by one.
+    Each listed w takes mu0 = rho - lam0 to w(mu0) = rho - w . lam0.  The
+    listing runs by (length, lex-least reduced word), so the first element
+    that reaches a weight is its minimal w, carrying the reduced word that
+    find_w_lambda's greedy descent yields, and the listing order is the
+    node order.  An edge (u, v, k) records s_k . weight_u = weight_v with
+    length going up by one.
     """
     n = len(lam0)
     check_rank("multiplet", n)
-    gens = [simple_reflection(n, k) for k in range(1, n + 1)]
     _, canon = find_w_lambda(lam0)
     if canon != lam0:
         raise ValueError("orbit start weight must be dominant-canonical")
-    reps: Dict[Weight, WeylElement] = {lam0: identity(n)}
-    arrows = []
-    frontier = [lam0]
-    while frontier:
-        nxt: Dict[Weight, WeylElement] = {}
-        for lam in frontier:
-            parent = reps[lam]
-            for k, g in enumerate(gens, start=1):
-                lam2 = dot_act(g, lam)
-                if lam2 in reps:
-                    continue
-                arrows.append((lam, lam2, k))
-                word = (k,) + parent.reduced_word
-                if lam2 not in nxt or word < nxt[lam2].reduced_word:
-                    w = compose(g, parent)
-                    nxt[lam2] = WeylElement(w.perm, w.signs, len(word), word)
-        reps.update(nxt)
-        frontier = list(nxt)
-    ordered = sorted(reps, key=lambda l: (reps[l].length, reps[l].reduced_word))
-    index = {lam: i for i, lam in enumerate(ordered)}
-    nodes = [
-        MultipletNode(index=index[lam], weight=lam,
-                      labels=simple_labels(rho_shift(lam)), w=reps[lam])
-        for lam in ordered
-    ]
-    edges = sorted((index[u], index[v], k) for u, v, k in arrows)
-    return Multiplet(lambda0=lam0, nodes=tuple(nodes), edges=tuple(edges))
+    mu0 = rho_shift(lam0)
+    reps: Dict[Weight, WeylElement] = {}
+    for w in generate(n):
+        reps.setdefault(apply(w, mu0), w)
+    index = {mu: i for i, mu in enumerate(reps)}
+    gens = [simple_reflection(n, k) for k in range(1, n + 1)]
+    edges = sorted(
+        (index[mu], index[mu2], k)
+        for mu, w in reps.items()
+        for k, g in enumerate(gens, start=1)
+        for mu2 in (apply(g, mu),)
+        if reps[mu2].length == w.length + 1
+    )
+    nodes = tuple(
+        MultipletNode(index=i, weight=rho_shift(mu), labels=simple_labels(mu), w=w)
+        for i, (mu, w) in enumerate(reps.items())
+    )
+    return Multiplet(lambda0=lam0, nodes=nodes, edges=tuple(edges))
 
 
 _EDGE_STYLE = {

@@ -1,6 +1,7 @@
 """Truncated character series and the closed character formulae."""
 
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -15,7 +16,7 @@ from ospuir.characters import (
     p_divide_one_minus,
     p_mul,
     partition_count,
-    series_to_json_obj,
+    series_to_json,
     series_to_text,
     sl3_character,
     unitary_character,
@@ -445,14 +446,21 @@ class _Exp(tuple):
 
 
 def test_constructor_normalises_outside_input():
-    # keys whose entries are bools, Fractions or a tuple subclass; int
-    # values; zero values; a term above maxdeg
-    raw = {(0, 0): 1, (1, 0): 0, (Fraction(0), True): Fraction(-2, 4),
+    # a key that is a tuple subclass; int values; a Fraction value not in
+    # lowest terms; zero values; a term above maxdeg
+    raw = {(0, 0): 1, (1, 0): 0, (0, 1): Fraction(-2, 4),
            _Exp((1, 1)): 3, (2, 2): 5, (1, 2): Fraction(0)}
     series = CharacterSeries(2, 3, raw)
     assert series.coeffs == {(0, 0): 1, (0, 1): Fraction(-1, 2), (1, 1): 3}
     assert all(type(c) is Fraction for c in series.coeffs.values())
     _assert_canonical(series)
+    # an exponent entry must be an int: a bool or a Fraction is refused,
+    # not read as the int it equals, also on a zero term or past maxdeg
+    for key in ((Fraction(0), 1), (0, True), (1.5, 0), (Fraction(9), 0)):
+        with pytest.raises(ValueError, match="entries must be ints"):
+            CharacterSeries(2, 3, {key: 1})
+        with pytest.raises(ValueError, match="entries must be ints"):
+            CharacterSeries(2, 3, {(0, 0): 1, key: 0})
 
 
 # ------------------------------------------- five-branch unitary reference
@@ -619,12 +627,64 @@ def test_series_inputs_are_checked_by_type():
     assert verma_character(3, 0).coeffs == {(0, 0, 0): 1}
 
 
+def series_to_json_obj(series):
+    """The series as one dict per term: the reference that series_to_json
+    must print byte for byte through json.dumps."""
+    coeffs = series.coeffs
+    return {
+        "n": series.n,
+        "maxdeg": series.maxdeg,
+        "terms": [
+            {"exp": list(e), "coeff": str(coeffs[e])} for e in series._exps_sorted()
+        ],
+    }
+
+
 def test_text_and_json_serialization():
     s = sl3_character(2, 1)
     assert series_to_text(s) == "1\n1 * t1^1\n1 * t1^1 t2^1\n"
-    obj = series_to_json_obj(s)
+    obj = json.loads(series_to_json(s))
     assert obj["n"] == 2
     assert obj["terms"][0] == {"exp": [0, 0], "coeff": "1"}
     # graded-lex order: degree first, then exponent vector
     degs = [sum(t["exp"]) for t in obj["terms"]]
     assert degs == sorted(degs)
+
+
+def test_json_writer_matches_the_dict_reference():
+    lam0 = weight_from_labels((2, 1, 1))
+    weyl = weyl_character(lam0, 5)
+    d23 = unitary_character("d23", 6)
+    cases = [
+        (CharacterSeries(2, 3), {}),                     # the empty series
+        (sl3_character(0, 1).truncate(0), {"case": "sl3"}),
+        (CharacterSeries(1, 4, {(0,): Fraction(-3, 2), (4,): 7}), {}),
+        (verma_character(1, 6), {"case": "verma"}),
+        (verma_character(3, 5), {"case": "verma"}),
+        (weyl.series, {"lowest_weight": [str(x) for x in weyl.prefix], "case": "weyl"}),
+        (d23.series, {"lowest_weight": [str(x) for x in d23.prefix], "case": "d23"}),
+    ]
+    for series, fields in cases:
+        expected = json.dumps({**series_to_json_obj(series), **fields},
+                              sort_keys=True, indent=2) + "\n"
+        assert series_to_json(series, **fields) == expected, (series, fields)
+
+
+def test_series_inputs_are_exact():
+    # a float coefficient or label was read as its binary Fraction:
+    # weight_from_labels([0.1, 1, 1]) had 32425917317067571/36028797018963968
+    for bad in (0.5, "1/2"):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            CharacterSeries(1, 2, {(1,): bad})
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            weight_from_labels([bad, 1, 1])
+    assert weight_from_labels([Fraction(1, 2), True, 1]) == weight_from_labels(
+        [Fraction(1, 2), 1, 1])
+    # an exponent was truncated: CharacterSeries(1, 2, {(1.5,): 1}) stored (1,)
+    series = verma_character(2, 3)
+    assert series.coefficient((1, 1)) == partition_count(2, (1, 1)) == 2
+    for exp in ((1.5, 0), (Fraction(1), 1), (True, 0)):
+        with pytest.raises(ValueError, match="entries must be ints"):
+            series.coefficient(exp)
+        with pytest.raises(ValueError, match="entries must be ints"):
+            partition_count(2, exp)

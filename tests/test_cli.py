@@ -399,6 +399,16 @@ def test_multiplet_command():
     assert code == 0 and obj["node_count"] == 24
 
 
+def test_rank4_multiplets_match_pinned_digests():
+    # the top multiplet rank, regular and singular orbits, json and dot
+    lines = (GOLDEN_DIR / "multiplet_n4_sha256.txt").read_text().splitlines()
+    pins = [line.split(" ", 1) for line in lines if not line.startswith("#")]
+    assert len(pins) == 5
+    for digest, argv in pins:
+        code, out = run(argv.split())
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, digest), argv
+
+
 def test_grid_csv():
     code, out = run(["grid", "--n", "3", "--a-max", "1", "--d-max", "4",
                      "--d-step", "1/4", "--format", "csv"])

@@ -1,11 +1,12 @@
 """Root data for B(0,n): positive systems, rho, coroots, basis changes."""
 
 import random
+from decimal import Decimal
 
 import pytest
 from fractions import Fraction
 
-from ospuir import root_system, weyl
+from ospuir import linalg, root_system, weyl
 from ospuir.enveloping import algebra
 from ospuir.root_system import (
     EVEN,
@@ -17,10 +18,12 @@ from ospuir.root_system import (
     RANKS,
     RootVector,
     build_root_system,
+    check_exact,
     check_rank,
     coroot,
     delta_to_simple,
     inner,
+    int_tuple,
     is_positive,
     pairing,
     partition_count,
@@ -299,3 +302,19 @@ def test_family_table_matches_the_parity_loops():
             tuple(int(x) for x in delta_to_simple(r.coords)) for r in restricted
         )
         assert build_root_system(n) is rs
+
+
+def test_one_home_for_the_exact_input_rules():
+    # int_tuple passes ints through and refuses every other entry, never
+    # truncating; check_exact takes ints, bools and Fractions
+    assert int_tuple([3, 0, -1]) == (3, 0, -1)
+    assert int_tuple(()) == ()
+    for bad in (1.5, 2.0, Fraction(2), Fraction(1, 2), True, "2", Decimal(2)):
+        with pytest.raises(ValueError, match=f"ints, not the {type(bad).__name__}"):
+            int_tuple((0, bad))
+    check_exact([1, True, Fraction(1, 3)])
+    for bad in (0.5, "1/2", Decimal("0.5")):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            check_exact([Fraction(1), bad])
+    # linalg reads the same rule; it is not a copy
+    assert linalg.check_exact is check_exact

@@ -19,6 +19,7 @@ from ospuir.enveloping.singular import (
     rational_zero_set,
     simple_lowering,
     singular_space,
+    submodule_component,
     verify_singular,
     verify_subsingular,
 )
@@ -176,6 +177,13 @@ def test_singular_space_matches_fraction_reference(n, labels, offsets):
 def test_verify_rejects_wrong_parameters():
     assert not verify_singular("sv_d2", Signature(3, Fraction(7), (0, 2)))
     assert not verify_subsingular("subsing_d13", Signature(3, Fraction(1, 2), (0, 0)))
+    # the subsingular claim is read off the catalog entry: one with a beta
+    # is singular, and an unknown id is refused as everywhere else
+    for vid in ("sv_d13", "compact_1"):
+        with pytest.raises(ValueError, match=f"{vid} carries no subsingular claim"):
+            verify_subsingular(vid, printed_regime(vid))
+    with pytest.raises(ValueError, match="unknown printed vector id"):
+        verify_subsingular("sv_bogus", Signature(3, 1, (0, 0)))
 
 
 def test_verify_rejects_a_vector_outside_a_nonempty_kernel():
@@ -339,3 +347,13 @@ def test_zero_set_recovers_seeded_linear_factors():
 
 def test_anomaly_error_is_an_exception():
     assert issubclass(AnomalyError, Exception)
+
+
+def test_singular_solvers_refuse_an_offset_that_is_not_ints():
+    # a float offset was truncated to the offset below it
+    sig = Signature(3, Fraction(1, 2), (0, 0))
+    for offset in ((0, 1.5, 1), (Fraction(1), 1, 1), (True, 0, 0)):
+        with pytest.raises(ValueError, match="entries must be ints"):
+            singular_space(sig, offset)
+        with pytest.raises(ValueError, match="entries must be ints"):
+            submodule_component(sig, offset)

@@ -14,6 +14,7 @@ import itertools
 import random
 import re
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -518,3 +519,30 @@ def test_cartan_bracket_scalars_are_integer_polynomials(n):
                     assert poly == tuple(want), (gx, gy, word)
         # one Cartan-only bracket per positive root and its negative
         assert forms == len(raising) == n * (n + 1)
+
+
+def test_engine_entry_points_take_exact_input_only():
+    # a float coefficient was read as its binary Fraction, and a float
+    # offset was truncated: basis((0.5, 1.9, 1)) gave the basis at (0, 1, 1)
+    sig = Signature(3, Fraction(5, 2), (0, 0))
+    eng = engine_for(sig)
+    word = eng.basis((0, 0, 1))[0]
+    for bad in (0.5, "1/2", Decimal("0.5")):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            ModuleVector(sig, (0, 0, 1), {word: bad})
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            eng.from_words(sig, [(word, 1), (word, bad)])
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            eng.norm_polynomial([(word, bad)])
+    # a bool coefficient counts as an int, as everywhere check_exact reads
+    assert eng.from_words(sig, [(word, True)]) == eng.from_words(sig, [(word, 1)])
+    assert ModuleVector(sig, (0, 0, 1), {word: True}).terms == {word: 1}
+    lowering = Generator(KIND_ODD, 3, sign=-1)
+    for offset in ((0.5, 1.9, 1), (0, 1.5, 1), (Fraction(0), 1, 1), (0, True, 1)):
+        with pytest.raises(ValueError, match="entries must be ints"):
+            eng.basis(offset)
+        with pytest.raises(ValueError, match="entries must be ints"):
+            eng.gram(sig, offset)
+        with pytest.raises(ValueError, match="entries must be ints"):
+            eng.action_matrix(sig, lowering, offset)
+    assert eng.gram(sig, (0, 1, 1)).weight_offset == (0, 1, 1)
