@@ -48,6 +48,7 @@ from ospuir.root_system import (
 )
 from ospuir.weights import (
     Signature, labels_of_weight, lowest_weight, point_name, reduction_points,
+    weight_from_labels,  # kept importable as ospuir.characters.weight_from_labels
 )
 
 Exp = Tuple[int, ...]
@@ -268,18 +269,6 @@ def verma_character(n: int, maxdeg: int) -> CharacterSeries:
 
 
 # ------------------------------------------------------- finite characters
-
-def weight_from_labels(labels: Sequence) -> Weight:
-    """Weight Lambda with (rho - Lambda, alpha_k-vee) equal to the labels."""
-    check_exact(labels)
-    ms = [Fraction(x) for x in labels]
-    n = len(ms)
-    mu = [Fraction(0)] * n
-    mu[n - 1] = ms[n - 1] / 2
-    for k in range(n - 2, -1, -1):
-        mu[k] = mu[k + 1] + ms[k]
-    return rho_shift(mu)
-
 
 def weyl_dimension(lam0: Weight) -> Fraction:
     """Weyl product formula over the restricted positive roots."""

@@ -18,7 +18,6 @@ its subcommand runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
@@ -31,9 +30,9 @@ Payload = Dict[str, Callable[[], str]]
 
 # Each subcommand's parser reads an argument matching this as a negative
 # number, so as an option's value: argparse's own pattern (-5, and -1.5,
-# which parse_rational then refuses) plus -p/q, which it would otherwise
-# take for an unknown option.
-_NEGATIVE_ARG_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# which parse_rational then refuses) plus -p/q and comma lists of ints
+# such as -1,0, which it would otherwise take for an unknown option.
+_NEGATIVE_ARG_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$|^-\d+(,-?\d+)+$")
 
 # Largest requests the command line accepts; larger ones exit 2 before any
 # allocation.  The ranks each subcommand takes are root_system.RANKS, which
@@ -81,6 +80,8 @@ def _json(obj) -> str:
 
 
 def _csv(rows: Sequence[Sequence[str]]) -> str:
+    import csv   # loaded only for csv output
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
@@ -379,7 +380,7 @@ def cmd_gram(args) -> Payload:
 
 
 def cmd_multiplet(args) -> Payload:
-    from ospuir.characters import weight_from_labels
+    from ospuir.weights import weight_from_labels
     from ospuir.weyl import multiplet_orbit, multiplet_to_dot
 
     labels = parse_int_list(args.labels)

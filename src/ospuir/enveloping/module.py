@@ -33,10 +33,12 @@ double and sum; they span a subalgebra).  So the form on any complement
 of C_mu is congruent to the whole block with zeros added: both are PSD
 together and have the same rank.  At a = 0, F(Lambda) is trivial and the
 PBW words with no compact (mix) letter, noncompact_words, are a basis of
-U(p+) and so of a complement; the scan gathers those rows only.  For
-a != 0, F(Lambda) is not trivial and a complement of C_mu is as large as
-(U(p+) (x) F(Lambda))_mu, more than the noncompact words span, so there the
-scan keeps the whole basis.
+U(p+) and so of a complement; the scan gathers those rows only.  They are
+listed in delta coordinates, where every noncompact root is nonnegative,
+so the listing stops at any remainder with a negative delta coordinate: no
+noncompact word completes it.  For a != 0, F(Lambda) is not trivial and a
+complement of C_mu is as large as (U(p+) (x) F(Lambda))_mu, more than the
+noncompact words span, so there the scan keeps the whole basis.
 
 A block's upper triangle is gathered once per engine and weight offset,
 as references to the memoized polynomials, over its kept rows: the rows
@@ -565,8 +567,7 @@ def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
     """
     global _tail_memo
     _tail_memo = _memo_for(_tail_memo, n, offset)
-    table = structure_constants(n)
-    return _tail_words(table, table.raising, _tail_memo[1], 0, tuple(offset))
+    return _tail_words(_alphabets(n)[0], _tail_memo[1], 0, tuple(offset))
 
 
 def noncompact_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
@@ -576,33 +577,55 @@ def noncompact_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
     They have multiplicity 0 at every compact generator, so in the
     lexicographic order of multiplicities they come as they do when the
     same recursion skips those generators; the whole basis is never built.
+    The recursion runs in delta coordinates (the differences of the simple
+    ones), where every noncompact root (delta_i, delta_i + delta_j,
+    2 delta_i) is nonnegative: so a remainder with a negative delta
+    coordinate, one whose simple coordinates decrease somewhere, can never
+    be completed, and the recursion stops there.
     """
     global _noncompact_memo
     _noncompact_memo = _memo_for(_noncompact_memo, n, offset)
+    delta = tuple(c - b for b, c in zip((0,) + tuple(offset), offset))
+    if any(x < 0 for x in delta):
+        return ()
+    return _tail_words(_alphabets(n)[1], _noncompact_memo[1], 0, delta)
+
+
+# A run of letters for _tail_words: generators in PBW order, each with its
+# weight in the coordinates that the recursion's remainders use.
+Letters = Tuple[Tuple[Generator, Tuple[int, ...]], ...]
+
+
+@lru_cache(maxsize=None)
+def _alphabets(n: int) -> Tuple[Letters, Letters]:
+    """Rank n's raising generators with their simple-basis weights, and
+    its noncompact ones (no mix letter) with their delta-basis weights."""
     table = structure_constants(n)
-    gens = tuple(g for g in table.raising if g.kind != KIND_MIX)
-    return _tail_words(table, gens, _noncompact_memo[1], 0, tuple(offset))
+    raising = table.raising
+    return (tuple((g, table.weight_exp[table.code[g]]) for g in raising),
+            tuple((g, g.delta_weight(n)) for g in raising if g.kind != KIND_MIX))
 
 
-def _tail_words(table: StructureTable, gens: Tuple[Generator, ...], memo: Dict,
-                idx: int, rem: Tuple[int, ...]) -> Tuple[Word, ...]:
-    """The PBW words at offset rem in the raising generators gens[idx:],
-    gens in PBW order, ordered as weight_space_words orders its words; an
-    odd generator is used at most once."""
+def _tail_words(letters: Letters, memo: Dict, idx: int,
+                rem: Tuple[int, ...]) -> Tuple[Word, ...]:
+    """The PBW words at remainder rem in the letters[idx:], ordered as
+    weight_space_words orders its words; an odd generator is used at most
+    once.  Every letter's weight is nonnegative in the coordinates of rem,
+    so a remainder with a negative coordinate has no word and ends the
+    run."""
     if not any(rem):
         return ((),)
-    if idx == len(gens):
+    if idx == len(letters):
         return ()
     key = (idx, rem)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    g = gens[idx]
-    e = table.weight_exp[table.code[g]]
+    g, e = letters[idx]
     out: List[Word] = []
     prefix: Word = ()
     while True:
-        out.extend(prefix + tail for tail in _tail_words(table, gens, memo, idx + 1, rem))
+        out.extend(prefix + tail for tail in _tail_words(letters, memo, idx + 1, rem))
         if g.is_odd and prefix:
             break
         rem = tuple(a - b for a, b in zip(rem, e))

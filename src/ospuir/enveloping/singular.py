@@ -307,20 +307,30 @@ def verify_singular(vector_id: str, sig: Signature) -> bool:
 
 # ------------------------------------------------------------- subsingular
 
-def submodule_component(sig: Signature, nu: Sequence[int]) -> List[List[Fraction]]:
+def submodule_component(
+    sig: Signature, nu: Sequence[int],
+    spaces: Optional[Dict[Tuple[int, ...], List[ModuleVector]]] = None,
+) -> List[List[Fraction]]:
     """Row space (rref) of the weight-nu slice of the singular-generated
     submodule: sums of U+ words applied to singular vectors of lower or
-    equal weight."""
+    equal weight.  spaces, if given, holds singular_space(sig, sigma) by
+    offset sigma: the spaces it has are reused and those solved here are
+    added, so a caller that asks for several slices at one signature
+    solves each offset once."""
     engine = engine_for(sig)
     nu = int_tuple(nu)
     basis = engine.basis(nu)
     if not basis:
         return []
+    if spaces is None:
+        spaces = {}
     rows: List[List[Fraction]] = []
     for sigma in product(*(range(x + 1) for x in nu)):
         if not any(sigma):
             continue
-        sings = singular_space(sig, sigma)
+        sings = spaces.get(sigma)
+        if sings is None:
+            sings = spaces[sigma] = singular_space(sig, sigma)
         if not sings:
             continue
         diff = tuple(a - b for a, b in zip(nu, sigma))
@@ -333,14 +343,17 @@ def submodule_component(sig: Signature, nu: Sequence[int]) -> List[List[Fraction
 
 
 def is_subsingular(vec: ModuleVector) -> bool:
-    """Outside the singular-generated submodule, lowered into it."""
+    """Outside the singular-generated submodule, lowered into it.  Each
+    singular space is solved once for the slice at vec and the slices at
+    its lowering images together."""
     if vec.is_zero:
         return False
     sig = vec.sig
     engine = engine_for(sig)
     nu = vec.offset
     basis = engine.basis(nu)
-    span = submodule_component(sig, nu)
+    spaces: Dict[Tuple[int, ...], List[ModuleVector]] = {}
+    span = submodule_component(sig, nu, spaces)
     if in_span(span, _vector_coords(vec, basis)):
         return False
     for j in range(1, engine.n + 1):
@@ -351,7 +364,7 @@ def is_subsingular(vec: ModuleVector) -> bool:
         target = img.offset
         if any(x < 0 for x in target):
             raise AssertionError("lowering image escaped the module")
-        tspan = submodule_component(sig, target)
+        tspan = submodule_component(sig, target, spaces)
         tbasis = engine.basis(target)
         if not in_span(tspan, _vector_coords(img, tbasis)):
             return False

@@ -28,6 +28,7 @@ from ospuir.root_system import (
     RootVector,
     Weight,
     build_root_system,
+    check_exact,
     check_rank,
     is_int,
     rho_shift,
@@ -94,6 +95,19 @@ def dynkin_labels(sig: Signature) -> Tuple[Fraction, ...]:
 def labels_of_weight(lam: Weight) -> Tuple[Fraction, ...]:
     """Labels of an arbitrary weight against the simple coroots."""
     return simple_labels(rho_shift(lam))
+
+
+def weight_from_labels(labels: Sequence) -> Weight:
+    """Weight Lambda with (rho - Lambda, alpha_k-vee) equal to the labels:
+    the inverse of labels_of_weight."""
+    check_exact(labels)
+    ms = [Fraction(x) for x in labels]
+    n = len(ms)
+    mu = [Fraction(0)] * n
+    mu[n - 1] = ms[n - 1] / 2
+    for k in range(n - 2, -1, -1):
+        mu[k] = mu[k + 1] + ms[k]
+    return rho_shift(mu)
 
 
 class ReducibilityEntry(NamedTuple):

@@ -133,6 +133,22 @@ def test_negative_rational_option_values():
     assert err.getvalue().splitlines() == [
         "error: not an exact rational 'p/q': '-1.5'",
     ] + ["error: d grid must have positive step and nonnegative max"] * 2
+    # argparse took a negative comma list for an option too: both forms now
+    # reach the library's own check, with the same exit code and message
+    for argv, flag, value in (
+        (["classify", "--n", "3", "--d", "1"], "--a", "-1,0"),
+        (["gram", "--n", "3", "--d", "1", "--max-level", "1"], "--a", "-1,0"),
+        (["verify", "--id", "sv_d1", "--d", "1"], "--a", "-1,0"),
+        (["multiplet", "--n", "3"], "--labels", "-1,0,0"),
+        (["character", "--case", "weyl", "--n", "3", "--maxdeg", "2"], "--labels", "-1,0,0"),
+    ):
+        spaced, joined = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(spaced):
+            result = run(argv + [flag, value])
+        with contextlib.redirect_stderr(joined):
+            assert run(argv + [f"{flag}={value}"]) == result, argv
+        assert result == (2, "") and spaced.getvalue() == joined.getvalue(), argv
+        assert spaced.getvalue().startswith("error: "), argv
 
 
 def test_oversized_requests_exit_2():
@@ -234,13 +250,13 @@ argv = json.loads(sys.argv[1])
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("ospuir"))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("ospuir") or m == "csv")))
 """
 
 
 def loaded_after(argv):
-    """ospuir modules in a fresh process after importing the CLI and, when
-    argv is not empty, running it."""
+    """ospuir modules, and csv if loaded, in a fresh process after importing
+    the CLI and, when argv is not empty, running it."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER, json.dumps(argv)],
         env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
@@ -252,13 +268,16 @@ def loaded_after(argv):
 def test_each_command_imports_only_what_it_runs():
     heavy = {"ospuir.characters", "ospuir.weyl", "ospuir.unitarity"}
     modules = loaded_after([])
-    assert not modules & heavy
+    assert not modules & (heavy | {"csv"})
     assert not any(m.startswith("ospuir.enveloping") for m in modules)
 
     modules = loaded_after(["classify", "--n", "3", "--a", "0,0", "--d", "1/2"])
     assert "ospuir.unitarity" in modules
     assert not any(m.startswith("ospuir.enveloping") for m in modules)
-    assert not modules & {"ospuir.linalg", "ospuir.dpoly"}
+    assert not modules & {"ospuir.linalg", "ospuir.dpoly", "csv"}
+    # only csv output loads csv
+    assert "csv" in loaded_after(["classify", "--n", "3", "--a", "0,0", "--d", "1/2",
+                                  "--format", "csv"])
 
     modules = loaded_after(["gram", "--n", "3", "--a", "0,0", "--d", "5/2",
                             "--max-level", "1"])
@@ -277,7 +296,7 @@ def test_each_command_imports_only_what_it_runs():
 
     modules = loaded_after(["multiplet", "--n", "3", "--labels", "1,1,1"])
     assert "ospuir.weyl" in modules
-    assert "ospuir.linalg" not in modules
+    assert not modules & {"ospuir.linalg", "ospuir.characters", "csv"}
 
     assert "ospuir.weyl" in loaded_after(["weyl", "--n", "3"])
 

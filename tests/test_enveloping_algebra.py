@@ -343,16 +343,21 @@ def test_weight_space_words_leaves_no_growing_state(monkeypatch):
 def test_noncompact_words_filter_the_whole_basis():
     # the direct enumeration lists exactly the basis words with no compact
     # (mix) letter, in the basis order: every dominant offset to level 4 at
-    # ranks 2..4, level 3 at rank 5 and level 2 at rank 6, and seeded
+    # ranks 2..4, level 3 at rank 5 and level 2 at ranks 6..8, and seeded
     # offsets off the dominant sector
     rng = random.Random(20261020)
-    for n, top in ((2, 4), (3, 4), (4, 4), (5, 3), (6, 2)):
+    for n, top in ((2, 4), (3, 4), (4, 4), (5, 3), (6, 2), (7, 2), (8, 2)):
         offsets = [off for level in range(top + 1) for off in level_offsets(n, level)]
         offsets += [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(10)]
         for off in offsets:
             assert noncompact_words(n, off) == tuple(
                 w for w in weight_space_words(n, off)
                 if all(g.kind != KIND_MIX for g in w)), (n, off)
+    # a negative delta coordinate (simple coordinates that decrease) has no
+    # noncompact word, though the whole basis there is not empty
+    for off in ((2, 1, 1), (1, 0, 1), (0, 1, 0), (1, 2, 1)):
+        assert weight_space_words(3, off) and noncompact_words(3, off) == (), off
+    assert noncompact_words(5, (1, 2, 2, 1, 3)) == ()
     for bad in ((1, 1), (0, -1, 1)):
         with pytest.raises(ValueError):
             noncompact_words(3, bad)

@@ -2,6 +2,7 @@
 
 import random
 from decimal import Decimal
+from itertools import product
 
 import pytest
 from fractions import Fraction
@@ -193,6 +194,30 @@ def test_verify_rejects_a_vector_outside_a_nonempty_kernel():
     assert len(find_singular(sig, (0, 1, 1), 1)) == 1
     assert not printed_vector("sv_d23", sig).is_zero
     assert not verify_singular("sv_d23", sig)
+
+
+def test_subsingular_check_solves_each_singular_space_once(monkeypatch):
+    # the slices at the vector and at its lowering images share their
+    # singular spaces: each offset below the vector is solved once, through
+    # the module's singular_space, and the verdict is unchanged
+    from ospuir.enveloping import singular
+
+    solved = []
+
+    def counted(sig, offset):
+        solved.append(tuple(offset))
+        return singular_space(sig, offset)
+
+    sig = printed_regime("subsing_d13")
+    nu = printed_vector("subsing_d13", sig).offset
+    below = {s for s in product(*(range(x + 1) for x in nu)) if any(s)}
+    monkeypatch.setattr(singular, "singular_space", counted)
+    assert verify_subsingular("subsing_d13", sig)
+    assert sorted(solved) == sorted(below)
+    # a slice asked for on its own solves every offset below it, once
+    solved.clear()
+    assert submodule_component(sig, nu)
+    assert sorted(solved) == sorted(below)
 
 
 def test_compact_vector_is_not_subsingular():
