@@ -39,8 +39,8 @@ _NEGATIVE_ARG_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$|^-\d+(,-?\d+)+$")
 # the library checks.  On a 2-vCPU x86-64 host with CPython 3.11, a rank-3
 # grid of 10,100 cells takes 14 s and 30 MB, weyl --n 6 (46,080 elements)
 # 3.7 s and 80 MB, and multiplet with every label 1, the whole dot orbit of
-# W(B_n), 0.2 s and 18 MB at n = 4 (384 nodes) and 1.2-1.3 s and 42 MB at
-# n = 5 (3,840).  A gram scan at a != 0 costs about the sum of dim^2 over
+# W(B_n), 0.2 s and 18 MB at n = 4 (384 nodes) and, at the top rank n = 5
+# (3,840 nodes), 0.9-1.4 s with 41 MB as json and 23 MB as dot.  A gram scan at a != 0 costs about the sum of dim^2 over
 # its dominant blocks up to --max-level (dim = partition_count): rank 4 to
 # level 4 (3,087,225) takes 13-16 s and 379 MB at a = (0,0,1), d = 9/2,
 # and rank 3 to level 6 (773,920) 12-14 s and 160 MB at a = (1,1), d = 5,

@@ -534,25 +534,42 @@ def engine_for(sig: Signature) -> VermaEngine:
     return _engine_cache(sig.n, sig.a)
 
 
-# The memos of _tail_words, on (generator index, remainder), one for whole
-# bases and one for noncompact words, each for one rank at a time: a call
-# at another rank, or one that finds more than _TAIL_MEMO_LIMIT entries,
-# starts it afresh.  Every dominant basis of rank 4 to level 4 takes 9,054
-# entries.
-TailMemo = Tuple[int, Dict[Tuple[int, Tuple[int, ...]], Tuple[Word, ...]]]
-_tail_memo: TailMemo = (0, {})
-_noncompact_memo: TailMemo = (0, {})
-_TAIL_MEMO_LIMIT = 1 << 14
+# A run of letters for _tail_words: generators in PBW order, each with its
+# weight in the coordinates that the recursion's remainders use.
+Letters = Tuple[Tuple[Generator, Tuple[int, ...]], ...]
+_TAIL_MEMO_LIMIT = 1 << 14   # every dominant basis of rank 4 to level 4 takes 9,054
 
 
-def _memo_for(state: TailMemo, n: int, offset: Tuple[int, ...]) -> TailMemo:
-    """Check a rank-n offset; the memo its call uses: state, or a fresh one."""
-    if len(offset) != n:
+@lru_cache(maxsize=1)
+def _alphabets(n: int) -> Tuple[Tuple[Letters, Dict], Tuple[Letters, Dict]]:
+    """Rank n's raising generators with their simple-basis weights, and
+    its noncompact ones (no mix letter) with their delta-basis weights,
+    each run with _tail_words' memo on it.  One rank at a time: the offsets
+    of a rank share the memos, and a call at another rank starts afresh."""
+    table = structure_constants(n)
+    raising = table.raising
+    return ((tuple((g, table.weight_exp[table.code[g]]) for g in raising), {}),
+            (tuple((g, g.delta_weight(n)) for g in raising if g.kind != KIND_MIX), {}))
+
+
+def _listing(n: int, offset: Sequence[int], noncompact: bool) -> Tuple[Word, ...]:
+    """The offset checks, then the words at offset in one run of
+    _alphabets(n); a call that leaves the run's memo above
+    _TAIL_MEMO_LIMIT entries empties it."""
+    rem = tuple(offset)
+    if len(rem) != n:
         raise ValueError("offset length must equal the rank")
-    if any(x < 0 for x in offset):
+    if any(x < 0 for x in rem):
         raise ValueError("offset must be nonnegative")
-    rank, memo = state
-    return state if rank == n and len(memo) <= _TAIL_MEMO_LIMIT else (n, {})
+    letters, memo = _alphabets(n)[noncompact]
+    if noncompact:
+        rem = tuple(c - b for b, c in zip((0,) + rem, rem))
+        if any(x < 0 for x in rem):
+            return ()
+    words = _tail_words(letters, memo, 0, rem)
+    if len(memo) > _TAIL_MEMO_LIMIT:
+        memo.clear()
+    return words
 
 
 def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
@@ -565,9 +582,7 @@ def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
     offset that reaches the same remainder there (_tail_words, whose memo
     holds each whole basis too).
     """
-    global _tail_memo
-    _tail_memo = _memo_for(_tail_memo, n, offset)
-    return _tail_words(_alphabets(n)[0], _tail_memo[1], 0, tuple(offset))
+    return _listing(n, offset, noncompact=False)
 
 
 def noncompact_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
@@ -583,27 +598,7 @@ def noncompact_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
     coordinate, one whose simple coordinates decrease somewhere, can never
     be completed, and the recursion stops there.
     """
-    global _noncompact_memo
-    _noncompact_memo = _memo_for(_noncompact_memo, n, offset)
-    delta = tuple(c - b for b, c in zip((0,) + tuple(offset), offset))
-    if any(x < 0 for x in delta):
-        return ()
-    return _tail_words(_alphabets(n)[1], _noncompact_memo[1], 0, delta)
-
-
-# A run of letters for _tail_words: generators in PBW order, each with its
-# weight in the coordinates that the recursion's remainders use.
-Letters = Tuple[Tuple[Generator, Tuple[int, ...]], ...]
-
-
-@lru_cache(maxsize=None)
-def _alphabets(n: int) -> Tuple[Letters, Letters]:
-    """Rank n's raising generators with their simple-basis weights, and
-    its noncompact ones (no mix letter) with their delta-basis weights."""
-    table = structure_constants(n)
-    raising = table.raising
-    return (tuple((g, table.weight_exp[table.code[g]]) for g in raising),
-            tuple((g, g.delta_weight(n)) for g in raising if g.kind != KIND_MIX))
+    return _listing(n, offset, noncompact=True)
 
 
 def _tail_words(letters: Letters, memo: Dict, idx: int,

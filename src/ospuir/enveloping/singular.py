@@ -35,7 +35,9 @@ from ospuir.enveloping.module import (
     weight_space_words,
 )
 from ospuir.linalg import in_span, nullspace, rref
-from ospuir.root_system import check_exact, delta_to_simple, int_tuple, is_int, pairing, rho_shift
+from ospuir.root_system import (
+    build_root_system, check_exact, delta_to_simple, int_tuple, is_int, pairing, rho_shift,
+)
 from ospuir.weights import Signature, lowest_weight, reduction_points
 
 
@@ -94,17 +96,17 @@ def find_singular(sig: Signature, beta: Sequence, m: int) -> List[ModuleVector]:
 
     Returns a basis of the solution space (often empty away from reduction
     points).  Raises AnomalyError when the reducibility criterion predicts
-    a singular vector at (beta, m) but none exists.
+    a singular vector at (beta, m) but none exists, and ValueError unless
+    beta is an exact positive root of rank sig.n and m a positive int.
     """
     if not is_int(m) or m < 1:
         raise ValueError("m must be a positive integer")
+    check_exact(beta)
     beta_coords = tuple(Fraction(x) for x in beta)
-    exp = delta_to_simple(beta_coords)
-    offset = tuple(int(m * x) for x in exp)
-    if any(Fraction(m) * x != o for x, o in zip(exp, offset)) or any(
-        x < 0 for x in offset
-    ):
-        raise ValueError(f"{beta_coords} is not a positive root multiple")
+    if beta_coords not in {row[3].coords for row in build_root_system(sig.n).families}:
+        raise ValueError(f"beta = ({', '.join(map(str, beta_coords))}) is not "
+                         f"a positive root of rank {sig.n}")
+    offset = tuple(m * int(x) for x in delta_to_simple(beta_coords))
     sols = singular_space(sig, offset)
     mu = rho_shift(lowest_weight(sig))
     m_val = pairing(mu, beta_coords)

@@ -27,12 +27,12 @@ Weight = Tuple[Fraction, ...]
 # signatures, verdicts, reduction points and Verma series.  "engine":
 # structure tables, Verma engines and Gram blocks.  "weyl_group": listing
 # W(B_n), of order 2^n n!, which is 46,080 at n = 6 and 645,120 at n = 7.
-# "multiplet": a whole dot orbit, 384 nodes at n = 4 and 3,840 at n = 5.
+# "multiplet": a whole dot orbit, 3,840 nodes at n = 5 and 46,080 at n = 6.
 RANKS: Dict[str, Tuple[int, int]] = {
     "roots": (1, 16),
     "engine": (2, 8),
     "weyl_group": (1, 6),
-    "multiplet": (1, 4),
+    "multiplet": (1, 5),
 }
 
 
@@ -222,11 +222,15 @@ def is_positive(v: Sequence) -> bool:
     return False
 
 
-# The memo of partition_count's recursion, on (remainder, root index), for
-# one rank at a time: a call at another rank, or one that finds more than
-# _PARTITION_MEMO_LIMIT entries, starts it afresh.
-_partition_memo: Tuple[int, Dict[Tuple[Tuple[int, ...], int], int]] = (0, {})
 _PARTITION_MEMO_LIMIT = 1 << 17
+
+
+@lru_cache(maxsize=1)
+def _partition_memo(n: int) -> Dict[Tuple[Tuple[int, ...], int], int]:
+    """partition_count's memo at rank n, on (remainder, root index): the
+    weights of one rank share it, a call at another rank starts afresh, and
+    a call that leaves it above _PARTITION_MEMO_LIMIT entries empties it."""
+    return {}
 
 
 def partition_count(n: int, mu: Sequence[int]) -> int:
@@ -236,17 +240,13 @@ def partition_count(n: int, mu: Sequence[int]) -> int:
     function of the restricted system, the coefficient of t^mu in the Verma
     character series.
     """
-    global _partition_memo
     mu = int_tuple(mu)
     if len(mu) != n:
         raise ValueError("length mismatch")
     if any(x < 0 for x in mu):
         return 0
     roots = build_root_system(n).restricted_exps
-    rank, memo = _partition_memo
-    if rank != n or len(memo) > _PARTITION_MEMO_LIMIT:
-        memo = {}
-        _partition_memo = (n, memo)
+    memo = _partition_memo(n)
 
     def rec(rem: Tuple[int, ...], idx: int) -> int:
         if not any(rem):
@@ -259,14 +259,13 @@ def partition_count(n: int, mu: Sequence[int]) -> int:
             return total
         total = 0
         r = roots[idx]
-        cur = rem
-        while True:
-            total += rec(cur, idx + 1)
-            nxt = tuple(x - y for x, y in zip(cur, r))
-            if any(x < 0 for x in nxt):
-                break
-            cur = nxt
+        while not any(x < 0 for x in rem):
+            total += rec(rem, idx + 1)
+            rem = tuple(x - y for x, y in zip(rem, r))
         memo[key] = total
         return total
 
-    return rec(mu, 0)
+    count = rec(mu, 0)
+    if len(memo) > _PARTITION_MEMO_LIMIT:
+        memo.clear()
+    return count

@@ -18,6 +18,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from ospuir.root_system import (
     Weight,
     build_root_system,
+    check_exact,
     check_rank,
     is_positive,
     rho_shift,
@@ -145,11 +146,12 @@ def dot_act(w: WeylElement, lam: Sequence) -> Weight:
 def find_w_lambda(lam: Weight) -> Tuple[WeylElement, Weight]:
     """Minimal w and dominant Lambda_0 with lam = w . Lambda_0.
 
-    Requires all labels (rho - lam, alpha_k-vee) to be integers.  The word
-    attached to w is its lexicographically smallest reduced word; when the
-    dominant weight is stabilised by a parabolic subgroup, w is the minimal
-    coset representative.
+    Requires exact entries and integer labels (rho - lam, alpha_k-vee),
+    else ValueError.  The word attached to w is its lexicographically
+    smallest reduced word; when the dominant weight is stabilised by a
+    parabolic subgroup, w is the minimal coset representative.
     """
+    check_exact(lam)
     n = len(lam)
     rs = build_root_system(n)
     mu = rho_shift(lam)

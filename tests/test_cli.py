@@ -161,7 +161,7 @@ def test_oversized_requests_exit_2():
         ["weyl", "--n", "7"],
         ["character", "--case", "weyl", "--n", "7", "--labels", "1,1,1,1,1,1,1"],
         ["character", "--case", "weyl", "--n", "8", "--labels", "1,1,1,1,1,1,1,1"],
-        ["multiplet", "--n", "5", "--labels", "1,1,1,1,1"],
+        ["multiplet", "--n", "6", "--labels", "1,1,1,1,1,1"],
         ["gram", "--n", "8", "--a", "0,0,0,0,0,0,0", "--d", "5/2", "--max-level", "12"],
         ["character", "--case", "verma", "--n", "3", "--maxdeg", "143"],
         ["character", "--case", "verma", "--n", "1000000000", "--maxdeg", "1000000000"],
@@ -426,6 +426,19 @@ def test_rank4_multiplets_match_pinned_digests():
     for digest, argv in pins:
         code, out = run(argv.split())
         assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, digest), argv
+
+
+def test_multiplet_rank_bounds():
+    # n = 5, the top multiplet rank, answers with the whole dot orbit of
+    # W(B_5) (3,840 nodes), pinned by the digest that CI checks with
+    # sha256sum -c; n = 6 is refused before any work
+    code, out = run(["multiplet", "--n", "5", "--labels", "1,1,1,1,1", "--format", "dot"])
+    assert code == 0 and out.count("[label=") == 3840
+    digest = (GOLDEN_DIR / "multiplet_n5_labels_1-1-1-1-1_dot.sha256").read_text()
+    assert digest == hashlib.sha256(out.encode("utf-8")).hexdigest() + "  -\n"
+    code, out = run(["multiplet", "--n", "5", "--labels", "0,1,0,2,1"])
+    assert code == 0 and json.loads(out)["node_count"] == 960
+    assert run(["multiplet", "--n", "6", "--labels", "0,1,0,2,1,1"]) == (2, "")
 
 
 def test_grid_csv():

@@ -28,6 +28,7 @@ from ospuir.enveloping.algebra import (
 from ospuir.enveloping import algebra
 from ospuir.root_system import delta_to_simple
 from ospuir.enveloping import module
+from ospuir import root_system
 from ospuir.enveloping.module import (
     engine_for,
     gram_psd_check,
@@ -39,7 +40,7 @@ from ospuir.enveloping.module import (
 )
 from ospuir.weights import Signature
 
-from test_root_system import _module_state
+from test_root_system import _module_state, cached_memo
 
 SIG = Signature(3, Fraction(2), (0, 2))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -316,8 +317,7 @@ def test_weight_space_words_leaves_no_growing_state(monkeypatch):
     # what the round's rank-5 calls leave on their own, and no other
     # module-level state grows; the same holds for the noncompact words'
     # own memo
-    for words, memo_name in ((weight_space_words, "_tail_memo"),
-                             (noncompact_words, "_noncompact_memo")):
+    for words, run in ((weight_space_words, 0), (noncompact_words, 1)):
         rng = random.Random(20261019)
         states = []
         for _ in range(3):
@@ -325,19 +325,39 @@ def test_weight_space_words_leaves_no_growing_state(monkeypatch):
                      for n in range(2, 6)}
             bases = [words(n, off) for n, offs in calls.items() for off in offs]
             states.append(_module_state(module))
-            rank, memo = getattr(module, memo_name)
-            monkeypatch.setattr(module, memo_name, (0, {}))
+            assert module._alphabets.cache_info().currsize == 1
+            memo = cached_memo(module._alphabets, 5)[run][1]
+            module._alphabets.cache_clear()
             assert [words(5, off) for off in calls[5]] == bases[-5:]
-            assert (rank, len(memo)) == (5, len(getattr(module, memo_name)[1]))
-        assert states[0] == states[1] == states[2], memo_name
-        # a memo above the limit is started afresh by the next call
+            assert len(memo) == len(cached_memo(module._alphabets, 5)[run][1])
+        assert states[0] == states[1] == states[2], words
+        # a memo above the limit is emptied by the call that overfilled it
+        module._alphabets.cache_clear()
+        basis = words(5, (1, 2, 2, 2, 2))
+        assert len(cached_memo(module._alphabets, 5)[run][1]) > 10
+        module._alphabets.cache_clear()
         monkeypatch.setattr(module, "_TAIL_MEMO_LIMIT", 10)
-        words(5, (1, 2, 2, 2, 2))
-        full = getattr(module, memo_name)[1]
+        assert words(5, (1, 2, 2, 2, 2)) == basis
+        assert cached_memo(module._alphabets, 5)[run][1] == {}
         assert len(words(5, (0, 0, 0, 0, 1))) == 1
-        assert getattr(module, memo_name)[1] is not full
-        assert len(getattr(module, memo_name)[1]) < len(full)
         monkeypatch.undo()
+
+
+def test_one_large_call_leaves_no_oversize_memo():
+    # each call that overfills its memo empties it, so after one large
+    # call the memo holds at most its limit (a limit checked only before a
+    # call would leave 298,461, 21,074 and 895,558 entries behind)
+    for size, expected, memo, limit in (
+        (lambda: len(weight_space_words(8, (2,) * 8)), 9500,
+         lambda: cached_memo(module._alphabets, 8)[0][1], module._TAIL_MEMO_LIMIT),
+        (lambda: len(noncompact_words(8, (2, 3, 4, 5, 6, 7, 8, 14))), 3838,
+         lambda: cached_memo(module._alphabets, 8)[1][1], module._TAIL_MEMO_LIMIT),
+        (lambda: partition_count(8, (3,) * 8), 341502,
+         lambda: cached_memo(root_system._partition_memo, 8), root_system._PARTITION_MEMO_LIMIT),
+    ):
+        assert size() == expected
+        held = memo()
+        assert isinstance(held, dict) and len(held) <= limit
 
 
 def test_noncompact_words_filter_the_whole_basis():

@@ -170,6 +170,15 @@ def _module_state(mod=root_system):
     return sizes
 
 
+def cached_memo(cache, n):
+    """cache(n), the memo a one-rank cache holds for rank n; AssertionError
+    unless it already held rank n's."""
+    misses = cache.cache_info().misses
+    memo = cache(n)
+    assert cache.cache_info().misses == misses, f"no rank-{n} memo was cached"
+    return memo
+
+
 def test_partition_count_leaves_no_growing_state(monkeypatch):
     # the recursion's memo serves one rank at a time: after each round of
     # calls at ranks 2..6, with new weights every round, it holds exactly
@@ -182,18 +191,21 @@ def test_partition_count_leaves_no_growing_state(monkeypatch):
                  for n in range(2, 7)}
         counts = [partition_count(n, mu) for n, mus in calls.items() for mu in mus]
         states.append(_module_state())
-        rank, memo = root_system._partition_memo
-        monkeypatch.setattr(root_system, "_partition_memo", (0, {}))
+        assert root_system._partition_memo.cache_info().currsize == 1
+        memo = cached_memo(root_system._partition_memo, 6)
+        root_system._partition_memo.cache_clear()
         assert [partition_count(6, mu) for mu in calls[6]] == counts[-5:]
-        assert (rank, len(memo)) == (6, len(root_system._partition_memo[1]))
+        assert len(memo) == len(cached_memo(root_system._partition_memo, 6))
     assert states[0] == states[1] == states[2]
-    # a memo above the limit is started afresh by the next call
+    # a memo above the limit is emptied by the call that overfilled it
+    root_system._partition_memo.cache_clear()
+    count = partition_count(6, (2, 3, 3, 3, 3, 3))
+    assert len(cached_memo(root_system._partition_memo, 6)) > 10
+    root_system._partition_memo.cache_clear()
     monkeypatch.setattr(root_system, "_PARTITION_MEMO_LIMIT", 10)
-    partition_count(6, (2, 3, 3, 3, 3, 3))
-    full = root_system._partition_memo[1]
+    assert partition_count(6, (2, 3, 3, 3, 3, 3)) == count
+    assert cached_memo(root_system._partition_memo, 6) == {}
     assert partition_count(6, (0, 0, 0, 0, 0, 1)) == 1
-    assert root_system._partition_memo[1] is not full
-    assert len(root_system._partition_memo[1]) < len(full)
 
 
 # Every library entry point that checks a feature's rank, as a call at rank n.
@@ -207,7 +219,7 @@ RANK_ENTRY_POINTS = {
 
 def test_one_rank_table_checked_before_any_work(monkeypatch):
     assert RANKS == {"roots": (1, 16), "engine": (2, 8), "weyl_group": (1, 6),
-                     "multiplet": (1, 4)}
+                     "multiplet": (1, 5)}
     for feature, (lo, hi) in RANKS.items():
         check_rank(feature, lo)
         check_rank(feature, hi)

@@ -115,6 +115,22 @@ def test_find_singular_refuses_an_m_that_is_not_a_positive_int():
             find_singular(sig, (1, 0, 0), bad)
 
 
+def test_find_singular_refuses_a_beta_that_is_not_an_exact_positive_root():
+    # beta must be one of the rank's positive roots, with exact entries;
+    # every other tuple is refused, never answered with an empty basis
+    sig = Signature(3, Fraction(1), (0, 0))
+    for beta, m in (((1, 1, 1), 1), ((1, 2, 0), 1), ((Fraction(1, 2), Fraction(1, 2), 0), 2),
+                    ((-1, 0, 0), 1), ((1, 1), 1), ((1, 1, 0, 0), 1), ((0, 0, 0), 1)):
+        with pytest.raises(ValueError, match="is not a positive root of rank 3"):
+            find_singular(sig, beta, m)
+    for beta in ((1.0, 1.0, 0.0), (1, 0.5, 0), ("1", 0, 0)):
+        with pytest.raises(ValueError, match="entries must be ints or Fractions"):
+            find_singular(sig, beta, 1)
+    # each family's roots are accepted, as ints or as Fractions
+    for beta in ((1, -1, 0), (0, 1, 1), (0, 0, 1), (2, 0, 0), (Fraction(1), 0, Fraction(1))):
+        assert isinstance(find_singular(sig, beta, 1), list)
+
+
 def test_singular_vectors_are_annihilated_by_simple_lowerings():
     sig = Signature(3, Fraction(2), (0, 2))
     eng = engine_for(sig)

@@ -13,6 +13,7 @@ import gc
 import itertools
 import random
 import re
+import tracemalloc
 import weakref
 from decimal import Decimal
 from fractions import Fraction
@@ -418,6 +419,29 @@ def test_engine_cache_keeps_at_most_eight_engines():
     assert sum(ref() is not None for ref in refs) <= 8
     assert module._engine_cache.cache_info().currsize <= 8
     assert refs[-1]() is engine_for(Signature(3, Fraction(1, 2), (9, 9)))
+
+
+def test_sweep_over_100_label_sets_holds_bounded_memory():
+    # a long sweep keeps only the cached engines: traced memory after 100
+    # label sets is no higher than after 25, within a margin of 256 KiB,
+    # and at most 8 engines are alive.  With every engine kept, it reads
+    # about 2.2 MB after 25 and 3.6 MB after 100.
+    module._engine_cache.cache_clear()
+    refs, traced = [], []
+    tracemalloc.start()
+    try:
+        for a in itertools.product(range(10), repeat=2):
+            sig = Signature(3, Fraction(7, 2), a)
+            gram_psd_check(sig, max_level=2)
+            refs.append(weakref.ref(engine_for(sig)))
+            if len(refs) in (25, 100):
+                gc.collect()
+                traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    after_25, after_100 = traced
+    assert after_100 <= after_25 + 256 * 1024, (after_25, after_100)
+    assert sum(ref() is not None for ref in refs) <= 8
 
 
 def reference_cartan_forms(n):

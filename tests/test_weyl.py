@@ -221,6 +221,13 @@ def test_find_w_lambda_rejects_nonintegral():
         find_w_lambda((Fraction(1, 3), Fraction(0), Fraction(0)))
 
 
+def test_find_w_lambda_refuses_inexact_entries():
+    # a float is refused as a float, even where its value is integral
+    for lam in ((0.5, -1.0), (Fraction(3, 2), 1.0), (Fraction(1, 2), "1/2")):
+        with pytest.raises(ValueError, match="entries must be ints or Fractions"):
+            find_w_lambda(lam)
+
+
 def test_multiplet_node_counts():
     main = multiplet_orbit(weight_from_labels((1, 1, 1)))
     assert len(main.nodes) == 48
