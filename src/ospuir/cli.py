@@ -42,8 +42,8 @@ _NEGATIVE_ARG_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$|^-\d+(,-?\d+)+$")
 # W(B_n), 0.2 s and 18 MB at n = 4 (384 nodes) and, at the top rank n = 5
 # (3,840 nodes), 0.9-1.4 s with 41 MB as json and 23 MB as dot.  A gram scan at a != 0 costs about the sum of dim^2 over
 # its dominant blocks up to --max-level (dim = partition_count): rank 4 to
-# level 4 (3,087,225) takes 13-16 s and 379 MB at a = (0,0,1), d = 9/2,
-# and rank 3 to level 6 (773,920) 12-14 s and 160 MB at a = (1,1), d = 5,
+# level 4 (3,087,225) takes 10-11 s and 360 MB at a = (0,0,1), d = 9/2,
+# and rank 3 to level 6 (773,920) 9-10 s and 150 MB at a = (1,1), d = 5,
 # both unitary cells.  At a = 0 the scan judges only the noncompact rows,
 # and the same two scans take 0.2 s and 0.1 s; rank 5 to level 3
 # (5,792,062, refused) takes 0.2 s by direct call.  A character series in

@@ -8,18 +8,16 @@ empty word; lowering generators annihilate it and Cartan generators act by
 the eigenvalue (Lambda, delta_i-vee) = 2 lambda_i = 2d + m_i, where
 m_i = 2(a_1 + ... + a_{i-1}) - (a_1 + ... + a_{n-1}).
 
-One engine serves a label set (n, a) for every d.  Lambda enters normal
-ordering only through those eigenvalues, so every memoized coefficient is
-a polynomial in d, stored as a tuple of ints in ascending degree.  The
-coefficients are integers: the only non-integer bracket coefficients are
-the halves in [X(d_i - d_j), X(d_j - d_i)] = (H_i - H_j)/2, and a bracket
-of Cartan terms only is applied as one scalar on the remaining word,
-sum_h c_h (2d + m_h + kappa_h(word)), where [H_h, g] = kappa_h(g) g.  Every
-kappa value is even (+-2 or +-4), and for (H_i - H_j)/2 the d parts cancel
-and m_i - m_j = 2(a_i + ... + a_{j-1}) is even, so the scalar is an integer
-polynomial.  Every such bracket is checked: its slope and shifts once per
-rank (_cartan_forms), its constant term sum_h c_h m_h when a label set's
-engine is built.
+Normal ordering is held once per rank and free of labels
+(ospuir.enveloping.ordering): one generator acting on a PBW word gives
+ints from a raising generator and coefficients affine in (d, a) from a
+lowering or Cartan one, and every engine of the rank reads the same
+entries.  One engine serves a label set (n, a) for every d.  It keeps a
+reference to its rank's normal ordering and reads the shared entries
+directly: an int is used as it is, and each distinct affine coefficient
+is evaluated at the engine's labels once (_AtLabels), into an int or an
+integer polynomial of degree 1 in d.  Pairings, memoized per engine, are
+integer polynomials in d, stored as tuples of ints in ascending degree.
 Per-signature vectors and pairings are exact evaluations of those
 polynomials at the signature's d: q^deg P(p/q) by an integer Horner loop,
 then one Fraction (ospuir.dpoly holds the polynomial arithmetic).
@@ -71,40 +69,27 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import mul
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ospuir.dpoly import (
     ONE as _ONE,
     Poly,
     add as _padd,
     add_product as _add_product,
+    add_scaled as _add_scaled,
     evaluate as _evaluate,
     mul as _pmul,
     trim as _trim,
     weights as _weights,
 )
-from ospuir.enveloping.algebra import (
-    CARTAN,
-    KIND_MIX,
-    Generator,
-    LOWERING,
-    RAISING,
-    StructureTable,
-    structure_constants,
-)
+from ospuir.enveloping.algebra import KIND_MIX, Generator, StructureTable, structure_constants
+from ospuir.enveloping.ordering import CodeWord, normal_order
 from ospuir.linalg import packed_psd, psd_witness
 from ospuir.root_system import check_exact, int_tuple, is_int
-from ospuir.weights import Signature, lowest_weight
+from ospuir.weights import Signature
 
 Word = Tuple[Generator, ...]
-CodeWord = Tuple[int, ...]            # a Word as generator codes
 CodeTerms = Dict[CodeWord, Poly]
-# A Cartan combination acting on a PBW word, as (slope, constant, shift):
-# the word's eigenvalue is slope*d + constant + the sum of shift[x] over
-# its letters x.
-ScalarForm = Tuple[int, int, Tuple[int, ...]]
-# The same combination's label-free parts: the terms (h, c_h), slope, shift.
-RankForm = Tuple[Tuple[Tuple[int, Fraction], ...], int, Tuple[int, ...]]
 # A Gram block: the basis words of its rows, the indices of its kept rows
 # (ascending), its upper triangle over them packed row by row (row s pairs
 # kept row s with kept rows s, s + 1, ...), and its top degree.
@@ -116,9 +101,10 @@ _ZERO = Fraction(0)
 MAX_LEVEL_DEFAULT = 4
 
 
-def _add_mul(acc: CodeTerms, terms: Mapping[CodeWord, Poly], coeff: Poly) -> None:
-    """acc += coeff * terms, in place; keys that cancel to zero are dropped."""
-    for k, p in terms.items():
+def _add_mul(acc: CodeTerms, terms: Iterable[Tuple[CodeWord, Poly]], coeff: Poly) -> None:
+    """acc += coeff * terms, in place, terms given as (word, polynomial)
+    pairs; keys that cancel to zero are dropped."""
+    for k, p in terms:
         prod = _pmul(p, coeff)
         old = acc.get(k)
         if old is not None:
@@ -127,6 +113,23 @@ def _add_mul(acc: CodeTerms, terms: Mapping[CodeWord, Poly], coeff: Poly) -> Non
                 del acc[k]
                 continue
         acc[k] = prod
+
+
+class _AtLabels(dict):
+    """The affine coefficients of the shared normal ordering at labels a,
+    each worked out on first use: an int where it does not depend on d (0
+    where it vanishes), else the polynomial (k, c_d) in d."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: Tuple[int, ...]):
+        super().__init__()
+        self.a = a
+
+    def __missing__(self, c: Tuple[int, ...]):
+        k = c[0] + sum(map(mul, c[2:], self.a))
+        value = self[c] = (k, c[1]) if c[1] else k
+        return value
 
 
 class _ModuleVectorFields(NamedTuple):
@@ -189,31 +192,18 @@ class VermaEngine:
     `act_word_terms` and `pair_words` work on generator codes and words of
     codes (see StructureTable) and return integer polynomials in d.  The
     other methods take and return Generator words and vectors of one
-    signature in this label set, evaluated at that signature's d.
+    signature in this label set, evaluated at that signature's d.  The
+    normal ordering itself is the rank's, shared by every label set
+    (ordering.NormalOrder); the engine evaluates its coefficients at a.
     """
 
     def __init__(self, n: int, a: Sequence[int]):
         self.n = n
         self.a = tuple(a)
         self.table: StructureTable = structure_constants(n)
-        lam0 = lowest_weight(Signature(n, Fraction(0), self.a))
-        eigen, brackets = _cartan_forms(n)
-        m = {h: 2 * lam0[i] for i, h in enumerate(eigen)}   # eigen is in code order
-
-        def form(rank_form: RankForm) -> ScalarForm:
-            """The rank's slope and shift with this label set's constant
-            term sum_h c_h m_h, checked to be an integer."""
-            combo, slope, shift = rank_form
-            constant = sum(c * m[h] for h, c in combo)
-            if Fraction(constant).denominator != 1:
-                raise AssertionError(f"Cartan combination {combo} is not integral")
-            return slope, int(constant), shift
-
-        self._eigen = {h: form(f) for h, f in eigen.items()}
-        self._bracket_forms: Dict[Tuple[int, int], ScalarForm] = {
-            xy: form(f) for xy, f in brackets.items()
-        }
-        self._act_memo: Dict[Tuple[int, CodeWord], CodeTerms] = {}
+        order = normal_order(n)
+        self._act, self._ordered = order.act, order.memo
+        self._at = _AtLabels(self.a)
         self._pair_memo: Dict[Tuple[CodeWord, CodeWord], Poly] = {}
         self._blocks: Dict[Tuple[Tuple[int, ...], bool], Block] = {}   # (offset, whole)
 
@@ -224,50 +214,26 @@ class VermaEngine:
 
     # ---------------------------------------------------------- core action
 
+    def _read(self, g: int, word: CodeWord) -> Iterator[Tuple[CodeWord, Poly]]:
+        """The rank's entry for g on word * v0 at this label set, as
+        (word, polynomial in d) pairs; terms that vanish here are skipped."""
+        at = self._at
+        for w, c in self._act(g, word).items():
+            if c.__class__ is not int:
+                c = at[c]
+                if not c:
+                    continue
+            yield w, (c,) if c.__class__ is int else c
+
     def act_word_terms(self, g: int, word: CodeWord) -> CodeTerms:
         """Generator g applied to the PBW monomial word * v0, as PBW terms."""
-        memo = self._act_memo
-        key = (g, word)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        t = self.table
-        cls = t.cls[g]
-        if cls == CARTAN:
-            s = _scalar(self._eigen[g], word)
-            out: CodeTerms = {word: s} if s else {}
-        elif not word:
-            out = {(g,): _ONE} if cls == RAISING else {}
-        else:
-            head, rest = word[0], word[1:]
-            if cls == RAISING and t.pbw_key[g] <= t.pbw_key[head]:
-                if g == head and t.odd[g]:
-                    out = self.act_word_terms(t.square[g], rest)
-                else:
-                    out = {(g,) + word: _ONE}
-            else:
-                flip = t.odd[g] and t.odd[head]
-                out = {}
-                for w2, c2 in self.act_word_terms(g, rest).items():
-                    if flip:
-                        c2 = tuple(-x for x in c2)
-                    _add_mul(out, self.act_word_terms(head, w2), c2)
-                form = self._bracket_forms.get((g, head))
-                if form is not None:
-                    s = _scalar(form, rest)
-                    if s:
-                        _add_mul(out, {rest: s}, _ONE)
-                else:
-                    for h, cb in t.brackets[g][head]:
-                        _add_mul(out, self.act_word_terms(h, rest), (cb.numerator,))
-        memo[key] = out
-        return out
+        return dict(self._read(g, word))
 
     def _apply(self, word: CodeWord, terms: CodeTerms) -> CodeTerms:
         for g in reversed(word):
             acted: CodeTerms = {}
             for w, c in terms.items():
-                _add_mul(acted, self.act_word_terms(g, w), c)
+                _add_mul(acted, self._read(g, w), c)
             terms = acted
         return terms
 
@@ -325,7 +291,7 @@ class VermaEngine:
                 offset = self._offset(word)
             elif self._offset(word) != offset:
                 raise ValueError("vectors live in different weight spaces")
-            _add_mul(total, terms, (c.numerator * (scale // c.denominator),))
+            _add_mul(total, terms.items(), (c.numerator * (scale // c.denominator),))
         return scale, offset or (0,) * self.n, total
 
     def from_words(self, sig: Signature,
@@ -356,12 +322,23 @@ class VermaEngine:
             return hit
         rest = u[1:]
         acc: List[int] = []
-        for w2, c in self.act_word_terms(self.table.omega[u[0]], w).items():
+        at = self._at
+        g = self.table.omega[u[0]]
+        terms = self._ordered.get((g, w))
+        if terms is None:
+            terms = self._act(g, w)
+        for w2, c in terms.items():
+            if c.__class__ is not int:
+                c = at[c]
+                if not c:
+                    continue
             sub = self.pair_words(rest, w2)
             if sub:
-                _add_product(acc, c, sub)
-        total = _trim(acc)
-        self._pair_memo[key] = total
+                if c.__class__ is int:
+                    _add_scaled(acc, c, sub)
+                else:
+                    _add_product(acc, c, sub)
+        total = self._pair_memo[key] = _trim(acc)
         return total
 
     def _pair_terms(self, left: CodeTerms, right: CodeTerms) -> Poly:
@@ -457,12 +434,12 @@ class VermaEngine:
         if any(x < 0 for x in target):
             return []
         index = {t.encode(w): i for i, w in enumerate(self.basis(target))}
-        columns = [self.act_word_terms(code, t.encode(w)) for w in self.basis(offset)]
-        top = max([1, *(len(p) for col in columns for p in col.values())]) - 1
+        columns = [list(self._read(code, t.encode(w))) for w in self.basis(offset)]
+        top = max([1, *(len(p) for col in columns for _, p in col)]) - 1
         weights = _weights(sig.d, top)
         rows = [[0] * len(columns) for _ in index]
         for j, col in enumerate(columns):
-            for w, p in col.items():
+            for w, p in col:
                 i = index.get(w)
                 if i is None:
                     raise AssertionError("vector leaves its expected weight space")
@@ -470,60 +447,13 @@ class VermaEngine:
         return rows
 
 
-@lru_cache(maxsize=None)
-def _cartan_forms(n: int) -> Tuple[Dict[int, RankForm], Dict[Tuple[int, int], RankForm]]:
-    """The label-free parts of the rank-n Cartan forms, slope and shift
-    checked to be integers: each Cartan generator h, in code order, as the
-    combination 1*H_h, and each bracket [x, y] of a lowering x and a
-    raising y that is a combination of Cartan generators only, keyed by
-    (x, y).  A label set adds only the constant term (VermaEngine).
-
-    The sums are taken on ints: the eigenvalues kappa_h are read once and
-    must be integers, and a combination is scaled by the lcm of its
-    denominators, which must then divide its slope and every shift."""
-    t = structure_constants(n)
-    cartan = [x for x, c in enumerate(t.cls) if c == CARTAN]
-    kappa = {}
-    for h in cartan:   # [h, x] = kappa_h(x) x
-        values = [dict(row).get(x, 0) for x, row in enumerate(t.brackets[h])]
-        if any(c.denominator != 1 for c in values):
-            raise AssertionError(f"Cartan generator {h} has a non-integral eigenvalue")
-        kappa[h] = [int(c) for c in values]
-
-    def form(combo: Sequence[Tuple[int, Fraction]]) -> RankForm:
-        combo = tuple(combo)
-        den = math.lcm(*(c.denominator for _, c in combo))
-        slope, shift = 0, [0] * len(t.generators)
-        for h, c in combo:
-            m = c.numerator * (den // c.denominator)
-            slope += 2 * m
-            shift = [s + m * k for s, k in zip(shift, kappa[h])]
-        if slope % den or any(v % den for v in shift):
-            raise AssertionError(f"Cartan combination {combo} is not integral")
-        return combo, slope // den, tuple(v // den for v in shift)
-
-    eigen = {h: form(((h, Fraction(1)),)) for h in cartan}
-    brackets = {
-        (x, y): form(t.brackets[x][y])
-        for x, cx in enumerate(t.cls) if cx == LOWERING
-        for y, cy in enumerate(t.cls) if cy == RAISING
-        if t.brackets[x][y] and all(t.cls[h] == CARTAN for h, _ in t.brackets[x][y])
-    }
-    return eigen, brackets
-
-
-def _scalar(form: ScalarForm, word: CodeWord) -> Poly:
-    slope, constant, shift = form
-    c = constant + sum(shift[x] for x in word)
-    return (c, slope) if slope else (c,) if c else ()
-
-
-# An engine keeps its memos and blocks while it is cached (about 1.1 MB
-# for a rank-3 label set scanned to level 3), so a sweep over many label
-# sets keeps only the 8 most recently used.  Criterion 2 and
-# unitarity_grid run label set by label set, and perfbench's catalog-r3
-# makes 75 lookups over 6 to 8 label sets: 8 slots rebuild no engine
-# there, 4 slots rebuild 3.
+# An engine keeps its pairing memo and blocks while it is cached (0.3 to
+# 0.5 MB for a rank-3 label set with a != 0 scanned at three d to level 3;
+# the rank's shared normal ordering, about 0.55 MB there, is held once), so
+# a sweep over many label sets keeps only the 8 most recently used.
+# Criterion 2 and unitarity_grid run label set by label set, and
+# perfbench's catalog-r3 makes 75 lookups over 6 to 8 label sets: 8 slots
+# rebuild no engine there, 4 slots rebuild 3.
 @lru_cache(maxsize=8)
 def _engine_cache(n: int, a: Tuple[int, ...]) -> VermaEngine:
     return VermaEngine(n, a)

@@ -33,19 +33,19 @@ from ospuir.enveloping.algebra import (
     structure_constants,
 )
 from ospuir.dpoly import evaluate
-from ospuir.enveloping import module
+from ospuir.enveloping import module, ordering
 from ospuir.enveloping.module import (
     GramMatrix,
     ModuleVector,
     PsdReport,
     VermaEngine,
-    _scalar,
     engine_for,
     gram_psd_check,
     level_offsets,
     noncompact_words,
     weight_space_words,
 )
+from ospuir.enveloping.singular import singular_space
 from ospuir.linalg import packed_psd, psd_witness, rref
 from ospuir.weights import (
     FAMILY_COMPACT,
@@ -377,10 +377,7 @@ def test_psd_scan_matches_fraction_reference():
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_act_matches_reference(n):
-    rng = random.Random(20261019 + n)
-    a = tuple(rng.randint(0, 2) for _ in range(n - 1))
+def _assert_acts_match(n, a, rng):
     sig = Signature(n, Fraction(rng.randint(0, 16), 4), a)
     eng = VermaEngine(n, a)
     ref = ReferenceEngine(sig)
@@ -391,11 +388,54 @@ def test_act_matches_reference(n):
             offset = tuple(sum(ref.facts[h].weight_exp[k] for h in word) for k in range(n))
             out = eng.act(g, ModuleVector(sig, offset, {word: Fraction(1)}))
             expected = ref.act_word_terms(g, word)
-            assert out.terms == expected, (g, word)
+            assert out.terms == expected, (a, g, word)
+            view = eng.act_word_terms(eng.table.code[g], eng.table.encode(word))
+            assert {eng.table.decode(w): evaluate(p, sig.d) for w, p in view.items()
+                    if evaluate(p, sig.d)} == expected, (a, g, word)
             if expected:
                 assert out.offset == tuple(
                     a + b for a, b in zip(offset, ref.facts[g].weight_exp)
                 ), (g, word)
+    return eng
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_act_matches_reference(n):
+    # The second label set differs from the first in a_1, so sum(a) changes
+    # parity, and reads the rank's normal ordering after the first filled
+    # it: a stale or mis-specialised label would show in its terms.
+    rng = random.Random(20261019 + n)
+    a = tuple(rng.randint(0, 2) for _ in range(n - 1))
+    first = _assert_acts_match(n, a, rng)
+    filled = len(first._act.__self__.memo)
+    second = _assert_acts_match(n, (a[0] + 1,) + a[1:], rng)
+    assert second._act.__self__ is first._act.__self__
+    assert filled > 0
+
+
+def test_label_sets_of_a_rank_share_one_normal_ordering(monkeypatch):
+    # Once a = (0, 0) has solved the singular space at offset (2, 4, 4),
+    # the same solve at a = (0, 2) and at a = (1, 1) expands no new
+    # normal-ordering entry: every (g, word) it needs is already shared.
+    module._engine_cache.cache_clear()
+    ordering.normal_order.cache_clear()
+    misses = []
+    expand = ordering.NormalOrder._expand
+
+    def counted(self, g, word):
+        misses.append((g, word))
+        return expand(self, g, word)
+
+    monkeypatch.setattr(ordering.NormalOrder, "_expand", counted)
+    offset = (2, 4, 4)
+    counts = []
+    for a in ((0, 0), (0, 2), (1, 1)):
+        del misses[:]
+        sig = Signature(3, Fraction(5, 2), a)
+        singular_space(sig, offset)
+        assert engine_for(sig)._act.__self__ is ordering.normal_order(3)
+        counts.append(len(misses))
+    assert counts[0] > 0 and counts[1:] == [0, 0], counts
 
 
 def test_one_engine_serves_every_d_of_a_label_set():
@@ -445,19 +485,29 @@ def test_sweep_over_100_label_sets_holds_bounded_memory():
 
 
 def reference_cartan_forms(n):
-    """module._cartan_forms built over Fractions: each combination's slope
-    and shifts summed as Fractions, then checked to be integers."""
+    """ordering.cartan_forms built over Fractions: each combination's part
+    in d and in each a_k is summed as Fractions from the eigenvalues on v0
+    that lowest_weight gives, its shifts from the bracket table, and all
+    are checked to be integers."""
     t = structure_constants(n)
     size = len(t.generators)
     cartan = [x for x, c in enumerate(t.cls) if c == CARTAN]
     kappa = {h: [dict(t.brackets[h][x]).get(x, 0) for x in range(size)] for h in cartan}
+    zero = (0,) * (n - 1)
+    units = [zero[:k] + (1,) + zero[k + 1:] for k in range(n - 1)]
+
+    def vacuum(h, d, a):   # H_h on v0: 2 lambda_i, h = H_i
+        return 2 * lowest_weight(Signature(n, Fraction(d), a))[t.generators[h].i - 1]
 
     def form(combo):
         combo = tuple(combo)
-        slope = sum(2 * c for _, c in combo)
+        parts = [(1, zero)] + [(0, e) for e in units]
+        assert sum(c * vacuum(h, 0, zero) for h, c in combo) == 0, combo
+        tail = [sum(c * (vacuum(h, d, e) - vacuum(h, 0, zero)) for h, c in combo)
+                for d, e in parts]
         shift = [sum(c * kappa[h][x] for h, c in combo) for x in range(size)]
-        assert all(Fraction(v).denominator == 1 for v in [slope] + shift), combo
-        return combo, int(slope), tuple(int(v) for v in shift)
+        assert all(Fraction(v).denominator == 1 for v in tail + shift), combo
+        return tuple(int(v) for v in tail), tuple(int(v) for v in shift)
 
     eigen = {h: form(((h, Fraction(1)),)) for h in cartan}
     brackets = {
@@ -472,48 +522,52 @@ def reference_cartan_forms(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_cartan_forms_match_fraction_reference(n):
     # repr also tells an int from an equal Fraction
-    assert repr(module._cartan_forms(n)) == repr(reference_cartan_forms(n))
+    assert repr(ordering.cartan_forms(n)) == repr(reference_cartan_forms(n))
 
 
 def _table_with(monkeypatch, n, x, y, terms):
-    """Make module.structure_constants return rank n's table with
+    """Make ordering.structure_constants return rank n's table with
     brackets[x][y] replaced by terms."""
     t = structure_constants(n)
     rows = [list(row) for row in t.brackets]
     rows[x][y] = terms
     patched = t._replace(brackets=tuple(tuple(row) for row in rows))
-    monkeypatch.setattr(module, "structure_constants", lambda _n: patched)
+    monkeypatch.setattr(ordering, "structure_constants", lambda _n: patched)
 
 
 def test_cartan_forms_refuse_non_integral_coefficients(monkeypatch):
-    # a third of H_1 has slope 2/3, and a half-integral eigenvalue of H_1 on
-    # a_1^+ makes a shift non-integral; __wrapped__ skips the per-rank cache
+    # a third of H_1 has slope 2/3, a half of H_1 has integral slope and
+    # shifts but enters the labels as +-a_k/2, and a half-integral
+    # eigenvalue of H_1 on a_1^+ makes a shift non-integral
     t = structure_constants(3)
     h1 = t.code[Generator(KIND_CARTAN, 1)]
     lower = t.code[Generator(KIND_ODD, 1, sign=-1)]
     raise_ = t.code[Generator(KIND_ODD, 1, sign=1)]
     assert t.brackets[lower][raise_] == ((h1, Fraction(1)),)
-    _table_with(monkeypatch, 3, lower, raise_, ((h1, Fraction(1, 3)),))
-    with pytest.raises(AssertionError, match="not integral"):
-        module._cartan_forms.__wrapped__(3)
-    monkeypatch.undo()
+    for part in (Fraction(1, 3), Fraction(1, 2)):
+        _table_with(monkeypatch, 3, lower, raise_, ((h1, part),))
+        with pytest.raises(AssertionError, match="not integral"):
+            ordering.cartan_forms(3)
+        monkeypatch.undo()
     _table_with(monkeypatch, 3, h1, raise_, ((raise_, Fraction(3, 2)),))
     with pytest.raises(AssertionError, match="non-integral"):
-        module._cartan_forms.__wrapped__(3)
+        ordering.cartan_forms(3)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_cartan_bracket_scalars_are_integer_polynomials(n):
     # Every bracket of a lowering and a raising generator that is a
     # combination of Cartan generators acts on a PBW word w v0 as
-    # sum_h c_h (2 lambda_h + 2 delta_h(w)); the engine holds it as an
-    # integer polynomial in d.  Every other bracket has integer
+    # sum_h c_h (2 lambda_h + 2 delta_h(w)); the rank holds it as one
+    # coefficient, integral over (1, d, a), that each engine evaluates
+    # into an integer polynomial in d.  Every other bracket has integer
     # coefficients.  Checked against lowest_weight and
     # Generator.delta_weight, for label sets of both parities of sum(a).
     rng = random.Random(20261020 + n)
     table = structure_constants(n)
     gens = table.generators
     raising = [g for g, c in zip(gens, table.cls) if c == RAISING]
+    brackets = ordering.cartan_forms(n)[1]
     for a in ((0,) * (n - 1), tuple(rng.randint(0, 3) for _ in range(n - 1)),
               (1,) + (0,) * (n - 2)):
         eng = VermaEngine(n, a)
@@ -528,7 +582,7 @@ def test_cartan_bracket_scalars_are_integer_polynomials(n):
                     continue
                 if table.cls[x] != LOWERING or table.cls[y] != RAISING:
                     continue
-                form = eng._bracket_forms[(x, y)]
+                form = brackets[(x, y)]
                 forms += 1
                 for word in words:
                     weight = [sum(g.delta_weight(n)[k] for g in word) for k in range(n)]
@@ -538,7 +592,10 @@ def test_cartan_bracket_scalars_are_integer_polynomials(n):
                     want = [int(at_0), int(at_1 - at_0)]
                     while want and not want[-1]:
                         want.pop()
-                    poly = _scalar(form, table.encode(word))
+                    coeff = ordering.scalar(form, table.encode(word))
+                    assert type(coeff) is int or all(type(c) is int for c in coeff)
+                    value = coeff if type(coeff) is int else eng._at[coeff]
+                    poly = value if type(value) is tuple else (value,) if value else ()
                     assert all(type(c) is int for c in poly), (gx, gy, word)
                     assert poly == tuple(want), (gx, gy, word)
         # one Cartan-only bracket per positive root and its negative
