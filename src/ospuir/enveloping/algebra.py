@@ -13,11 +13,14 @@ spanned by anticommutators of odd generators.  The basis used here:
     mix(i, j)        {a_i^+, a_j^-}/2, i != j   weight delta_i - delta_j
     cartan(i)        {a_i^+, a_i^-}             weight 0
 
-This table is held once, in Generator.factors: an even generator is c
-times the anticommutator of its two odd factors (c = 1/2 for double and
-mix, 1 otherwise), an odd one is its one factor.  A generator's weight is
-the sum of its factors' weights, its omega-image flips each factor's sign,
-and the brackets follow from the trilinear relations on the factors.
+This table is held once, in _KINDS: an even generator is c times the
+anticommutator of its two odd factors (c = 1/2 for double and mix, 1
+otherwise), an odd one is its one factor.  _named is its inverse, the
+generator that given odd factors name.  Everything else is read off the
+factors: a generator is well formed when its factors name it, its weight
+(and so its name) is the sum of its factors' weights, its omega-image is
+named by the factors with their signs flipped, and the brackets follow
+from the trilinear relations on the factors.
 
 The super-bracket table is built once per rank, together with each
 generator's weight, PBW key, class, parity, omega-image and (for an odd
@@ -64,19 +67,10 @@ class Generator(_GeneratorFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, i: int, j: int = 0, sign: int = 1) -> "Generator":
-        if kind not in (KIND_ODD, KIND_DOUBLE, KIND_SUM, KIND_MIX, KIND_CARTAN):
-            raise ValueError(f"unknown kind {kind!r}")
-        if kind in (KIND_ODD, KIND_DOUBLE) and j != 0:
-            raise ValueError("single-index generator takes no j")
-        if kind == KIND_SUM and not i < j:
-            raise ValueError("sum generator needs i < j")
-        if kind == KIND_MIX and (i == j or sign != 1):
-            raise ValueError("mix generator needs i != j and default sign")
-        if kind == KIND_CARTAN and (j != 0 or sign != 1):
-            raise ValueError("cartan generator takes no j or sign")
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return super().__new__(cls, kind, i, j, sign)
+        g = super().__new__(cls, kind, i, j, sign)
+        if kind not in _KINDS or sign not in (1, -1) or _named(g.factors()[1]) != g:
+            raise ValueError(f"no generator {tuple(g)!r}")
+        return g
 
     @property
     def is_odd(self) -> bool:
@@ -85,16 +79,8 @@ class Generator(_GeneratorFields):
     def factors(self) -> Tuple[Fraction, Tuple[Tuple[int, int], ...]]:
         """(c, odd factors (i, s)): an even generator is c {a_p, a_q} for its
         two factors p, q, an odd one is its one factor a_p (c = 1)."""
-        i, j, s = self.i, self.j, self.sign
-        if self.kind == KIND_ODD:
-            return ONE, ((i, s),)
-        if self.kind == KIND_DOUBLE:
-            return HALF, ((i, s), (i, s))
-        if self.kind == KIND_SUM:
-            return ONE, ((i, s), (j, s))
-        if self.kind == KIND_MIX:   # sorted, which fixes the bracket term order
-            return HALF, tuple(sorted(((i, 1), (j, -1))))
-        return ONE, ((i, 1), (i, -1))
+        c, rule = _KINDS[self.kind]
+        return c, rule(self.i, self.j, self.sign)
 
     def delta_weight(self, n: int) -> Tuple[int, ...]:
         w = [0] * n
@@ -103,22 +89,38 @@ class Generator(_GeneratorFields):
         return tuple(w)
 
     def name(self) -> str:
-        if self.kind == KIND_CARTAN:
-            return f"H{self.i}"
-        w = dict_weight_name(self)
-        return f"X[{w}]"
+        """X[weight], positive terms first (X[d2-d1]); H{i} for weight 0."""
+        w: Dict[int, int] = {}
+        for i, s in self.factors()[1]:
+            w[i] = w.get(i, 0) + s
+        terms = sorted((c < 0, i, c) for i, c in w.items() if c)
+        text = "".join(f"{'-' if c < 0 else '+'}{abs(c) if abs(c) > 1 else ''}d{i}"
+                       for _, i, c in terms)
+        return f"X[{text.lstrip('+')}]" if text else f"H{self.i}"
 
 
-def dict_weight_name(g: Generator) -> str:
-    if g.kind == KIND_ODD:
-        return f"d{g.i}" if g.sign > 0 else f"-d{g.i}"
-    if g.kind == KIND_DOUBLE:
-        return f"2d{g.i}" if g.sign > 0 else f"-2d{g.i}"
-    if g.kind == KIND_SUM:
-        return (f"d{g.i}+d{g.j}" if g.sign > 0 else f"-d{g.i}-d{g.j}")
-    if g.kind == KIND_MIX:
-        return f"d{g.i}-d{g.j}"
-    raise ValueError(g.kind)
+# kind: (c, odd factors of (i, j, sign)); the mix factors are sorted, which
+# fixes the bracket term order
+_KINDS = {
+    KIND_ODD: (ONE, lambda i, j, s: ((i, s),)),
+    KIND_DOUBLE: (HALF, lambda i, j, s: ((i, s), (i, s))),
+    KIND_SUM: (ONE, lambda i, j, s: ((i, s), (j, s))),
+    KIND_MIX: (HALF, lambda i, j, s: tuple(sorted(((i, 1), (j, -1))))),
+    KIND_CARTAN: (ONE, lambda i, j, s: ((i, 1), (i, -1))),
+}
+
+
+def _named(fs: Sequence[Tuple[int, int]]) -> Generator:
+    """The generator whose odd factors are fs, in either order."""
+    if len(fs) == 1:
+        ((i, s),) = fs
+        return Generator._make((KIND_ODD, i, 0, s))
+    (i, s), (j, t) = sorted(fs)
+    if s == t:
+        return Generator._make((KIND_DOUBLE, i, 0, s) if i == j else (KIND_SUM, i, j, s))
+    if i == j:
+        return Generator._make((KIND_CARTAN, i, 0, 1))
+    return Generator._make((KIND_MIX, i, j, 1) if s > 0 else (KIND_MIX, j, i, 1))
 
 
 Combo = Dict[Generator, Fraction]
@@ -126,15 +128,8 @@ Combo = Dict[Generator, Fraction]
 
 def _pair_to_combo(p: Tuple[int, int], q: Tuple[int, int]) -> Combo:
     """Expand the raw anticommutator {a_p, a_q} in the scaled basis."""
-    (i, s), (j, t) = (p, q) if p <= q else (q, p)
-    if i == j and s == t:
-        return {Generator(KIND_DOUBLE, i, sign=s): Fraction(2)}
-    if i != j and s == t:
-        return {Generator(KIND_SUM, i, j, sign=s): Fraction(1)}
-    if i == j:
-        return {Generator(KIND_CARTAN, i): Fraction(1)}
-    plus, minus = ((i, j) if s > 0 else (j, i))
-    return {Generator(KIND_MIX, plus, minus): Fraction(2)}
+    g = _named((p, q))
+    return {g: ONE / g.factors()[0]}
 
 
 RAISING = "raising"
@@ -304,9 +299,4 @@ def structure_constants(n: int) -> StructureTable:
 
 def omega(g: Generator) -> Generator:
     """Anti-involution swapping a_i^+ and a_i^-; fixes the Cartan."""
-    flipped = [(i, -s) for i, s in g.factors()[1]]
-    if g.is_odd:
-        ((i, s),) = flipped
-        return Generator(KIND_ODD, i, sign=s)
-    (image,) = _pair_to_combo(*flipped)
-    return image
+    return _named([(i, -s) for i, s in g.factors()[1]])

@@ -449,8 +449,9 @@ class VermaEngine:
 
 # An engine keeps its pairing memo and blocks while it is cached (0.3 to
 # 0.5 MB for a rank-3 label set with a != 0 scanned at three d to level 3;
-# the rank's shared normal ordering, about 0.55 MB there, is held once), so
-# a sweep over many label sets keeps only the 8 most recently used.
+# the rank's shared normal ordering, about 0.55 MB there, is held once and
+# goes with the rank's last engine), so a sweep over many label sets keeps
+# only the 8 most recently used.
 # Criterion 2 and unitarity_grid run label set by label set, and
 # perfbench's catalog-r3 makes 75 lookups over 6 to 8 label sets: 8 slots
 # rebuild no engine there, 4 slots rebuild 3.

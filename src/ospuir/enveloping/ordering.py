@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
 from typing import Dict, Mapping, Sequence, Tuple, Union
+from weakref import WeakValueDictionary
 
 from ospuir.enveloping.algebra import CARTAN, LOWERING, RAISING, StructureTable, structure_constants
 
@@ -106,12 +106,16 @@ class NormalOrder:
         return terms
 
 
-@lru_cache(maxsize=1)
+_orders: WeakValueDictionary[int, NormalOrder] = WeakValueDictionary()
+
+
 def normal_order(n: int) -> NormalOrder:
-    """Rank n's shared normal ordering.  One rank at a time: an engine
-    keeps a reference to its own, and a call at another rank starts
-    afresh."""
-    return NormalOrder(n)
+    """Rank n's shared normal ordering, held while something (an engine of
+    the rank) refers to it: once the last one is gone, so is its memo."""
+    order = _orders.get(n)
+    if order is None:
+        order = _orders[n] = NormalOrder(n)
+    return order
 
 
 def _times(c: Coeff, k: int) -> Coeff:

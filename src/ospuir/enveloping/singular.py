@@ -35,10 +35,8 @@ from ospuir.enveloping.module import (
     weight_space_words,
 )
 from ospuir.linalg import in_span, nullspace, rref
-from ospuir.root_system import (
-    build_root_system, check_exact, delta_to_simple, int_tuple, is_int, pairing, rho_shift,
-)
-from ospuir.weights import Signature, lowest_weight, reduction_points
+from ospuir.root_system import check_exact, delta_to_simple, int_tuple, is_int
+from ospuir.weights import Signature, reducibility_report, reduction_points
 
 
 class AnomalyError(AssertionError):
@@ -103,15 +101,14 @@ def find_singular(sig: Signature, beta: Sequence, m: int) -> List[ModuleVector]:
         raise ValueError("m must be a positive integer")
     check_exact(beta)
     beta_coords = tuple(Fraction(x) for x in beta)
-    if beta_coords not in {row[3].coords for row in build_root_system(sig.n).families}:
+    entry = next((e for e in reducibility_report(sig).entries if e.root.coords == beta_coords),
+                 None)
+    if entry is None:
         raise ValueError(f"beta = ({', '.join(map(str, beta_coords))}) is not "
                          f"a positive root of rank {sig.n}")
     offset = tuple(m * int(x) for x in delta_to_simple(beta_coords))
     sols = singular_space(sig, offset)
-    mu = rho_shift(lowest_weight(sig))
-    m_val = pairing(mu, beta_coords)
-    predicted = m_val == m
-    if predicted and not sols:
+    if entry.m_value == m and not sols:
         raise AnomalyError(
             f"reducibility holds for beta={beta_coords}, m={m} but no singular "
             f"vector was found at sig={sig}"

@@ -117,6 +117,19 @@ def test_structure_table_shape():
     assert len(tab.generators) == 27
 
 
+@pytest.mark.parametrize("kind, i, j, sign", [
+    ("even", 1, 0, 1),                                    # unknown kind
+    (KIND_ODD, 1, 2, 1), (KIND_DOUBLE, 1, 2, -1),         # j != 0
+    (KIND_SUM, 2, 2, 1), (KIND_SUM, 3, 1, -1),            # i >= j
+    (KIND_MIX, 2, 2, 1), (KIND_MIX, 1, 2, -1),            # i == j, sign -1
+    (KIND_CARTAN, 1, 2, 1), (KIND_CARTAN, 1, 0, -1),      # j != 0, sign -1
+    (KIND_ODD, 1, 0, 0), (KIND_SUM, 1, 2, 2),             # sign not +-1
+])
+def test_generator_is_the_one_its_factors_name(kind, i, j, sign):
+    with pytest.raises(ValueError):
+        Generator(kind, i, j, sign)
+
+
 def test_basis_count_mismatch_is_a_failed_check(monkeypatch):
     # a wrong basis count is an internal fault, an AssertionError like the
     # library's other failed checks; __wrapped__ skips the per-rank cache

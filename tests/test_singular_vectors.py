@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from fractions import Fraction
 
+from ospuir.enveloping import singular
 from ospuir.enveloping.module import ModuleVector, engine_for, word_name
 from ospuir.enveloping.singular import (
     AnomalyError,
@@ -388,6 +389,16 @@ def test_zero_set_recovers_seeded_linear_factors():
 
 def test_anomaly_error_is_an_exception():
     assert issubclass(AnomalyError, Exception)
+
+
+def test_find_singular_reports_a_predicted_vector_that_is_missing(monkeypatch):
+    # m_delta1 = 1 at d = 3, a = (1, 1): an empty kernel there is an anomaly,
+    # while at m = 2, which the criterion does not predict, it is an answer
+    monkeypatch.setattr(singular, "singular_space", lambda sig, offset: [])
+    sig = Signature(3, Fraction(3), (1, 1))
+    with pytest.raises(AnomalyError, match="reducibility holds"):
+        find_singular(sig, (1, 0, 0), 1)
+    assert find_singular(sig, (1, 0, 0), 2) == []
 
 
 def test_singular_solvers_refuse_an_offset_that_is_not_ints():

@@ -25,6 +25,7 @@ from ospuir.enveloping.algebra import (
     Generator,
     KIND_CARTAN,
     KIND_DOUBLE,
+    KIND_MIX,
     KIND_ODD,
     LOWERING,
     RAISING,
@@ -396,6 +397,26 @@ def _assert_acts_match(n, a, rng):
                 assert out.offset == tuple(
                     a + b for a, b in zip(offset, ref.facts[g].weight_exp)
                 ), (g, word)
+    # omega(y) omega(x) on a vector with the word x y, for noncompact x and
+    # y: each lowering letter meets its raising partner in a Cartan
+    # eigenvalue of degree 1 in d, so the second multiplies two polynomials
+    # of degree 1 (dpoly.mul's general branch); checked against the
+    # reference applied twice
+    cases = [(off, w) for off in offsets if sum(off) > 1 for w in weight_space_words(n, off)
+             if len(w) == 2 and all(g.kind != KIND_MIX for g in w)]
+    for off, (x, y) in rng.sample(cases, min(4, len(cases))):
+        basis = weight_space_words(n, off)
+        terms = {w: Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 4))
+                 for w in rng.sample(basis, min(2, len(basis))) + [(x, y)]}
+        pair = (omega(y), omega(x))
+        expected = terms
+        for g in reversed(pair):
+            acted = {}
+            for w, c in expected.items():
+                add_scaled(acted, ref.act_word_terms(g, w), c)
+            expected = acted
+        out = eng.apply_word(pair, ModuleVector(sig, off, terms))
+        assert out.terms == expected, (a, pair, terms)
     return eng
 
 
@@ -418,7 +439,7 @@ def test_label_sets_of_a_rank_share_one_normal_ordering(monkeypatch):
     # the same solve at a = (0, 2) and at a = (1, 1) expands no new
     # normal-ordering entry: every (g, word) it needs is already shared.
     module._engine_cache.cache_clear()
-    ordering.normal_order.cache_clear()
+    gc.collect()   # the rank's ordering goes with its last engine
     misses = []
     expand = ordering.NormalOrder._expand
 
@@ -482,6 +503,19 @@ def test_sweep_over_100_label_sets_holds_bounded_memory():
     after_25, after_100 = traced
     assert after_100 <= after_25 + 256 * 1024, (after_25, after_100)
     assert sum(ref() is not None for ref in refs) <= 8
+
+
+def test_normal_ordering_goes_with_the_last_engine_of_its_rank():
+    # the rank-4 ordering a level-3 scan fills (23,887 entries, about 8.5 MB
+    # traced) is freed with the engine that held it
+    module._engine_cache.cache_clear()
+    sig = Signature(4, Fraction(9, 2), (0, 0, 1))
+    assert gram_psd_check(sig, max_level=3).psd
+    order = weakref.ref(ordering.normal_order(4))
+    assert engine_for(sig)._act.__self__ is order()
+    module._engine_cache.cache_clear()
+    gc.collect()
+    assert order() is None
 
 
 def reference_cartan_forms(n):
