@@ -15,15 +15,15 @@ each distinct coefficient is one Fraction and each exponent tuple is
 joined from the two decoded halves of its key.  The Verma character is 1
 over the restricted positive roots; finite-dimensional characters of the
 restricted B_n system are the alternating Weyl numerator over the same
-roots, summed on ints over the signed permutations of W(B_n); and the
-unitary lowest-weight characters of the rank-three algebra are finite
-alternating combinations of compact sl(3) characters over the six
-noncompact roots.  Each sl(3) character is its six-term Weyl numerator
-over the three compact roots, so a unitary character is one alternating
-numerator over all nine restricted roots, and all three kinds end in one
-division, _restricted_series, which also checks maxdeg.  The compact sl(3)
-character alone is its numerator over the three compact roots, divided at
-the numerator's top degree and checked by degree.
+roots; and the unitary lowest-weight characters of the rank-three algebra
+are finite alternating combinations of compact sl(3) characters over the
+six noncompact roots, each an S_3 numerator over the three compact roots.
+One routine, _weyl_numerator, sums every such numerator on ints, so a
+unitary character is one alternating numerator over all nine restricted
+roots, and all three kinds end in one division, _restricted_series, which
+also checks maxdeg.  The compact sl(3) character alone is its numerator
+over the three compact roots, divided at the numerator's top degree and
+checked by degree.
 """
 
 from __future__ import annotations
@@ -283,30 +283,26 @@ def weyl_dimension(lam0: Weight) -> Fraction:
     return num / den
 
 
-def _weyl_numerator(lam0: Weight) -> Dict[Exp, int]:
-    """The alternating Weyl numerator of the finite-dimensional character
-    with lowest weight lam0: the sum over W(B_n) of det(w) t^e(w), where
-    e(w) is mu0 - w(mu0) in the simple-root basis, mu0 = rho - lam0.
+def _weyl_numerator(mu0: Sequence, flips: bool) -> Dict[Exp, int]:
+    """The alternating sum of det(w) t^e(w) over W(B_n) when flips is true,
+    or over its subgroup S_n of permutations when it is false, where e(w)
+    is mu0 - w(mu0) in the simple-root basis: the Weyl numerator of lowest
+    weight rho - mu0, or with mu0 = (m1 + m2, m2, 0) and no flips that of
+    the compact sl(3) factor with labels (m1, m2).
 
-    Requires every label (rho - lam0, alpha_k-vee) to be a positive
-    integer.  Then 2 mu0 is an int vector whose entries share one parity,
-    so each signed permutation w moves it on ints, every entry of
-    2 mu0 - w(2 mu0) is even, and e(w) is the prefix sums of its halves.
-    det(w) = (-1)^length(w) is the sign of the permutation times the
-    product of the signs.
+    2 mu0 must be an int vector whose entries share one parity, so each w
+    moves it on ints, every entry of 2 mu0 - w(2 mu0) is even, and e(w) is
+    the prefix sums of its halves; mu0 must be dominant, so e(w) >= 0.
+    det(w) is the sign of the permutation times the product of the signs.
     """
-    n = len(lam0)
-    labels = labels_of_weight(lam0)
-    if any(m.denominator != 1 or m < 1 for m in labels):
-        raise ValueError("labels must be positive integers, got "
-                         + ", ".join(map(str, labels)))
-    check_rank("weyl_group", n)
-    two_mu = [2 * x for x in rho_shift(lam0)]
+    n = len(mu0)
+    two_mu = [2 * x for x in mu0]
     if any(x.denominator != 1 or (x - two_mu[0]) % 2 for x in two_mu):
         raise AssertionError(f"2 mu0 is not an int vector of one parity: {two_mu}")
     two_mu = [int(x) for x in two_mu]
-    # det of the sign flips, in the order product() lists them
-    flips = [(-1) ** signs.count(-1) for signs in product((1, -1), repeat=n)]
+    # det of the sign changes (none without flips), in product()'s order
+    choices = 2 if flips else 1
+    dets = [(-1) ** signs.count(-1) for signs in product((1, -1)[:choices], repeat=n)]
     numerator: Dict[Exp, int] = {}
     for perm in permutations(range(n)):
         moved = [0] * n
@@ -314,12 +310,12 @@ def _weyl_numerator(lam0: Weight) -> Dict[Exp, int]:
             moved[p] = x
         sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
         # entry k of mu0 - w(mu0) when w puts the sign +1 or -1 at k
-        halves = [((a - b) // 2, (a + b) // 2) for a, b in zip(two_mu, moved)]
-        for picked, flip in zip(product(*halves), flips):
+        halves = [((a - b) // 2, (a + b) // 2)[:choices] for a, b in zip(two_mu, moved)]
+        for picked, det in zip(product(*halves), dets):
             exp = tuple(accumulate(picked))
             if min(exp) < 0:
                 raise AssertionError(f"numerator exponent not dominant: {exp}")
-            numerator[exp] = numerator.get(exp, 0) + sign * flip
+            numerator[exp] = numerator.get(exp, 0) + sign * det
     return {e: c for e, c in numerator.items() if c}
 
 
@@ -331,24 +327,14 @@ def weyl_character(lam0: Weight, maxdeg: int) -> NormalizedCharacter:
     divided by (1 - t^alpha) for each restricted positive root, truncated
     at maxdeg.
     """
-    numerator = _weyl_numerator(lam0)
-    return NormalizedCharacter(prefix=lam0,
-                               series=_restricted_series(len(lam0), numerator, maxdeg))
-
-
-def _sl3_numerator(m1: int, m2: int) -> Dict[Exp, int]:
-    """Weyl numerator of the compact sl(3) factor with labels (m1, m2) in
-    t_1, t_2: the six alternating terms t^(mu0 - sigma mu0) over S_3, which
-    cancel to zero when either label vanishes.  Labels (1, 1) give
-    (1 - t1)(1 - t2)(1 - t1 t2), the numerator of the trivial factor."""
-    if not (is_int(m1) and is_int(m2)) or m1 < 0 or m2 < 0:
-        raise ValueError("labels must be nonnegative integers")
-    m12 = m1 + m2
-    numerator: Dict[Exp, int] = {}
-    for e, c in (((0, 0), 1), ((m1, 0), -1), ((0, m2), -1),
-                 ((m1, m12), 1), ((m12, m2), 1), ((m12, m12), -1)):
-        numerator[e] = numerator.get(e, 0) + c
-    return {e: c for e, c in numerator.items() if c}
+    n = len(lam0)
+    labels = labels_of_weight(lam0)
+    if any(m.denominator != 1 or m < 1 for m in labels):
+        raise ValueError("labels must be positive integers, got "
+                         + ", ".join(map(str, labels)))
+    check_rank("weyl_group", n)
+    numerator = _weyl_numerator(rho_shift(lam0), flips=True)
+    return NormalizedCharacter(prefix=lam0, series=_restricted_series(n, numerator, maxdeg))
 
 
 def sl3_character(m1: int, m2: int) -> CharacterSeries:
@@ -358,7 +344,7 @@ def sl3_character(m1: int, m2: int) -> CharacterSeries:
     nonnegative.  The result is zero when either label vanishes, and for
     positive labels it is the two-variable quotient
 
-      (1 - t1^m1)(... six-term numerator ...) / ((1-t1)(1-t2)(1-t1 t2)),
+      (alternating sum over S_3) / ((1-t1)(1-t2)(1-t1 t2)),
 
     computed as the series quotient Q truncated at the numerator's top
     degree T.  The denominator D has total degree 4 and constant term 1,
@@ -367,7 +353,9 @@ def sl3_character(m1: int, m2: int) -> CharacterSeries:
     f/D - Q, lies above T, so it is 0.  A quotient with such a term
     raises ValueError.  Total dimension is m1*m2*(m1+m2)/2.
     """
-    numerator = _sl3_numerator(m1, m2)
+    if not (is_int(m1) and is_int(m2)) or m1 < 0 or m2 < 0:
+        raise ValueError("labels must be nonnegative integers")
+    numerator = {e[:2]: c for e, c in _weyl_numerator((m1 + m2, m2, 0), flips=False).items()}
     top = max((sum(e) for e in numerator), default=0)
     quotient = p_divide_one_minus(numerator, ((1, 0), (0, 1), (1, 1)), top)
     if any(sum(e) > top - 4 for e in quotient):
@@ -442,12 +430,12 @@ def unitary_character(
         raise ValueError("labels must be nonnegative integers")
     if any(lo is not None and (m is None or m < lo) for m, lo in zip((m1, m2), row.least)):
         raise ValueError(f"case {name} needs {row.needs}")
-    # each sl(3) character is its Weyl numerator over the three compact
+    # each sl(3) character is its S_3 numerator over the three compact
     # factors, so the bracket times those factors is divided by all nine
     numerator: Dict[Exp, int] = {}
-    for sign, shift, labels in row.bracket(m1, m2):
-        for (x, y), c in _sl3_numerator(*labels).items():
-            e = (x + shift[0], y + shift[1], shift[2])
+    for sign, shift, (l1, l2) in row.bracket(m1, m2):
+        for e, c in _weyl_numerator((l1 + l2, l2, 0), flips=False).items():
+            e = tuple(x + s for x, s in zip(e, shift))
             numerator[e] = numerator.get(e, 0) + sign * c
     series = _restricted_series(3, numerator, maxdeg)
     a = row.labels(m1, m2)

@@ -17,10 +17,11 @@ This table is held once, in _KINDS: an even generator is c times the
 anticommutator of its two odd factors (c = 1/2 for double and mix, 1
 otherwise), an odd one is its one factor.  _named is its inverse, the
 generator that given odd factors name.  Everything else is read off the
-factors: a generator is well formed when its factors name it, its weight
-(and so its name) is the sum of its factors' weights, its omega-image is
-named by the factors with their signs flipped, and the brackets follow
-from the trilinear relations on the factors.
+factors: a generator is well formed when its factors' indices are ints
+>= 1 and the factors name it, its weight (and so its name) is the sum of
+its factors' weights, its omega-image is named by the factors with their
+signs flipped, and the brackets follow from the trilinear relations on
+the factors.
 
 The super-bracket table is built once per rank, together with each
 generator's weight, PBW key, class, parity, omega-image and (for an odd
@@ -42,7 +43,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from ospuir.root_system import check_rank
+from ospuir.root_system import check_rank, is_int
 
 KIND_ODD = "odd"
 KIND_DOUBLE = "double"
@@ -68,7 +69,11 @@ class Generator(_GeneratorFields):
 
     def __new__(cls, kind: str, i: int, j: int = 0, sign: int = 1) -> "Generator":
         g = super().__new__(cls, kind, i, j, sign)
-        if kind not in _KINDS or sign not in (1, -1) or _named(g.factors()[1]) != g:
+        # indices count from 1: an index 0 or -1 would read delta_weight's
+        # list from its end
+        fs = g.factors()[1] if kind in _KINDS else None
+        if (fs is None or not all(is_int(p) and p >= 1 for p, _ in fs)
+                or sign not in (1, -1) or _named(fs) != g):
             raise ValueError(f"no generator {tuple(g)!r}")
         return g
 

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 from fractions import Fraction
+from math import factorial
 
 from ospuir.characters import (
     UNITARY,
@@ -298,12 +299,13 @@ def test_sl3_character_times_compact_factors_is_its_numerator():
 
 
 def test_sl3_character_refuses_an_inexact_numerator(monkeypatch):
-    full = characters._sl3_numerator
-    for dropped in full(2, 3):
-        def short(m1, m2, dropped=dropped):
-            return {e: c for e, c in full(m1, m2).items() if e != dropped}
+    # labels (2, 3) are mu0 = (5, 3, 0)
+    full = characters._weyl_numerator
+    for dropped in full((5, 3, 0), flips=False):
+        def short(mu0, flips, dropped=dropped):
+            return {e: c for e, c in full(mu0, flips).items() if e != dropped}
 
-        monkeypatch.setattr(characters, "_sl3_numerator", short)
+        monkeypatch.setattr(characters, "_weyl_numerator", short)
         with pytest.raises(ValueError, match="division check failed"):
             sl3_character(2, 3)
 
@@ -327,13 +329,16 @@ def test_weyl_character_trivial_and_dimensions():
         weyl_character(weight_from_labels((1, 0, 1)), 6)
 
 
-def group_walk_weyl_numerator(lam0):
-    """The sum over W(B_n) of (-1)^length(w) t^(mu0 - w mu0), mu0 = rho -
-    lam0: the group listed by weyl.generate, each element applied on
-    Fractions and the shift expanded in the simple roots."""
+def group_walk_weyl_numerator(lam0, flips):
+    """The sum over W(B_n), or over its sign-free subgroup S_n when flips
+    is false, of (-1)^length(w) t^(mu0 - w mu0), mu0 = rho - lam0: the
+    group listed by weyl.generate, each element applied on Fractions and
+    the shift expanded in the simple roots."""
     mu0 = rho_shift(lam0)
     out = {}
     for w in generate(len(lam0)):
+        if not flips and -1 in w.signs:
+            continue
         shift = tuple(a - b for a, b in zip(mu0, apply(w, mu0)))
         exp = delta_to_simple(shift)
         assert all(x >= 0 and x.denominator == 1 for x in exp), exp
@@ -347,10 +352,12 @@ def test_weyl_numerator_matches_the_group_walk():
                   (1, 1, 1, 1), (2, 1, 1, 3), (1, 3, 2, 1)]
     for labels in label_sets:
         lam0 = weight_from_labels(labels)
-        got = characters._weyl_numerator(lam0)
-        assert got == group_walk_weyl_numerator(lam0), labels
-        # every label is positive, so no two elements share an exponent
-        assert len(got) == len(generate(len(labels))), labels
+        for flips, order in ((True, len(generate(len(labels)))),
+                             (False, factorial(len(labels)))):
+            got = characters._weyl_numerator(rho_shift(lam0), flips)
+            assert got == group_walk_weyl_numerator(lam0, flips), (labels, flips)
+            # every label is positive, so no two elements share an exponent
+            assert len(got) == order, (labels, flips)
     with pytest.raises(ValueError, match=r"\[1, 6\] for weyl_group, got 7"):
         weyl_character(weight_from_labels((1,) * 7), 3)
 
@@ -586,6 +593,31 @@ def test_unitary_characters_match_gram_ranks(case, m1, m2):
     wrong = [mu for mu in mus
              if char.series.coefficient(mu) != len(rref(engine.gram(sig, mu).scaled)[1])]
     assert wrong == []
+
+
+D12_TERM = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the d12 row's second term, at t^(m2, 2m2, 2m2), carries sl(3) labels "
+    "(1, m2 - 1), but the compact labels of its weight are (1, 0); "
+    "see ROADMAP item 1"))
+
+
+@pytest.mark.parametrize("case, m1, m2", (
+    [("d1", m1, m2) for m1 in range(1, 5) for m2 in range(1, 5)]
+    + [("d2", None, m2) for m2 in range(2, 5)]
+    + [("d2eq13", None, None), ("d23", None, None)]
+    + [pytest.param("d12", None, m2, marks=D12_TERM) for m2 in range(2, 5)]))
+def test_each_unitary_term_names_one_weight(case, m1, m2):
+    # a term (sign, shift, labels) is the compact sl(3) character whose
+    # lowest weight is Lambda + shift, so its labels are that weight's
+    # first two; the shift is in simple roots, whose delta coordinates are
+    # its successive differences
+    row = UNITARY[case]
+    a = row.labels(m1, m2)
+    lam = lowest_weight(Signature(3, reduction_points(3, a).value(*row.point), a))
+    for _, shift, labels in row.bracket(m1, m2):
+        delta = [x - y for x, y in zip(shift, (0,) + shift[:-1])]
+        weight = tuple(x + y for x, y in zip(lam, delta))
+        assert labels_of_weight(weight)[:2] == labels, (shift, labels)
 
 
 def test_unitary_case_parameter_validation():

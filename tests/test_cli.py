@@ -105,6 +105,19 @@ def test_usage_errors_exit_2(tmp_path):
             assert run(["grid", "--n", n, "--a-max", "-1", "--format", fmt]) == (2, "")
     # compact_1 and compact_2 are the catalog's only compact vectors
     assert run(["verify", "--id", "compact_3"]) == (2, "")
+    # no catalog choice; a label list that is no int list, is missing or
+    # has the wrong count
+    for argv, message in (
+            (["verify"], "verify needs --all or --id"),
+            (["multiplet", "--n", "3", "--labels", "1,x,1"],
+             "not a comma-separated integer list: '1,x,1'"),
+            (["multiplet", "--n", "3", "--labels", "1,1"], "need 3 labels"),
+            (["character", "--case", "weyl", "--n", "3"], "case weyl needs --labels"),
+            (["character", "--case", "weyl", "--n", "3", "--labels", "1,1"], "need 3 labels")):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(argv) == (2, ""), argv
+        assert err.getvalue() == f"error: {message}\n", argv
     assert run(["classify", "--n", "3", "--a", "1,1", "--d", "3",
                 "--format", "dot"]) == (2, "")
     for level in ("0", "-2"):

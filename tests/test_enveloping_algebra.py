@@ -124,6 +124,8 @@ def test_structure_table_shape():
     (KIND_MIX, 2, 2, 1), (KIND_MIX, 1, 2, -1),            # i == j, sign -1
     (KIND_CARTAN, 1, 2, 1), (KIND_CARTAN, 1, 0, -1),      # j != 0, sign -1
     (KIND_ODD, 1, 0, 0), (KIND_SUM, 1, 2, 2),             # sign not +-1
+    (KIND_ODD, 0, 0, 1), (KIND_SUM, -1, 2, 1),            # an index below 1
+    (KIND_ODD, 1.5, 0, 1), (KIND_ODD, True, 0, 1),        # an index not an int
 ])
 def test_generator_is_the_one_its_factors_name(kind, i, j, sign):
     with pytest.raises(ValueError):

@@ -467,6 +467,9 @@ def test_ragged_rows_raise():
         nullspace([[1, 2]], cols=3)
     with pytest.raises(ValueError):
         in_span([[1, 0, 0]], [0, 1])
+    # no rows give no column count
+    with pytest.raises(ValueError, match="explicit column count"):
+        nullspace([])
 
 
 @pytest.mark.parametrize("bad", [0.5, 0.0, "1/2", Decimal("0.5")])

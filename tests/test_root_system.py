@@ -120,6 +120,12 @@ def test_coroot_zero_rejected():
         coroot((0, 0, 0))
 
 
+def test_root_vector_parity_is_checked():
+    assert RootVector((Fraction(1),), ODD).parity == ODD
+    with pytest.raises(ValueError, match="parity must be 'even' or 'odd'"):
+        RootVector((Fraction(1),), "bosonic")
+
+
 def test_delta_to_simple_examples():
     assert delta_to_simple((0, 0, 1)) == (0, 0, 1)
     assert delta_to_simple((1, 1, 0)) == (1, 2, 2)

@@ -25,7 +25,8 @@ from ospuir.enveloping.singular import (
     verify_singular,
     verify_subsingular,
 )
-from ospuir.linalg import nullspace
+from ospuir.enveloping.algebra import KIND_ODD, Generator
+from ospuir.linalg import in_span, nullspace
 from ospuir.weights import Signature, reduction_points
 
 
@@ -140,6 +141,9 @@ def test_singular_vectors_are_annihilated_by_simple_lowerings():
     for j in (1, 2, 3):
         out = eng.act(simple_lowering(3, j), space[0])
         assert all(c == 0 for c in out.terms.values())
+    for j in (0, 4):
+        with pytest.raises(ValueError, match=r"simple index must be in \[1, 3\]"):
+            simple_lowering(3, j)
 
 
 def _fraction_singular_space(sig, offset):
@@ -211,6 +215,50 @@ def test_verify_rejects_a_vector_outside_a_nonempty_kernel():
     assert len(find_singular(sig, (0, 1, 1), 1)) == 1
     assert not printed_vector("sv_d23", sig).is_zero
     assert not verify_singular("sv_d23", sig)
+
+
+def test_verify_rejects_a_zero_printed_vector(monkeypatch):
+    # every coefficient times 0 normal-orders to the zero vector, which is
+    # refused before any kernel is solved
+    sig = printed_regime("sv_d2")
+    assert verify_singular("sv_d2", sig)
+    entry = CATALOG["sv_d2"]
+    zeroed = entry._replace(terms=lambda a1, a2: [(w, 0 * c) for w, c in entry.terms(a1, a2)])
+    monkeypatch.setitem(CATALOG, "sv_d2", zeroed)
+    assert printed_vector("sv_d2", sig).is_zero
+
+    def unreachable(*args):
+        raise AssertionError("find_singular ran on a zero vector")
+
+    monkeypatch.setattr(singular, "find_singular", unreachable)
+    assert not verify_singular("sv_d2", sig)
+
+
+def test_verify_answers_an_anomaly_with_false(monkeypatch):
+    # with no singular space, the kernel that the criterion predicts at the
+    # printed regime is empty: find_singular raises, and the check fails
+    sig = printed_regime("sv_d2")
+    monkeypatch.setattr(singular, "singular_space", lambda sig, offset: [])
+    with pytest.raises(AnomalyError, match="reducibility holds"):
+        find_singular(sig, CATALOG["sv_d2"].beta, 1)
+    assert not verify_singular("sv_d2", sig)
+
+
+def test_subsingular_check_fails_in_its_lowering_loop(monkeypatch):
+    # X[d3] v0 at d = 1/3, a = (0, 0) is outside the singular-generated
+    # submodule, and so is its one nonzero lowering image, by the odd
+    # lowering: one span test at the vector and one at that image
+    calls = []
+
+    def counted(span, v):
+        calls.append(len(v))
+        return in_span(span, v)
+
+    sig = Signature(3, Fraction(1, 3), (0, 0))
+    vec = engine_for(sig).from_words(sig, [((Generator(KIND_ODD, 3, sign=1),), 1)])
+    monkeypatch.setattr(singular, "in_span", counted)
+    assert not is_subsingular(vec)
+    assert len(calls) == 2
 
 
 def test_subsingular_check_solves_each_singular_space_once(monkeypatch):

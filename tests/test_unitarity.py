@@ -159,6 +159,13 @@ def test_subsingular_points():
             assert subsingular_points(n, a) == _subsingular_by_family(n, a), (n, a)
 
 
+def test_label_counts_are_checked():
+    with pytest.raises(ValueError, match="expected 2 labels, got 1"):
+        subsingular_points(3, (0,))
+    with pytest.raises(ValueError, match="expected 2 label ranges, got 3"):
+        unitarity_grid(3, ((0,), (0,), (0,)), [Fraction(1)])
+
+
 def test_grid_shape_and_rows():
     d_values = [Fraction(k, 4) for k in range(17)]
     rows = unitarity_grid(3, ((0, 1), (0, 1)), d_values)

@@ -636,6 +636,21 @@ def test_cartan_bracket_scalars_are_integer_polynomials(n):
         assert forms == len(raising) == n * (n + 1)
 
 
+def test_engine_refuses_vectors_it_cannot_build_or_pair():
+    sig = Signature(3, Fraction(5, 2), (0, 0))
+    eng = engine_for(sig)
+    low, high = eng.basis((0, 0, 1))[0], eng.basis((0, 1, 1))[0]
+    with pytest.raises(ValueError, match="no terms given"):
+        eng.from_words(sig, [])
+    with pytest.raises(ValueError, match="different weight spaces"):
+        eng.from_words(sig, [(low, 1), (high, 1)])
+    # one engine serves every d of the label set, but a pairing does not
+    other = Signature(3, Fraction(3), (0, 0))
+    assert engine_for(other) is eng
+    with pytest.raises(ValueError, match="different signatures"):
+        eng.pair(eng.from_words(sig, [(low, 1)]), eng.from_words(other, [(low, 1)]))
+
+
 def test_engine_entry_points_take_exact_input_only():
     # a float coefficient was read as its binary Fraction, and a float
     # offset was truncated: basis((0.5, 1.9, 1)) gave the basis at (0, 1, 1)

@@ -131,6 +131,14 @@ def test_inverse_and_compose():
         assert _key(compose(inverse, w)) == _key(e)
 
 
+def test_index_and_rank_refusals():
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=r"generator index must be in \[1, 3\]"):
+            simple_reflection(3, k)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        compose(identity(2), identity(3))
+
+
 def test_weyl_element_equality_ignores_length_and_word():
     # generate and the multiplet search look elements up by (perm, signs);
     # the length and reduced word they carry must not split one element
