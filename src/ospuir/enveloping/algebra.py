@@ -73,7 +73,7 @@ class Generator(_GeneratorFields):
         # list from its end
         fs = g.factors()[1] if kind in _KINDS else None
         if (fs is None or not all(is_int(p) and p >= 1 for p, _ in fs)
-                or sign not in (1, -1) or _named(fs) != g):
+                or not is_int(sign) or sign not in (1, -1) or _named(fs) != g):
             raise ValueError(f"no generator {tuple(g)!r}")
         return g
 
@@ -126,15 +126,6 @@ def _named(fs: Sequence[Tuple[int, int]]) -> Generator:
     if i == j:
         return Generator._make((KIND_CARTAN, i, 0, 1))
     return Generator._make((KIND_MIX, i, j, 1) if s > 0 else (KIND_MIX, j, i, 1))
-
-
-Combo = Dict[Generator, Fraction]
-
-
-def _pair_to_combo(p: Tuple[int, int], q: Tuple[int, int]) -> Combo:
-    """Expand the raw anticommutator {a_p, a_q} in the scaled basis."""
-    g = _named((p, q))
-    return {g: ONE / g.factors()[0]}
 
 
 RAISING = "raising"

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
+from operator import mul
 from typing import Collection, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 Weight = Tuple[Fraction, ...]
@@ -222,50 +223,32 @@ def is_positive(v: Sequence) -> bool:
     return False
 
 
-_PARTITION_MEMO_LIMIT = 1 << 17
-
-
-@lru_cache(maxsize=1)
-def _partition_memo(n: int) -> Dict[Tuple[Tuple[int, ...], int], int]:
-    """partition_count's memo at rank n, on (remainder, root index): the
-    weights of one rank share it, a call at another rank starts afresh, and
-    a call that leaves it above _PARTITION_MEMO_LIMIT entries empties it."""
-    return {}
-
-
 def partition_count(n: int, mu: Sequence[int]) -> int:
     """Number of multisets of restricted positive roots summing to mu.
 
     mu is given in the simple-root basis.  This is the Kostant partition
     function of the restricted system, the coefficient of t^mu in the Verma
-    character series.
+    character series.  The counts of every exponent e <= mu fill one list,
+    indexed in mixed radix (mu_k + 1).  Every restricted root r is
+    nonnegative in the simple basis, so each root in turn is admitted by
+    one pass g[e] += g[e - r] over the cells e >= r in ascending order;
+    nothing outlives the call.
     """
+    roots = build_root_system(n).restricted_exps
     mu = int_tuple(mu)
     if len(mu) != n:
         raise ValueError("length mismatch")
     if any(x < 0 for x in mu):
         return 0
-    roots = build_root_system(n).restricted_exps
-    memo = _partition_memo(n)
-
-    def rec(rem: Tuple[int, ...], idx: int) -> int:
-        if not any(rem):
-            return 1
-        if idx == len(roots):
-            return 0
-        key = (rem, idx)
-        total = memo.get(key)
-        if total is not None:
-            return total
-        total = 0
-        r = roots[idx]
-        while not any(x < 0 for x in rem):
-            total += rec(rem, idx + 1)
-            rem = tuple(x - y for x, y in zip(rem, r))
-        memo[key] = total
-        return total
-
-    count = rec(mu, 0)
-    if len(memo) > _PARTITION_MEMO_LIMIT:
-        memo.clear()
-    return count
+    # cell e is g[sum(e_k * strides[k])], the last digit fastest
+    strides = [1] * n
+    for k in range(n - 1, 0, -1):
+        strides[k - 1] = strides[k] * (mu[k] + 1)
+    g = [1] + [0] * (strides[0] * (mu[0] + 1) - 1)
+    for r in roots:
+        shift = sum(map(mul, r, strides))
+        # the cells e >= r, the first digit outermost, so indices ascend
+        cells = product(*(range(x * s, (m + 1) * s, s) for x, m, s in zip(r, mu, strides)))
+        for i in map(sum, cells):
+            g[i] += g[i - shift]
+    return g[-1]

@@ -19,6 +19,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ospuir.root_system import check_rank
 from ospuir.weights import ReductionPoints, Signature, point_name, reduction_points
 
 BRANCH_CONTINUOUS = "continuous"
@@ -114,9 +115,11 @@ def subsingular_points(n: int, a: Sequence[int]) -> List[Tuple[Fraction, str]]:
 
     Sorted by decreasing d.
     """
+    check_rank("roots", n)
     a = tuple(a)
     if len(a) != n - 1:
         raise ValueError(f"expected {n - 1} labels, got {len(a)}")
+    Signature(n, 0, a)   # refuses the labels that no signature takes
     out: List[Tuple[Fraction, str]] = []
     for e in (0, 1):
         for j in range(2, n - e):

@@ -240,15 +240,15 @@ def test_partition_count_examples():
 
 
 def test_verma_series_matches_partition_count():
-    maxdeg = 5
-    series = verma_character(3, maxdeg)
+    series = verma_character(3, 5)
     assert series.coefficient((0, 0, 0)) == 1
     assert series.coefficient((0, 1, 1)) == 2
-    for e1 in range(maxdeg + 1):
-        for e2 in range(maxdeg + 1 - e1):
-            for e3 in range(maxdeg + 1 - e1 - e2):
-                mu = (e1, e2, e3)
-                assert series.coefficient(mu) == partition_count(3, mu), mu
+    # every coefficient to total degree maxdeg, at ranks 1..5
+    for n, maxdeg in ((1, 10), (2, 8), (3, 6), (4, 5), (5, 4)):
+        series = verma_character(n, maxdeg)
+        for mu in itertools.product(range(maxdeg + 1), repeat=n):
+            if sum(mu) <= maxdeg:
+                assert series.coefficient(mu) == partition_count(n, mu), (n, mu)
 
 
 def test_sl3_character_values():

@@ -1,6 +1,7 @@
 """Root data for B(0,n): positive systems, rho, coroots, basis changes."""
 
 import random
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -28,6 +29,7 @@ from ospuir.root_system import (
     pairing,
     partition_count,
 )
+from ospuir.unitarity import subsingular_points
 from ospuir.weights import Signature
 
 
@@ -185,11 +187,10 @@ def cached_memo(cache, n):
     return memo
 
 
-def test_partition_count_leaves_no_growing_state(monkeypatch):
-    # the recursion's memo serves one rank at a time: after each round of
-    # calls at ranks 2..6, with new weights every round, it holds exactly
-    # what the round's rank-6 calls leave on their own, and no other
-    # module-level state grows
+def test_partition_count_leaves_no_growing_state():
+    # each count lives only in its own call: after each round of calls at
+    # ranks 2..6, with new weights every round, no module-level state has
+    # grown, and counting a round again gives the same counts
     rng = random.Random(20261018)
     states = []
     for _ in range(3):
@@ -197,26 +198,27 @@ def test_partition_count_leaves_no_growing_state(monkeypatch):
                  for n in range(2, 7)}
         counts = [partition_count(n, mu) for n, mus in calls.items() for mu in mus]
         states.append(_module_state())
-        assert root_system._partition_memo.cache_info().currsize == 1
-        memo = cached_memo(root_system._partition_memo, 6)
-        root_system._partition_memo.cache_clear()
-        assert [partition_count(6, mu) for mu in calls[6]] == counts[-5:]
-        assert len(memo) == len(cached_memo(root_system._partition_memo, 6))
+        assert [partition_count(n, mu) for n, mus in calls.items() for mu in mus] == counts
     assert states[0] == states[1] == states[2]
-    # a memo above the limit is emptied by the call that overfilled it
-    root_system._partition_memo.cache_clear()
-    count = partition_count(6, (2, 3, 3, 3, 3, 3))
-    assert len(cached_memo(root_system._partition_memo, 6)) > 10
-    root_system._partition_memo.cache_clear()
-    monkeypatch.setattr(root_system, "_PARTITION_MEMO_LIMIT", 10)
-    assert partition_count(6, (2, 3, 3, 3, 3, 3)) == count
-    assert cached_memo(root_system._partition_memo, 6) == {}
     assert partition_count(6, (0, 0, 0, 0, 0, 1)) == 1
+
+
+def test_partition_count_holds_one_box_of_ints():
+    # the count holds the box below (2,)*8, its 3^8 cells, and no more
+    tracemalloc.start()
+    try:
+        assert partition_count(8, (2,) * 8) == 9500
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 # Every library entry point that checks a feature's rank, as a call at rank n.
 RANK_ENTRY_POINTS = {
-    "roots": (build_root_system, lambda n: Signature(n, 1, (0,) * max(n - 1, 0))),
+    "roots": (build_root_system, lambda n: Signature(n, 1, (0,) * max(n - 1, 0)),
+              lambda n: partition_count(n, (-1,) * max(n, 0)),
+              lambda n: subsingular_points(n, (0,) * max(n - 1, 0))),
     "engine": (algebra.structure_constants,),
     "weyl_group": (weyl.generate,),
     "multiplet": (lambda n: weyl.multiplet_orbit((Fraction(0),) * max(n, 0)),),

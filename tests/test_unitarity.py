@@ -157,6 +157,10 @@ def test_subsingular_points():
     for n in range(2, 12):
         for a in itertools.product(range(3), repeat=n - 1):
             assert subsingular_points(n, a) == _subsingular_by_family(n, a), (n, a)
+    # labels are refused as Signature refuses them
+    for bad in ((0, -1), (True, 0), (0, Fraction(1, 2)), (0.5, 0)):
+        with pytest.raises(ValueError, match="labels a_k must be nonnegative integers"):
+            subsingular_points(3, bad)
 
 
 def test_label_counts_are_checked():
