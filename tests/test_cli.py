@@ -398,6 +398,16 @@ def test_rank4_unitary_gram_cell_matches_golden():
     assert out == (GOLDEN_DIR / "gram_n_4_a_0-0-0_d_5_2_max-level_4.out").read_text()
 
 
+def test_rank4_nonunitary_a_zero_gram_cell_matches_golden():
+    # the witness block (1,2,3,4) at level 4 comes after 41 blocks that
+    # repeat an earlier block's triangle; the output was captured while the
+    # scan still judged every block
+    code, out = run(["gram", "--n", "4", "--a", "0,0,0", "--d", "5/4",
+                     "--max-level", "4"])
+    assert code == 0 and json.loads(out)["witness"]["offset"] == [1, 2, 3, 4]
+    assert out == (GOLDEN_DIR / "gram_n_4_a_0-0-0_d_5_4_max-level_4.out").read_text()
+
+
 @pytest.mark.parametrize("a, d, verdict", [("0,0,1", "5/2", "psd"), ("1,0,1", "3", "not_psd")])
 def test_rank4_gram_cells_off_a_zero_match_goldens(a, d, verdict):
     # at a != 0 the scan judges the kept rows of whole blocks; both outputs

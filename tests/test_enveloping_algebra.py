@@ -401,9 +401,12 @@ def test_noncompact_words_filter_the_whole_basis():
     for off in ((2, 1, 1), (1, 0, 1), (0, 1, 0), (1, 2, 1)):
         assert weight_space_words(3, off) and noncompact_words(3, off) == (), off
     assert noncompact_words(5, (1, 2, 2, 1, 3)) == ()
-    for bad in ((1, 1), (0, -1, 1)):
-        with pytest.raises(ValueError):
-            noncompact_words(3, bad)
+    # both listings refuse an offset as partition_count does, a bool or a
+    # float entry included
+    for bad in ((1, 1), (0, -1, 1), (True, 1, 1), (1.0, 1, 1)):
+        for listing in (weight_space_words, noncompact_words):
+            with pytest.raises(ValueError):
+                listing(3, bad)
 
 
 def test_weight_space_words_match_pinned_digests():
@@ -521,6 +524,10 @@ def test_level_offsets_enumeration():
             )
             expected = [tuple(itertools.accumulate(x)) for x in deltas]
             assert level_offsets(n, level) == expected, (n, level)
+    # a level that is not a nonnegative int (a bool is not one) is refused
+    for bad in (True, -1, 1.0):
+        with pytest.raises(ValueError, match=f"level must be a nonnegative integer, got {bad!r}$"):
+            level_offsets(3, bad)
 
 
 def test_psd_check_cases():

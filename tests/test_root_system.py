@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from ospuir import linalg, root_system, weyl
 from ospuir.enveloping import algebra
+from ospuir.enveloping.module import level_offsets
 from ospuir.root_system import (
     EVEN,
     FAMILY_COMPACT,
@@ -218,7 +219,8 @@ def test_partition_count_holds_one_box_of_ints():
 RANK_ENTRY_POINTS = {
     "roots": (build_root_system, lambda n: Signature(n, 1, (0,) * max(n - 1, 0)),
               lambda n: partition_count(n, (-1,) * max(n, 0)),
-              lambda n: subsingular_points(n, (0,) * max(n - 1, 0))),
+              lambda n: subsingular_points(n, (0,) * max(n - 1, 0)),
+              lambda n: level_offsets(n, 1)),
     "engine": (algebra.structure_constants,),
     "weyl_group": (weyl.generate,),
     "multiplet": (lambda n: weyl.multiplet_orbit((Fraction(0),) * max(n, 0)),),

@@ -378,6 +378,83 @@ def test_psd_scan_matches_fraction_reference():
     assert verdicts == {True, False}
 
 
+def _every_block_psd_check(sig, max_level):
+    """The Gram scan with nothing skipped: every dominant block in the
+    scan's order, judged whole by psd_witness, up to the first witness."""
+    eng = engine_for(sig)
+    levels = []
+    for level in range(1, max_level + 1):
+        levels.append(level)
+        for offset in level_offsets(sig.n, level):
+            gram = eng.gram(sig, offset)
+            coeffs = psd_witness(gram.scaled)
+            if coeffs is None:
+                continue
+            witness = ModuleVector(sig, offset, dict(zip(gram.basis, coeffs)))
+            return PsdReport(sig, max_level, False, witness, eng.norm(witness),
+                             offset, tuple(levels))
+    return PsdReport(sig, max_level, True, None, None, None, tuple(levels))
+
+
+@pytest.mark.parametrize("n, max_level", [(2, 4), (3, 4), (4, 3), (5, 2)])
+def test_scan_of_distinct_triangles_matches_every_block_scan(n, max_level):
+    # a = 0, where most blocks repeat an earlier block's triangle, and one
+    # seeded nonzero label set, each on one engine at d = n (every block
+    # PSD), then the nonunitary d = 1/4 and 3/4 of a = 0, then seeded d on
+    # the k/4 grid: a verdict kept from one d to the next, or a triangle
+    # taken for an earlier one of the same shape, shows in a field
+    rng = random.Random(20261024 + n)
+    a = [rng.randint(0, 2) for _ in range(n - 1)]
+    a[rng.randrange(n - 1)] = rng.randint(1, 2)
+    ds = [Fraction(n), Fraction(1, 4), Fraction(3, 4)]
+    ds += [Fraction(rng.randint(0, 4 * n), 4) for _ in range(3)]
+    verdicts = set()
+    for labels in ((0,) * (n - 1), tuple(a)):
+        for d in ds:
+            sig = Signature(n, d, labels)
+            report = gram_psd_check(sig, max_level)
+            assert report == _every_block_psd_check(sig, max_level), sig
+            verdicts.add(report.psd)
+    assert verdicts == {True, False}
+
+
+def test_scan_judges_each_distinct_triangle_once(monkeypatch):
+    # one packed_psd call per distinct scanned triangle in a unitary scan
+    # (the scan used to make one per block: 34, 69 and 34 here); at
+    # a = (0, 1) no two blocks have the same triangle
+    judged = []
+
+    def counted(packed):
+        judged.append(packed)
+        return packed_psd(packed)
+
+    monkeypatch.setattr(module, "packed_psd", counted)
+    for n, a, d, blocks, distinct in (
+            (3, (0, 0), Fraction(3), 34, 13),
+            (4, (0, 0, 0), Fraction(5, 2), 69, 14),
+            (3, (0, 1), Fraction(5, 2), 34, 34)):
+        judged.clear()
+        sig = Signature(n, d, a)
+        assert gram_psd_check(sig, max_level=4).psd, sig
+        offsets = [off for level in range(1, 5) for off in level_offsets(n, level)]
+        triangles = {engine_for(sig)._block(off)[2] for off in offsets}
+        assert (len(offsets), len(triangles), len(judged)) == (blocks, distinct, distinct), sig
+
+
+def test_scan_gathers_blocks_only_where_it_reaches(monkeypatch):
+    # on a fresh engine a nonunitary scan gathers the scanned block of each
+    # offset up to the witness's, in the scan's order, and the witness's
+    # whole block, and nothing ahead of the witness
+    for n, a, d in ((4, (0, 0, 0), Fraction(5, 4)), (3, (0, 1), Fraction(1, 2))):
+        eng = VermaEngine(n, a)
+        monkeypatch.setattr(module, "engine_for", lambda sig: eng)
+        report = gram_psd_check(Signature(n, d, a), max_level=4)
+        offsets = [off for level in range(1, 5) for off in level_offsets(n, level)]
+        reached = offsets[:offsets.index(report.witness_offset) + 1]
+        assert set(eng._blocks) == {(off, any(a)) for off in reached} | {
+            (report.witness_offset, True)}, (a, report.witness_offset)
+
+
 def _assert_acts_match(n, a, rng):
     sig = Signature(n, Fraction(rng.randint(0, 16), 4), a)
     eng = VermaEngine(n, a)
