@@ -74,7 +74,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import mul
+from operator import add, mul, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ospuir.dpoly import (
@@ -490,39 +490,63 @@ def engine_for(sig: Signature) -> VermaEngine:
     return _engine_cache(sig.n, sig.a)
 
 
-# A run of letters for _tail_words: generators in PBW order, each with its
-# weight in the coordinates that the recursion's remainders use.
+# A run of letters: generators in PBW order, each with its weight in the
+# coordinates that _tail_words' remainders use.  _alphabets keeps a run as
+# (its even letters, _tail_words' memo on them, its odd table): the table
+# maps the weight of each subset of the trailing odd letters to the word it
+# forms.
 Letters = Tuple[Tuple[Generator, Tuple[int, ...]], ...]
-_TAIL_MEMO_LIMIT = 1 << 14   # every dominant basis of rank 4 to level 4 takes 9,054
+Run = Tuple[Letters, Dict, Dict[Tuple[int, ...], Word]]
+_TAIL_MEMO_LIMIT = 1 << 14   # every dominant basis of rank 4 to level 4 takes 6,680
+
+
+def _run(n: int, letters: Letters) -> Run:
+    """letters as _tail_words reads them, with an empty memo.  The odd
+    table lists the subsets as the recursion over the odd letters met them:
+    for each odd letter in turn, multiplicity 0 before 1.  An even letter
+    after an odd one, or two subsets with one weight (a remainder that
+    ends in two words), raises AssertionError."""
+    even = tuple(letter for letter in letters if not letter[0].is_odd)
+    odd = letters[len(even):]
+    if not all(g.is_odd for g, _e in odd):
+        raise AssertionError("an even letter follows an odd one")
+    table: Dict[Tuple[int, ...], Word] = {(0,) * n: ()}
+    for g, e in reversed(odd):
+        table.update([(tuple(map(add, w, e)), (g,) + word) for w, word in table.items()])
+    if len(table) != 1 << len(odd):
+        raise AssertionError("two subsets of the odd letters share a weight")
+    return even, {}, table
 
 
 @lru_cache(maxsize=1)
-def _alphabets(n: int) -> Tuple[Tuple[Letters, Dict], Tuple[Letters, Dict]]:
+def _alphabets(n: int) -> Tuple[Run, Run]:
     """Rank n's raising generators with their simple-basis weights, and
     its noncompact ones (no mix letter) with their delta-basis weights,
-    each run with _tail_words' memo on it.  One rank at a time: the offsets
-    of a rank share the memos, and a call at another rank starts afresh."""
+    each as a Run (see _run), its memo and odd table built once.  One rank
+    at a time: the offsets of a rank share the memos, and a call at another
+    rank starts afresh."""
     table = structure_constants(n)
     raising = table.raising
-    return ((tuple((g, table.weight_exp[table.code[g]]) for g in raising), {}),
-            (tuple((g, g.delta_weight(n)) for g in raising if g.kind != KIND_MIX), {}))
+    return (_run(n, tuple((g, table.weight_exp[table.code[g]]) for g in raising)),
+            _run(n, tuple((g, g.delta_weight(n)) for g in raising if g.kind != KIND_MIX)))
 
 
 def _listing(n: int, offset: Sequence[int], noncompact: bool) -> Tuple[Word, ...]:
     """The offset checks (int_tuple's among them), then the words at offset
-    in one run of _alphabets(n); a call that leaves the run's memo above
-    _TAIL_MEMO_LIMIT entries empties it."""
+    in one run of _alphabets(n), by _tail_words over its even letters; a
+    call that leaves the run's memo above _TAIL_MEMO_LIMIT entries empties
+    it."""
     rem = int_tuple(offset)
     if len(rem) != n:
         raise ValueError("offset length must equal the rank")
     if any(x < 0 for x in rem):
         raise ValueError("offset must be nonnegative")
-    letters, memo = _alphabets(n)[noncompact]
+    letters, memo, odd = _alphabets(n)[noncompact]
     if noncompact:
         rem = tuple(c - b for b, c in zip((0,) + rem, rem))
         if any(x < 0 for x in rem):
             return ()
-    words = _tail_words(letters, memo, 0, rem)
+    words = _tail_words(letters, memo, odd, 0, rem)
     if len(memo) > _TAIL_MEMO_LIMIT:
         memo.clear()
     return words
@@ -536,7 +560,10 @@ def weight_space_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
     ordered lexicographically by their multiplicities, so those that use
     only the generators from the k-th on make one block, shared by every
     offset that reaches the same remainder there (_tail_words, whose memo
-    holds each whole basis too).
+    holds each whole basis too).  The odd generators come last in PBW
+    order, each at most once, and distinct sets of them have distinct
+    weights, so a remainder left after the even ones ends in at most one
+    word, read from the run's odd table (_run).
     """
     return _listing(n, offset, noncompact=False)
 
@@ -557,30 +584,31 @@ def noncompact_words(n: int, offset: Tuple[int, ...]) -> Tuple[Word, ...]:
     return _listing(n, offset, noncompact=True)
 
 
-def _tail_words(letters: Letters, memo: Dict, idx: int,
-                rem: Tuple[int, ...]) -> Tuple[Word, ...]:
-    """The PBW words at remainder rem in the letters[idx:], ordered as
-    weight_space_words orders its words; an odd generator is used at most
-    once.  Every letter's weight is nonnegative in the coordinates of rem,
-    so a remainder with a negative coordinate has no word and ends the
-    run."""
+def _tail_words(letters: Letters, memo: Dict, odd: Dict[Tuple[int, ...], Word],
+                idx: int, rem: Tuple[int, ...]) -> Tuple[Word, ...]:
+    """The PBW words at remainder rem in the even letters[idx:] followed by
+    the odd letters of odd (a run's odd table), ordered as
+    weight_space_words orders its words.  Past the even letters the one
+    word, if any, is odd[rem].  Every letter's weight is nonnegative in the
+    coordinates of rem, so a remainder with a negative coordinate has no
+    word and ends the run."""
+    if idx == len(letters):
+        word = odd.get(rem)
+        return () if word is None else (word,)
     if not any(rem):
         return ((),)
-    if idx == len(letters):
-        return ()
     key = (idx, rem)
     hit = memo.get(key)
     if hit is not None:
         return hit
     g, e = letters[idx]
+    idx += 1
     out: List[Word] = []
     prefix: Word = ()
     while True:
-        out.extend(prefix + tail for tail in _tail_words(letters, memo, idx + 1, rem))
-        if g.is_odd and prefix:
-            break
-        rem = tuple(a - b for a, b in zip(rem, e))
-        if any(x < 0 for x in rem):
+        out.extend(map(prefix.__add__, _tail_words(letters, memo, odd, idx, rem)))
+        rem = tuple(map(sub, rem, e))
+        if min(rem) < 0:
             break
         prefix += (g,)
     words = memo[key] = tuple(out)

@@ -409,6 +409,85 @@ def test_noncompact_words_filter_the_whole_basis():
                 listing(3, bad)
 
 
+def _brute_force_words(n, offset, noncompact=False):
+    """The PBW words at a simple-basis offset, found without the module's
+    recursion: every multiplicity vector over the raising generators (no
+    mix generator when noncompact) whose weight is offset, an odd generator
+    at most once, sorted lexicographically and spelt in PBW order.  The
+    generators are tried from the last to the first, so the simple compact
+    ones, unit vectors in simple coordinates, come last and close every
+    remainder whose last coordinate is 0."""
+    gens = [g for g in structure_constants(n).raising
+            if not (noncompact and g.kind == KIND_MIX)]
+    weights = [tuple(int(c) for c in delta_to_simple(g.delta_weight(n))) for g in gens]
+    found = []
+
+    def extend(k, rem, mults):   # the generators before k are left
+        if k == 0:
+            if not any(rem):
+                found.append(tuple(reversed(mults)))
+            return
+        k -= 1
+        top = min(r // c for r, c in zip(rem, weights[k]) if c)
+        for m in range((min(top, 1) if gens[k].is_odd else top) + 1):
+            extend(k, tuple(r - m * c for r, c in zip(rem, weights[k])), mults + [m])
+
+    extend(len(gens), tuple(offset), [])
+    return tuple(tuple(g for g, m in zip(gens, mults) for _ in range(m))
+                 for mults in sorted(found))
+
+
+def test_listings_match_a_brute_force_enumeration():
+    # both listings, whole basis and noncompact words, on every dominant
+    # offset to level 4 at ranks 2..4 and level 3 at rank 5, and on seeded
+    # offsets outside the dominant sector (simple coordinates that decrease)
+    rng = random.Random(20261021)
+    for n, top in ((2, 4), (3, 4), (4, 4), (5, 3)):
+        offsets = [off for level in range(top + 1) for off in level_offsets(n, level)]
+        outside = []
+        while len(outside) < 8:
+            off = tuple(rng.randint(0, 3) for _ in range(n))
+            if any(a > b for a, b in zip(off, off[1:])):
+                outside.append(off)
+        for off in offsets + outside:
+            assert weight_space_words(n, off) == _brute_force_words(n, off), (n, off)
+            assert noncompact_words(n, off) == _brute_force_words(n, off, True), (n, off)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_each_run_tables_every_subset_of_its_odd_letters(n):
+    # a run recurses over its even letters and reads what is left from a
+    # table with one entry per subset of the n odd letters: its weight (in
+    # the run's coordinates) to the word it forms, listed as the recursion
+    # over the odd letters met them, multiplicity 0 before 1
+    odd = [g for g in structure_constants(n).raising if g.is_odd]
+    module._alphabets.cache_clear()
+    for run, coords in enumerate((delta_to_simple, tuple)):
+        letters, memo, table = module._alphabets(n)[run]
+        assert memo == {} and not any(g.is_odd for g, _e in letters)
+        assert len(table) == 2 ** n
+        expected = {}
+        for mults in itertools.product((0, 1), repeat=n):
+            word = tuple(g for g, m in zip(odd, mults) if m)
+            weight = [sum(g.delta_weight(n)[k] for g in word) for k in range(n)]
+            expected[tuple(int(c) for c in coords(weight))] = word
+        assert list(table.items()) == list(expected.items())
+
+
+def test_a_run_that_cannot_table_its_odd_tail_is_refused():
+    even = (Generator(KIND_DOUBLE, 1, sign=1), (2, 0))
+    odd1, odd2 = Generator(KIND_ODD, 1, sign=1), Generator(KIND_ODD, 2, sign=1)
+    assert module._run(2, (even, (odd1, (1, 0)), (odd2, (0, 1))))[2] == {
+        (0, 0): (), (0, 1): (odd2,), (1, 0): (odd1,), (1, 1): (odd1, odd2)}
+    # an even letter after an odd one
+    with pytest.raises(AssertionError, match="even letter follows an odd one"):
+        module._run(2, ((odd1, (1, 0)), even, (odd2, (0, 1))))
+    # two subsets, {odd1, odd2} and {odd3}, of one weight
+    odd3 = Generator(KIND_ODD, 3, sign=1)
+    with pytest.raises(AssertionError, match="share a weight"):
+        module._run(2, (even, (odd1, (1, 0)), (odd2, (0, 1)), (odd3, (1, 1))))
+
+
 def test_weight_space_words_match_pinned_digests():
     # captured before the bases were built from shared tails: one line per
     # (n, offset) with the dimension and the sha256 of the word names, one
