@@ -77,7 +77,8 @@ def p_divide_one_minus(f: Poly, exps: Sequence[Exp], maxdeg: int) -> Poly:
     """Series of f / prod(1 - t^v) over v in exps, truncated at maxdeg.
 
     Each v must be a nonnegative exponent vector with a positive total
-    degree.  Zero terms are dropped.  The work is done on ints: the
+    degree, and every v and every exponent of f must have one length, else
+    ValueError.  Zero terms are dropped.  The work is done on ints: the
     coefficients are held as numerators over one common denominator, the
     lcm of f's denominators, and an exponent vector e as the one int
     sum_k (e_k - lo_k) B^k, where lo is the coordinatewise minimum of 0 and
@@ -93,6 +94,8 @@ def p_divide_one_minus(f: Poly, exps: Sequence[Exp], maxdeg: int) -> Poly:
     it.  Those memos hold only what the output holds.
     """
     vs = [tuple(v) for v in exps]
+    if len({*map(len, f), *map(len, vs)}) > 1:
+        raise ValueError("exponent vectors of different lengths")
     for v in vs:
         if sum(v) <= 0 or any(x < 0 for x in v):
             raise ValueError(f"need a nonzero nonnegative exponent vector, got {v}")
@@ -164,7 +167,8 @@ class CharacterSeries(_CharacterSeriesFields):
 
     coeffs maps exponent tuples (length n) to nonzero Fractions; every
     stored total degree is at most maxdeg.  The constructor normalises
-    what it is given (no coeffs is the zero series); the series this
+    what it is given (no coeffs is the zero series) and refuses an
+    exponent of another length with ValueError; the series this
     module builds are canonical already and skip that pass: _canonical
     builds the tuple directly.
     """
@@ -174,6 +178,8 @@ class CharacterSeries(_CharacterSeriesFields):
     def __new__(cls, n: int, maxdeg: int,
                 coeffs: Optional[Mapping[Exp, Fraction]] = None) -> "CharacterSeries":
         coeffs = {int_tuple(e): c for e, c in (coeffs or {}).items()}
+        if any(len(e) != n for e in coeffs):
+            raise ValueError(f"exponent vectors must have length n = {n}")
         check_exact(coeffs.values())
         clean = {e: Fraction(c) for e, c in coeffs.items() if c and sum(e) <= maxdeg}
         return super().__new__(cls, n, maxdeg, clean)

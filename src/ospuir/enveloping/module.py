@@ -48,12 +48,12 @@ the block's top degree, with the one positive scale q^D; the scan gives
 that triangle to linalg.packed_psd as it is, and only where it is not
 PSD builds the whole block, over the whole basis, for psd_witness, so
 that the witness is the whole block's.  Many blocks have the same
-triangle as an earlier one, most of them at a = 0 (13 distinct among
-the 34 dominant blocks of rank 3 to level 4, 14 among 69 at rank 4): the
-engine notes, per offset, whether its triangle is the first of its value
-in the scan's order, and the scan evaluates and judges only the first,
-since equal matrices have equal verdicts and the first comes earlier in
-every scan that reaches a repeat.  A generator's action from one
+triangle as another, most of them at a = 0 (13 distinct among the 34
+dominant blocks of rank 3 to level 4, 14 among 69 at rank 4).  The
+engine holds each triangle value as one object, so equal triangles are
+the same object, and a scan skips a triangle it has already judged in
+the same call: equal matrices have equal verdicts, and that one was PSD,
+or the scan would have stopped there.  A generator's action from one
 weight space to the next is evaluated the same way, into the int matrix
 that singular-vector kernels are solved from.
 
@@ -213,8 +213,7 @@ class VermaEngine:
         self._at = _AtLabels(self.a)
         self._pair_memo: Dict[Tuple[CodeWord, CodeWord], Poly] = {}
         self._blocks: Dict[Tuple[Tuple[int, ...], bool], Block] = {}   # (offset, whole)
-        self._scan: Dict[Tuple[int, ...], Optional[Tuple[Triangle, int]]] = {}
-        self._triangles: Set[Triangle] = set()
+        self._triangles: Dict[Triangle, Triangle] = {}   # value -> the one object held
 
     def _check_signature(self, sig: Signature) -> None:
         if (sig.n, sig.a) != (self.n, self.a):
@@ -383,7 +382,9 @@ class VermaEngine:
         """The Gram block at offset over the rows the scan judges (the
         noncompact words at a = 0, the whole basis otherwise), or over the
         whole basis; gathered once and reduced to its kept rows, whose
-        polynomials are the objects held in the pairing memo, not copies."""
+        polynomials are the objects held in the pairing memo, not copies.
+        A triangle equal in value to one gathered before, at any offset, is
+        replaced by that one: equal triangles are one object."""
         whole = whole or any(self.a)
         block = self._blocks.get((offset, whole))
         if block is None:
@@ -398,34 +399,20 @@ class VermaEngine:
             kept = tuple(sorted({i for ij in nonzero for i in ij}))
             upper = tuple(tuple(nonzero.get((i, j), ()) for j in kept[s:])
                           for s, i in enumerate(kept))
+            upper = self._triangles.setdefault(upper, upper)
             top = max([1, *map(len, nonzero.values())]) - 1
             block = self._blocks[offset, whole] = (basis, kept, upper, top)
         return block
-
-    def _scanned(self, offset: Tuple[int, ...]) -> Optional[Tuple[Triangle, int]]:
-        """The scanned block's triangle at offset and its top degree (see
-        _block), or None when the triangle equals, in value, that of an
-        earlier offset in the scan's order.  Decided on the first call for
-        offset and kept.  Every call of gram_psd_check asks for a prefix of
-        the scan's order, from level 1 in level_offsets order, so a None
-        offset's equal triangle was judged earlier in the same call, and a
-        block is gathered only where the scan reaches it."""
-        if offset in self._scan:
-            return self._scan[offset]
-        _basis, _kept, upper, top = self._block(offset)
-        first = upper not in self._triangles
-        self._triangles.add(upper)
-        found = self._scan[offset] = (upper, top) if first else None
-        return found
 
     def _packed(self, sig: Signature, offset: Tuple[int, ...],
                 whole: bool = False) -> IntRows:
         """The kept rows of the block at offset (see _block) at d = p/q:
         the upper triangle of the int matrix q^D G(p/q) over them, D the
-        block's top degree, packed as _block packs it."""
+        block's top degree, packed as _block packs it.  _evaluated does
+        the work, as it does for the scan, which reads _block itself so
+        that it can skip a triangle object it has judged."""
         _basis, _kept, upper, top = self._block(offset, whole)
-        weights = _weights(sig.d, top)
-        return [[sum(map(mul, p, weights)) for p in row] for row in upper]
+        return _evaluated(upper, _weights(sig.d, top))
 
     def gram(self, sig: Signature, offset: Sequence[int]) -> "GramMatrix":
         """The block at offset for d = p/q: q^D G(p/q) as int rows, scale q^D,
@@ -470,6 +457,13 @@ class VermaEngine:
                     raise AssertionError("vector leaves its expected weight space")
                 rows[i][j] = sum(map(mul, p, weights))
         return rows
+
+
+def _evaluated(upper: Triangle, weights: List[int]) -> IntRows:
+    """A packed triangle of polynomials in d at d = p/q, given
+    weights = dpoly.weights(p/q, D) for its top degree D: each entry
+    q^D P(p/q) as an int, packed as the triangle is."""
+    return [[sum(map(mul, p, weights)) for p in row] for row in upper]
 
 
 # An engine keeps its pairing memo and blocks while it is cached (0.3 to
@@ -672,10 +666,10 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
     Each block is judged by the kept rows of its scanned rows
     (VermaEngine._block), with one packed_psd call on their packed int
     triangle: a row that pairs to zero with every row changes no verdict.
-    A block whose triangle equals an earlier block's (VermaEngine._scanned)
-    is not evaluated or judged again: the earlier one, judged in this same
-    call, was PSD, or the scan would have stopped there.  The powers of d
-    are worked out once per top degree per call.
+    Equal triangles are one object on the engine, and the call keeps the
+    ids of those it has found PSD: a block whose triangle is among them is
+    not evaluated or judged again.  Nothing is kept from one call to the
+    next.  The powers of d are worked out once per top degree per call.
     At a = 0 the scanned rows are the noncompact words, which span a
     complement of the radical submodule C (see the module docstring), so
     the form on them is PSD exactly when the whole block is, with the same
@@ -693,18 +687,21 @@ def gram_psd_check(sig: Signature, max_level: int = MAX_LEVEL_DEFAULT) -> PsdRep
         raise ValueError(f"max_level must be at least 1, got {max_level}")
     engine = engine_for(sig)
     weights: Dict[int, List[int]] = {}   # top degree -> _weights(sig.d, top)
+    # ids of the triangles found PSD in this call; the engine holds every
+    # triangle, so no id is reused while the call runs
+    judged: Set[int] = set()
     levels = []
     for level in range(1, max_level + 1):
         levels.append(level)
         for offset in level_offsets(sig.n, level):
-            scanned = engine._scanned(offset)
-            if scanned is None:
+            _basis, _kept, upper, top = engine._block(offset)
+            if id(upper) in judged:
                 continue
-            upper, top = scanned
             w = weights.get(top)
             if w is None:
                 w = weights[top] = _weights(sig.d, top)
-            if packed_psd([[sum(map(mul, p, w)) for p in row] for row in upper]):
+            if packed_psd(_evaluated(upper, w)):
+                judged.add(id(upper))
                 continue
             gram = engine.gram(sig, offset)
             coeffs = psd_witness(gram.scaled)

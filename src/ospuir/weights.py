@@ -99,7 +99,9 @@ def labels_of_weight(lam: Weight) -> Tuple[Fraction, ...]:
 
 def weight_from_labels(labels: Sequence) -> Weight:
     """Weight Lambda with (rho - Lambda, alpha_k-vee) equal to the labels:
-    the inverse of labels_of_weight."""
+    the inverse of labels_of_weight.  A label count outside
+    RANKS["roots"] raises ValueError."""
+    check_rank("roots", len(labels))
     check_exact(labels)
     ms = [Fraction(x) for x in labels]
     n = len(ms)

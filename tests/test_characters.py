@@ -228,6 +228,16 @@ def test_divide_one_minus_rejects_bad_exponents():
             p_divide_one_minus({(0, 0): Fraction(1)}, [v], 5)
         with pytest.raises(ValueError):
             p_divide_one_minus({}, [v], 5)
+    # exponents of mixed lengths: zip cut (0, 0, 1) onto (0, 0), and a
+    # short v was padded with zeros
+    for f, vs in (({(0, 0): 1, (0, 0, 1): 1}, [(1, 0)]),
+                  ({(0, 0): 1}, [(1,)]),
+                  ({(0, 0): 1}, [(1, 0, 0)]),
+                  ({(0, 0, 1): 1}, [(1, 0)]),
+                  ({(0, 0): 1, (5, 5, 5): 1}, [(1, 0)]),
+                  ({}, [(1, 0), (1,)])):
+        with pytest.raises(ValueError, match="different lengths"):
+            p_divide_one_minus(f, vs, 2)
 
 
 def test_partition_count_examples():
@@ -468,6 +478,12 @@ def test_constructor_normalises_outside_input():
             CharacterSeries(2, 3, {key: 1})
         with pytest.raises(ValueError, match="entries must be ints"):
             CharacterSeries(2, 3, {(0, 0): 1, key: 0})
+    # an exponent of another length than n, also on a zero term or past
+    # maxdeg: CharacterSeries(3, 5, {(1, 2): 1}) stored (1, 2)
+    for n, raw in ((3, {(1, 2): 1}), (2, {(0, 0): 1, (0, 0, 0): 0}),
+                   (2, {(9,): 1}), (1, {(): 1})):
+        with pytest.raises(ValueError, match="length n"):
+            CharacterSeries(n, 3, raw)
 
 
 # ------------------------------------------- five-branch unitary reference
@@ -700,6 +716,12 @@ def test_json_writer_matches_the_dict_reference():
         expected = json.dumps({**series_to_json_obj(series), **fields},
                               sort_keys=True, indent=2) + "\n"
         assert series_to_json(series, **fields) == expected, (series, fields)
+
+
+def test_weight_from_labels_refuses_no_labels():
+    # no labels is no rank: it raised IndexError
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        weight_from_labels(())
 
 
 def test_series_inputs_are_exact():

@@ -113,7 +113,12 @@ def test_usage_errors_exit_2(tmp_path):
              "not a comma-separated integer list: '1,x,1'"),
             (["multiplet", "--n", "3", "--labels", "1,1"], "need 3 labels"),
             (["character", "--case", "weyl", "--n", "3"], "case weyl needs --labels"),
-            (["character", "--case", "weyl", "--n", "3", "--labels", "1,1"], "need 3 labels")):
+            (["character", "--case", "weyl", "--n", "3", "--labels", "1,1"], "need 3 labels"),
+            # an empty label list at --n 0 raised IndexError and exited 1
+            (["multiplet", "--n", "0", "--labels", ""],
+             "rank must be an integer in [1, 16] for roots, got 0"),
+            (["character", "--case", "weyl", "--n", "0", "--labels", " "],
+             "rank must be an integer in [1, 16] for roots, got 0")):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert run(argv) == (2, ""), argv

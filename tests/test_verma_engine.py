@@ -441,6 +441,20 @@ def test_scan_judges_each_distinct_triangle_once(monkeypatch):
         assert (len(offsets), len(triangles), len(judged)) == (blocks, distinct, distinct), sig
 
 
+def test_equal_triangles_are_one_object():
+    # over every dominant offset to level 4, each triangle value is held by
+    # one object, whichever offset gathered it first
+    for n, a, blocks, distinct in (
+            (3, (0, 0), 34, 13),
+            (4, (0, 0, 0), 69, 14),
+            (3, (0, 1), 34, 34)):
+        eng = VermaEngine(n, a)
+        triangles = [eng._block(off)[2]
+                     for level in range(1, 5) for off in level_offsets(n, level)]
+        assert (len(triangles), len(set(triangles)), len(set(map(id, triangles)))) == (
+            blocks, distinct, distinct), a
+
+
 def test_scan_gathers_blocks_only_where_it_reaches(monkeypatch):
     # on a fresh engine a nonunitary scan gathers the scanned block of each
     # offset up to the witness's, in the scan's order, and the witness's
