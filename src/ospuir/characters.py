@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
-from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -40,6 +39,7 @@ from ospuir.root_system import (
     build_root_system,
     check_exact,
     check_rank,
+    cleared,
     inner,
     int_tuple,
     is_int,
@@ -76,40 +76,42 @@ def p_mul(f: Poly, g: Poly, maxdeg: Optional[int] = None) -> Poly:
 def p_divide_one_minus(f: Poly, exps: Sequence[Exp], maxdeg: int) -> Poly:
     """Series of f / prod(1 - t^v) over v in exps, truncated at maxdeg.
 
-    Each v must be a nonnegative exponent vector with a positive total
-    degree, and every v and every exponent of f must have one length, else
-    ValueError.  Zero terms are dropped.  The work is done on ints: the
-    coefficients are held as numerators over one common denominator, the
-    lcm of f's denominators, and an exponent vector e as the one int
-    sum_k (e_k - lo_k) B^k, where lo is the coordinatewise minimum of 0 and
-    f's exponents (0 unless f has negative exponents) and
-    B = maxdeg - sum(lo) + 1.  The packing is exact:
-    every term kept has total degree at most maxdeg, so no shifted
-    coordinate reaches B, and e + v is one int addition.  Terms are held
-    in layers by total degree, and for each factor in turn the recurrence
-    g[e] += g[e - v] runs up the layers in ascending degree.  At the end
-    one divmod by B^h, h = n // 2, splits each key into the first h
-    coordinates and the rest; each distinct half is decoded once and each
-    distinct numerator becomes one Fraction, shared by every term that has
-    it.  Those memos hold only what the output holds.
+    maxdeg must pass check_maxdeg, every exponent of f and every v must be
+    an int tuple (int_tuple) of one length, each v nonnegative with a
+    positive total degree, and each coefficient exact, else ValueError.
+    Zero terms are dropped.  The work is done on ints: the coefficients are
+    numerators over one denominator (cleared), and an exponent vector e is
+    the one int sum_k (e_k - lo_k) B^k, where lo is the coordinatewise
+    minimum of 0 and f's exponents (0 unless f has negative exponents) and
+    B = maxdeg - sum(lo) + 1.  The packing is exact: every term kept has
+    total degree at most maxdeg, so no shifted coordinate reaches B, and
+    e + v is one int addition.  Terms are held in layers by total degree,
+    and for each factor in turn the recurrence g[e] += g[e - v] runs up the
+    layers in ascending degree.  At the end one divmod by B^h, h = n // 2,
+    splits each key into the first h coordinates and the rest; each
+    distinct half is decoded once and each distinct numerator becomes one
+    Fraction, shared by every term that has it.  Those memos hold only what
+    the output holds.
     """
-    vs = [tuple(v) for v in exps]
-    if len({*map(len, f), *map(len, vs)}) > 1:
+    check_maxdeg(maxdeg)
+    vs = list(map(int_tuple, exps))
+    keys = list(map(int_tuple, f))
+    if len({*map(len, keys), *map(len, vs)}) > 1:
         raise ValueError("exponent vectors of different lengths")
     for v in vs:
         if sum(v) <= 0 or any(x < 0 for x in v):
             raise ValueError(f"need a nonzero nonnegative exponent vector, got {v}")
-    terms = [(e, Fraction(c)) for e, c in f.items() if c and sum(e) <= maxdeg]
+    den, nums = cleared(f.values())
+    terms = [(e, c) for e, c in zip(keys, nums) if c and sum(e) <= maxdeg]
     if not terms:
         return {}
     lo = [min(0, *col) for col in zip(*(e for e, _ in terms))]
     base = maxdeg - sum(lo) + 1
     place = [base ** k for k in range(len(lo))]
-    den = lcm(*(c.denominator for _, c in terms))
     layers: List[Dict[int, int]] = [{} for _ in range(base)]
     for e, c in terms:
         shifted = [x - m for x, m in zip(e, lo)]
-        layers[sum(shifted)][sum(map(mul, shifted, place))] = c.numerator * (den // c.denominator)
+        layers[sum(shifted)][sum(map(mul, shifted, place))] = c
     for v in vs:
         step = sum(v)
         jump = sum(map(mul, v, place))
@@ -167,16 +169,17 @@ class CharacterSeries(_CharacterSeriesFields):
 
     coeffs maps exponent tuples (length n) to nonzero Fractions; every
     stored total degree is at most maxdeg.  The constructor normalises
-    what it is given (no coeffs is the zero series) and refuses an
-    exponent of another length with ValueError; the series this
-    module builds are canonical already and skip that pass: _canonical
-    builds the tuple directly.
+    what it is given (no coeffs is the zero series) and refuses a bad
+    maxdeg (check_maxdeg) or exponent length with ValueError, as truncate
+    and coefficient do; the series this module builds are canonical
+    already and skip that pass: _canonical builds the tuple directly.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, maxdeg: int,
                 coeffs: Optional[Mapping[Exp, Fraction]] = None) -> "CharacterSeries":
+        check_maxdeg(maxdeg)
         coeffs = {int_tuple(e): c for e, c in (coeffs or {}).items()}
         if any(len(e) != n for e in coeffs):
             raise ValueError(f"exponent vectors must have length n = {n}")
@@ -192,13 +195,17 @@ class CharacterSeries(_CharacterSeriesFields):
         return tuple.__new__(cls, (n, maxdeg, coeffs))
 
     def truncate(self, maxdeg: int) -> "CharacterSeries":
+        check_maxdeg(maxdeg)
         maxdeg = min(self.maxdeg, maxdeg)
         return CharacterSeries._canonical(
             self.n, maxdeg, {e: c for e, c in self.coeffs.items() if sum(e) <= maxdeg}
         )
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.coeffs.get(int_tuple(exp), Fraction(0))
+        exp = int_tuple(exp)
+        if len(exp) != self.n:
+            raise ValueError(f"exponent vectors must have length n = {self.n}")
+        return self.coeffs.get(exp, Fraction(0))
 
     def _exps_sorted(self) -> List[Exp]:
         """The exponents in graded-lex order, by stable sorts on keys that
@@ -262,8 +269,7 @@ def check_maxdeg(maxdeg: object) -> None:
 
 def _restricted_series(n: int, numerator: Poly, maxdeg: int) -> CharacterSeries:
     """numerator / prod(1 - t^alpha) over the restricted positive roots of
-    rank n, truncated at maxdeg (check_maxdeg)."""
-    check_maxdeg(maxdeg)
+    rank n, truncated at maxdeg (p_divide_one_minus checks it)."""
     return CharacterSeries._canonical(
         n, maxdeg, p_divide_one_minus(numerator, build_root_system(n).restricted_exps, maxdeg)
     )

@@ -70,7 +70,6 @@ the way in and decode on the way out.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -91,7 +90,7 @@ from ospuir.dpoly import (
 from ospuir.enveloping.algebra import KIND_MIX, Generator, StructureTable, structure_constants
 from ospuir.enveloping.ordering import CodeWord, normal_order
 from ospuir.linalg import packed_psd, psd_witness
-from ospuir.root_system import check_exact, check_rank, int_tuple, is_int
+from ospuir.root_system import check_exact, check_rank, cleared, int_tuple, is_int
 from ospuir.weights import Signature
 
 Word = Tuple[Generator, ...]
@@ -252,12 +251,9 @@ class VermaEngine:
     def _scaled(self, vec: ModuleVector) -> Tuple[int, CodeTerms]:
         """(s, terms) with terms the vector's coefficients times s, as ints."""
         self._check_signature(vec.sig)
-        scale = math.lcm(*(c.denominator for c in vec.terms.values()))
+        scale, coeffs = cleared(vec.terms.values())
         encode = self.table.encode
-        return scale, {
-            encode(w): (c.numerator * (scale // c.denominator),)
-            for w, c in vec.terms.items()
-        }
+        return scale, {encode(w): (c,) for w, c in zip(vec.terms, coeffs)}
 
     def _vector(self, sig: Signature, offset: Tuple[int, ...], terms: CodeTerms,
                 scale: int) -> ModuleVector:
@@ -283,15 +279,13 @@ class VermaEngine:
     ) -> Tuple[int, Tuple[int, ...], CodeTerms]:
         """(s, offset, terms): s times the sum of coeff * word v0, PBW-ordered."""
         entries = list(entries)
-        check_exact([c for _, c in entries])
-        encode = self.table.encode
-        entries = [(encode(w), Fraction(c)) for w, c in entries]
+        scale, coeffs = cleared([c for _, c in entries])
+        words = [self.table.encode(w) for w, _ in entries]
         if not entries:
             raise ValueError("no terms given")
-        scale = math.lcm(*(c.denominator for _, c in entries))
         total: CodeTerms = {}
         offset: Optional[Tuple[int, ...]] = None
-        for word, c in entries:
+        for word, c in zip(words, coeffs):
             terms = self._apply(word, {(): _ONE}) if c else {}
             if not terms:
                 continue
@@ -299,7 +293,7 @@ class VermaEngine:
                 offset = self._offset(word)
             elif self._offset(word) != offset:
                 raise ValueError("vectors live in different weight spaces")
-            _add_mul(total, terms.items(), (c.numerator * (scale // c.denominator),))
+            _add_mul(total, terms.items(), (c,))
         return scale, offset or (0,) * self.n, total
 
     def from_words(self, sig: Signature,
@@ -404,24 +398,14 @@ class VermaEngine:
             block = self._blocks[offset, whole] = (basis, kept, upper, top)
         return block
 
-    def _packed(self, sig: Signature, offset: Tuple[int, ...],
-                whole: bool = False) -> IntRows:
-        """The kept rows of the block at offset (see _block) at d = p/q:
-        the upper triangle of the int matrix q^D G(p/q) over them, D the
-        block's top degree, packed as _block packs it.  _evaluated does
-        the work, as it does for the scan, which reads _block itself so
-        that it can skip a triangle object it has judged."""
-        _basis, _kept, upper, top = self._block(offset, whole)
-        return _evaluated(upper, _weights(sig.d, top))
-
     def gram(self, sig: Signature, offset: Sequence[int]) -> "GramMatrix":
         """The block at offset for d = p/q: q^D G(p/q) as int rows, scale q^D,
         the kept rows' matrix with zeros elsewhere."""
         self._check_signature(sig)
         offset = int_tuple(offset)
-        basis, kept, _upper, top = self._block(offset, whole=True)
+        basis, kept, upper, top = self._block(offset, whole=True)
         full = [[0] * len(basis) for _ in basis]
-        for s, row in enumerate(self._packed(sig, offset, whole=True)):
+        for s, row in enumerate(_evaluated(upper, _weights(sig.d, top))):
             i = kept[s]
             for j, x in zip(kept[s:], row):
                 full[i][j] = full[j][i] = x

@@ -29,13 +29,13 @@ set at once.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import add
 from typing import Dict, Mapping, Sequence, Tuple, Union
 from weakref import WeakValueDictionary
 
 from ospuir.enveloping.algebra import CARTAN, LOWERING, RAISING, StructureTable, structure_constants
+from ospuir.root_system import cleared
 
 CodeWord = Tuple[int, ...]            # a PBW word as generator codes
 # An int where the coefficient is constant, else c_0 + c_d d + sum_k c_k a_k
@@ -157,8 +157,8 @@ def cartan_forms(n: int) -> Tuple[Dict[int, CartanForm], Dict[Tuple[int, int], C
     combination of Cartan generators only, keyed by (x, y).
 
     The sums are taken on ints: the eigenvalues kappa_h are read once and
-    must be integers, and a combination is scaled by the lcm of its
-    denominators, which must then divide every sum."""
+    must be integers, and a combination is cleared to ints (cleared),
+    whose scale, the lcm of its denominators, must divide every sum."""
     t = structure_constants(n)
     cartan = [x for x, c in enumerate(t.cls) if c == CARTAN]
     kappa, vacuum = {}, {}
@@ -171,10 +171,9 @@ def cartan_forms(n: int) -> Tuple[Dict[int, CartanForm], Dict[Tuple[int, int], C
         vacuum[h] = [2] + [1 if k < i else -1 for k in range(1, n)]
 
     def form(combo: Sequence[Tuple[int, Fraction]]) -> CartanForm:
-        den = math.lcm(*(c.denominator for _, c in combo))
+        den, ms = cleared([c for _, c in combo])
         tail, shift = [0] * n, [0] * len(t.generators)
-        for h, c in combo:
-            m = c.numerator * (den // c.denominator)
+        for (h, _), m in zip(combo, ms):
             tail = [s + m * v for s, v in zip(tail, vacuum[h])]
             shift = [s + m * k for s, k in zip(shift, kappa[h])]
         if any(v % den for v in tail) or any(v % den for v in shift):

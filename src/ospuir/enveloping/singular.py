@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -35,7 +35,7 @@ from ospuir.enveloping.module import (
     weight_space_words,
 )
 from ospuir.linalg import in_span, nullspace, rref
-from ospuir.root_system import check_exact, delta_to_simple, int_tuple, is_int
+from ospuir.root_system import check_exact, cleared, delta_to_simple, int_tuple, is_int
 from ospuir.weights import Signature, reducibility_report, reduction_points
 
 
@@ -413,21 +413,16 @@ def rational_zero_set(coeffs: Sequence[Fraction]) -> Tuple[Dict[Fraction, int], 
     the residual is scaled back to the input's scale at the end.  Roots are
     keyed 0 first, then increasing; the residual has no rational roots left.
     """
-    check_exact(coeffs)
-    poly = [Fraction(c) for c in coeffs]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    if all(c == 0 for c in poly):
+    den, ints = cleared(coeffs)
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    if not any(ints):
         raise ValueError("zero polynomial has no meaningful zero set")
     roots: Dict[Fraction, int] = {}
-    k = 0
-    while poly[0] == 0:
-        poly = poly[1:]
-        k += 1
+    k = next(i for i, c in enumerate(ints) if c)
     if k:
         roots[Fraction(0)] = k
-    den = lcm(*(c.denominator for c in poly))
-    ints = [int(c * den) for c in poly]
+        ints = ints[k:]
     g = gcd(*ints)
     ints = [c // g for c in ints]
     # poly = (g / den) * ints, and dividing poly by x - p/q divides ints by

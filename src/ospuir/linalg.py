@@ -23,7 +23,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ospuir.root_system import check_exact
+from ospuir.root_system import check_exact, cleared
 
 Matrix = List[List[Fraction]]
 
@@ -33,15 +33,14 @@ _denominator = attrgetter("denominator")
 
 
 def _sparse_row(row: Sequence, cols: int) -> Dict[int, int]:
-    """row times the lcm of its denominators, as a primitive integer row
-    {column: nonzero int}; ValueError unless it has cols entries, each
-    exact (check_exact)."""
+    """row as a primitive integer row {column: nonzero int}, its nonzero
+    entries cleared; ValueError unless it has cols entries, each exact
+    (check_exact), a zero too."""
     if len(row) != cols:
         raise ValueError(f"row of length {len(row)} in a matrix of {cols} columns")
     check_exact(row)
     q = {c: x for c, x in enumerate(row) if x}
-    den = math.lcm(*(x.denominator for x in q.values()))
-    return _primitive({c: x.numerator * (den // x.denominator) for c, x in q.items()})
+    return _primitive(dict(zip(q, cleared(q.values())[1])))
 
 
 def _primitive(row: Dict[int, int]) -> Dict[int, int]:
@@ -183,8 +182,7 @@ def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:
     pivots, free, sign = found
     basis = _congruence_basis(g, pivots, free)
     v = basis[0] if len(basis) == 1 else [x - sign * y for x, y in zip(*basis)]
-    den = math.lcm(*(x.denominator for x in v))
-    w = [(i, x.numerator * (den // x.denominator)) for i, x in enumerate(v) if x]
+    w = [(i, x) for i, x in enumerate(cleared(v)[1]) if x]
     if sum(x * y * g[i][j] for i, x in w for j, y in w) >= 0:
         raise AssertionError("witness construction failed")
     return v

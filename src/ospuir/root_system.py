@@ -10,8 +10,9 @@ RANKS is the one table of the ranks the package supports, feature by
 feature, and check_rank is the one check of it that every entry point
 makes before any work.  is_int is the one test for an int that is not a
 bool, which every integer input check uses; int_tuple applies it to an
-offset or exponent, and check_exact is the one test that coefficients are
-exact rationals.  No input is truncated or rounded.
+offset or exponent, check_exact is the one test that coefficients are
+exact rationals, and cleared is the one step from them to ints.  No
+input is truncated or rounded.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
+from math import lcm
 from operator import mul
-from typing import Collection, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 Weight = Tuple[Fraction, ...]
 
@@ -66,6 +68,14 @@ def check_exact(entries: Collection) -> None:
         if not isinstance(x, (int, Fraction)):
             raise ValueError(f"entries must be ints or Fractions, "
                              f"not the {type(x).__name__} {x!r}")
+
+
+def cleared(values: Collection) -> Tuple[int, List[int]]:
+    """(s, ints) for exact values (check_exact): s the lcm of their
+    denominators and ints each value times s, in order; (1, []) for none."""
+    check_exact(values)
+    s = lcm(*(x.denominator for x in values))
+    return s, [x.numerator * (s // x.denominator) for x in values]
 
 
 def check_rank(feature: str, n: int) -> None:

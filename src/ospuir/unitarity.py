@@ -146,14 +146,16 @@ def unitarity_grid(
     """Classify every combination of labels and d, in deterministic order.
 
     a_ranges gives the candidate values per label slot (length n - 1);
-    each d is read as Signature reads it.  Combinations run in
-    lexicographic order, d ascending inside each, whose reduction points
-    are solved once.
+    labels (even with no d) and each d are read as Signature reads them.
+    Combinations run in lexicographic order, d ascending inside each,
+    whose reduction points are solved once.
     """
+    check_rank("roots", n)
     if len(a_ranges) != n - 1:
         raise ValueError(f"expected {n - 1} label ranges, got {len(a_ranges)}")
     rows: List[GridRow] = []
     for combo in itertools.product(*a_ranges):
+        Signature(n, 0, combo)
         sigs = sorted((Signature(n=n, d=d, a=tuple(combo)) for d in d_values),
                       key=lambda sig: sig.d)
         if sigs:

@@ -20,6 +20,7 @@ from ospuir.root_system import (
     build_root_system,
     check_exact,
     check_rank,
+    is_int,
     is_positive,
     rho_shift,
     simple_labels,
@@ -60,9 +61,9 @@ def identity(n: int) -> WeylElement:
 
 
 def simple_reflection(n: int, k: int) -> WeylElement:
-    """s_k for 1 <= k <= n; s_n flips the last coordinate."""
-    if not 1 <= k <= n:
-        raise ValueError(f"generator index must be in [1, {n}], got {k}")
+    """s_k for an int (is_int) 1 <= k <= n; s_n flips the last coordinate."""
+    if not is_int(k) or not 1 <= k <= n:
+        raise ValueError(f"generator index must be in [1, {n}], got {k!r}")
     perm = list(range(n))
     signs = [1] * n
     if k < n:
@@ -73,7 +74,9 @@ def simple_reflection(n: int, k: int) -> WeylElement:
 
 
 def apply(w: WeylElement, lam: Sequence) -> Weight:
-    """Linear action on delta coordinates."""
+    """Linear action on delta coordinates; lam must have w's rank."""
+    if len(lam) != w.n:
+        raise ValueError("rank mismatch")
     out = [Fraction(0)] * w.n
     for i, x in enumerate(lam):
         x = Fraction(x)

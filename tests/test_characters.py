@@ -238,6 +238,22 @@ def test_divide_one_minus_rejects_bad_exponents():
                   ({}, [(1, 0), (1,)])):
         with pytest.raises(ValueError, match="different lengths"):
             p_divide_one_minus(f, vs, 2)
+    # maxdeg passes check_maxdeg: True divided to degree 1, -1 gave {} and
+    # 2.0 raised TypeError
+    for maxdeg in (True, -1, 2.0, Fraction(2), "2"):
+        with pytest.raises(ValueError, match="maxdeg must be a nonnegative integer"):
+            p_divide_one_minus({(0, 0): 1}, [(1, 0)], maxdeg)
+    # an exponent entry is an int: a float raised TypeError and (True, 0)
+    # was read as (1, 0), also on a zero term
+    for f, vs in (({(0.5, 0): 1}, [(1, 0)]), ({(0, 0): 1}, [(1.0, 0)]),
+                  ({(True, 0): 1}, [(1, 0)]), ({(0, 0): 1}, [(True, 0)]),
+                  ({(0, 0): 1, (Fraction(1), 0): 0}, [(1, 0)])):
+        with pytest.raises(ValueError, match="entries must be ints"):
+            p_divide_one_minus(f, vs, 2)
+    # a coefficient is exact: 0.1 came back as a 55-bit Fraction
+    for bad in (0.1, 1.0, "1"):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            p_divide_one_minus({(0, 0): bad}, [(1, 0)], 1)
 
 
 def test_partition_count_examples():
@@ -484,6 +500,20 @@ def test_constructor_normalises_outside_input():
                    (2, {(9,): 1}), (1, {(): 1})):
         with pytest.raises(ValueError, match="length n"):
             CharacterSeries(n, 3, raw)
+    # maxdeg passes check_maxdeg, in the constructor and in truncate
+    for maxdeg in (-1, True, 2.5, Fraction(2)):
+        with pytest.raises(ValueError, match="maxdeg must be a nonnegative integer"):
+            CharacterSeries(2, maxdeg, {})
+        with pytest.raises(ValueError, match="maxdeg must be a nonnegative integer"):
+            series.truncate(maxdeg)
+    # coefficient reads an exponent as the constructor does: (1, 1) read
+    # 0 from a rank-3 series
+    verma = verma_character(3, 5)
+    for exp in ((1, 1), (1, 1, 1, 0)):
+        with pytest.raises(ValueError, match="length n"):
+            verma.coefficient(exp)
+    with pytest.raises(ValueError, match="entries must be ints"):
+        verma.coefficient((1, True, 0))
 
 
 # ------------------------------------------- five-branch unitary reference

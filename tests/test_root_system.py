@@ -22,6 +22,7 @@ from ospuir.root_system import (
     build_root_system,
     check_exact,
     check_rank,
+    cleared,
     coroot,
     delta_to_simple,
     inner,
@@ -30,7 +31,7 @@ from ospuir.root_system import (
     pairing,
     partition_count,
 )
-from ospuir.unitarity import subsingular_points
+from ospuir.unitarity import subsingular_points, unitarity_grid
 from ospuir.weights import Signature
 
 
@@ -220,7 +221,8 @@ RANK_ENTRY_POINTS = {
     "roots": (build_root_system, lambda n: Signature(n, 1, (0,) * max(n - 1, 0)),
               lambda n: partition_count(n, (-1,) * max(n, 0)),
               lambda n: subsingular_points(n, (0,) * max(n - 1, 0)),
-              lambda n: level_offsets(n, 1)),
+              lambda n: level_offsets(n, 1),
+              lambda n: unitarity_grid(n, [[0]] * max(n - 1, 0), [])),
     "engine": (algebra.structure_constants,),
     "weyl_group": (weyl.generate,),
     "multiplet": (lambda n: weyl.multiplet_orbit((Fraction(0),) * max(n, 0)),),
@@ -340,3 +342,14 @@ def test_one_home_for_the_exact_input_rules():
             check_exact([Fraction(1), bad])
     # linalg reads the same rule; it is not a copy
     assert linalg.check_exact is check_exact
+    # cleared gives the lcm of the denominators and each value times it as
+    # an int, in input order, and refuses what check_exact refuses
+    assert cleared([Fraction(1, 2), 3, Fraction(-5, 6), 0, True]) == (6, [3, 18, -5, 0, 6])
+    assert cleared([Fraction(4, 2), 7]) == (1, [2, 7])
+    assert cleared([]) == (1, [])
+    assert cleared({"x": Fraction(2, 3)}.values()) == (3, [2])
+    s, ints = cleared([Fraction(1, 4), Fraction(1, 6)])
+    assert (s, ints) == (12, [3, 2]) and all(type(x) is int for x in ints)
+    for bad in (0.5, "1/2", Decimal("0.5"), 2.0):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            cleared([Fraction(1, 3), bad])

@@ -189,6 +189,12 @@ def test_grid_reads_d_as_signature_does():
     for bad in ("1.5", "1e0", True, 0.25):
         with pytest.raises(ValueError):
             unitarity_grid(3, ((0,), (0,)), ["3/2", bad])
+    # each label combination is checked as Signature checks it, also when
+    # there is no d: the grid returned [] here
+    for ranges in (((-1,), (0,)), ((0,), (0.5,)), ((0, True), (0,)), ((0,), (Fraction(1),))):
+        for d_values in ([], [Fraction(1)]):
+            with pytest.raises(ValueError, match="labels a_k must be nonnegative integers"):
+                unitarity_grid(3, ranges, d_values)
 
 
 def test_grid_solves_reduction_points_once_per_label_set(monkeypatch):

@@ -33,7 +33,7 @@ from ospuir.enveloping.algebra import (
     omega,
     structure_constants,
 )
-from ospuir.dpoly import evaluate
+from ospuir.dpoly import evaluate, weights
 from ospuir.enveloping import module, ordering
 from ospuir.enveloping.module import (
     GramMatrix,
@@ -239,7 +239,8 @@ def _assert_kept_rows(n, a, max_level, ds):
                     for u in everything), (a, offset, d)
                 psd = psd_witness(gram.scaled) is None
                 for whole in (False, True):
-                    packed = eng._packed(sig, offset, whole)
+                    _basis, _kept, upper, top = eng._block(offset, whole)
+                    packed = module._evaluated(upper, weights(sig.d, top))
                     assert psd == (psd_witness(_unpacked(packed)) is None), (
                         a, offset, d, whole)
                     assert psd == packed_psd(packed), (a, offset, d, whole)
@@ -326,7 +327,8 @@ def test_noncompact_rows_match_whole_blocks():
                 rows = eng._block(offset)[0]
                 for d in on + off:
                     sig = Signature(n, d, a)
-                    packed = eng._packed(sig, offset)
+                    _basis, _kept, upper, top = eng._block(offset)
+                    packed = module._evaluated(upper, weights(sig.d, top))
                     kept = _unpacked(packed)
                     reduced_psd = psd_witness(kept) is None
                     assert packed_psd(packed) == reduced_psd, (n, offset, d)

@@ -137,6 +137,19 @@ def test_index_and_rank_refusals():
             simple_reflection(3, k)
     with pytest.raises(ValueError, match="rank mismatch"):
         compose(identity(2), identity(3))
+    # an index is an int, not a bool or a float: s_1 was made for True,
+    # and 1.0 raised TypeError
+    for k in (True, 1.0, Fraction(1), "1"):
+        with pytest.raises(ValueError, match=r"generator index must be in \[1, 3\]"):
+            simple_reflection(3, k)
+        with pytest.raises(ValueError, match=r"generator index must be in \[1, 3\]"):
+            from_word(3, [k, 2])
+    # a weight must have the element's rank: a short one was padded with
+    # zeros, and a long one raised IndexError
+    for lam in ((1, 2), (1, 2, 3, 4)):
+        for act in (apply, dot_act):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                act(identity(3), lam)
 
 
 def test_weyl_element_equality_ignores_length_and_word():
