@@ -170,15 +170,17 @@ class CharacterSeries(_CharacterSeriesFields):
     coeffs maps exponent tuples (length n) to nonzero Fractions; every
     stored total degree is at most maxdeg.  The constructor normalises
     what it is given (no coeffs is the zero series) and refuses a bad
-    maxdeg (check_maxdeg) or exponent length with ValueError, as truncate
-    and coefficient do; the series this module builds are canonical
-    already and skip that pass: _canonical builds the tuple directly.
+    rank (check_rank), maxdeg (check_maxdeg) or exponent length with
+    ValueError, as truncate and coefficient do for theirs; the series this
+    module builds are canonical already and skip that pass: _canonical
+    builds the tuple directly.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, maxdeg: int,
                 coeffs: Optional[Mapping[Exp, Fraction]] = None) -> "CharacterSeries":
+        check_rank("roots", n)
         check_maxdeg(maxdeg)
         coeffs = {int_tuple(e): c for e, c in (coeffs or {}).items()}
         if any(len(e) != n for e in coeffs):

@@ -35,14 +35,6 @@ def add_product(acc: List[int], p: Poly, q: Poly) -> None:
             acc[i + j] += x * y
 
 
-def add_scaled(acc: List[int], k: int, q: Poly) -> None:
-    """acc += k * q for an int k."""
-    if len(acc) < len(q):
-        acc.extend([0] * (len(q) - len(acc)))
-    for j, y in enumerate(q):
-        acc[j] += k * y
-
-
 def trim(acc: List[int]) -> Poly:
     while acc and not acc[-1]:
         acc.pop()

@@ -12,12 +12,13 @@ Normal ordering is held once per rank and free of labels
 (ospuir.enveloping.ordering): one generator acting on a PBW word gives
 ints from a raising generator and coefficients affine in (d, a) from a
 lowering or Cartan one, and every engine of the rank reads the same
-entries.  One engine serves a label set (n, a) for every d.  It keeps a
-reference to its rank's normal ordering and reads the shared entries
-directly: an int is used as it is, and each distinct affine coefficient
-is evaluated at the engine's labels once (_AtLabels), into an int or an
-integer polynomial of degree 1 in d.  Pairings, memoized per engine, are
-integer polynomials in d, stored as tuples of ints in ascending degree.
+entries.  One engine serves a label set (n, a) for every d.  It reads
+the shared entries in one place, VermaEngine._read, which actions and
+pairings both go through: an int is used as it is, and each distinct
+affine coefficient is evaluated at the engine's labels once, into an
+integer polynomial in d of degree at most 1.  Pairings, memoized per
+engine, are integer polynomials in d, stored as tuples of ints in
+ascending degree.
 Per-signature vectors and pairings are exact evaluations of those
 polynomials at the signature's d: q^deg P(p/q) by an integer Horner loop,
 then one Fraction (ospuir.dpoly holds the polynomial arithmetic).
@@ -81,7 +82,6 @@ from ospuir.dpoly import (
     Poly,
     add as _padd,
     add_product as _add_product,
-    add_scaled as _add_scaled,
     evaluate as _evaluate,
     mul as _pmul,
     trim as _trim,
@@ -119,23 +119,6 @@ def _add_mul(acc: CodeTerms, terms: Iterable[Tuple[CodeWord, Poly]], coeff: Poly
                 del acc[k]
                 continue
         acc[k] = prod
-
-
-class _AtLabels(dict):
-    """The affine coefficients of the shared normal ordering at labels a,
-    each worked out on first use: an int where it does not depend on d (0
-    where it vanishes), else the polynomial (k, c_d) in d."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a: Tuple[int, ...]):
-        super().__init__()
-        self.a = a
-
-    def __missing__(self, c: Tuple[int, ...]):
-        k = c[0] + sum(map(mul, c[2:], self.a))
-        value = self[c] = (k, c[1]) if c[1] else k
-        return value
 
 
 class _ModuleVectorFields(NamedTuple):
@@ -201,15 +184,15 @@ class VermaEngine:
     signature in this label set, evaluated at that signature's d.  The
     normal ordering itself is the rank's, shared by every label set
     (ordering.NormalOrder); the engine evaluates its coefficients at a.
+    The labels are checked as Signature checks them (ValueError).
     """
 
     def __init__(self, n: int, a: Sequence[int]):
         self.n = n
-        self.a = tuple(a)
+        self.a = Signature(n, 0, a).a
         self.table: StructureTable = structure_constants(n)
-        order = normal_order(n)
-        self._act, self._ordered = order.act, order.memo
-        self._at = _AtLabels(self.a)
+        self._act = normal_order(n).act
+        self._at: Dict[Tuple[int, ...], Poly] = {}   # affine coefficient -> value at a
         self._pair_memo: Dict[Tuple[CodeWord, CodeWord], Poly] = {}
         self._blocks: Dict[Tuple[Tuple[int, ...], bool], Block] = {}   # (offset, whole)
         self._triangles: Dict[Triangle, Triangle] = {}   # value -> the one object held
@@ -223,14 +206,21 @@ class VermaEngine:
 
     def _read(self, g: int, word: CodeWord) -> Iterator[Tuple[CodeWord, Poly]]:
         """The rank's entry for g on word * v0 at this label set, as
-        (word, polynomial in d) pairs; terms that vanish here are skipped."""
+        (word, polynomial in d) pairs; terms that vanish here are skipped.
+        The engine's one reader of the shared ordering: an affine
+        coefficient (c_0, c_d, c_1, ...) is evaluated at a on first use,
+        into c_0 + sum_k c_k a_k + c_d d."""
         at = self._at
         for w, c in self._act(g, word).items():
-            if c.__class__ is not int:
-                c = at[c]
-                if not c:
-                    continue
-            yield w, (c,) if c.__class__ is int else c
+            if c.__class__ is int:
+                yield w, (c,)
+                continue
+            p = at.get(c)
+            if p is None:
+                k = c[0] + sum(map(mul, c[2:], self.a))
+                p = at[c] = (k, c[1]) if c[1] else (k,) if k else ()
+            if p:
+                yield w, p
 
     def act_word_terms(self, g: int, word: CodeWord) -> CodeTerms:
         """Generator g applied to the PBW monomial word * v0, as PBW terms."""
@@ -314,7 +304,8 @@ class VermaEngine:
         """<u v0, w v0> for words of codes, memoized on suffix pairs.
 
         Peels the leftmost factor of u: <g rest v0, w v0> equals the sum of
-        <rest v0, w' v0> over the expansion of omega(g) w v0.
+        c <rest v0, w' v0> over the terms (w', c) of omega(g) w v0, as
+        _read gives them.
         """
         if not u:
             return _ONE if not w else ()
@@ -324,22 +315,10 @@ class VermaEngine:
             return hit
         rest = u[1:]
         acc: List[int] = []
-        at = self._at
-        g = self.table.omega[u[0]]
-        terms = self._ordered.get((g, w))
-        if terms is None:
-            terms = self._act(g, w)
-        for w2, c in terms.items():
-            if c.__class__ is not int:
-                c = at[c]
-                if not c:
-                    continue
+        for w2, c in self._read(self.table.omega[u[0]], w):
             sub = self.pair_words(rest, w2)
             if sub:
-                if c.__class__ is int:
-                    _add_scaled(acc, c, sub)
-                else:
-                    _add_product(acc, c, sub)
+                _add_product(acc, c, sub)
         total = self._pair_memo[key] = _trim(acc)
         return total
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ospuir.root_system import check_exact, cleared
@@ -29,7 +28,6 @@ Matrix = List[List[Fraction]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_denominator = attrgetter("denominator")
 
 
 def _sparse_row(row: Sequence, cols: int) -> Dict[int, int]:
@@ -160,20 +158,17 @@ def psd_witness(gram: Sequence[Sequence]) -> Optional[List[Fraction]]:
 
     Entries are ints or Fractions (a bool counts as an int); any other
     entry raises ValueError (check_exact).  The matrix is scaled once by
-    the lcm of its denominators, which leaves a matrix of ints as it is;
-    scaling by a positive constant changes no sign, pivot or
-    witness.  The witness is rebuilt from _congruence_eliminate's pivots
-    (see _congruence_basis) and checked on the scaled matrix.
+    the lcm of its denominators (cleared, over its entries flattened),
+    which leaves a matrix of ints as it is; scaling by a positive
+    constant changes no sign, pivot or witness.  The witness is rebuilt
+    from _congruence_eliminate's pivots (see _congruence_basis) and
+    checked on the scaled matrix.
     """
     m = len(gram)
     if any(len(row) != m for row in gram):
         raise ValueError("matrix must be square")
-    for row in gram:
-        check_exact(row)
-    den = math.lcm(*set(map(_denominator, chain.from_iterable(gram))))
-    g = gram if den == 1 else [
-        [x.numerator * (den // x.denominator) for x in row] for row in gram
-    ]
+    flat = cleared(list(chain.from_iterable(gram)))[1]
+    g = [flat[i * m:(i + 1) * m] for i in range(m)]
     if list(zip(*g)) != [tuple(row) for row in g]:
         raise ValueError("matrix must be symmetric")
     found = _congruence_eliminate([list(row[s:]) for s, row in enumerate(g)])

@@ -500,6 +500,10 @@ def test_constructor_normalises_outside_input():
                    (2, {(9,): 1}), (1, {(): 1})):
         with pytest.raises(ValueError, match="length n"):
             CharacterSeries(n, 3, raw)
+    # n passes check_rank: a bool, a negative and a float rank were built
+    for n, raw in ((True, {(1,): 1}), (-1, {}), (2.5, {}), (0, {}), (17, {})):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            CharacterSeries(n, 3, raw)
     # maxdeg passes check_maxdeg, in the constructor and in truncate
     for maxdeg in (-1, True, 2.5, Fraction(2)):
         with pytest.raises(ValueError, match="maxdeg must be a nonnegative integer"):

@@ -529,31 +529,43 @@ def test_gram_symmetry_and_block_orthogonality():
 
 
 def test_adjointness_of_omega():
+    # <g u, v> = <u, omega(g) v>: pair and act read the rank's normal
+    # ordering through one reader, so this ties the two together.  Raising
+    # g and their lowering images omega(g), on SIG and on a rank-4 label
+    # set with a != 0 at a d off the dyadic grid.  u sits at base, or
+    # above it by g's weight for a lowering g, so that g u lands at base.
     rng = random.Random(71)
-    eng = engine_for(SIG)
-    raises = [
-        Generator(KIND_ODD, 1, sign=1),
-        Generator(KIND_ODD, 3, sign=1),
-        Generator(KIND_SUM, 2, 3),
-        Generator(KIND_MIX, 1, 2),
+    cases = [
+        (SIG, (0, 1, 1), [
+            Generator(KIND_ODD, 1, sign=1),
+            Generator(KIND_ODD, 3, sign=1),
+            Generator(KIND_SUM, 2, 3),
+            Generator(KIND_MIX, 1, 2),
+        ]),
+        (Signature(4, Fraction(7, 3), (1, 0, 2)), (0, 0, 1, 1), [
+            Generator(KIND_ODD, 2, sign=1),
+            Generator(KIND_DOUBLE, 4),
+            Generator(KIND_SUM, 3, 4),
+            Generator(KIND_MIX, 2, 4),
+        ]),
     ]
-    for g in raises:
-        base = eng.act(g, _vacuum(eng))
-        if not base.terms:
-            continue
-        target = base.offset
-        src_words = eng.basis((0, 1, 1))
-        dst_words = eng.basis(
-            tuple(t + s for t, s in zip(target, (0, 1, 1)))
-        )
-        for _ in range(5):
-            u = eng.from_words(
-                SIG, [(w, Fraction(rng.randint(-3, 3))) for w in src_words]
-            )
-            v = eng.from_words(
-                SIG, [(w, Fraction(rng.randint(-3, 3))) for w in dst_words]
-            )
-            assert eng.pair(eng.act(g, u), v) == eng.pair(u, eng.act(omega(g), v))
+    for sig, base, raises in cases:
+        eng = engine_for(sig)
+        weight_exp, code = eng.table.weight_exp, eng.table.code
+        for g in raises + [omega(g) for g in raises]:
+            e = weight_exp[code[g]]
+            src = tuple(b + max(0, -x) for b, x in zip(base, e))
+            src_words = eng.basis(src)
+            dst_words = eng.basis(tuple(s + x for s, x in zip(src, e)))
+            for _ in range(3):
+                u = eng.from_words(
+                    sig, [(w, Fraction(rng.randint(-3, 3))) for w in src_words]
+                )
+                v = eng.from_words(
+                    sig, [(w, Fraction(rng.randint(-3, 3))) for w in dst_words]
+                )
+                lhs = eng.pair(eng.act(g, u), v)
+                assert lhs == eng.pair(u, eng.act(omega(g), v)), (sig, g)
 
 
 def test_normal_ordering_matches_brackets():
